@@ -69,9 +69,12 @@ let () =
     | Value.Int c -> 1. +. (0.2 *. float_of_int c)
     | _ -> 1.
   in
+  let along rels end_of n = List.map (fun r -> (r, end_of grid r, weight r)) (rels grid n) in
   match
-    A.dijkstra grid ~src:(Ids.node_of_int 1)
-      ~dst:(Ids.node_of_int 36) ~weight
+    Cypher_algos.Path_search.cheapest
+      ~fwd:(along Graph.out_rels Graph.tgt)
+      ~bwd:(along Graph.in_rels Graph.src)
+      (Ids.node_of_int 1) (Ids.node_of_int 36)
   with
   | Some (cost, path) ->
     Printf.printf "\nCheapest 6x6 grid route: cost %.1f over %d hops\n" cost

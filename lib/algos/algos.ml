@@ -151,54 +151,6 @@ let bfs_distances g ~from ?(direction = `Out) () =
       | None -> None)
     (Graph.nodes g)
 
-module Pq = struct
-  (* a tiny leftist-ish pairing heap for dijkstra *)
-  type 'a t = Empty | Node of float * 'a * 'a t list
-
-  let empty = Empty
-  let meld a b =
-    match a, b with
-    | Empty, x | x, Empty -> x
-    | Node (ka, va, la), Node (kb, vb, lb) ->
-      if ka <= kb then Node (ka, va, b :: la) else Node (kb, vb, a :: lb)
-
-  let insert k v h = meld (Node (k, v, [])) h
-
-  let rec meld_list = function
-    | [] -> Empty
-    | [ h ] -> h
-    | a :: b :: rest -> meld (meld a b) (meld_list rest)
-
-  let pop = function
-    | Empty -> None
-    | Node (k, v, children) -> Some (k, v, meld_list children)
-end
-
-let dijkstra g ~src ~dst ~weight =
-  let dist = Hashtbl.create 64 in
-  let rec loop heap =
-    match Pq.pop heap with
-    | None -> None
-    | Some (d, (v, path_rev), heap) ->
-      if Ids.equal_node v dst then Some (d, List.rev path_rev)
-      else if Hashtbl.mem dist (Ids.node_to_int v) then loop heap
-      else begin
-        Hashtbl.replace dist (Ids.node_to_int v) d;
-        let heap =
-          List.fold_left
-            (fun heap r ->
-              let w = weight r in
-              if w < 0. then invalid_arg "Algos.dijkstra: negative weight";
-              let next = Graph.tgt g r in
-              if Hashtbl.mem dist (Ids.node_to_int next) then heap
-              else Pq.insert (d +. w) (next, r :: path_rev) heap)
-            heap (Graph.out_rels g v)
-        in
-        loop heap
-      end
-  in
-  loop (Pq.insert 0. (src, []) Pq.empty)
-
 let undirected_neighbour_set g n =
   List.fold_left (fun s w -> Nset.add w s) Nset.empty (neighbours g `Both n)
   |> Nset.remove n

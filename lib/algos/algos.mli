@@ -28,12 +28,6 @@ val bfs_distances :
 (** Unweighted hop distances from [from] to every reachable node
     (including [from] at distance 0), in node order. *)
 
-val dijkstra :
-  Graph.t -> src:Ids.node -> dst:Ids.node -> weight:(Ids.rel -> float) ->
-  (float * Ids.rel list) option
-(** Cheapest directed path and its cost; [None] when unreachable.
-    Negative weights are rejected with [Invalid_argument]. *)
-
 val triangle_count : Graph.t -> int
 (** Number of undirected triangles (each counted once). *)
 

@@ -1,0 +1,58 @@
+(** The path-search kernel behind [shortestPath], [allShortestPaths] and
+    [cheapestPath], shared by the reference evaluator and the planner.
+
+    GPC and GQL define shortest and cheapest selection over a restricted
+    set of walks; that definition does not depend on the search order,
+    so one search serves both engines.  Each engine supplies only its
+    neighbour function — direction, type filter, relationship property
+    predicates, relationship uniqueness against the rest of the pattern
+    tuple, and (for the cheapest search) the cost of each relationship.
+
+    All search state is allocated per call and sized to the nodes the
+    search touches; nothing is shared, so concurrent searches on
+    different domains are safe. *)
+
+open Cypher_values
+
+type step = Ids.rel * Ids.node
+(** One hop of a path: the relationship taken and the node it leads to. *)
+
+type 'w neighbours = Ids.node -> (Ids.rel * Ids.node * 'w) list
+(** The relationships a search may follow from a node, each with the
+    node at its other end and a payload ([unit] for the breadth-first
+    searches, the relationship's cost for {!cheapest}).  For a search
+    running backwards from the end node, "other end" is the node the
+    path comes from. *)
+
+exception Invalid_cost of float
+(** Raised by {!cheapest} when it relaxes a relationship whose cost is
+    negative or NaN.  [+∞] is a valid cost. *)
+
+val shortest :
+  ?bwd:'w neighbours -> 'w neighbours -> Ids.node -> Ids.node -> kmin:int ->
+  kmax:int -> all:bool -> step list list
+(** [shortest ?bwd fwd s e ~kmin ~kmax ~all] returns the step lists of
+    minimal-length relationship-distinct walks from [s] to [e] with
+    length in [[kmin, kmax]]: every one when [all], otherwise the first
+    found.  No walk yields [[]]; the zero-length walk [s = e, kmin = 0]
+    yields [[ [] ]].
+
+    - [s = e] or [kmin > 1]: iterative deepening over walk lengths
+      (visited marking could prune the only valid walk).
+    - [all], or no [bwd]: level-synchronised BFS; within a level every
+      path reaching a node is kept, so [all] returns them all.
+    - otherwise: bidirectional BFS, expanding the side whose frontier
+      has fewer nodes; [bwd] follows relationships against the pattern
+      direction. *)
+
+val cheapest :
+  fwd:float neighbours -> bwd:float neighbours -> Ids.node -> Ids.node ->
+  (float * step list) option
+(** Bidirectional Dijkstra between two distinct nodes: the cost of a
+    cheapest path from [s] to [e] and one such path, node-simple, or
+    [None] when [e] is unreachable.  Raises {!Invalid_cost} when it
+    relaxes a relationship with a negative or NaN cost.  Equal-cost ties
+    break deterministically for a given adjacency order: the side with
+    the smaller frontier key settles next (forward on a tie), the heap
+    pops equal keys in insertion order, and the first meeting of the
+    minimum cost wins. *)

@@ -92,6 +92,7 @@ let rel_ids_of_binding row = function
 (* --- path-finding operators ------------------------------------------ *)
 
 module Type_regex = Cypher_ast.Type_regex
+module Path_search = Cypher_algos.Path_search
 
 let var_cap cfg g =
   match cfg.Config.var_length_cap with
@@ -127,259 +128,60 @@ let restr_ok restr start steps =
 (* The filtered adjacency shared by the path searches: direction, type
    filter and relationship property predicates, with the reference
    engine's typed error when a predicate references a variable that is
-   not bound. *)
-let search_neighbours cfg g row ~types ~props ~dir cur =
-  let cands =
+   not bound.  Each candidate's record is fetched once and supplies its
+   type, other end, properties and [cost]; the predicate values depend
+   only on [row], so they are evaluated once per search, on the first
+   candidate that needs them. *)
+let search_neighbours cfg g row ~types ~props ~cost =
+  let expected =
+    lazy
+      (List.map
+         (fun (k, e) ->
+           match Eval.eval_expr cfg g row e with
+           | v -> (k, v)
+           | exception Functions.Eval_error _ ->
+             eval_error
+               "shortest-path relationship predicate on '%s' references an \
+                unbound variable"
+               k)
+         props)
+  in
+  let step r other (d : Graph.rel_data) =
+    if
+      (types = [] || List.mem d.rel_type types)
+      && (props = []
+         || List.for_all
+              (fun (k, v) ->
+                let actual =
+                  match Value.Smap.find_opt k d.rel_props with
+                  | Some a -> a
+                  | None -> Value.Null
+                in
+                Ternary.is_true (Value.equal_ternary actual v))
+              (Lazy.force expected))
+    then Some (r, other, cost d)
+    else None
+  in
+  fun dir cur ->
+    let out () =
+      List.filter_map
+        (fun r ->
+          let d = Graph.rel_data g r in
+          step r d.tgt d)
+        (Graph.out_rels g cur)
+    in
+    (* [loops] = false drops loops, already listed among the outgoing *)
+    let inc ~loops =
+      List.filter_map
+        (fun r ->
+          let d = Graph.rel_data g r in
+          if (not loops) && Ids.equal_node d.src cur then None else step r d.src d)
+        (Graph.in_rels g cur)
+    in
     match dir with
-    | Plan.Out -> List.map (fun r -> (r, Graph.tgt g r)) (Graph.out_rels g cur)
-    | Plan.In -> List.map (fun r -> (r, Graph.src g r)) (Graph.in_rels g cur)
-    | Plan.Both ->
-      List.map (fun r -> (r, Graph.other_end g r cur)) (Graph.all_rels_of g cur)
-  in
-  List.filter
-    (fun (r, _) ->
-      (types = [] || List.mem (Graph.rel_type g r) types)
-      && List.for_all
-           (fun (k, e) ->
-             match Eval.eval_expr cfg g row e with
-             | expected ->
-               Ternary.is_true
-                 (Value.equal_ternary (Graph.rel_prop g r k) expected)
-             | exception Functions.Eval_error _ ->
-               eval_error
-                 "shortest-path relationship predicate on '%s' references an \
-                  unbound variable"
-                 k)
-           props)
-    cands
-
-(* Exhaustive iterative deepening over walk lengths, used where per-node
-   visited marking is unsound: the cyclic case s = e, and kmin > 1 where
-   the minimal valid walk may revisit a node.  Identical to the
-   reference engine's, so the surviving candidate is the same. *)
-let deepening_steps neighbours s e ~kmin ~kmax ~all =
-  let found = ref [] in
-  let l = ref (max 1 kmin) in
-  while !found = [] && !l <= kmax do
-    let target_len = !l in
-    let rec dfs used cur depth steps_rev =
-      if depth = target_len then begin
-        if Ids.equal_node cur e then found := List.rev steps_rev :: !found
-      end
-      else
-        List.iter
-          (fun (r, next) ->
-            if not (Ids.Rel_set.mem r used) then
-              dfs (Ids.Rel_set.add r used) next (depth + 1)
-                ((r, next) :: steps_rev))
-          (neighbours cur)
-    in
-    dfs Ids.Rel_set.empty s 0 [];
-    incr l
-  done;
-  match !found, all with
-  | [], _ -> []
-  | paths, true -> List.rev paths
-  | p :: _, false -> [ p ]
-
-(* Level-synchronised BFS returning every minimal-length path — the
-   reference engine's allShortestPaths search, ported so the produced
-   multiset is identical. *)
-let bfs_all_shortest neighbours s e ~kmax =
-  let visited = ref (Ids.Node_set.singleton s) in
-  let rec level depth frontier =
-    if depth >= kmax || frontier = [] then []
-    else begin
-      let expansions =
-        List.concat_map
-          (fun (cur, steps_rev) ->
-            List.filter_map
-              (fun (r, next) ->
-                if Ids.Node_set.mem next !visited then None
-                else Some (next, (r, next) :: steps_rev))
-              (neighbours cur))
-          frontier
-      in
-      let completions =
-        List.filter_map
-          (fun (n, steps_rev) ->
-            if Ids.equal_node n e then Some (List.rev steps_rev) else None)
-          expansions
-      in
-      if completions <> [] then completions
-      else begin
-        let next_frontier =
-          List.filter (fun (n, _) -> not (Ids.equal_node n e)) expansions
-        in
-        List.iter
-          (fun (n, _) -> visited := Ids.Node_set.add n !visited)
-          next_frontier;
-        level (depth + 1) next_frontier
-      end
-    end
-  in
-  level 0 [ (s, []) ]
-
-(* Bidirectional BFS for a single shortest path between two distinct
-   endpoints.  At each step the frontier with the smaller total degree
-   expands — the statistics-driven direction choice that makes the
-   bound-endpoints case fast on large graphs.  Minimal walks between
-   distinct endpoints under kmin <= 1 are node-simple (a repeated node
-   could be cut, contradicting minimality), so per-side first-discovery
-   marking is sound and the two halves of a minimal concatenation never
-   share a node.  A meet is recorded when the second side reaches a
-   node; once any meet exists, the minimum recorded total is the true
-   shortest length (a shorter path would have produced an earlier
-   meet). *)
-let bidir_shortest g neighbours_fwd neighbours_bwd s e ~kmax =
-  let key = Ids.node_to_int in
-  let fwd_dist = Hashtbl.create 64 and bwd_dist = Hashtbl.create 64 in
-  let fwd_parent = Hashtbl.create 64 and bwd_parent = Hashtbl.create 64 in
-  Hashtbl.replace fwd_dist (key s) 0;
-  Hashtbl.replace bwd_dist (key e) 0;
-  let fwd_frontier = ref [ s ] and bwd_frontier = ref [ e ] in
-  let df = ref 0 and db = ref 0 in
-  let best = ref None in
-  let expand_side ~fwd =
-    let frontier, dist, parent, other_dist, depth, neighbours =
-      if fwd then (fwd_frontier, fwd_dist, fwd_parent, bwd_dist, df, neighbours_fwd)
-      else (bwd_frontier, bwd_dist, bwd_parent, fwd_dist, db, neighbours_bwd)
-    in
-    let d' = !depth + 1 in
-    let next = ref [] in
-    List.iter
-      (fun cur ->
-        List.iter
-          (fun (r, n) ->
-            let k = key n in
-            if not (Hashtbl.mem dist k) then begin
-              Hashtbl.replace dist k d';
-              Hashtbl.replace parent k (r, cur);
-              next := n :: !next;
-              match Hashtbl.find_opt other_dist k with
-              | Some od -> (
-                let total = d' + od in
-                match !best with
-                | Some (b, _) when b <= total -> ()
-                | _ -> best := Some (total, n))
-              | None -> ()
-            end)
-          (neighbours cur))
-      !frontier;
-    frontier := List.rev !next;
-    depth := d'
-  in
-  let frontier_degree fr =
-    List.fold_left (fun acc n -> acc + Graph.degree g n) 0 fr
-  in
-  let rec search () =
-    match !best with
-    | Some (total, meet) ->
-      if total > kmax then []
-      else begin
-        let rec build_fwd n acc =
-          if Ids.equal_node n s then acc
-          else
-            let r, prev = Hashtbl.find fwd_parent (key n) in
-            build_fwd prev ((r, n) :: acc)
-        in
-        let rec build_bwd cur acc_rev =
-          if Ids.equal_node cur e then List.rev acc_rev
-          else
-            let r, nxt = Hashtbl.find bwd_parent (key cur) in
-            build_bwd nxt ((r, nxt) :: acc_rev)
-        in
-        [ build_fwd meet [] @ build_bwd meet [] ]
-      end
-    | None ->
-      if !fwd_frontier = [] || !bwd_frontier = [] || !df + !db >= kmax then []
-      else begin
-        if frontier_degree !fwd_frontier <= frontier_degree !bwd_frontier then
-          expand_side ~fwd:true
-        else expand_side ~fwd:false;
-        search ()
-      end
-  in
-  search ()
-
-(* Cheapest path by Dijkstra over a numeric cost property — a verbatim
-   mirror of the reference engine's search, including the Set-based
-   priority queue and its settle-order tie-breaking, so both engines
-   return the same path. *)
-let dijkstra_cheapest g neighbours s e ~cost_prop =
-  if Ids.equal_node s e then
-    eval_error "cheapestPath between identical endpoints is not supported";
-  let cost_of r =
-    match Graph.rel_prop g r cost_prop with
-    | Value.Int i -> float_of_int i
-    | Value.Float f -> f
-    | Value.Null ->
-      eval_error "cheapestPath: relationship has no '%s' cost property"
-        cost_prop
-    | v ->
-      Value.type_error
-        "cheapestPath: cost property '%s' is %s, expected a number" cost_prop
-        (Value.type_name v)
-  in
-  let module Pq = Set.Make (struct
-    type t = float * int * Ids.node
-
-    let compare (c1, i1, _) (c2, i2, _) =
-      match Float.compare c1 c2 with 0 -> Int.compare i1 i2 | c -> c
-  end) in
-  let dist = Hashtbl.create 64 in
-  let parent = Hashtbl.create 64 in
-  let settled = Hashtbl.create 64 in
-  let counter = ref 0 in
-  let pq = ref Pq.empty in
-  let push c n =
-    incr counter;
-    pq := Pq.add (c, !counter, n) !pq
-  in
-  Hashtbl.replace dist (Ids.node_to_int s) 0.0;
-  push 0.0 s;
-  let reached = ref false in
-  while (not !reached) && not (Pq.is_empty !pq) do
-    let (c, _, n) as elt = Pq.min_elt !pq in
-    pq := Pq.remove elt !pq;
-    let key = Ids.node_to_int n in
-    if not (Hashtbl.mem settled key) then begin
-      Hashtbl.replace settled key ();
-      if Ids.equal_node n e then reached := true
-      else
-        List.iter
-          (fun (r, next) ->
-            let w = cost_of r in
-            if w < 0.0 then
-              eval_error "cheapestPath: negative '%s' cost on a relationship"
-                cost_prop;
-            let nk = Ids.node_to_int next in
-            if not (Hashtbl.mem settled nk) then begin
-              let nc = c +. w in
-              let better =
-                match Hashtbl.find_opt dist nk with
-                | Some old -> nc < old
-                | None -> true
-              in
-              if better then begin
-                Hashtbl.replace dist nk nc;
-                Hashtbl.replace parent nk (r, n);
-                push nc next
-              end
-            end)
-          (neighbours n)
-    end
-  done;
-  if not !reached then []
-  else begin
-    let rec rebuild n acc =
-      if Ids.equal_node n s then acc
-      else
-        let r, prev = Hashtbl.find parent (Ids.node_to_int n) in
-        rebuild prev ((r, n) :: acc)
-    in
-    [ rebuild e [] ]
-  end
+    | Plan.Out -> out ()
+    | Plan.In -> inc ~loops:true
+    | Plan.Both -> out () @ inc ~loops:false
 
 (* Observation hook for PROFILE.  When the profiler is set, every
    operator's output sequence is wrapped so that each pull is measured:
@@ -707,25 +509,15 @@ and rows_body cfg g plan arg =
       (fun row ->
         match node_of row from_, node_of row to_ with
         | Some s, Some e ->
-          let neighbours cur =
-            search_neighbours cfg g row ~types ~props ~dir cur
+          let neighbours =
+            search_neighbours cfg g row ~types ~props ~cost:ignore
           in
           let kmax =
             match max_len with Some n -> n | None -> var_cap cfg g
           in
           let candidates ~all =
-            if Ids.equal_node s e then
-              if min_len = 0 then [ [] ]
-              else deepening_steps neighbours s e ~kmin:min_len ~kmax ~all
-            else if min_len > 1 then
-              deepening_steps neighbours s e ~kmin:min_len ~kmax ~all
-            else if all then bfs_all_shortest neighbours s e ~kmax
-            else
-              bidir_shortest g neighbours
-                (fun cur ->
-                  search_neighbours cfg g row ~types ~props
-                    ~dir:(flip_plan_dir dir) cur)
-                s e ~kmax
+            Path_search.shortest ~bwd:(neighbours (flip_plan_dir dir))
+              (neighbours dir) s e ~kmin:min_len ~kmax ~all
           in
           let try_candidate steps =
             if not (restr_ok restr s steps) then None
@@ -785,8 +577,12 @@ and rows_body cfg g plan arg =
       (fun row ->
         match node_of row from_, node_of row to_ with
         | Some s, Some e ->
-          let neighbours cur =
-            search_neighbours cfg g row ~types ~props ~dir cur
+          let neighbours =
+            search_neighbours cfg g row ~types ~props ~cost:(fun d ->
+                Eval.path_cost cost_prop
+                  (match Value.Smap.find_opt cost_prop d.Graph.rel_props with
+                  | Some v -> v
+                  | None -> Value.Null))
           in
           let try_candidate steps =
             if not (restr_ok restr s steps) then None
@@ -801,7 +597,8 @@ and rows_body cfg g plan arg =
           in
           List.to_seq
             (List.filter_map try_candidate
-               (dijkstra_cheapest g neighbours s e ~cost_prop))
+               (Eval.cheapest_path cost_prop ~fwd:(neighbours dir)
+                  ~bwd:(neighbours (flip_plan_dir dir)) s e))
         | _ -> Seq.empty)
       (rows cfg g input arg)
   | Plan.Path_restrict { restr; start_var; hops; input } ->

@@ -3,6 +3,7 @@ open Cypher_graph
 open Cypher_table
 open Cypher_ast
 open Ast
+module Path_search = Cypher_algos.Path_search
 
 exception Eval_error = Functions.Eval_error
 
@@ -15,6 +16,29 @@ let value_of_ternary = function
   | Ternary.True -> Value.Bool true
   | Ternary.False -> Value.Bool false
   | Ternary.Unknown -> Value.Null
+
+(* The cost cheapestPath reads off one relationship's cost property:
+   missing and non-numeric costs are typed errors here; negative and NaN
+   costs are rejected by the search when it relaxes the relationship. *)
+let path_cost prop = function
+  | Value.Int i -> float_of_int i
+  | Value.Float f -> f
+  | Value.Null ->
+    eval_error "cheapestPath: relationship has no '%s' cost property" prop
+  | v ->
+    Value.type_error "cheapestPath: cost property '%s' is %s, expected a number"
+      prop (Value.type_name v)
+
+let cheapest_path prop ~fwd ~bwd s e =
+  if Ids.equal_node s e then
+    eval_error "cheapestPath between identical endpoints is not supported";
+  match Path_search.cheapest ~fwd ~bwd s e with
+  | None -> []
+  | Some (_, steps) -> [ steps ]
+  | exception Path_search.Invalid_cost w ->
+    eval_error "cheapestPath: %s '%s' cost on a relationship"
+      (if Float.is_nan w then "NaN" else "negative")
+      prop
 
 (* ------------------------------------------------------------------ *)
 (* Expressions: [[expr]]_{G,u}  (Section 4.3)                          *)
@@ -376,9 +400,9 @@ and match_pattern_tuple cfg g u patterns =
       bind st np.np_name (Value.Node n) (fun st ->
           check_node_props st n np.np_props kont)
   in
-  (* Adjacency of [cur] in the direction of [rp]. *)
-  let hop_candidates (rp : rel_pattern) cur =
-    match rp.rp_dir with
+  (* Adjacency of [cur] in direction [dir]. *)
+  let hop_candidates dir cur =
+    match dir with
     | Left_to_right ->
       List.map (fun r -> (r, Graph.tgt g r)) (Graph.out_rels g cur)
     | Right_to_left ->
@@ -432,7 +456,7 @@ and match_pattern_tuple cfg g u patterns =
                         rseg st next states' (depth + 1) (r :: rels_rev)
                           ((r, next) :: steps_rev))
                 end)
-              (hop_candidates rp cur)
+              (hop_candidates rp.rp_dir cur)
         end
       in
       rseg st node (Type_regex.start nfa) 0 [] []
@@ -471,17 +495,6 @@ and match_pattern_tuple cfg g u patterns =
         match st_opt with
         | None -> ()
         | Some st ->
-          let candidates =
-            match rp.rp_dir with
-            | Left_to_right ->
-              List.map (fun r -> (r, Graph.tgt g r)) (Graph.out_rels g cur)
-            | Right_to_left ->
-              List.map (fun r -> (r, Graph.src g r)) (Graph.in_rels g cur)
-            | Undirected ->
-              List.map
-                (fun r -> (r, Graph.other_end g r cur))
-                (Graph.all_rels_of g cur)
-          in
           List.iter
             (fun (r, next) ->
               let rel_ok =
@@ -499,7 +512,7 @@ and match_pattern_tuple cfg g u patterns =
                     in
                     seg st next (depth + 1) (r :: rels_rev)
                       ((r, next) :: steps_rev)))
-            candidates
+            (hop_candidates rp.rp_dir cur)
       end
     in
     seg st node 0 [] []
@@ -537,220 +550,53 @@ and match_pattern_tuple cfg g u patterns =
       in
       not (dup (Ids.Node_set.singleton start) steps)
   in
-  (* The filtered adjacency used by every path search: direction, type
+  (* The filtered adjacency every path search runs on: direction, type
      filter, relationship uniqueness against the rest of the tuple, and
      relationship property predicates.  A predicate that cannot evaluate
      (it references a variable the pattern never binds) is a typed error:
      silently dropping every edge would turn a user mistake into an
      empty result. *)
-  let search_neighbours st (rp : rel_pattern) cur acc_fn =
-    let cands =
-      match rp.rp_dir with
-      | Left_to_right ->
-        List.map (fun r -> (r, Graph.tgt g r)) (Graph.out_rels g cur)
-      | Right_to_left ->
-        List.map (fun r -> (r, Graph.src g r)) (Graph.in_rels g cur)
-      | Undirected ->
-        List.map (fun r -> (r, Graph.other_end g r cur)) (Graph.all_rels_of g cur)
-    in
-    List.filter
-      (fun (r, _) ->
-        (rp.rp_types = [] || List.mem (Graph.rel_type g r) rp.rp_types)
-        && (not track_rels || not (Ids.Rel_set.mem r st.used_rels))
-        && List.for_all
-             (fun (k, e) ->
-               match eval_expr cfg g st.bnd e with
-               | expected ->
-                 Ternary.is_true
-                   (Value.equal_ternary (Graph.rel_prop g r k) expected)
-               | exception Eval_error _ ->
-                 eval_error
-                   "shortest-path relationship predicate on '%s' references \
-                    an unbound variable"
-                   k)
-             rp.rp_props)
-      cands
-    |> acc_fn
+  let search_neighbours st (rp : rel_pattern) ~dir ~cost cur =
+    hop_candidates dir cur
+    |> List.filter_map (fun (r, next) ->
+           if
+             (rp.rp_types = [] || List.mem (Graph.rel_type g r) rp.rp_types)
+             && (not track_rels || not (Ids.Rel_set.mem r st.used_rels))
+             && List.for_all
+                  (fun (k, e) ->
+                    match eval_expr cfg g st.bnd e with
+                    | expected ->
+                      Ternary.is_true
+                        (Value.equal_ternary (Graph.rel_prop g r k) expected)
+                    | exception Eval_error _ ->
+                      eval_error
+                        "shortest-path relationship predicate on '%s' \
+                         references an unbound variable"
+                        k)
+                  rp.rp_props
+           then Some (r, next, cost r)
+           else None)
   in
-  (* Exhaustive iterative deepening: enumerate the rel-unique walks from
-     [s] to [e] of the smallest length in [kmin, kmax] that has any.
-     Used where per-node visited marking is unsound — the cyclic case
-     s = e, and kmin > 1 where the minimal valid walk may revisit a node
-     seen at an earlier BFS level. *)
-  let deepening_steps st rp s e kmin kmax ~all =
-    let found = ref [] in
-    let l = ref (max 1 kmin) in
-    while !found = [] && !l <= kmax do
-      let target_len = !l in
-      let rec dfs used cur depth steps_rev =
-        if depth = target_len then begin
-          if Ids.equal_node cur e then found := List.rev steps_rev :: !found
-        end
-        else
-          search_neighbours st rp cur (fun cands ->
-              List.iter
-                (fun (r, next) ->
-                  if not (Ids.Rel_set.mem r used) then
-                    dfs (Ids.Rel_set.add r used) next (depth + 1)
-                      ((r, next) :: steps_rev))
-                cands)
-      in
-      dfs Ids.Rel_set.empty s 0 [];
-      incr l
-    done;
-    match !found, all with
-    | [], _ -> []
-    | paths, true -> List.rev paths
-    | p :: _, false -> [ p ]
+  let flip = function
+    | Left_to_right -> Right_to_left
+    | Right_to_left -> Left_to_right
+    | Undirected -> Undirected
   in
-  (* Shortest paths between two fixed nodes: breadth-first search that
-     respects the relationship pattern.  Returns the step lists of the
-     minimal-length paths (one for [Shortest], all for [All_shortest]).
-     For kmin <= 1, minimal walks never repeat a node (a repetition could
-     be cut, contradicting minimality), so node-marking BFS is sound;
-     the cyclic case s = e and kmin > 1 fall back to iterative
-     deepening. *)
+  (* The candidate step lists of a shortest-path search (one for
+     [Shortest], all minimal ones for [All_shortest]). *)
   let shortest_steps st (rp : rel_pattern) s e ~all =
     let kmin, kmax_opt = Ast.range_of_len rp.rp_len in
     let kmax = match kmax_opt with Some n -> n | None -> cap in
-    if Ids.equal_node s e then begin
-      (* shortest cycle through s: iterative deepening over path lengths *)
-      if kmin = 0 then [ [] ] else deepening_steps st rp s e kmin kmax ~all
-    end
-    else if kmin > 1 then deepening_steps st rp s e kmin kmax ~all
-    else begin
-      (* level-synchronised BFS; within a level several paths may reach
-         the same node (needed for All_shortest) *)
-      let visited = ref (Ids.Node_set.singleton s) in
-      let rec level depth frontier =
-        if depth >= kmax || frontier = [] then []
-        else begin
-          let expansions =
-            List.concat_map
-              (fun (cur, steps_rev) ->
-                search_neighbours st rp cur (fun cands ->
-                    List.filter_map
-                      (fun (r, next) ->
-                        if Ids.Node_set.mem next !visited then None
-                        else Some (next, (r, next) :: steps_rev))
-                      cands))
-              frontier
-          in
-          let completions =
-            List.filter_map
-              (fun (n, steps_rev) ->
-                if Ids.equal_node n e then Some (List.rev steps_rev) else None)
-              expansions
-          in
-          if completions <> [] then
-            if all then completions else [ List.hd completions ]
-          else begin
-            let next_frontier =
-              List.filter (fun (n, _) -> not (Ids.equal_node n e)) expansions
-            in
-            (* mark this level visited; for Shortest one path per node is
-               enough, for All_shortest keep them all *)
-            List.iter
-              (fun (n, _) -> visited := Ids.Node_set.add n !visited)
-              next_frontier;
-            let next_frontier =
-              if all then next_frontier
-              else
-                let seen = Hashtbl.create 16 in
-                List.filter
-                  (fun (n, _) ->
-                    let key = Ids.node_to_int n in
-                    if Hashtbl.mem seen key then false
-                    else (
-                      Hashtbl.add seen key ();
-                      true))
-                  next_frontier
-            in
-            level (depth + 1) next_frontier
-          end
-        end
-      in
-      (* when s <> e a zero-length path never connects, so kmin = 0
-         degenerates to kmin = 1 here *)
-      level 0 [ (s, []) ]
-    end
+    Path_search.shortest
+      (search_neighbours st rp ~dir:rp.rp_dir ~cost:ignore)
+      s e ~kmin ~kmax ~all
   in
-  (* Cheapest path by Dijkstra over a numeric cost property.  The
-     returned path is node-simple; equal-cost ties break by settle
-     order, which is deterministic for a given adjacency order. *)
   let cheapest_steps st (rp : rel_pattern) s e prop =
-    if Ids.equal_node s e then
-      eval_error "cheapestPath between identical endpoints is not supported";
-    let cost_of r =
-      match Graph.rel_prop g r prop with
-      | Value.Int i -> float_of_int i
-      | Value.Float f -> f
-      | Value.Null ->
-        eval_error "cheapestPath: relationship has no '%s' cost property" prop
-      | v ->
-        Value.type_error "cheapestPath: cost property '%s' is %s, expected a number"
-          prop (Value.type_name v)
-    in
-    let module Pq = Set.Make (struct
-      type t = float * int * Ids.node
-
-      let compare (c1, i1, _) (c2, i2, _) =
-        match Float.compare c1 c2 with 0 -> Int.compare i1 i2 | c -> c
-    end) in
-    let dist = Hashtbl.create 64 in
-    let parent = Hashtbl.create 64 in
-    let settled = Hashtbl.create 64 in
-    let counter = ref 0 in
-    let pq = ref Pq.empty in
-    let push c n =
-      incr counter;
-      pq := Pq.add (c, !counter, n) !pq
-    in
-    Hashtbl.replace dist (Ids.node_to_int s) 0.0;
-    push 0.0 s;
-    let reached = ref false in
-    while (not !reached) && not (Pq.is_empty !pq) do
-      let (c, _, n) as elt = Pq.min_elt !pq in
-      pq := Pq.remove elt !pq;
-      let key = Ids.node_to_int n in
-      if not (Hashtbl.mem settled key) then begin
-        Hashtbl.replace settled key ();
-        if Ids.equal_node n e then reached := true
-        else
-          search_neighbours st rp n (fun cands ->
-              List.iter
-                (fun (r, next) ->
-                  let w = cost_of r in
-                  if w < 0.0 then
-                    eval_error
-                      "cheapestPath: negative '%s' cost on a relationship" prop;
-                  let nk = Ids.node_to_int next in
-                  if not (Hashtbl.mem settled nk) then begin
-                    let nc = c +. w in
-                    let better =
-                      match Hashtbl.find_opt dist nk with
-                      | Some old -> nc < old
-                      | None -> true
-                    in
-                    if better then begin
-                      Hashtbl.replace dist nk nc;
-                      Hashtbl.replace parent nk (r, n);
-                      push nc next
-                    end
-                  end)
-                cands)
-      end
-    done;
-    if not !reached then []
-    else begin
-      let rec rebuild n acc =
-        if Ids.equal_node n s then acc
-        else
-          let r, prev = Hashtbl.find parent (Ids.node_to_int n) in
-          rebuild prev ((r, n) :: acc)
-      in
-      [ rebuild e [] ]
-    end
+    let cost r = path_cost prop (Graph.rel_prop g r prop) in
+    cheapest_path prop
+      ~fwd:(search_neighbours st rp ~dir:rp.rp_dir ~cost)
+      ~bwd:(search_neighbours st rp ~dir:(flip rp.rp_dir) ~cost)
+      s e
   in
   (* Matches a shortestPath / allShortestPaths / cheapestPath pattern:
      both endpoints are enumerated (bound endpoints give singleton

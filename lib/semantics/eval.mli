@@ -35,6 +35,22 @@ val eval_expr : Config.t -> Graph.t -> Record.t -> Ast.expr -> Value.t
 val eval_truth : Config.t -> Graph.t -> Record.t -> Ast.expr -> Ternary.t
 (** Evaluates a predicate to a truth value (booleans and null only). *)
 
+val path_cost : string -> Value.t -> float
+(** [path_cost prop v]: the cost of a relationship whose cost property
+    [prop] holds [v], for cheapestPath.  Raises {!Eval_error} when the
+    property is missing and {!Value.Type_error} when it is not a
+    number. *)
+
+val cheapest_path :
+  string -> fwd:float Cypher_algos.Path_search.neighbours ->
+  bwd:float Cypher_algos.Path_search.neighbours -> Ids.node -> Ids.node ->
+  Cypher_algos.Path_search.step list list
+(** [cheapest_path prop ~fwd ~bwd s e]: the step lists of a cheapest
+    path from [s] to [e] (one, or none when unreachable), by the shared
+    bidirectional Dijkstra.  Both engines call it, so they report the
+    same path and the same typed errors: identical endpoints, and a
+    negative or NaN cost met while relaxing. *)
+
 val match_pattern_tuple :
   Config.t -> Graph.t -> Record.t -> Ast.path_pattern list -> Record.t list
 (** [match(π̄, G, u)] as a list of records with multiplicity (one list

@@ -4,6 +4,7 @@ open Helpers
 open Cypher_values
 open Cypher_gen
 module A = Cypher_algos.Algos
+module Path_search = Cypher_algos.Path_search
 module Graph = Cypher_graph.Graph
 
 let score_of results n =
@@ -79,6 +80,20 @@ let bfs () =
   let d_in = A.bfs_distances g ~from:(Ids.node_of_int 1) ~direction:`In () in
   Alcotest.(check int) "nothing upstream" 1 (List.length d_in)
 
+(* The path-search kernel's bidirectional Dijkstra, run on a directed
+   graph whose costs sit in the [w] property. *)
+let cheapest g s e =
+  let cost r =
+    match Graph.rel_prop g r "w" with
+    | Value.Int i -> float_of_int i
+    | Value.Float f -> f
+    | _ -> 1.
+  in
+  Path_search.cheapest
+    ~fwd:(fun n -> List.map (fun r -> (r, Graph.tgt g r, cost r)) (Graph.out_rels g n))
+    ~bwd:(fun n -> List.map (fun r -> (r, Graph.src g r, cost r)) (Graph.in_rels g n))
+    s e
+
 let dijkstra () =
   (* a cheap long way and an expensive short way *)
   let g = Graph.empty in
@@ -89,17 +104,35 @@ let dijkstra () =
   let g, leg1 = Graph.add_rel ~src:a ~tgt:b ~rel_type:"T" ~props:[ ("w", Value.Int 2) ] g in
   let g, leg2 = Graph.add_rel ~src:b ~tgt:c ~rel_type:"T" ~props:[ ("w", Value.Int 3) ] g in
   ignore direct;
-  let weight r =
-    match Graph.rel_prop g r "w" with Value.Int i -> float_of_int i | _ -> 1.
-  in
-  (match A.dijkstra g ~src:a ~dst:c ~weight with
-  | Some (cost, path) ->
+  (match cheapest g a c with
+  | Some (cost, steps) ->
     Alcotest.(check bool) "cheapest cost" true (cost = 5.);
-    Alcotest.(check bool) "path goes through b" true (path = [ leg1; leg2 ])
+    Alcotest.(check bool) "path goes through b" true (steps = [ (leg1, b); (leg2, c) ])
   | None -> Alcotest.fail "expected a path");
-  match A.dijkstra g ~src:c ~dst:a ~weight with
+  match cheapest g c a with
   | Some _ -> Alcotest.fail "direction must be respected"
   | None -> ()
+
+let dijkstra_costs () =
+  let chain w =
+    let g = Graph.empty in
+    let g, a = Graph.add_node g in
+    let g, b = Graph.add_node g in
+    let g, _ = Graph.add_rel ~src:a ~tgt:b ~rel_type:"T" ~props:[ ("w", Value.Float w) ] g in
+    (g, a, b)
+  in
+  (* +inf is a cost like any other: the only path is still returned *)
+  (let g, a, b = chain Float.infinity in
+   match cheapest g a b with
+   | Some (cost, [ _ ]) -> Alcotest.(check bool) "infinite cost" true (cost = Float.infinity)
+   | _ -> Alcotest.fail "expected the infinite-cost path");
+  List.iter
+    (fun w ->
+      let g, a, b = chain w in
+      match cheapest g a b with
+      | _ -> Alcotest.failf "cost %f accepted" w
+      | exception Path_search.Invalid_cost _ -> ())
+    [ Float.nan; -1. ]
 
 let triangles () =
   let g = Generate.clique ~n:4 ~rel_type:"T" in
@@ -147,6 +180,7 @@ let suite =
     tc "strongly connected components (Tarjan)" scc;
     tc "bfs distances" bfs;
     tc "dijkstra weighted shortest path" dijkstra;
+    tc "dijkstra rejects NaN and negative costs, keeps +inf" dijkstra_costs;
     tc "triangle count" triangles;
     tc "local clustering coefficient" clustering;
     tc "degree histogram" histogram;

@@ -160,6 +160,33 @@ let tck_cases =
         "MATCH ACYCLIC (x {name:'a'})-[*]->(y) RETURN y.name"
         [ "y.name" ]
         [ [ ("y.name", vstr "b") ] ] );
+    ( "cheapest: an infinite cost still yields the path",
+      expect (Engine.run_exn Graph.empty
+                "CREATE (a:N {name:'a'})-[:R {w: 1.0/0.0}]->(b:N {name:'b'}), \
+                 (b)-[:R {w: 1}]->(c:N {name:'c'})")
+               .Engine.graph
+        "MATCH p = cheapestPath((a {name:'a'})-[:R*]->(c {name:'c'}), 'w') \
+         RETURN length(p)"
+        [ "length(p)" ]
+        [ [ ("length(p)", vint 2) ] ] );
+    ( "cheapest: ACYCLIC and TRAIL accept the cheapest path across a \
+       zero-cost cycle",
+      expect (Engine.run_exn Graph.empty
+                "CREATE (a:N {name:'a'})-[:R {w: 0}]->(b:N {name:'b'})-[:R {w: \
+                 0}]->(c:N {name:'c'})-[:R {w: 0}]->(b), (c)-[:R {w: \
+                 1}]->(d:N {name:'d'}), (b)-[:R {w: 2}]->(d)")
+               .Engine.graph
+        "MATCH p = ACYCLIC cheapestPath((a {name:'a'})-[:R*]->(d {name:'d'}), \
+         'w') MATCH q = TRAIL cheapestPath((a)-[:R*]->(d), 'w') RETURN \
+         [n IN nodes(p) | n.name] AS acyclic, [n IN nodes(q) | n.name] AS \
+         trail"
+        [ "acyclic"; "trail" ]
+        [
+          [
+            ("acyclic", vlist [ vstr "a"; vstr "b"; vstr "c"; vstr "d" ]);
+            ("trail", vlist [ vstr "a"; vstr "b"; vstr "c"; vstr "d" ]);
+          ];
+        ] );
     ( "gql prefix: SHORTEST is shortestPath",
       expect g
         "MATCH p = SHORTEST (a:P {name:'a'})-[:F*]->(d:P {name:'d'}) RETURN \
@@ -194,6 +221,20 @@ let error_cases =
        "CREATE (a:N {name:'a'})-[:R {w: 'x'}]->(b:N {name:'b'})")
       .Engine.graph
   in
+  let nan =
+    (Engine.run_exn Graph.empty
+       "CREATE (a:N {name:'a'})-[:F {w: 0.0/0.0}]->(b:N {name:'b'})-[:F {w: \
+        1}]->(c:N {name:'c'}), (a)-[:F {w: 5}]->(c)")
+      .Engine.graph
+  in
+  (* s -1-> m -1-> e and x -(-1)-> e: the forward search from s never
+     reaches the bad relationship, the backward search from e does *)
+  let neg_behind =
+    (Engine.run_exn Graph.empty
+       "CREATE (s:N {name:'s'})-[:R {w: 1}]->(m:N {name:'m'})-[:R {w: \
+        1}]->(e:N {name:'e'}), (:N {name:'x'})-[:R {w: -1}]->(e)")
+      .Engine.graph
+  in
   List.concat_map
     (fun mode ->
       let m = match mode with Engine.Planned -> "plan" | _ -> "ref" in
@@ -207,6 +248,14 @@ let error_cases =
         ( m ^ ": negative cost is rejected",
           expect_error ~contains:"negative" mode neg
             "MATCH p = cheapestPath((a {name:'a'})-[:R*]->(b {name:'b'}), \
+             'w') RETURN p" );
+        ( m ^ ": NaN cost is rejected",
+          expect_error ~contains:"NaN" mode nan
+            "MATCH p = cheapestPath((a {name:'a'})-[:F*]->(c {name:'c'}), \
+             'w') RETURN p" );
+        ( m ^ ": negative cost met only by the backward search is rejected",
+          expect_error ~contains:"negative" mode neg_behind
+            "MATCH p = cheapestPath((s {name:'s'})-[:R*]->(e {name:'e'}), \
              'w') RETURN p" );
         ( m ^ ": non-numeric cost is rejected",
           expect_error mode untyped
@@ -375,41 +424,107 @@ let fuzz_differential () =
     Alcotest.failf "%d differential failures; first: %s" (List.length fs)
       (List.nth fs (List.length fs - 1))
 
+(* A random graph of [V {id}] nodes whose [E] relationships all carry an
+   integer cost [w] in [0, 3], so zero-cost cycles are common.  Built by
+   script so the cost exists on every relationship. *)
+let weighted_graph rng =
+  let n = 3 + Prng.int rng 5 in
+  let g =
+    (Engine.run_exn Graph.empty
+       (Printf.sprintf "UNWIND range(0, %d) AS i CREATE (:V {id: i})" (n - 1)))
+      .Engine.graph
+  in
+  let g = ref g in
+  for _ = 1 to 1 + Prng.int rng (2 * n) do
+    g :=
+      (Engine.run_exn !g
+         (Printf.sprintf
+            "MATCH (a:V {id: %d}), (b:V {id: %d}) CREATE (a)-[:E {w: %d}]->(b)"
+            (Prng.int rng n) (Prng.int rng n) (Prng.int rng 4)))
+        .Engine.graph
+  done;
+  !g
+
+(* The least total cost from node [V {id: 0}] to every other node it
+   reaches, by brute force over [Naive.paths] (every relationship-distinct
+   walk): a result that does not depend on the search both engines
+   share.  [directed] keeps only the walks that follow each relationship
+   from source to target. *)
+let oracle_costs g ~directed =
+  let int_prop get x k =
+    match get g x k with Value.Int i -> i | _ -> Alcotest.fail "missing int"
+  in
+  let best = Hashtbl.create 8 in
+  List.iter
+    (fun (p : Value.path) ->
+      let rec walk cur cost = function
+        | [] -> Some (cur, cost)
+        | (r, next) :: rest ->
+          if
+            directed
+            && not
+                 (Cypher_values.Ids.equal_node (Graph.src g r) cur
+                 && Cypher_values.Ids.equal_node (Graph.tgt g r) next)
+          then None
+          else walk next (cost + int_prop Graph.rel_prop r "w") rest
+      in
+      if int_prop Graph.node_prop p.path_start "id" = 0 then
+        match walk p.path_start 0 p.path_steps with
+        | Some (last, c) ->
+          let b = int_prop Graph.node_prop last "id" in
+          if b <> 0 && Option.fold ~none:true ~some:(fun c' -> c < c') (Hashtbl.find_opt best b)
+          then Hashtbl.replace best b c
+        | None -> ())
+    (Cypher_semantics.Naive.paths g ~max_len:(Graph.rel_count g));
+  List.sort compare (Hashtbl.fold (fun b c acc -> (b, c) :: acc) best [])
+
+(* Both engines' cheapestPath costs against the oracle, directed and
+   undirected, under every restrictor: a cheapest path is node-simple,
+   so TRAIL and ACYCLIC must accept it, zero-cost cycles included.  The
+   engines share the search and its tie-break, so their full rows (path
+   length included) must also agree. *)
 let fuzz_cheapest_differential () =
   let rng = Prng.create 4242 in
   for round = 1 to 60 do
-    (* weighted graphs need a numeric property on every relationship:
-       build them by script so the weight exists everywhere *)
-    let n = 3 + Prng.int rng 5 in
-    let g =
-      (Engine.run_exn Graph.empty
-         (Printf.sprintf
-            "UNWIND range(0, %d) AS i CREATE (:V {id: i})" (n - 1)))
-        .Engine.graph
-    in
-    let g = ref g in
-    let rels = 1 + Prng.int rng (2 * n) in
-    for _ = 1 to rels do
-      let s = Prng.int rng n and t = Prng.int rng n in
-      let w = 1 + Prng.int rng 9 in
-      g :=
-        (Engine.run_exn !g
-           (Printf.sprintf
-              "MATCH (a:V {id: %d}), (b:V {id: %d}) CREATE (a)-[:E {w: \
-               %d}]->(b)"
-              s t w))
-          .Engine.graph
-    done;
-    let q =
-      "MATCH p = cheapestPath((a:V {id: 0})-[:E*]->(b:V)) RETURN b.id, \
-       length(p), reduce(c = 0, r IN relationships(p) | c + r.w) AS cost"
-    in
-    (* cheapest is deterministic in cost, not in the tie-broken path:
-       compare endpoint, length and total cost *)
-    let q = String.concat "" [ q ] in
-    match Engine.cross_check !g q with
-    | Ok _ -> ()
-    | Error e -> Alcotest.failf "round %d: %s" round e
+    let g = weighted_graph rng in
+    List.iter
+      (fun (arrow, directed) ->
+        let expected = oracle_costs g ~directed in
+        List.iter
+          (fun restr ->
+            let q =
+              Printf.sprintf
+                "MATCH (a:V {id: 0}), (b:V) WHERE b.id <> 0 MATCH p = %s \
+                 cheapestPath((a)%s(b), 'w') RETURN b.id AS b, length(p) AS \
+                 l, reduce(c = 0, r IN relationships(p) | c + r.w) AS cost"
+                restr arrow
+            in
+            let run mode =
+              match Engine.query ~mode g q with
+              | Ok out -> out.Engine.table
+              | Error e -> Alcotest.failf "round %d, %s: %s" round q e
+            in
+            let reference = run Engine.Reference and planned = run Engine.Planned in
+            if not (Cypher_table.Table.bag_equal reference planned) then
+              Alcotest.failf "round %d, %s: engines disagree" round q;
+            let costs =
+              List.sort compare
+                (List.map
+                   (fun row ->
+                     match
+                       ( Cypher_table.Record.find_or_null row "b",
+                         Cypher_table.Record.find_or_null row "cost" )
+                     with
+                     | Value.Int b, Value.Int c -> (b, c)
+                     | _ -> Alcotest.failf "round %d: non-integer row" round)
+                   (Cypher_table.Table.rows reference))
+            in
+            if costs <> expected then
+              Alcotest.failf "round %d, %s: costs %s, oracle %s" round q
+                (String.concat " " (List.map (fun (b, c) -> Printf.sprintf "%d:%d" b c) costs))
+                (String.concat " " (List.map (fun (b, c) -> Printf.sprintf "%d:%d" b c) expected)))
+          [ ""; "TRAIL"; "ACYCLIC" ])
+      [ ("-[:E*]->", true); ("-[:E*]-", false) ]
   done
 
 (* --- the naive oracle (satellite proof) -------------------------------- *)
