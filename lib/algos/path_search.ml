@@ -55,25 +55,31 @@ module Heap = struct
     if n > 0 then h.data.(!i) <- x
 end
 
+let walks next ~accept ~kmax st s emit =
+  let rec go st cur depth steps_rev =
+    if accept depth st then emit cur (List.rev steps_rev) st;
+    if depth < kmax then
+      List.iter
+        (fun (r, n, st') -> go st' n (depth + 1) ((r, n) :: steps_rev))
+        (next st cur)
+  in
+  go st s 0 []
+
 (* Exhaustive iterative deepening: the relationship-distinct walks of
    the smallest length in [kmin, kmax] that has any. *)
 let deepening next s e ~kmin ~kmax ~all =
+  let unused used cur =
+    List.filter_map
+      (fun (r, n, _) ->
+        if Ids.Rel_set.mem r used then None else Some (r, n, Ids.Rel_set.add r used))
+      (next cur)
+  in
   let found = ref [] in
   let l = ref (max 1 kmin) in
   while !found = [] && !l <= kmax do
-    let target_len = !l in
-    let rec dfs used cur depth steps_rev =
-      if depth = target_len then begin
-        if Ids.equal_node cur e then found := List.rev steps_rev :: !found
-      end
-      else
-        List.iter
-          (fun (r, n, _) ->
-            if not (Ids.Rel_set.mem r used) then
-              dfs (Ids.Rel_set.add r used) n (depth + 1) ((r, n) :: steps_rev))
-          (next cur)
-    in
-    dfs Ids.Rel_set.empty s 0 [];
+    let len = !l in
+    walks unused ~accept:(fun depth _ -> depth = len) ~kmax:len Ids.Rel_set.empty s
+      (fun n steps _ -> if Ids.equal_node n e then found := steps :: !found);
     incr l
   done;
   match !found, all with
@@ -211,7 +217,7 @@ let bidir_bfs ~fwd ~bwd s e ~kmax =
   in
   search ()
 
-let shortest ?bwd fwd s e ~kmin ~kmax ~all =
+let candidates ?bwd fwd s e ~kmin ~kmax ~all =
   if Ids.equal_node s e then
     if kmin = 0 then [ [] ] else deepening fwd s e ~kmin ~kmax ~all
   else if kmin > 1 then deepening fwd s e ~kmin ~kmax ~all
@@ -220,6 +226,21 @@ let shortest ?bwd fwd s e ~kmin ~kmax ~all =
     match bwd with
     | Some bwd when not all -> bidir_bfs ~fwd ~bwd s e ~kmax
     | _ -> level_bfs fwd s e ~kmax ~all
+
+(* The first candidate of the fast search is an arbitrary survivor among
+   the minimal walks; when [accept] rejects it (a restrictor, or the
+   rest of the pattern), every other minimal walk is offered in turn. *)
+let shortest ?bwd fwd s e ~kmin ~kmax ~all ~accept =
+  match candidates ?bwd fwd s e ~kmin ~kmax ~all with
+  | found when all -> List.iter (fun steps -> ignore (accept steps)) found
+  | [] -> ()
+  | first :: _ ->
+    if not (accept first) then
+      let same = List.equal (fun (r1, _) (r2, _) -> Ids.equal_rel r1 r2) first in
+      ignore
+        (List.exists
+           (fun steps -> (not (same steps)) && accept steps)
+           (candidates fwd s e ~kmin ~kmax ~all:true))
 
 (* Bidirectional Dijkstra.  Each side settles nodes in cost order from
    its endpoint; every relationship either side relaxes whose far end

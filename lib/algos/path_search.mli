@@ -1,5 +1,6 @@
-(** The path-search kernel behind [shortestPath], [allShortestPaths] and
-    [cheapestPath], shared by the reference evaluator and the planner.
+(** The path-search kernel behind variable-length and regex hops,
+    [shortestPath], [allShortestPaths] and [cheapestPath], shared by the
+    reference evaluator and the planner.
 
     GPC and GQL define shortest and cheapest selection over a restricted
     set of walks; that definition does not depend on the search order,
@@ -28,19 +29,39 @@ exception Invalid_cost of float
 (** Raised by {!cheapest} when it relaxes a relationship whose cost is
     negative or NaN.  [+∞] is a valid cost. *)
 
+val walks :
+  ('s -> Ids.node -> (Ids.rel * Ids.node * 's) list) ->
+  accept:(int -> 's -> bool) -> kmax:int -> 's -> Ids.node ->
+  (Ids.node -> step list -> 's -> unit) -> unit
+(** [walks next ~accept ~kmax st s emit] enumerates depth first the
+    walks from [s] of at most [kmax] hops, threading a caller-owned
+    state: [next st n] lists the steps a walk in state [st] may take
+    from [n], each with the state after it.  Every walk of depth [d]
+    whose state [st'] passes [accept d st'] is reported as
+    [emit e steps st'], where [e] is its last node — before any of its
+    extensions, and in adjacency order.
+
+    The kernel keeps no uniqueness of its own: relationship uniqueness,
+    a regex automaton's state set, or a matcher's bindings all travel in
+    the state, and [next] refuses the steps they forbid.  Variable-length
+    and regex hops in both engines, and {!shortest}'s iterative
+    deepening, are walks. *)
+
 val shortest :
   ?bwd:'w neighbours -> 'w neighbours -> Ids.node -> Ids.node -> kmin:int ->
-  kmax:int -> all:bool -> step list list
-(** [shortest ?bwd fwd s e ~kmin ~kmax ~all] returns the step lists of
-    minimal-length relationship-distinct walks from [s] to [e] with
-    length in [[kmin, kmax]]: every one when [all], otherwise the first
-    found.  No walk yields [[]]; the zero-length walk [s = e, kmin = 0]
-    yields [[ [] ]].
+  kmax:int -> all:bool -> accept:(step list -> bool) -> unit
+(** [shortest ?bwd fwd s e ~kmin ~kmax ~all ~accept] offers to [accept]
+    the step lists of minimal-length relationship-distinct walks from [s]
+    to [e] with length in [[kmin, kmax]].  With [all], every one.
+    Otherwise the first the search finds; if [accept] returns [false]
+    for it (a restrictor or the rest of the pattern rejects it), every
+    other minimal walk follows in turn until [accept] returns [true].
+    The zero-length walk [s = e, kmin = 0] is offered as [[]].
 
     - [s = e] or [kmin > 1]: iterative deepening over walk lengths
       (visited marking could prune the only valid walk).
     - [all], or no [bwd]: level-synchronised BFS; within a level every
-      path reaching a node is kept, so [all] returns them all.
+      path reaching a node is kept, so [all] finds them all.
     - otherwise: bidirectional BFS, expanding the side whose frontier
       has fewer nodes; [bwd] follows relationships against the pattern
       direction. *)

@@ -1,15 +1,14 @@
 (* Thompson construction of a small NFA from a relationship-type
    regular expression, with on-the-fly ε-closure.  State sets are
-   plain int sets; both the reference evaluator and the planner's
-   product-graph operator step the same automaton, so the two engines
-   agree on the recognised language by construction. *)
+   plain int sets; both engines step the same automaton inside the
+   shared walker (Eval.regex_hop), so they agree on the recognised
+   language by construction. *)
 
 module Int_set = Set.Make (Int)
 
 type states = Int_set.t
 
 type nfa = {
-  n_states : int;
   eps : int list array; (* ε-successors per state *)
   trans : (string * int) list array; (* labelled successors per state *)
   start_state : int;
@@ -79,14 +78,11 @@ let compile (re : Ast.type_regex) : nfa =
   List.iter (fun (s, succs) -> eps_arr.(s) <- succs) !eps;
   List.iter (fun (s, succs) -> trans_arr.(s) <- succs) !trans;
   {
-    n_states = size;
     eps = eps_arr;
     trans = trans_arr;
     start_state;
     accept_state;
   }
-
-let state_count nfa = nfa.n_states
 
 let closure nfa (set : states) : states =
   let rec go acc = function
@@ -103,8 +99,6 @@ let accepting nfa (set : states) = Int_set.mem nfa.accept_state set
 
 let is_empty = Int_set.is_empty
 
-let compare_states = Int_set.compare
-
 (* One transition of the subset simulation on relationship type [lbl]. *)
 let step nfa (set : states) (lbl : string) : states =
   let direct =
@@ -116,16 +110,3 @@ let step nfa (set : states) (lbl : string) : states =
       set Int_set.empty
   in
   if Int_set.is_empty direct then direct else closure nfa direct
-
-(* The set of relationship types that can advance [set] at all — used
-   by the executors to filter adjacency before stepping. *)
-let live_labels nfa (set : states) : string list =
-  Int_set.fold
-    (fun s acc ->
-      List.fold_left
-        (fun acc (l, _) -> if List.mem l acc then acc else l :: acc)
-        acc nfa.trans.(s))
-    set []
-
-(* Whether the regex accepts the empty word (a zero-hop match). *)
-let nullable nfa = accepting nfa (start nfa)

@@ -91,97 +91,71 @@ let rel_ids_of_binding row = function
 
 (* --- path-finding operators ------------------------------------------ *)
 
-module Type_regex = Cypher_ast.Type_regex
 module Path_search = Cypher_algos.Path_search
 
-let var_cap cfg g =
-  match cfg.Config.var_length_cap with
-  | Some c -> c
-  | None -> Graph.rel_count g
+let ast_dir = function
+  | Plan.Out -> Cypher_ast.Ast.Left_to_right
+  | Plan.In -> Cypher_ast.Ast.Right_to_left
+  | Plan.Both -> Cypher_ast.Ast.Undirected
 
-let flip_plan_dir = function
-  | Plan.Out -> Plan.In
-  | Plan.In -> Plan.Out
-  | Plan.Both -> Plan.Both
-
-(* Whether the steps of a completed path, starting at [start], satisfy
-   the GQL path restrictor — the mirror of the reference engine's
-   check. *)
-let restr_ok restr start steps =
-  match restr with
-  | Cypher_ast.Ast.Walk -> true
-  | Cypher_ast.Ast.Trail ->
-    let rec dup seen = function
-      | [] -> false
-      | (r, _) :: rest ->
-        Ids.Rel_set.mem r seen || dup (Ids.Rel_set.add r seen) rest
-    in
-    not (dup Ids.Rel_set.empty steps)
-  | Cypher_ast.Ast.Acyclic ->
-    let rec dup seen = function
-      | [] -> false
-      | (_, n) :: rest ->
-        Ids.Node_set.mem n seen || dup (Ids.Node_set.add n seen) rest
-    in
-    not (dup (Ids.Node_set.singleton start) steps)
-
-(* The filtered adjacency shared by the path searches: direction, type
-   filter and relationship property predicates, with the reference
-   engine's typed error when a predicate references a variable that is
-   not bound.  Each candidate's record is fetched once and supplies its
-   type, other end, properties and [cost]; the predicate values depend
-   only on [row], so they are evaluated once per search, on the first
-   candidate that needs them. *)
-let search_neighbours cfg g row ~types ~props ~cost =
-  let expected =
-    lazy
-      (List.map
-         (fun (k, e) ->
-           match Eval.eval_expr cfg g row e with
-           | v -> (k, v)
-           | exception Functions.Eval_error _ ->
-             eval_error
-               "shortest-path relationship predicate on '%s' references an \
-                unbound variable"
-               k)
-         props)
+(* The rows a variable-length or regex hop extends [input] by: one per
+   relationship-unique walk from [from_] that [hop] accepts, binding the
+   relationship list and the end node, in the walker's order. *)
+let walk_rows cfg g ~from_ ~rel ~dir ~to_ (hop : Eval.hop) input =
+  let adjacent, _ =
+    Eval.search_neighbours cfg g Record.empty ~types:[] ~props:[]
+      ~cost:(fun d -> d.Graph.rel_type) (ast_dir dir)
   in
-  let step r other (d : Graph.rel_data) =
-    if
-      (types = [] || List.mem d.rel_type types)
-      && (props = []
-         || List.for_all
-              (fun (k, v) ->
-                let actual =
-                  match Value.Smap.find_opt k d.rel_props with
-                  | Some a -> a
-                  | None -> Value.Null
-                in
-                Ternary.is_true (Value.equal_ternary actual v))
-              (Lazy.force expected))
-    then Some (r, other, cost d)
-    else None
+  let next (used, q) cur =
+    List.filter_map
+      (fun (r, n, t) ->
+        if Ids.Rel_set.mem r used then None
+        else Option.map (fun q -> (r, n, (Ids.Rel_set.add r used, q))) (hop.step q t))
+      (adjacent cur)
   in
-  fun dir cur ->
-    let out () =
-      List.filter_map
-        (fun r ->
-          let d = Graph.rel_data g r in
-          step r d.tgt d)
-        (Graph.out_rels g cur)
+  seq_filter_map_concat
+    (fun row ->
+      match node_of row from_ with
+      | None -> Seq.empty
+      | Some n0 ->
+        let results = ref [] in
+        Path_search.walks next
+          ~accept:(fun depth (_, q) -> hop.ends depth q)
+          ~kmax:hop.kmax (Ids.Rel_set.empty, hop.start) n0
+          (fun last steps _ ->
+            let rels = Value.List (List.map (fun (r, _) -> Value.Rel r) steps) in
+            Option.iter
+              (fun row -> results := row :: !results)
+              (Option.bind (bind_or_check row rel rels) (fun row ->
+                   bind_or_check row to_ (Value.Node last))));
+        List.to_seq (List.rev !results))
+    input
+
+(* A path-search result [steps] from [s] as a row, when it passes the
+   restrictor and agrees with the row's bindings. *)
+let bind_path row ~rel ~rel_single ~path restr s steps =
+  if not (Eval.restr_ok restr s steps) then None
+  else
+    let rel_value =
+      match rel_single, steps with
+      | true, [ (r, _) ] -> Value.Rel r
+      | _ -> Value.List (List.map (fun (r, _) -> Value.Rel r) steps)
     in
-    (* [loops] = false drops loops, already listed among the outgoing *)
-    let inc ~loops =
-      List.filter_map
-        (fun r ->
-          let d = Graph.rel_data g r in
-          if (not loops) && Ids.equal_node d.src cur then None else step r d.src d)
-        (Graph.in_rels g cur)
-    in
-    match dir with
-    | Plan.Out -> out ()
-    | Plan.In -> inc ~loops:true
-    | Plan.Both -> out () @ inc ~loops:false
+    Option.bind (bind_or_check row rel rel_value) (fun row ->
+        match path with
+        | None -> Some row
+        | Some p ->
+          bind_or_check row p (Value.Path { path_start = s; path_steps = steps }))
+
+(* The steps of the path a row binds from [start] through [hops]. *)
+let bound_steps g row start hops =
+  List.concat_map (rel_ids_of_binding row) hops
+  |> List.fold_left
+       (fun (cur, acc) r ->
+         let next = Graph.other_end g r cur in
+         (next, (r, next) :: acc))
+       (start, [])
+  |> snd |> List.rev
 
 (* Observation hook for PROFILE.  When the profiler is set, every
    operator's output sequence is wrapped so that each pull is measured:
@@ -325,39 +299,8 @@ and rows_body cfg g plan arg =
             (List.to_seq candidates))
       (rows cfg g input arg)
   | Plan.Var_expand { from_; rel; types; dir; min_len; max_len; to_; input } ->
-    let cap =
-      match max_len with Some n -> n | None -> Graph.rel_count g
-    in
-    seq_filter_map_concat
-      (fun row ->
-        match node_of row from_ with
-        | None -> Seq.empty
-        | Some n0 ->
-          let results = ref [] in
-          let rec seg used cur depth rels_rev =
-            if depth >= min_len then begin
-              let rel_list =
-                Value.List (List.rev_map (fun r -> Value.Rel r) rels_rev)
-              in
-              match
-                Option.bind (bind_or_check row rel rel_list) (fun row ->
-                    bind_or_check row to_ (Value.Node cur))
-              with
-              | Some row' -> results := row' :: !results
-              | None -> ()
-            end;
-            if depth < cap then
-              List.iter
-                (fun (r, other) ->
-                  if
-                    (not (Ids.Rel_set.mem r used))
-                    && (types = [] || List.mem (Graph.rel_type g r) types)
-                  then
-                    seg (Ids.Rel_set.add r used) other (depth + 1) (r :: rels_rev))
-                (expand_candidates g ~scan_rels:false ~dir cur)
-          in
-          seg Ids.Rel_set.empty n0 0 [];
-          List.to_seq (List.rev !results))
+    walk_rows cfg g ~from_ ~rel ~dir ~to_
+      (Eval.type_filter_hop cfg g ~types ~min_len ~max_len)
       (rows cfg g input arg)
   | Plan.Filter { pred; input } ->
     Seq.filter
@@ -465,110 +408,28 @@ and rows_body cfg g plan arg =
         Ids.Rel_set.cardinal set = List.length ids)
       (rows cfg g input arg)
   | Plan.Regex_expand { from_; rel; regex; dir; to_; input } ->
-    let nfa = Type_regex.compile regex in
-    let cap = var_cap cfg g in
-    seq_filter_map_concat
-      (fun row ->
-        match node_of row from_ with
-        | None -> Seq.empty
-        | Some n0 ->
-          (* subset-simulate the type NFA along relationship-unique
-             walks; the walk may end whenever the state set accepts —
-             the mirror of the reference engine's RPQ hop *)
-          let results = ref [] in
-          let rec rseg used cur states depth rels_rev =
-            if Type_regex.accepting nfa states then begin
-              let v = Value.List (List.rev_map (fun r -> Value.Rel r) rels_rev) in
-              match
-                Option.bind (bind_or_check row rel v) (fun row ->
-                    bind_or_check row to_ (Value.Node cur))
-              with
-              | Some row' -> results := row' :: !results
-              | None -> ()
-            end;
-            if depth < cap then
-              List.iter
-                (fun (r, next) ->
-                  if not (Ids.Rel_set.mem r used) then begin
-                    let states' =
-                      Type_regex.step nfa states (Graph.rel_type g r)
-                    in
-                    if not (Type_regex.is_empty states') then
-                      rseg (Ids.Rel_set.add r used) next states' (depth + 1)
-                        (r :: rels_rev)
-                  end)
-                (expand_candidates g ~scan_rels:false ~dir cur)
-          in
-          rseg Ids.Rel_set.empty n0 (Type_regex.start nfa) 0 [];
-          List.to_seq (List.rev !results))
+    walk_rows cfg g ~from_ ~rel ~dir ~to_ (Eval.regex_hop cfg g regex)
       (rows cfg g input arg)
   | Plan.Shortest_path
       { from_; to_; rel; rel_single; types; dir; props; min_len; max_len; all;
         restr; path; input } ->
+    let kmax = Eval.max_hops cfg g max_len in
     seq_filter_map_concat
       (fun row ->
         match node_of row from_, node_of row to_ with
         | Some s, Some e ->
-          let neighbours =
-            search_neighbours cfg g row ~types ~props ~cost:ignore
+          let fwd, bwd =
+            Eval.search_neighbours cfg g row ~types ~props ~cost:ignore (ast_dir dir)
           in
-          let kmax =
-            match max_len with Some n -> n | None -> var_cap cfg g
-          in
-          let candidates ~all =
-            Path_search.shortest ~bwd:(neighbours (flip_plan_dir dir))
-              (neighbours dir) s e ~kmin:min_len ~kmax ~all
-          in
-          let try_candidate steps =
-            if not (restr_ok restr s steps) then None
-            else
-              let rel_value =
-                if rel_single then
-                  match steps with
-                  | [ (r, _) ] -> Some (Value.Rel r)
-                  | _ -> None
-                else
-                  Some (Value.List (List.map (fun (r, _) -> Value.Rel r) steps))
-              in
-              match rel_value with
-              | None -> None
-              | Some v ->
-                Option.bind (bind_or_check row rel v) (fun row ->
-                    match path with
-                    | None -> Some row
-                    | Some p ->
-                      bind_or_check row p
-                        (Value.Path { path_start = s; path_steps = steps }))
-          in
-          if all then
-            List.to_seq (List.filter_map try_candidate (candidates ~all:true))
-          else begin
-            match candidates ~all:false with
-            | [] -> Seq.empty
-            | first :: _ -> (
-              match try_candidate first with
-              | Some row' -> Seq.return row'
-              | None ->
-                (* the arbitrary survivor was rejected (a restrictor on a
-                   cyclic or kmin > 1 search): retry every minimal-length
-                   alternative, as the reference engine does *)
-                let same a b =
-                  List.length a = List.length b
-                  && List.for_all2
-                       (fun (r1, _) (r2, _) -> Ids.equal_rel r1 r2)
-                       a b
-                in
-                let rec loop = function
-                  | [] -> Seq.empty
-                  | c :: rest ->
-                    if same c first then loop rest
-                    else (
-                      match try_candidate c with
-                      | Some row' -> Seq.return row'
-                      | None -> loop rest)
-                in
-                loop (candidates ~all:true))
-          end
+          let found = ref [] in
+          Path_search.shortest ~bwd fwd s e ~kmin:min_len ~kmax ~all
+            ~accept:(fun steps ->
+              match bind_path row ~rel ~rel_single ~path restr s steps with
+              | Some row' ->
+                found := row' :: !found;
+                true
+              | None -> false);
+          List.to_seq (List.rev !found)
         | _ -> Seq.empty)
       (rows cfg g input arg)
   | Plan.Cheapest_path
@@ -577,28 +438,14 @@ and rows_body cfg g plan arg =
       (fun row ->
         match node_of row from_, node_of row to_ with
         | Some s, Some e ->
-          let neighbours =
-            search_neighbours cfg g row ~types ~props ~cost:(fun d ->
-                Eval.path_cost cost_prop
-                  (match Value.Smap.find_opt cost_prop d.Graph.rel_props with
-                  | Some v -> v
-                  | None -> Value.Null))
-          in
-          let try_candidate steps =
-            if not (restr_ok restr s steps) then None
-            else
-              let v = Value.List (List.map (fun (r, _) -> Value.Rel r) steps) in
-              Option.bind (bind_or_check row rel v) (fun row ->
-                  match path with
-                  | None -> Some row
-                  | Some p ->
-                    bind_or_check row p
-                      (Value.Path { path_start = s; path_steps = steps }))
+          let fwd, bwd =
+            Eval.search_neighbours cfg g row ~types ~props
+              ~cost:(Eval.path_cost cost_prop) (ast_dir dir)
           in
           List.to_seq
-            (List.filter_map try_candidate
-               (Eval.cheapest_path cost_prop ~fwd:(neighbours dir)
-                  ~bwd:(neighbours (flip_plan_dir dir)) s e))
+            (List.filter_map
+               (bind_path row ~rel ~rel_single:false ~path restr s)
+               (Eval.cheapest_path cost_prop ~fwd ~bwd s e))
         | _ -> Seq.empty)
       (rows cfg g input arg)
   | Plan.Path_restrict { restr; start_var; hops; input } ->
@@ -606,17 +453,7 @@ and rows_body cfg g plan arg =
       (fun row ->
         match node_of row start_var with
         | None -> false
-        | Some start ->
-          let steps =
-            List.concat_map (rel_ids_of_binding row) hops
-            |> List.fold_left
-                 (fun (cur, acc) r ->
-                   let next = Graph.other_end g r cur in
-                   (next, (r, next) :: acc))
-                 (start, [])
-            |> snd |> List.rev
-          in
-          restr_ok restr start steps)
+        | Some start -> Eval.restr_ok restr start (bound_steps g row start hops))
       (rows cfg g input arg)
   | Plan.Project_path { var; start_var; hops; input } ->
     Seq.filter_map
@@ -624,17 +461,8 @@ and rows_body cfg g plan arg =
         match node_of row start_var with
         | None -> None
         | Some start ->
-          let steps =
-            List.concat_map (rel_ids_of_binding row) hops
-            |> List.fold_left
-                 (fun (cur, acc) r ->
-                   let next = Graph.other_end g r cur in
-                   (next, (r, next) :: acc))
-                 (start, [])
-            |> snd |> List.rev
-          in
-          bind_or_check row var
-            (Value.Path { path_start = start; path_steps = steps }))
+          let steps = bound_steps g row start hops in
+          bind_or_check row var (Value.Path { path_start = start; path_steps = steps }))
       (rows cfg g input arg)
 
 and eval_count cfg g what e =

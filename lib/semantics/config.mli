@@ -23,7 +23,9 @@ type morphism =
 type t = {
   morphism : morphism;
   var_length_cap : int option;
-      (** Upper bound on variable-length hops when the pattern gives none.
+      (** Upper bound on variable-length, regex and shortest-path hops
+          when the pattern gives none, in both engines (the reference
+          evaluator and the planner read it through [Eval.max_hops]).
           [None] means |R(G)| (sound for edge isomorphism, where a path
           cannot repeat a relationship).  Homomorphism always needs a cap;
           when [None] it also defaults to |R(G)|. *)

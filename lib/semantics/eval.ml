@@ -20,12 +20,13 @@ let value_of_ternary = function
 (* The cost cheapestPath reads off one relationship's cost property:
    missing and non-numeric costs are typed errors here; negative and NaN
    costs are rejected by the search when it relaxes the relationship. *)
-let path_cost prop = function
-  | Value.Int i -> float_of_int i
-  | Value.Float f -> f
-  | Value.Null ->
+let path_cost prop (d : Graph.rel_data) =
+  match Value.Smap.find_opt prop d.rel_props with
+  | Some (Value.Int i) -> float_of_int i
+  | Some (Value.Float f) -> f
+  | None | Some Value.Null ->
     eval_error "cheapestPath: relationship has no '%s' cost property" prop
-  | v ->
+  | Some v ->
     Value.type_error "cheapestPath: cost property '%s' is %s, expected a number"
       prop (Value.type_name v)
 
@@ -39,6 +40,62 @@ let cheapest_path prop ~fwd ~bwd s e =
     eval_error "cheapestPath: %s '%s' cost on a relationship"
       (if Float.is_nan w then "NaN" else "negative")
       prop
+
+(* Whether the steps of a completed path, starting at [start], satisfy
+   the GQL path restrictor.  WALK imposes nothing; TRAIL forbids
+   repeated relationships; ACYCLIC forbids repeated nodes. *)
+let restr_ok restr start steps =
+  match restr with
+  | Walk -> true
+  | Trail ->
+    let rec dup seen = function
+      | [] -> false
+      | (r, _) :: rest ->
+        Ids.Rel_set.mem r seen || dup (Ids.Rel_set.add r seen) rest
+    in
+    not (dup Ids.Rel_set.empty steps)
+  | Acyclic ->
+    let rec dup seen = function
+      | [] -> false
+      | (_, n) :: rest ->
+        Ids.Node_set.mem n seen || dup (Ids.Node_set.add n seen) rest
+    in
+    not (dup (Ids.Node_set.singleton start) steps)
+
+let max_hops cfg g = function
+  | Some n -> n
+  | None -> (
+    match cfg.Config.var_length_cap with
+    | Some c -> c
+    | None -> Graph.rel_count g)
+
+type hop = {
+  start : Type_regex.states;
+  step : Type_regex.states -> string -> Type_regex.states option;
+  ends : int -> Type_regex.states -> bool;
+  kmax : int;
+}
+
+(* A plain hop reads no automaton: its state set stays empty. *)
+let type_filter_hop cfg g ~types ~min_len ~max_len =
+  {
+    start = Type_regex.Int_set.empty;
+    step = (fun q t -> if types = [] || List.mem t types then Some q else None);
+    ends = (fun depth _ -> depth >= min_len);
+    kmax = max_hops cfg g max_len;
+  }
+
+let regex_hop cfg g re =
+  let nfa = Type_regex.compile re in
+  {
+    start = Type_regex.start nfa;
+    step =
+      (fun q t ->
+        let q' = Type_regex.step nfa q t in
+        if Type_regex.is_empty q' then None else Some q');
+    ends = (fun _ q -> Type_regex.accepting nfa q);
+    kmax = max_hops cfg g None;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Expressions: [[expr]]_{G,u}  (Section 4.3)                          *)
@@ -310,15 +367,80 @@ and eval_truth cfg g u e =
 (* Pattern matching: match(π̄, G, u)  (Section 4.2)                     *)
 (* ------------------------------------------------------------------ *)
 
+(* The filtered adjacency every path search runs on, forwards along
+   [dir] and backwards against it: type filter and relationship property
+   predicates.  Each candidate's record is fetched once and supplies its
+   type, other end, properties and [cost]; the predicate values depend
+   only on [u], so they are evaluated once per search, on the first
+   candidate that needs them.  A predicate that cannot evaluate (it
+   references a variable the pattern never binds) is a typed error:
+   silently dropping every edge would turn a user mistake into an empty
+   result. *)
+and search_neighbours :
+      'w. Config.t -> Graph.t -> Record.t -> types:string list ->
+      props:(string * expr) list -> cost:(Graph.rel_data -> 'w) -> direction ->
+      'w Path_search.neighbours * 'w Path_search.neighbours =
+ fun cfg g u ~types ~props ~cost dir ->
+  let expected =
+    lazy
+      (List.map
+         (fun (k, e) ->
+           match eval_expr cfg g u e with
+           | v -> (k, v)
+           | exception Eval_error _ ->
+             eval_error
+               "shortest-path relationship predicate on '%s' references an \
+                unbound variable"
+               k)
+         props)
+  in
+  let step r other (d : Graph.rel_data) =
+    if
+      (types = [] || List.mem d.rel_type types)
+      && (props = []
+         || List.for_all
+              (fun (k, v) ->
+                let actual =
+                  match Value.Smap.find_opt k d.rel_props with
+                  | Some a -> a
+                  | None -> Value.Null
+                in
+                Ternary.is_true (Value.equal_ternary actual v))
+              (Lazy.force expected))
+    then Some (r, other, cost d)
+    else None
+  in
+  let out cur =
+    List.filter_map
+      (fun r ->
+        let d = Graph.rel_data g r in
+        step r d.tgt d)
+      (Graph.out_rels g cur)
+  in
+  (* [loops] = false drops loops, already listed among the outgoing *)
+  let inc ~loops cur =
+    List.filter_map
+      (fun r ->
+        let d = Graph.rel_data g r in
+        if (not loops) && Ids.equal_node d.src cur then None else step r d.src d)
+      (Graph.in_rels g cur)
+  in
+  let along = function
+    | Left_to_right -> out
+    | Right_to_left -> inc ~loops:true
+    | Undirected -> fun cur -> out cur @ inc ~loops:false cur
+  in
+  let against = function
+    | Left_to_right -> Right_to_left
+    | Right_to_left -> Left_to_right
+    | Undirected -> Undirected
+  in
+  (along dir, along (against dir))
+
 and match_pattern_tuple cfg g u patterns =
   let results = ref [] in
   let free = Ast.free_pattern_tuple patterns in
   let new_names = List.filter (fun a -> not (Record.mem u a)) free in
-  let cap =
-    match cfg.Config.var_length_cap with
-    | Some c -> c
-    | None -> Graph.rel_count g
-  in
   let track_nodes = cfg.Config.morphism = Config.Node_isomorphism in
   let track_rels = cfg.Config.morphism <> Config.Homomorphism in
   (* state passed along the search *)
@@ -339,30 +461,25 @@ and match_pattern_tuple cfg g u patterns =
       deferred = [];
     }
   in
-  (* Evaluates a pattern property constraint; if evaluation fails because
-     a variable is bound later in the pattern, defer the check. *)
-  let check_prop st mk_actual (_k, e) kont =
-    match eval_expr cfg g st.bnd e with
-    | expected ->
-      if Ternary.is_true (Value.equal_ternary (mk_actual ()) expected) then
-        kont st
-    | exception Eval_error _ ->
-      let check bnd =
-        Ternary.is_true
-          (Value.equal_ternary (mk_actual ()) (eval_expr cfg g bnd e))
-      in
-      kont { st with deferred = check :: st.deferred }
-  in
-  let rec check_props st mk_actual props kont =
-    match props with
-    | [] -> kont st
-    | p :: rest -> check_prop st (mk_actual p) p (fun st -> check_props st mk_actual rest kont)
-  in
-  let check_node_props st n props kont =
-    check_props st (fun (k, _) () -> Graph.node_prop g n k) props kont
-  in
-  let check_rel_props st r props kont =
-    check_props st (fun (k, _) () -> Graph.rel_prop g r k) props kont
+  (* Checks pattern property constraints against [actual k]; a constraint
+     that fails to evaluate because a variable is bound later in the
+     pattern is deferred. *)
+  let check_props st actual props =
+    List.fold_left
+      (fun st (k, e) ->
+        Option.bind st (fun st ->
+            match eval_expr cfg g st.bnd e with
+            | expected ->
+              if Ternary.is_true (Value.equal_ternary (actual k) expected) then
+                Some st
+              else None
+            | exception Eval_error _ ->
+              let check bnd =
+                Ternary.is_true
+                  (Value.equal_ternary (actual k) (eval_expr cfg g bnd e))
+              in
+              Some { st with deferred = check :: st.deferred }))
+      (Some st) props
   in
   (* Binds [name] to [v] in [st], or checks consistency if already bound. *)
   let bind st name v kont =
@@ -398,125 +515,65 @@ and match_pattern_tuple cfg g u patterns =
         else st
       in
       bind st np.np_name (Value.Node n) (fun st ->
-          check_node_props st n np.np_props kont)
+          Option.iter kont (check_props st (Graph.node_prop g n) np.np_props))
   in
-  (* Adjacency of [cur] in direction [dir]. *)
-  let hop_candidates dir cur =
-    match dir with
-    | Left_to_right ->
-      List.map (fun r -> (r, Graph.tgt g r)) (Graph.out_rels g cur)
-    | Right_to_left ->
-      List.map (fun r -> (r, Graph.src g r)) (Graph.in_rels g cur)
-    | Undirected ->
-      List.map (fun r -> (r, Graph.other_end g r cur)) (Graph.all_rels_of g cur)
+  (* A single-hop pattern binds its relationship; a variable-length or
+     regex hop binds the list. *)
+  let rel_value (rp : rel_pattern) steps =
+    match rp.rp_len, rp.rp_regex, steps with
+    | None, None, [ (r, _) ] -> Value.Rel r
+    | _ -> Value.List (List.map (fun (r, _) -> Value.Rel r) steps)
   in
-  (* Enumerates matches of one relationship hop (ρ, χ_next) starting at
-     [node]; calls [kont st steps] for every way, where [steps] is the
-     list of (rel, node) steps taken (empty for a zero-length match). *)
-  let match_hop_regex st node (rp : rel_pattern) (np_next : node_pattern) kont =
-    match rp.rp_regex with
-    | Some re ->
-      (* RPQ hop: subset-simulate the type NFA along rel-unique walks;
-         the walk may end whenever the state set is accepting.  The same
-         automaton drives the planner's product-graph operator. *)
-      let nfa = Type_regex.compile re in
-      let bind_rel_var st rels_rev kont =
-        bind st rp.rp_name
-          (Value.List (List.rev_map (fun r -> Value.Rel r) rels_rev))
-          kont
-      in
-      let rec rseg st cur states depth rels_rev steps_rev =
-        if Type_regex.accepting nfa states then
-          bind_rel_var st rels_rev (fun st ->
-              match_node st cur np_next (fun st -> kont st (List.rev steps_rev)));
-        if depth < cap then begin
-          let st_opt =
-            if track_nodes && depth >= 1 then
-              if Ids.Node_set.mem cur st.used_nodes then None
-              else Some { st with used_nodes = Ids.Node_set.add cur st.used_nodes }
-            else Some st
-          in
-          match st_opt with
-          | None -> ()
-          | Some st ->
-            List.iter
-              (fun (r, next) ->
-                let rel_ok =
-                  (not track_rels) || not (Ids.Rel_set.mem r st.used_rels)
-                in
-                if rel_ok then begin
-                  let states' = Type_regex.step nfa states (Graph.rel_type g r) in
-                  if not (Type_regex.is_empty states') then
-                    check_rel_props st r rp.rp_props (fun st ->
-                        let st =
-                          if track_rels then
-                            { st with used_rels = Ids.Rel_set.add r st.used_rels }
-                          else st
-                        in
-                        rseg st next states' (depth + 1) (r :: rels_rev)
-                          ((r, next) :: steps_rev))
-                end)
-              (hop_candidates rp.rp_dir cur)
-        end
-      in
-      rseg st node (Type_regex.start nfa) 0 [] []
-    | None -> assert false
-  in
+  (* Enumerates the matches of one relationship hop (ρ, χ_next) starting
+     at [node]: calls [kont st last steps] for every walk the hop allows,
+     where [last] is the node of χ_next.  The walk state is the matcher's
+     state, the hop's automaton state, and whether the walk's tip is an
+     inner node of the hop — under node isomorphism the tip joins the
+     visited nodes before the walk extends past it. *)
   let match_hop st node (rp : rel_pattern) (np_next : node_pattern) kont =
-    if rp.rp_regex <> None then match_hop_regex st node rp np_next kont
-    else begin
-    let kmin, kmax_opt = Ast.range_of_len rp.rp_len in
-    let kmax = match kmax_opt with Some n -> n | None -> cap in
-    let bind_rel_var st rels_rev kont =
-      let v =
-        match rp.rp_len with
-        | None -> (
-          match rels_rev with
-          | [ r ] -> Value.Rel r
-          | _ -> assert false)
-        | Some _ -> Value.List (List.rev_map (fun r -> Value.Rel r) rels_rev)
-      in
-      bind st rp.rp_name v kont
+    let hop =
+      match rp.rp_regex with
+      | Some re -> regex_hop cfg g re
+      | None ->
+        let min_len, max_len = Ast.range_of_len rp.rp_len in
+        type_filter_hop cfg g ~types:rp.rp_types ~min_len ~max_len
     in
-    let rec seg st cur depth rels_rev steps_rev =
-      (* end the segment here: [cur] becomes the node of χ_next *)
-      if depth >= kmin then
-        bind_rel_var st rels_rev (fun st ->
-            match_node st cur np_next (fun st -> kont st (List.rev steps_rev)));
-      (* or extend it: [cur] becomes an intermediate node of the
-         variable-length segment *)
-      if depth < kmax then begin
-        let st_opt =
-          if track_nodes && depth >= 1 then
-            if Ids.Node_set.mem cur st.used_nodes then None
-            else Some { st with used_nodes = Ids.Node_set.add cur st.used_nodes }
-          else Some st
-        in
-        match st_opt with
-        | None -> ()
-        | Some st ->
-          List.iter
-            (fun (r, next) ->
-              let rel_ok =
-                (not track_rels) || not (Ids.Rel_set.mem r st.used_rels)
-              in
-              let type_ok =
-                rp.rp_types = [] || List.mem (Graph.rel_type g r) rp.rp_types
-              in
-              if rel_ok && type_ok then
-                check_rel_props st r rp.rp_props (fun st ->
-                    let st =
-                      if track_rels then
-                        { st with used_rels = Ids.Rel_set.add r st.used_rels }
-                      else st
-                    in
-                    seg st next (depth + 1) (r :: rels_rev)
-                      ((r, next) :: steps_rev)))
-            (hop_candidates rp.rp_dir cur)
-      end
+    let visit st cur inner =
+      if track_nodes && inner then
+        if Ids.Node_set.mem cur st.used_nodes then None
+        else Some { st with used_nodes = Ids.Node_set.add cur st.used_nodes }
+      else Some st
     in
-    seg st node 0 [] []
-    end
+    let adjacent, _ =
+      search_neighbours cfg g st.bnd ~types:[] ~props:[]
+        ~cost:(fun d -> d.rel_type) rp.rp_dir
+    in
+    let next (st, q, inner) cur =
+      match visit st cur inner with
+      | None -> []
+      | Some st ->
+        List.filter_map
+          (fun (r, n, t) ->
+            if track_rels && Ids.Rel_set.mem r st.used_rels then None
+            else
+              Option.bind (hop.step q t) (fun q ->
+                  Option.map
+                    (fun st ->
+                      let st =
+                        if track_rels then
+                          { st with used_rels = Ids.Rel_set.add r st.used_rels }
+                        else st
+                      in
+                      (r, n, (st, q, true)))
+                    (check_props st (Graph.rel_prop g r) rp.rp_props)))
+          (adjacent cur)
+    in
+    Path_search.walks next
+      ~accept:(fun depth (_, q, _) -> hop.ends depth q)
+      ~kmax:hop.kmax (st, hop.start, false) node
+      (fun last steps (st, _, _) ->
+        bind st rp.rp_name (rel_value rp steps) (fun st ->
+            match_node st last np_next (fun st -> kont st last steps)))
   in
   let candidates_of st (np : node_pattern) =
     match np.np_name with
@@ -529,94 +586,34 @@ and match_pattern_tuple cfg g u patterns =
       | l :: _ -> Graph.nodes_with_label g l
       | [] -> Graph.nodes g)
   in
-  (* Whether the steps of a completed path, starting at [start], satisfy
-     the GQL path restrictor.  WALK imposes nothing; TRAIL forbids
-     repeated relationships; ACYCLIC forbids repeated nodes. *)
-  let restr_ok restr start steps =
-    match restr with
-    | Walk -> true
-    | Trail ->
-      let rec dup seen = function
-        | [] -> false
-        | (r, _) :: rest ->
-          Ids.Rel_set.mem r seen || dup (Ids.Rel_set.add r seen) rest
-      in
-      not (dup Ids.Rel_set.empty steps)
-    | Acyclic ->
-      let rec dup seen = function
-        | [] -> false
-        | (_, n) :: rest ->
-          Ids.Node_set.mem n seen || dup (Ids.Node_set.add n seen) rest
-      in
-      not (dup (Ids.Node_set.singleton start) steps)
-  in
-  (* The filtered adjacency every path search runs on: direction, type
-     filter, relationship uniqueness against the rest of the tuple, and
-     relationship property predicates.  A predicate that cannot evaluate
-     (it references a variable the pattern never binds) is a typed error:
-     silently dropping every edge would turn a user mistake into an
-     empty result. *)
-  let search_neighbours st (rp : rel_pattern) ~dir ~cost cur =
-    hop_candidates dir cur
-    |> List.filter_map (fun (r, next) ->
-           if
-             (rp.rp_types = [] || List.mem (Graph.rel_type g r) rp.rp_types)
-             && (not track_rels || not (Ids.Rel_set.mem r st.used_rels))
-             && List.for_all
-                  (fun (k, e) ->
-                    match eval_expr cfg g st.bnd e with
-                    | expected ->
-                      Ternary.is_true
-                        (Value.equal_ternary (Graph.rel_prop g r k) expected)
-                    | exception Eval_error _ ->
-                      eval_error
-                        "shortest-path relationship predicate on '%s' \
-                         references an unbound variable"
-                        k)
-                  rp.rp_props
-           then Some (r, next, cost r)
-           else None)
-  in
-  let flip = function
-    | Left_to_right -> Right_to_left
-    | Right_to_left -> Left_to_right
-    | Undirected -> Undirected
-  in
-  (* The candidate step lists of a shortest-path search (one for
-     [Shortest], all minimal ones for [All_shortest]). *)
-  let shortest_steps st (rp : rel_pattern) s e ~all =
-    let kmin, kmax_opt = Ast.range_of_len rp.rp_len in
-    let kmax = match kmax_opt with Some n -> n | None -> cap in
-    Path_search.shortest
-      (search_neighbours st rp ~dir:rp.rp_dir ~cost:ignore)
-      s e ~kmin ~kmax ~all
-  in
-  let cheapest_steps st (rp : rel_pattern) s e prop =
-    let cost r = path_cost prop (Graph.rel_prop g r prop) in
-    cheapest_path prop
-      ~fwd:(search_neighbours st rp ~dir:rp.rp_dir ~cost)
-      ~bwd:(search_neighbours st rp ~dir:(flip rp.rp_dir) ~cost)
-      s e
+  (* The search adjacency, minus the relationships the rest of the
+     pattern tuple already uses. *)
+  let unused_neighbours st (rp : rel_pattern) ~cost =
+    let fwd, bwd =
+      search_neighbours cfg g st.bnd ~types:rp.rp_types ~props:rp.rp_props ~cost
+        rp.rp_dir
+    in
+    let unused next cur =
+      List.filter (fun (r, _, _) -> not (Ids.Rel_set.mem r st.used_rels)) (next cur)
+    in
+    if track_rels then (unused fwd, unused bwd) else (fwd, bwd)
   in
   (* Matches a shortestPath / allShortestPaths / cheapestPath pattern:
      both endpoints are enumerated (bound endpoints give singleton
      candidate sets) and bound *before* the search so relationship
-     property predicates can see the end variable, then the search
-     produces the candidate step lists.  In Shortest mode the BFS's
-     arbitrary survivor among equal-length paths can be rejected by the
-     rest of the pattern tuple (shared relationship uniqueness, deferred
-     property checks) even though an alternative would survive; when
-     that happens we retry every minimal-length candidate
-     exhaustively. *)
+     property predicates can see the end variable, then the search offers
+     the candidate step lists.  A single shortest candidate counts as
+     accepted when the rest of the pattern tuple produced a result from
+     it; otherwise the kernel offers the other minimal-length ones. *)
   let match_path_shortest st (pp : path_pattern) ~mode kont =
     match pp.pp_rest with
     | [ (rp, np_end) ] ->
       if rp.rp_regex <> None then
         eval_error "shortestPath over a type regex is not supported";
+      let kmin, kmax = Ast.range_of_len rp.rp_len in
       (match mode with
       | `Cheapest _ ->
-        let kmin, kmax_opt = Ast.range_of_len rp.rp_len in
-        if rp.rp_len = None || kmin > 1 || kmax_opt <> None then
+        if rp.rp_len = None || kmin > 1 || kmax <> None then
           eval_error
             "cheapestPath requires an unbounded variable-length pattern \
              ([*] or [*0..])"
@@ -628,24 +625,7 @@ and match_pattern_tuple cfg g u patterns =
                 (fun e ->
                   match_node st e np_end (fun st ->
                       let try_candidate steps =
-                        if restr_ok pp.pp_restr s steps then begin
-                          let rel_value =
-                            match rp.rp_len with
-                            | None -> (
-                              match steps with
-                              | [ (r, _) ] -> Some (Value.Rel r)
-                              | _ -> None)
-                            | Some _ ->
-                              Some
-                                (Value.List
-                                   (List.map (fun (r, _) -> Value.Rel r) steps))
-                          in
-                          let bind_rel st kont =
-                            match rp.rp_name, rel_value with
-                            | None, _ -> kont st
-                            | Some _, None -> ()
-                            | Some a, Some v -> bind st (Some a) v kont
-                          in
+                        if restr_ok pp.pp_restr s steps then
                           let st =
                             if track_rels then
                               {
@@ -657,41 +637,23 @@ and match_pattern_tuple cfg g u patterns =
                               }
                             else st
                           in
-                          bind_rel st (fun st ->
+                          bind st rp.rp_name (rel_value rp steps) (fun st ->
                               bind st pp.pp_name
                                 (Value.Path { path_start = s; path_steps = steps })
                                 kont)
-                        end
                       in
                       match mode with
-                      | `All ->
-                        List.iter try_candidate (shortest_steps st rp s e ~all:true)
                       | `Cheapest prop ->
-                        List.iter try_candidate (cheapest_steps st rp s e prop)
-                      | `Single -> (
-                        match shortest_steps st rp s e ~all:false with
-                        | [] -> ()
-                        | first :: _ ->
-                          let before = List.length !results in
-                          try_candidate first;
-                          if List.length !results = before then begin
-                            (* the arbitrary BFS survivor was pruned by
-                               downstream constraints: exhaustive retry
-                               over every minimal-length alternative *)
-                            let same a b =
-                              List.length a = List.length b
-                              && List.for_all2
-                                   (fun (r1, _) (r2, _) -> Ids.equal_rel r1 r2)
-                                   a b
-                            in
-                            let rec loop = function
-                              | [] -> ()
-                              | c :: rest ->
-                                if not (same c first) then try_candidate c;
-                                if List.length !results = before then loop rest
-                            in
-                            loop (shortest_steps st rp s e ~all:true)
-                          end)))
+                        let fwd, bwd = unused_neighbours st rp ~cost:(path_cost prop) in
+                        List.iter try_candidate (cheapest_path prop ~fwd ~bwd s e)
+                      | (`Single | `All) as mode ->
+                        Path_search.shortest
+                          (fst (unused_neighbours st rp ~cost:ignore))
+                          s e ~kmin ~kmax:(max_hops cfg g kmax) ~all:(mode = `All)
+                          ~accept:(fun steps ->
+                            let before = !results in
+                            try_candidate steps;
+                            !results != before)))
                 (candidates_of st np_end)))
         (candidates_of st pp.pp_first)
     | segs ->
@@ -707,7 +669,6 @@ and match_pattern_tuple cfg g u patterns =
     | All_shortest -> match_path_shortest st pp ~mode:`All kont
     | Cheapest prop -> match_path_shortest st pp ~mode:(`Cheapest prop) kont
     | No_shortest ->
-      let start_candidates = candidates_of st pp.pp_first in
       List.iter
         (fun n0 ->
           match_node st n0 pp.pp_first (fun st ->
@@ -721,16 +682,11 @@ and match_pattern_tuple cfg g u patterns =
                     in
                     bind st pp.pp_name path kont
                 | (rp, np) :: rest ->
-                  match_hop st cur rp np (fun st steps ->
-                      let cur' =
-                        match List.rev steps with
-                        | (_, last) :: _ -> last
-                        | [] -> cur
-                      in
-                      hops st cur' rest (List.rev_append steps steps_acc))
+                  match_hop st cur rp np (fun st last steps ->
+                      hops st last rest (List.rev_append steps steps_acc))
               in
               hops st n0 pp.pp_rest []))
-        start_candidates
+        (candidates_of st pp.pp_first)
   in
   let rec match_all st = function
     | [] ->

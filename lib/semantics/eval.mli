@@ -13,11 +13,11 @@
     walkthrough and Example 4.5).
 
     Instead of literally enumerating the infinite set [rigid(π̄)], the
-    implementation expands variable-length relationship patterns hop by
-    hop; the expansion is cut off soundly because a path may not repeat a
-    relationship (edge isomorphism), so no satisfiable rigid pattern is
-    longer than |R(G)|.  Under the homomorphism option the cut-off is the
-    configured cap. *)
+    implementation walks variable-length and regex hops with the shared
+    walker {!Cypher_algos.Path_search.walks}, hop by hop; the walk is cut
+    off soundly because a path may not repeat a relationship (edge
+    isomorphism), so no satisfiable rigid pattern is longer than |R(G)|.
+    Under the homomorphism option the cut-off is the configured cap. *)
 
 open Cypher_values
 open Cypher_graph
@@ -35,11 +35,61 @@ val eval_expr : Config.t -> Graph.t -> Record.t -> Ast.expr -> Value.t
 val eval_truth : Config.t -> Graph.t -> Record.t -> Ast.expr -> Ternary.t
 (** Evaluates a predicate to a truth value (booleans and null only). *)
 
-val path_cost : string -> Value.t -> float
-(** [path_cost prop v]: the cost of a relationship whose cost property
-    [prop] holds [v], for cheapestPath.  Raises {!Eval_error} when the
-    property is missing and {!Value.Type_error} when it is not a
-    number. *)
+val restr_ok :
+  Ast.path_restrictor -> Ids.node -> Cypher_algos.Path_search.step list -> bool
+(** [restr_ok restr start steps]: whether the path from [start] along
+    [steps] satisfies the GQL restrictor — WALK imposes nothing, TRAIL
+    forbids a repeated relationship, ACYCLIC a repeated node.  Both
+    engines check paths with it. *)
+
+val max_hops : Config.t -> Graph.t -> int option -> int
+(** [max_hops cfg g max_len]: the most hops a variable-length, regex or
+    shortest-path search may take — [max_len] when the pattern gives
+    one, else [var_length_cap], else |R(G)|. *)
+
+type hop = {
+  start : Type_regex.states;
+  step : Type_regex.states -> string -> Type_regex.states option;
+      (** the state after reading one relationship type, or [None] when
+          the hop cannot read it *)
+  ends : int -> Type_regex.states -> bool;
+      (** whether a walk of this many hops, in this state, may end *)
+  kmax : int;
+}
+(** How a variable-length or regex hop reads relationship types along
+    the walks of {!Cypher_algos.Path_search.walks}: an automaton whose
+    state travels in the walk state.  Both engines build their hops
+    here. *)
+
+val type_filter_hop :
+  Config.t -> Graph.t -> types:string list -> min_len:int ->
+  max_len:int option -> hop
+(** A plain [[:A|B*min..max]] hop: a type filter ([[]] admits every
+    type) that may end from [min_len] hops on, up to {!max_hops}.  No
+    automaton runs; the state set stays empty. *)
+
+val regex_hop : Config.t -> Graph.t -> Ast.type_regex -> hop
+(** A regex hop: the type regex's NFA, subset-simulated; a walk may end
+    wherever the state set accepts, up to {!max_hops} [None]. *)
+
+val search_neighbours :
+  Config.t -> Graph.t -> Record.t -> types:string list ->
+  props:(string * Ast.expr) list -> cost:(Graph.rel_data -> 'w) ->
+  Ast.direction ->
+  'w Cypher_algos.Path_search.neighbours * 'w Cypher_algos.Path_search.neighbours
+(** [search_neighbours cfg g u ~types ~props ~cost dir]: the adjacency
+    every path search and walk runs on, forwards along [dir] and
+    backwards against it.  A relationship qualifies when its type is in
+    [types] (any, if empty) and each property in [props], evaluated
+    under [u], equals its own; its payload is [cost] of its record,
+    which is fetched once.  A predicate that cannot evaluate under [u]
+    raises {!Eval_error} when the search first needs it. *)
+
+val path_cost : string -> Graph.rel_data -> float
+(** [path_cost prop d]: the cost of a relationship with record [d] for
+    cheapestPath, read from its property [prop].  Raises {!Eval_error}
+    when the property is missing and {!Value.Type_error} when it is not
+    a number. *)
 
 val cheapest_path :
   string -> fwd:float Cypher_algos.Path_search.neighbours ->

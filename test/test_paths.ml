@@ -527,6 +527,108 @@ let fuzz_cheapest_differential () =
       [ ("-[:E*]->", true); ("-[:E*]-", false) ]
   done
 
+(* [var_length_cap] bounds an unbounded hop in both engines, plain and
+   regex alike, on the chain 0 -> 1 -> 2 -> 3. *)
+let var_length_cap_bounds_both_engines () =
+  let g =
+    (Engine.run_exn Graph.empty
+       "CREATE (:N {i:0})-[:R]->(:N {i:1})-[:R]->(:N {i:2})-[:R]->(:N {i:3})")
+      .Engine.graph
+  in
+  let config = { cfg with Cypher_semantics.Config.var_length_cap = Some 1 } in
+  List.iter
+    (fun (hop, is) ->
+      let q = Printf.sprintf "MATCH (a:N {i:0})%s(b) RETURN b.i AS i" hop in
+      match Engine.cross_check ~config g q with
+      | Error e -> Alcotest.fail e
+      | Ok t ->
+        check_table_bag q
+          (table [ "i" ] (List.map (fun i -> [ ("i", vint i) ]) is))
+          t)
+    [ ("-[*]->", [ 1 ]); ("-[*2..]->", []); ("-[:(R*)]->", [ 0; 1 ]) ]
+
+(* A type regex as an [Re] over words of type names, each name followed
+   by ';' — built from the AST, independently of [Type_regex]'s NFA. *)
+let rec re_of_type_regex = function
+  | Cypher_ast.Ast.TR_type t -> Re.str (t ^ ";")
+  | TR_seq rs -> Re.seq (List.map re_of_type_regex rs)
+  | TR_alt rs -> Re.alt (List.map re_of_type_regex rs)
+  | TR_star r -> Re.rep (re_of_type_regex r)
+  | TR_plus r -> Re.seq [ re_of_type_regex r; Re.rep (re_of_type_regex r) ]
+  | TR_opt r -> Re.opt (re_of_type_regex r)
+
+(* An RPQ hop's matches by definition: every relationship-distinct walk
+   of [Naive.paths] that follows the pattern's direction and whose word
+   of type names the regex matches.  Both engines walk with the same
+   kernel, so this oracle is what keeps that kernel honest. *)
+let oracle_rpq () =
+  let rng = Prng.create 7331 in
+  for round = 1 to 40 do
+    let g =
+      Generate.random_uniform
+        ~seed:(Prng.int rng 1_000_000)
+        ~nodes:(1 + Prng.int rng 5)
+        ~rels:(Prng.int rng 7) ~rel_types:[ "A"; "B" ] ~labels:[ "X" ]
+    in
+    let walks = Cypher_semantics.Naive.paths g ~max_len:(Graph.rel_count g) in
+    List.iter
+      (fun regex ->
+        let re =
+          match Cypher_parser.Parser.parse_pattern_exn ("()-[:" ^ regex ^ "]->()") with
+          | [ { Cypher_ast.Ast.pp_rest = [ ({ rp_regex = Some re; _ }, _) ]; _ } ] ->
+            Re.compile (Re.whole_string (re_of_type_regex re))
+          | _ -> Alcotest.failf "%s: not a regex hop" regex
+        in
+        List.iter
+          (fun (arrow, directed) ->
+            let follows (p : Value.path) =
+              let rec ok cur = function
+                | [] -> true
+                | (r, next) :: rest ->
+                  Cypher_values.Ids.equal_node (Graph.src g r) cur
+                  && Cypher_values.Ids.equal_node (Graph.tgt g r) next
+                  && ok next rest
+              in
+              (not directed) || ok p.path_start p.path_steps
+            in
+            let word (p : Value.path) =
+              String.concat ""
+                (List.map (fun (r, _) -> Graph.rel_type g r ^ ";") p.path_steps)
+            in
+            let expected =
+              List.filter_map
+                (fun (p : Value.path) ->
+                  if follows p && Re.execp re (word p) then
+                    let last =
+                      List.fold_left (fun _ (_, n) -> n) p.path_start p.path_steps
+                    in
+                    Some
+                      [
+                        ("x", Value.Node p.path_start);
+                        ("y", Value.Node last);
+                        ("r", vlist (List.map (fun (r, _) -> Value.Rel r) p.path_steps));
+                      ]
+                  else None)
+                walks
+            in
+            let q =
+              Printf.sprintf "MATCH (x)-[r:%s]%s(y) RETURN x, y, r" regex arrow
+            in
+            List.iter
+              (fun mode ->
+                match Engine.query ~mode g q with
+                | Error e -> Alcotest.failf "round %d, %s: %s" round q e
+                | Ok out ->
+                  check_table_bag
+                    (Printf.sprintf "round %d, %s (%s)" round q
+                       (match mode with Engine.Planned -> "planned" | _ -> "reference"))
+                    (table [ "x"; "y"; "r" ] expected)
+                    out.Engine.table)
+              [ Engine.Reference; Engine.Planned ])
+          [ ("->", true); ("-", false) ])
+      [ "(A B)"; "((A|B)+)"; "(A* B?)" ]
+  done
+
 (* --- the naive oracle (satellite proof) -------------------------------- *)
 
 (* [Naive.paths] enumerates every relationship-distinct walk of the
@@ -608,34 +710,55 @@ let oracle_shortest_lengths () =
   done
 
 (* Equal-length alternatives must survive pruning: when a restrictor
-   rejects the first minimal candidate, another candidate of the same
-   length must still be found.  The start's self-loop makes the naive
-   visited-marking BFS find a rejected candidate first. *)
+   or the rest of the pattern tuple rejects the first minimal candidate,
+   another candidate of the same length must still be found.  Adjacency
+   lists put the newest relationship first, so the graphs with two
+   routes are built in both orders: whichever route the search offers
+   first, one order makes it the rejected one. *)
 let restrictor_does_not_lose_alternatives () =
-  (* two length-2 routes a->b->a (trail-ok: two distinct rels) vs the
-     doubled edge walk; and a diamond where one middle node is revisited *)
-  let g =
-    (Engine.run_exn Graph.empty
-       "CREATE (a:N {name:'a'})-[:R]->(b:N {name:'b'}), (b)-[:R]->(c:N \
-        {name:'c'}), (a)-[:R]->(x:N {name:'x'}), (x)-[:R]->(x), \
-        (x)-[:R]->(c)")
-      .Engine.graph
+  let build script = (Engine.run_exn Graph.empty script).Engine.graph in
+  let check g q fields rows =
+    List.iter
+      (fun mode ->
+        match Engine.query ~mode g q with
+        | Error e -> Alcotest.fail e
+        | Ok out -> check_table_bag q (table fields rows) out.Engine.table)
+      [ Engine.Reference; Engine.Planned ]
+  in
+  let in_both_orders r1 r2 q names =
+    List.iter
+      (fun routes ->
+        check
+          (build ("CREATE (a:N {name:'a'}), (c:N {name:'c'}), " ^ routes))
+          q [ "n" ]
+          [ [ ("n", vlist (List.map vstr names)) ] ])
+      [ r1 ^ ", " ^ r2; r2 ^ ", " ^ r1 ]
   in
   (* ACYCLIC shortest a->c: the x route and the b route are both length
      2 and acyclic; the self-loop on x must not poison the search *)
-  List.iter
-    (fun mode ->
-      match
-        Engine.query ~mode g
-          "MATCH p = ACYCLIC SHORTEST (a {name:'a'})-[*]->(c {name:'c'}) \
-           RETURN length(p)"
-      with
-      | Error e -> Alcotest.fail e
-      | Ok out ->
-        check_table_bag "acyclic shortest finds a surviving candidate"
-          (table [ "length(p)" ] [ [ ("length(p)", vint 2) ] ])
-          out.Engine.table)
-    [ Engine.Reference; Engine.Planned ]
+  check
+    (build
+       "CREATE (a:N {name:'a'})-[:R]->(b:N {name:'b'}), (b)-[:R]->(c:N \
+        {name:'c'}), (a)-[:R]->(x:N {name:'x'}), (x)-[:R]->(x), \
+        (x)-[:R]->(c)")
+    "MATCH p = ACYCLIC SHORTEST (a {name:'a'})-[*]->(c {name:'c'}) RETURN \
+     length(p)"
+    [ "length(p)" ]
+    [ [ ("length(p)", vint 2) ] ];
+  (* three hops: through the loop on x, which ACYCLIC rejects, or
+     through b and d *)
+  in_both_orders "(a)-[:R]->(x:N {name:'x'})-[:R]->(x), (x)-[:R]->(c)"
+    "(a)-[:R]->(:N {name:'b'})-[:R]->(:N {name:'d'})-[:R]->(c)"
+    "MATCH p = ACYCLIC SHORTEST (a {name:'a'})-[*3..]->(c {name:'c'}) \
+     RETURN [n IN nodes(p) | n.name] AS n"
+    [ "a"; "b"; "d"; "c" ];
+  (* the second pattern needs the relationship a->b, so a shortest path
+     through b leaves it nothing *)
+  in_both_orders "(a)-[:R]->(:N {name:'b'})-[:R]->(c)"
+    "(a)-[:R]->(:N {name:'x'})-[:R]->(c)"
+    "MATCH p = shortestPath((a {name:'a'})-[*]->(c {name:'c'})), \
+     (a)-[:R]->(b {name:'b'}) RETURN [n IN nodes(p) | n.name] AS n"
+    [ "a"; "x"; "c" ]
 
 let suite =
   List.map (fun (name, f) -> tc name f) (tck_cases @ error_cases)
@@ -648,6 +771,8 @@ let suite =
       tc "fuzz: cheapest-path costs agree" fuzz_cheapest_differential;
       tc "oracle: shortest lengths match naive enumeration"
         oracle_shortest_lengths;
+      tc "var_length_cap bounds both engines" var_length_cap_bounds_both_engines;
+      tc "oracle: RPQ hops match naive enumeration" oracle_rpq;
       tc "restrictors do not lose equal-length alternatives"
         restrictor_does_not_lose_alternatives;
     ]

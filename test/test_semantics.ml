@@ -157,6 +157,47 @@ let zero_length_with_labels () =
       [ ("a", vint 2); ("b", vint 3) ];
     ]
 
+(* Variable-length and RPQ hops under each morphism, on a triangle
+   a -A-> b -A-> c -A-> a with a self-loop a -B-> a.  Counted by hand:
+   edge isomorphism never reuses a relationship; node isomorphism also
+   never revisits a node (the start included), so the loop and every
+   return to a are cut; homomorphism reuses both up to the hop bound,
+   which for an unbounded regex is [var_length_cap]. *)
+let morphisms_on_variable_length_hops () =
+  let { Cypher_engine.Engine.graph = g; _ } =
+    Cypher_engine.Engine.run_exn Cypher_graph.Graph.empty
+      "CREATE (a:N {name:'a'})-[:A]->(b:N {name:'b'})-[:A]->(c:N \
+       {name:'c'})-[:A]->(a), (a)-[:B]->(a)"
+  in
+  let count config hop =
+    let q =
+      Printf.sprintf "MATCH (x {name:'a'})%s(y) RETURN count(*) AS c" hop
+    in
+    match Table.rows (run ~config g q) with
+    | [ row ] -> (
+      match Record.find_or_null row "c" with
+      | Value.Int c -> c
+      | v -> Alcotest.failf "%s: count is %a" q Value.pp v)
+    | _ -> Alcotest.failf "%s: expected one row" q
+  in
+  let edge = cfg
+  and node = Config.with_morphism Config.Node_isomorphism cfg
+  and homo =
+    Config.{ cfg with morphism = Homomorphism; var_length_cap = Some 3 }
+  in
+  List.iter
+    (fun (hop, e, n, h) ->
+      Alcotest.(check int) ("edge isomorphism " ^ hop) e (count edge hop);
+      Alcotest.(check int) ("node isomorphism " ^ hop) n (count node hop);
+      Alcotest.(check int) ("homomorphism " ^ hop) h (count homo hop))
+    [
+      ("-[*1..3]->", 6, 2, 9);
+      ("-[*]->", 8, 2, 9);
+      ("-[*1..2]-", 7, 4, 10);
+      ("-[:(B* A)]->", 2, 1, 3);
+      ("-[:(A+)]-", 6, 4, 14);
+    ]
+
 let suite =
   [
     tc "match() returns only new bindings" match_api_returns_new_bindings_only;
@@ -173,4 +214,6 @@ let suite =
     tc "UNION field mismatch is an error" union_field_mismatch_is_error;
     tc "WITH star extension" with_star_extension;
     tc "zero-length hop with labels on both ends" zero_length_with_labels;
+    tc "variable-length and regex hops under each morphism"
+      morphisms_on_variable_length_hops;
   ]
