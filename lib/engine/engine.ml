@@ -56,8 +56,8 @@ let mode_name = function Planned -> "planned" | Reference -> "reference"
    they call internally goes through unobserved helpers, so nothing
    double-counts.  [?cache_hit] is a cell the caller flips when the
    query resolved through the plan cache; [?fallback] is a cell
-   {!run_ast} fills with the planner's Unsupported message when a
-   Planned-mode query silently fell back to the reference evaluator, so
+   {!run_prepared} fills with the planner's refusal when a Planned-mode
+   query fell back to the reference evaluator, so
    the slow-query log names both the mode asked for and the one that
    ran. *)
 let observe_query ~mode ~text ?(cache_hit = ref false)
@@ -168,55 +168,80 @@ let exec_run cfg g ~fields plan table =
       cfg g ~fields plan table
   else Exec.run cfg g ~fields plan table
 
-let run_single_planned cfg g sq =
-  let stats = stats_of g in
-  let segments = segment sq.sq_clauses in
-  let rec go g table visible = function
-    | [] ->
-      (* all segments consumed; sq_return was folded into the last read
-         segment *)
-      { graph = g; table }
-    | [ `Read clauses ] ->
-      let { Build.plan; fields } =
-        Trace.with_span "plan" (fun () ->
-            Build.compile_clauses ~stats ~visible clauses sq.sq_return)
-      in
-      let table =
-        Trace.with_span "execute" (fun () -> exec_run cfg g ~fields plan table)
-      in
-      { graph = g; table }
-    | `Read clauses :: rest ->
-      let { Build.plan; fields } =
-        Trace.with_span "plan" (fun () ->
-            Build.compile_clauses ~stats ~visible clauses None)
-      in
-      let table =
-        Trace.with_span "execute" (fun () -> exec_run cfg g ~fields plan table)
-      in
-      go g table fields rest
-    | `Update c :: rest ->
-      let state =
-        Clauses.apply_clause cfg c { Clauses.graph = g; table }
-      in
-      go state.Clauses.graph state.Clauses.table
-        (Table.fields state.Clauses.table)
-        rest
-  in
-  let out = go g Table.unit [] segments in
-  match sq.sq_return with
-  | Some _ -> out
-  | None -> { out with table = Table.empty ~fields:[] }
+(* --- the prepared form ------------------------------------------------- *)
 
-let rec run_query_planned cfg g = function
-  | Q_single sq -> run_single_planned cfg g sq
-  | Q_union (q1, q2) ->
-    let s1 = run_query_planned cfg g q1 in
-    let s2 = run_query_planned cfg s1.graph q2 in
-    { graph = s2.graph; table = Table.dedup (Table.union s1.table s2.table) }
-  | Q_union_all (q1, q2) ->
-    let s1 = run_query_planned cfg g q1 in
-    let s2 = run_query_planned cfg s1.graph q2 in
-    { graph = s2.graph; table = Table.union s1.table s2.table }
+(* A query compiled once, before any clause runs: each single query is
+   its steps — a planned read segment or an update clause executed by the
+   reference semantics — and UNION nodes join them.  [Error reason] is an
+   unplanned query: the planner refused one of its segments, so the whole
+   query runs on the reference evaluator. *)
+type step = Read of Build.compiled | Update of clause
+
+type tree =
+  | Single of { steps : step list; returns : bool }
+  | Union of { all : bool; left : tree; right : tree }
+
+type prepared = (tree, string) result
+
+(* Compiles every segment against one set of statistics.  A read segment
+   after an update sees the fields the update produces
+   ({!Clauses.update_fields}); a CALL without YIELD has no fields until it
+   runs, so nothing may read past it.  This is the one place a planner
+   refusal is caught. *)
+let prepare g ast : prepared =
+  Trace.with_span "plan" @@ fun () ->
+  let stats = stats_of g in
+  let single { sq_clauses; sq_return } =
+    let rec go visible = function
+      | [] -> []
+      | `Read clauses :: rest ->
+        let ret = if rest = [] then sq_return else None in
+        let c = Build.compile_clauses ~stats ~visible clauses ret in
+        Read c :: go c.Build.fields rest
+      | `Update c :: rest -> (
+        match (Clauses.update_fields c visible, rest, sq_return) with
+        | Some fields, _, _ -> Update c :: go fields rest
+        | None, [ `Read [] ], None -> [ Update c ]
+        | None, _, _ ->
+          raise
+            (Build.Unsupported
+               "CALL without YIELD has no known columns to read past"))
+    in
+    Single
+      { steps = go [] (segment sq_clauses); returns = Option.is_some sq_return }
+  in
+  let rec tree = function
+    | Q_single sq -> single sq
+    | Q_union (l, r) -> Union { all = false; left = tree l; right = tree r }
+    | Q_union_all (l, r) -> Union { all = true; left = tree l; right = tree r }
+  in
+  match tree ast with
+  | t -> Ok t
+  | exception Build.Unsupported reason -> Error reason
+
+let run_tree cfg g tree =
+  let rec steps g table = function
+    | [] -> { graph = g; table }
+    | Read { Build.plan; fields } :: rest ->
+      let table =
+        Trace.with_span "execute" (fun () -> exec_run cfg g ~fields plan table)
+      in
+      steps g table rest
+    | Update c :: rest ->
+      let s = Clauses.apply_clause cfg c { Clauses.graph = g; table } in
+      steps s.Clauses.graph s.Clauses.table rest
+  in
+  let rec go g = function
+    | Single { steps = ss; returns } ->
+      let out = steps g Table.unit ss in
+      if returns then out else { out with table = Table.empty ~fields:[] }
+    | Union { all; left; right } ->
+      let s1 = go g left in
+      let s2 = go s1.graph right in
+      let table = Table.union s1.table s2.table in
+      { graph = s2.graph; table = (if all then table else Table.dedup table) }
+  in
+  go g tree
 
 type error =
   | Parse_error of string
@@ -237,19 +262,27 @@ let catching_e f =
   | v -> Ok v
   | exception Functions.Eval_error msg -> Error (Runtime_error msg)
   | exception Cypher_values.Value.Type_error msg -> Error (Type_error msg)
-  | exception Build.Unsupported msg -> Error (Unsupported msg)
   | exception Invalid_argument msg -> Error (Runtime_error msg)
   | exception Division_by_zero -> Error (Runtime_error "division by zero")
+
+(* --- statements -------------------------------------------------------- *)
+
+(* Whether [t] starts with the lower-case [prefix], ignoring ASCII case.
+   Every statement's dispatch runs it, so it allocates nothing. *)
+let starts_with_ci ~prefix t =
+  let n = String.length prefix in
+  let rec from i =
+    i = n || (Char.lowercase_ascii t.[i] = prefix.[i] && from (i + 1))
+  in
+  String.length t >= n && from 0
 
 (* DDL outside the query grammar: CREATE INDEX ON :Label(key) and
    DROP INDEX ON :Label(key), as in Neo4j 3.x. *)
 let parse_index_ddl text =
   let t = String.trim text in
-  let lower = String.lowercase_ascii t in
-  let prefix p = String.length lower >= String.length p && String.sub lower 0 (String.length p) = p in
   let action =
-    if prefix "create index on" then Some `Create
-    else if prefix "drop index on" then Some `Drop
+    if starts_with_ci ~prefix:"create index on" t then Some `Create
+    else if starts_with_ci ~prefix:"drop index on" t then Some `Drop
     else None
   in
   match action with
@@ -273,12 +306,42 @@ let parse_index_ddl text =
 let strip_prefix_kw kw text =
   let t = String.trim text in
   let n = String.length kw in
-  if
-    String.length t > n
-    && String.uppercase_ascii (String.sub t 0 n) = kw
-    && t.[n] = ' '
-  then Some (String.sub t n (String.length t - n))
+  if String.length t > n && starts_with_ci ~prefix:kw t && t.[n] = ' ' then
+    Some (String.sub t n (String.length t - n))
   else None
+
+(* Parse and scope check: everything about a query that does not depend
+   on the graph. *)
+let check_query text =
+  match Cypher_parser.Parser.parse_query text with
+  | Error e -> Error (Parse_error e)
+  | Ok ast -> (
+    match Scope_check.check_query ast with
+    | Ok () -> Ok ast
+    | Error e -> Error (Syntax_error e))
+
+type statement =
+  | Ddl of ([ `Create | `Drop ] * string * string)
+  | Explain of Ast.query
+  | Profile of Ast.query
+  | Query of Ast.query
+
+(* The one dispatch of a statement's text: index DDL, an EXPLAIN or
+   PROFILE prefix, or a plain query. *)
+let statement text =
+  match parse_index_ddl text with
+  | Some (Ok ddl) -> Ok (Ddl ddl)
+  | Some (Error e) -> Error (Parse_error e)
+  | None ->
+    let wrap, body =
+      match strip_prefix_kw "explain" text with
+      | Some rest -> ((fun q -> Explain q), rest)
+      | None -> (
+        match strip_prefix_kw "profile" text with
+        | Some rest -> ((fun q -> Profile q), rest)
+        | None -> ((fun q -> Query q), text))
+    in
+    Result.map wrap (check_query body)
 
 (* --- statement classification ----------------------------------------- *)
 
@@ -299,52 +362,100 @@ let rec classify_ast = function
     if classify_ast q1 = Update || classify_ast q2 = Update then Update
     else Read_only
 
+(* EXPLAIN never executes; PROFILE executes read-only queries and falls
+   back to EXPLAIN for updates — neither mutates.  A statement that is
+   rejected before it runs is left to the lock-free read path, which
+   reports the same error. *)
 let classify text =
-  match parse_index_ddl text with
-  | Some (Ok _) -> Update
-  | Some (Error _) -> Read_only (* rejected before touching the graph *)
-  | None -> (
-    (* EXPLAIN never executes; PROFILE executes read-only queries and
-       falls back to EXPLAIN for updates — neither mutates. *)
-    match strip_prefix_kw "EXPLAIN" text with
-    | Some _ -> Read_only
-    | None -> (
-      match strip_prefix_kw "PROFILE" text with
-      | Some _ -> Read_only
-      | None -> (
-        match Cypher_parser.Parser.parse_query text with
-        | Error _ ->
-          (* unparseable: let the lock-free read path report the error *)
-          Read_only
-        | Ok ast -> classify_ast ast)))
+  match statement text with
+  | Ok (Ddl _) -> Update
+  | Ok (Query ast) -> classify_ast ast
+  | Ok (Explain _ | Profile _) | Error _ -> Read_only
 
-(* Evaluation of an already-parsed, already-scope-checked query — shared
-   between the one-shot path and the plan-cache hit path.  [?fallback]
-   reports a Planned→Reference downgrade to the caller's observation
+(* --- consumers of the prepared form ------------------------------------ *)
+
+let reference config g ast =
+  Trace.with_span "execute" (fun () ->
+      let state = Clauses.run_query config g ast in
+      { graph = state.Clauses.graph; table = state.Clauses.table })
+
+(* Whether a query runs planned: the planner compiles only Planned-mode
+   queries under the default morphism. *)
+let plans config mode =
+  mode = Planned && config.Config.morphism = Config.Edge_isomorphism
+
+(* Runs a prepared query.  An unplanned one (a planner limitation such
+   as ORDER BY on a non-projected variable under DISTINCT) runs on the
+   reference evaluator rather than failing — but never silently: the downgrade is counted, traced with its
+   reason, and reported through [fallback] to the caller's observation
    wrapper (see {!observe_query}). *)
-let run_ast ?(fallback : string option ref = ref None) config mode g ast =
-  let use_reference =
-    mode = Reference || config.Config.morphism <> Config.Edge_isomorphism
-  in
-  let reference () =
-    Trace.with_span "execute" (fun () ->
-        let state = Clauses.run_query config g ast in
-        { graph = state.Clauses.graph; table = state.Clauses.table })
-  in
-  catching_e (fun () ->
-      if use_reference then reference ()
-      else
-        (* planner limitations (e.g. ORDER BY on a non-projected
-           variable under DISTINCT) fall back to the reference
-           semantics rather than failing — but never silently: the
-           downgrade is counted, traced with its reason, and stamped
-           onto the slow-query log entry by the caller *)
-        try run_query_planned config g ast
-        with Build.Unsupported msg ->
-          Registry.incr m_reference_fallback;
-          fallback := Some msg;
-          Trace.note ~attrs:[ ("reason", msg) ] "reference_fallback" 0;
-          reference ())
+let run_prepared ~fallback config g ast = function
+  | Ok tree -> run_tree config g tree
+  | Error reason ->
+    Registry.incr m_reference_fallback;
+    fallback := Some reason;
+    Trace.note ~attrs:[ ("reason", reason) ] "reference_fallback" 0;
+    reference config g ast
+
+let render_explain g : prepared -> string = function
+  | Error reason -> "(not planned: " ^ reason ^ ")\n"
+  | Ok tree ->
+    let stats = stats_of g in
+    let buf = Buffer.create 256 in
+    let rec go = function
+      | Single { steps; _ } ->
+        List.iter
+          (function
+            | Read { Build.plan; _ } ->
+              Buffer.add_string buf
+                (Cypher_planner.Cost.explain_with_estimates stats plan)
+            | Update c ->
+              Buffer.add_string buf
+                (Format.asprintf "+ Update [%a]@." Cypher_ast.Pretty.pp_clause c))
+          steps
+      | Union { all; left; right } ->
+        go left;
+        Buffer.add_string buf (if all then "UNION ALL\n" else "UNION\n");
+        go right
+    in
+    go tree;
+    Buffer.contents buf
+
+(* PROFILE time rendering: microseconds below a millisecond, then ms. *)
+let pp_prof_ns ns =
+  let us = float_of_int ns /. 1e3 in
+  if us < 1000. then Printf.sprintf "%.1fus" us
+  else Printf.sprintf "%.2fms" (us /. 1000.)
+
+(* Only a single read step is executed; anything else shows its EXPLAIN
+   rendering and never runs. *)
+let render_profile config g : prepared -> (string, error) result = function
+  | Error reason -> Error (Unsupported reason)
+  | Ok (Single { steps = [ Read { Build.plan; fields } ]; _ }) ->
+    let stats = stats_of g in
+    catching_e (fun () ->
+        let table, actual =
+          Trace.with_span "execute" (fun () ->
+              Exec.run_profiled config g ~fields plan Table.unit)
+        in
+        let rendered =
+          Format.asprintf "%a"
+            (Plan.pp_annotated ~annotate:(fun node ->
+                 let incl = actual node in
+                 let self = Exec.self_profile actual node in
+                 Printf.sprintf
+                   "  (est. %.1f rows, actual %d rows, %d db-hits, %s)"
+                   (Cypher_planner.Cost.estimate stats node)
+                     .Cypher_planner.Cost.rows incl.Exec.prof_rows
+                   self.Exec.prof_hits (pp_prof_ns self.Exec.prof_ns)))
+            plan
+        in
+        let total = actual plan in
+        rendered
+        ^ Printf.sprintf "total: %d rows, %d db-hits, %s\n"
+            (Table.row_count table) total.Exec.prof_hits
+            (pp_prof_ns total.Exec.prof_ns))
+  | Ok _ as p -> Ok (render_explain g p)
 
 (* EXPLAIN/PROFILE as query prefixes return the rendering as a
    one-column table, so the same plans travel over the wire protocol
@@ -357,141 +468,44 @@ let plan_table text =
   in
   Table.create ~fields:[ "plan" ] rows
 
-let parse_q text =
-  Trace.with_span "parse" (fun () -> Cypher_parser.Parser.parse_query text)
-
-let explain_e ?(config = Config.default) g text =
-  ignore config;
-  match parse_q text with
-  | Error e -> Error (Parse_error e)
-  | Ok ast ->
-    let stats = stats_of g in
-    let buf = Buffer.create 256 in
-    let rec go_query = function
-      | Q_single sq -> go_single sq
-      | Q_union (q1, q2) ->
-        go_query q1;
-        Buffer.add_string buf "UNION\n";
-        go_query q2
-      | Q_union_all (q1, q2) ->
-        go_query q1;
-        Buffer.add_string buf "UNION ALL\n";
-        go_query q2
-    and go_single sq =
-      let segments = segment sq.sq_clauses in
-      let rec go visible = function
-        | [] -> ()
-        | [ `Read clauses ] -> (
-          match
-            Trace.with_span "plan" (fun () ->
-                Build.compile_clauses ~stats ~visible clauses sq.sq_return)
-          with
-          | { Build.plan; _ } ->
-            Buffer.add_string buf
-              (Cypher_planner.Cost.explain_with_estimates stats plan)
-          | exception Build.Unsupported msg ->
-            Buffer.add_string buf ("(not planned: " ^ msg ^ ")\n"))
-        | `Read clauses :: rest -> (
-          match
-            Trace.with_span "plan" (fun () ->
-                Build.compile_clauses ~stats ~visible clauses None)
-          with
-          | { Build.plan; fields } ->
-            Buffer.add_string buf
-              (Cypher_planner.Cost.explain_with_estimates stats plan);
-            go fields rest
-          | exception Build.Unsupported msg ->
-            Buffer.add_string buf ("(not planned: " ^ msg ^ ")\n");
-            go visible rest)
-        | `Update c :: rest ->
-          Buffer.add_string buf
-            (Format.asprintf "+ Update [%a]@." Cypher_ast.Pretty.pp_clause c);
-          go visible rest
-      in
-      go [] segments
-    in
-    (match catching_e (fun () -> go_query ast) with
-    | Ok () -> Ok (Buffer.contents buf)
-    | Error e -> Error e)
-
-(* PROFILE time rendering: microseconds below a millisecond, then ms. *)
-let pp_prof_ns ns =
-  let us = float_of_int ns /. 1e3 in
-  if us < 1000. then Printf.sprintf "%.1fus" us
-  else Printf.sprintf "%.2fms" (us /. 1000.)
-
-let profile_e ?(config = Config.default) g text =
-  match parse_q text with
-  | Error e -> Error (Parse_error e)
-  | Ok (Q_single { sq_clauses; sq_return })
-    when not (List.exists is_update_clause sq_clauses) -> (
-    let stats = stats_of g in
-    match
-      Trace.with_span "plan" (fun () ->
-          Build.compile_clauses ~stats ~visible:[] sq_clauses sq_return)
-    with
-    | { Build.plan; fields } ->
-      catching_e (fun () ->
-          let table, actual =
-            Trace.with_span "execute" (fun () ->
-                Exec.run_profiled config g ~fields plan Table.unit)
-          in
-          let rendered =
-            Format.asprintf "%a"
-              (Plan.pp_annotated ~annotate:(fun node ->
-                   let incl = actual node in
-                   let self = Exec.self_profile actual node in
-                   Printf.sprintf
-                     "  (est. %.1f rows, actual %d rows, %d db-hits, %s)"
-                     (Cypher_planner.Cost.estimate stats node)
-                       .Cypher_planner.Cost.rows incl.Exec.prof_rows
-                     self.Exec.prof_hits (pp_prof_ns self.Exec.prof_ns)))
-              plan
-          in
-          let total = actual plan in
-          rendered
-          ^ Printf.sprintf "total: %d rows, %d db-hits, %s\n"
-              (Table.row_count table) total.Exec.prof_hits
-              (pp_prof_ns total.Exec.prof_ns))
-    | exception Build.Unsupported msg -> Error (Unsupported msg))
-  | Ok _ -> explain_e ~config g text
-
-(* Unobserved evaluation: the shared body of every public entry point.
-   EXPLAIN/PROFILE prefixes and index DDL are handled here so the typed
-   path used by the server sees them too, not only the string API. *)
-let query_raw ?fallback ?(config = Config.default) ?(mode = Planned) g text =
-  match parse_index_ddl text with
-  | Some (Error e) -> Error (Parse_error e)
-  | Some (Ok (action, label, key)) ->
+(* Executes a dispatched statement: the shared body of the uncached and
+   the cached path, which differ only in where [prepare] finds the
+   prepared form. *)
+let run_statement ~fallback ~prepare config mode g = function
+  | Ddl (action, label, key) ->
     let g =
       match action with
       | `Create -> Graph.create_index g ~label ~key
       | `Drop -> Graph.drop_index g ~label ~key
     in
     Ok { graph = g; table = Table.empty ~fields:[] }
-  | None ->
-  match strip_prefix_kw "EXPLAIN" text with
-  | Some rest ->
+  | Explain q ->
     Result.map
       (fun p -> { graph = g; table = plan_table p })
-      (explain_e ~config g rest)
-  | None ->
-  match strip_prefix_kw "PROFILE" text with
-  | Some rest ->
+      (catching_e (fun () -> render_explain g (prepare q)))
+  | Profile q ->
     Result.map
       (fun p -> { graph = g; table = plan_table p })
-      (profile_e ~config g rest)
-  | None -> (
-    match parse_q text with
-    | Error e -> Error (Parse_error e)
-    | Ok ast when Result.is_error (Scope_check.check_query ast) ->
-      Error (Syntax_error (Result.get_error (Scope_check.check_query ast)))
-    | Ok ast -> run_ast ?fallback config mode g ast)
+      (render_profile config g (prepare q))
+  | Query ast ->
+    catching_e (fun () ->
+        if plans config mode then
+          run_prepared ~fallback config g ast (prepare ast)
+        else reference config g ast)
+
+let parse_statement text = Trace.with_span "parse" (fun () -> statement text)
+
+(* Unobserved evaluation: the shared body of every public entry point.
+   EXPLAIN/PROFILE prefixes and index DDL are handled here so the typed
+   path used by the server sees them too, not only the string API. *)
+let query_raw ~fallback config mode g text =
+  Result.bind (parse_statement text)
+    (run_statement ~fallback ~prepare:(prepare g) config mode g)
 
 let query_e ?(config = Config.default) ?(mode = Planned) g text =
   let fallback = ref None in
   observe_query ~mode ~text ~fallback (fun () ->
-      query_raw ~fallback ~config ~mode g text)
+      query_raw ~fallback config mode g text)
 
 let query_plain ?config ?mode g text =
   Result.map_error error_message (query_e ?config ?mode g text)
@@ -504,20 +518,14 @@ let run_exn ?config ?mode g text =
 let run ?config ?mode g text = (run_exn ?config ?mode g text).table
 
 let stream ?(config = Config.default) g text =
-  match Cypher_parser.Parser.parse_query text with
-  | Error e -> Error ("parse error: " ^ e)
-  | Ok ast when Result.is_error (Scope_check.check_query ast) ->
-    Error ("syntax error: " ^ Result.get_error (Scope_check.check_query ast))
-  | Ok (Q_single { sq_clauses; sq_return })
-    when not (List.exists is_update_clause sq_clauses) -> (
-    match
-      Build.compile_clauses ~stats:(stats_of g) ~visible:[] sq_clauses
-        sq_return
-    with
-    | { Build.plan; fields = _ } ->
+  match check_query text with
+  | Error e -> Error (error_message e)
+  | Ok ast -> (
+    match prepare g ast with
+    | Ok (Single { steps = [ Read { Build.plan; _ } ]; _ }) ->
       Ok (Exec.rows config g plan (Seq.return Cypher_table.Record.empty))
-    | exception Build.Unsupported msg -> Error ("unsupported: " ^ msg))
-  | Ok _ -> Error "stream: only read-only single queries can be streamed"
+    | Ok _ -> Error "stream: only read-only single queries can be streamed"
+    | Error reason -> Error (error_message (Unsupported reason)))
 
 (* Splits a script on top-level semicolons (string literals and comments
    are respected). *)
@@ -566,11 +574,17 @@ let run_script ?config ?mode g text =
   in
   go g None (split_statements text)
 
-let explain ?config g text =
-  Result.map_error error_message (explain_e ?config g text)
+let parse_query text = Trace.with_span "parse" (fun () -> check_query text)
 
-let profile ?config g text =
-  Result.map_error error_message (profile_e ?config g text)
+let explain g text =
+  Result.map_error error_message
+    (Result.bind (parse_query text) (fun ast ->
+         catching_e (fun () -> render_explain g (prepare g ast))))
+
+let profile ?(config = Config.default) g text =
+  Result.map_error error_message
+    (Result.bind (parse_query text) (fun ast ->
+         render_profile config g (prepare g ast)))
 
 let cross_check ?(config = Config.default) g text =
   match
@@ -600,15 +614,15 @@ let query ?config ?mode g text = query_plain ?config ?mode g text
 (* The query-plan cache                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* A cache entry always carries the parsed, scope-checked AST (reusable
-   against any graph); read-only single queries additionally carry the
-   compiled physical plan tagged with the version of the graph whose
-   statistics drove the compilation.  A version mismatch keeps the AST
-   but replans, so updates invalidate cardinality estimates without
-   paying for parsing again. *)
+(* A cache entry carries the dispatched statement — parsed and
+   scope-checked, valid against any graph — and its prepared form tagged
+   with the version of the graph whose statistics drove the compilation.
+   A version mismatch keeps the statement but prepares it again, so
+   updates invalidate cardinality estimates without paying for parsing
+   again. *)
 type cache_entry = {
-  ce_ast : Ast.query;
-  mutable ce_plan : (int * Build.compiled) option;
+  ce_stmt : statement;
+  mutable ce_prepared : (int * prepared) option;
 }
 
 type plan_cache = {
@@ -627,9 +641,9 @@ type cache_stats = {
   cache_evictions : int;
 }
 
-let create_plan_cache ?capacity () =
+let create_plan_cache () =
   {
-    entries = Plan_cache.create ?capacity ();
+    entries = Plan_cache.create ();
     classes = Hashtbl.create 64;
     classes_m = Mutex.create ();
     replans = 0;
@@ -660,76 +674,39 @@ let cache_stats c =
     cache_evictions = Plan_cache.evictions c.entries;
   }
 
-(* Only read-only single queries with a RETURN have their physical plan
-   cached; everything else still amortises parse + scope check. *)
-let plan_cacheable = function
-  | Q_single { sq_clauses; sq_return = Some _ } ->
-    not (List.exists is_update_clause sq_clauses)
-  | _ -> false
-
-let run_cached_entry ?fallback cache config g entry =
-  if plan_cacheable entry.ce_ast then begin
-    let version = Graph.version g in
-    let compiled =
-      match entry.ce_plan with
-      | Some (v, c) when v = version -> Some c
-      | prior -> (
-        match entry.ce_ast with
-        | Q_single { sq_clauses; sq_return } -> (
-          match
-            Trace.with_span "plan" (fun () ->
-                Build.compile_clauses ~stats:(stats_of g) ~visible:[]
-                  sq_clauses sq_return)
-          with
-          | c ->
-            if Option.is_some prior then cache.replans <- cache.replans + 1;
-            entry.ce_plan <- Some (version, c);
-            Some c
-          | exception Build.Unsupported _ -> None)
-        | _ -> None)
-    in
-    match compiled with
-    | Some { Build.plan; fields } ->
-      catching_e (fun () ->
-          { graph = g;
-            table =
-              Trace.with_span "execute" (fun () ->
-                  exec_run config g ~fields plan Table.unit);
-          })
-    | None -> run_ast ?fallback config Planned g entry.ce_ast
-  end
-  else run_ast ?fallback config Planned g entry.ce_ast
+(* The entry's prepared form for [g], prepared again when the graph
+   version moved; only read statements count as replans. *)
+let cached_prepare cache g entry ast =
+  let version = Graph.version g in
+  match entry.ce_prepared with
+  | Some (v, p) when v = version -> p
+  | prior ->
+    let p = prepare g ast in
+    if Option.is_some prior && classify_ast ast = Read_only then
+      cache.replans <- cache.replans + 1;
+    entry.ce_prepared <- Some (version, p);
+    p
 
 let query_cached ~cache ?(config = Config.default) ?(mode = Planned) g text =
   let cache_hit = ref false in
   let fallback = ref None in
   observe_query ~mode ~text ~cache_hit ~fallback @@ fun () ->
-  let cacheable_config =
-    mode = Planned && config.Config.morphism = Config.Edge_isomorphism
-  in
-  if not cacheable_config then
-    Result.map_error error_message (query_raw ~fallback ~config ~mode g text)
-  else begin
-    let params =
-      List.map fst (Cypher_values.Value.Smap.bindings config.Config.params)
-    in
-    let key = Plan_cache.key ~text ~params in
-    match Plan_cache.find cache.entries key with
-    | Some entry ->
-      cache_hit := true;
-      Result.map_error error_message
-        (run_cached_entry ~fallback cache config g entry)
-    | None -> (
-      (* Miss: parse and scope-check once.  Index DDL and EXPLAIN/PROFILE
-         prefixes do not parse as queries and take the uncached path. *)
-      match parse_q text with
-      | Error _ -> Result.map_error error_message (query_raw ~config ~mode g text)
-      | Ok ast -> (
-        match Scope_check.check_query ast with
-        | Error e -> Error (error_message (Syntax_error e))
-        | Ok _ ->
-          let entry = { ce_ast = ast; ce_plan = None } in
-          Plan_cache.add cache.entries key entry;
-          Result.map_error error_message
-            (run_cached_entry ~fallback cache config g entry)))
-  end
+  Result.map_error error_message
+    (if not (plans config mode) then query_raw ~fallback config mode g text
+     else
+       let entry =
+         match Plan_cache.find cache.entries text with
+         | Some entry ->
+           cache_hit := true;
+           Ok entry
+         | None ->
+           Result.map
+             (fun stmt ->
+               let entry = { ce_stmt = stmt; ce_prepared = None } in
+               Plan_cache.add cache.entries text entry;
+               entry)
+             (parse_statement text)
+       in
+       Result.bind entry (fun entry ->
+           run_statement ~fallback ~prepare:(cached_prepare cache g entry)
+             config mode g entry.ce_stmt))

@@ -11,6 +11,16 @@
       attributes to Neo4j in Section 2) and executes update clauses
       through the reference implementation.
 
+    Every entry point turns a statement's text into one value once
+    (index DDL, EXPLAIN, PROFILE or a query; parsed and scope-checked),
+    and a query into one {e prepared form} before any clause runs: its
+    read segments compiled into plans, its update clauses kept as steps
+    between them.  Running, EXPLAIN, PROFILE, {!stream} and the plan
+    cache all consume that form, so EXPLAIN shows the plan that runs.  A
+    query with a segment the planner refuses is unplanned as a whole and
+    runs on the reference evaluator, counted in
+    [cypher_engine_reference_fallback_total].
+
     Both modes implement the same language; {!cross_check} runs both and
     verifies that the result bags agree. *)
 
@@ -45,8 +55,8 @@ val classify : string -> stmt_class
     is [Update], EXPLAIN/PROFILE are [Read_only] (PROFILE of an update
     falls back to the plan rendering and never executes the update).
     [Read_only] is sound — no read clause can change the graph.  A
-    statement that does not parse is [Read_only]: the lock-free path
-    reports the identical parse error. *)
+    statement rejected before it runs (a parse or scope error) is
+    [Read_only]: the lock-free path reports the identical error. *)
 
 val query :
   ?config:Config.t -> ?mode:mode -> Graph.t -> string ->
@@ -78,7 +88,8 @@ val stream :
 (** Lazily executes a read-only single query through the Volcano
     pipeline: rows are produced on demand, so consuming a prefix does
     only a prefix of the work (see the LIMIT short-circuit test).
-    Queries the planner cannot compile are rejected. *)
+    Queries the planner does not prepare as a single read step are
+    rejected. *)
 
 val run_script :
   ?config:Config.t -> ?mode:mode -> Graph.t -> string ->
@@ -87,42 +98,44 @@ val run_script :
     graph; the outcome carries the final graph and the last statement's
     table.  Semicolons inside string literals are handled. *)
 
-val explain : ?config:Config.t -> Graph.t -> string -> (string, string) result
-(** The physical plan that [Planned] mode would execute, rendered as an
-    indented operator tree with estimated row counts.  Queries with
-    update clauses show one plan per read segment. *)
+val explain : Graph.t -> string -> (string, string) result
+(** The prepared form that [Planned] mode would execute, rendered as
+    indented operator trees with estimated row counts: one plan per read
+    segment, with a [+ Update [...]] line for each update clause between
+    them.  An unplanned query renders as [(not planned: reason)]. *)
 
 val profile : ?config:Config.t -> Graph.t -> string -> (string, string) result
 (** Executes the query and renders the plan annotated per operator with
     estimated vs actual rows, {e db hits} (store accesses, see
     {!Graph.count_db_hits}) and elapsed time — PROFILE in the style of
     Neo4j.  Hits and time are the operator's own share (inputs
-    subtracted); a [total:] footer gives the whole query.  Only
-    read-only single queries are profiled; anything else falls back to
-    the {!explain} rendering. *)
+    subtracted); a [total:] footer gives the whole query.  Only a query
+    prepared as a single read step is profiled; any other planned query
+    shows the {!explain} rendering without running, and an unplanned one
+    is an [unsupported] error. *)
 
 (** {1 The query-plan cache}
 
-    [Session.run] re-lexed, re-parsed and re-planned every statement from
-    scratch; the plan cache amortises that to zero for repeated read-only
-    queries.  Entries are keyed by query text plus the parameter
-    signature; each entry holds the parsed AST (valid against any graph)
-    and, for read-only single queries, the compiled physical plan tagged
-    with the {!Graph.version} whose statistics it was compiled from.
-    When the graph changes, the next execution replans against fresh
-    statistics — cached cardinality estimates can never go stale —
-    while the parse and scope check are still reused. *)
+    The plan cache amortises parsing and planning to zero for repeated
+    statements.  Entries are keyed by the statement text alone — the
+    planner never reads parameter values or names.  Each entry holds the
+    dispatched statement (valid against any graph) and its prepared form
+    tagged with the {!Graph.version} whose statistics it was compiled
+    from.  When the graph changes, the next execution prepares it again
+    against fresh statistics — cached cardinality estimates can never go
+    stale — while the parse and scope check are still reused. *)
 
 type plan_cache
 
-val create_plan_cache : ?capacity:int -> unit -> plan_cache
-(** LRU over [capacity] (default 128) query texts. *)
+val create_plan_cache : unit -> plan_cache
+(** LRU over 128 statement texts. *)
 
 type cache_stats = {
   cache_hits : int;  (** lookups that found an entry *)
   cache_misses : int;
   cache_replans : int;
-      (** cached plans recompiled because the graph version moved *)
+      (** cached read statements prepared again because the graph
+          version moved *)
   cache_evictions : int;
 }
 
@@ -137,8 +150,9 @@ val query_cached :
   ?config:Config.t -> ?mode:mode -> Graph.t -> string ->
   (outcome, string) result
 (** Like {!query}, going through the cache.  Semantically transparent:
-    results are identical to the uncached path; [Reference] mode,
-    non-default morphisms, EXPLAIN/PROFILE and index DDL bypass the
+    results are identical to the uncached path.  Every statement kind is
+    cached, EXPLAIN/PROFILE and index DDL included; [Reference] mode and
+    non-default morphisms, which the planner does not serve, bypass the
     cache. *)
 
 val cross_check :

@@ -16,7 +16,6 @@ let m_evictions =
 type 'a entry = { mutable value : 'a; mutable last_used : int }
 
 type 'a t = {
-  cap : int;
   tbl : (string, 'a entry) Hashtbl.t;
   (* The server shares a session between its reader pool and the write
      path, so every Hashtbl mutation and every counter update happens
@@ -28,10 +27,10 @@ type 'a t = {
   mutable eviction_count : int;
 }
 
-let create ?(capacity = 128) () =
-  if capacity <= 0 then invalid_arg "Plan_cache.create: capacity must be positive";
+let capacity = 128
+
+let create () =
   {
-    cap = capacity;
     tbl = Hashtbl.create capacity;
     lock = Mutex.create ();
     tick = 0;
@@ -43,23 +42,6 @@ let create ?(capacity = 128) () =
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
-let capacity t = t.cap
-let length t = locked t (fun () -> Hashtbl.length t.tbl)
-
-(* Each segment is length-prefixed so no (text, params) pair can forge
-   another's key: the old "\x00"-joined form collided whenever the query
-   text or a parameter name itself contained a NUL byte. *)
-let key ~text ~params =
-  let buf = Buffer.create (String.length text + 16) in
-  let segment s =
-    Buffer.add_string buf (string_of_int (String.length s));
-    Buffer.add_char buf ':';
-    Buffer.add_string buf s
-  in
-  segment text;
-  List.iter segment params;
-  Buffer.contents buf
 
 let touch t e =
   t.tick <- t.tick + 1;
@@ -101,12 +83,10 @@ let add t k v =
         e.value <- v;
         touch t e
       | None ->
-        if Hashtbl.length t.tbl >= t.cap then evict_lru t;
+        if Hashtbl.length t.tbl >= capacity then evict_lru t;
         let e = { value = v; last_used = 0 } in
         touch t e;
         Hashtbl.replace t.tbl k e)
-
-let clear t = locked t (fun () -> Hashtbl.reset t.tbl)
 
 let hits t = locked t (fun () -> t.hit_count)
 let misses t = locked t (fun () -> t.miss_count)

@@ -1,26 +1,14 @@
-(** A small LRU map from query-cache keys to cached compilation results.
+(** A small LRU map from statement texts to cached compilation results.
 
-    The cache is deliberately generic: the engine stores parsed ASTs and
-    compiled physical plans in it, but the structure only knows about
-    string keys (query text + parameter signature, assembled by
-    {!key}) and recency.  Eviction is least-recently-used; with the
-    default capacities the linear eviction scan is negligible next to a
-    single parse. *)
+    The cache is deliberately generic: the engine stores dispatched
+    statements and their prepared forms in it, but the structure only
+    knows about string keys and recency.  Eviction is
+    least-recently-used over 128 entries; at that size the linear
+    eviction scan is negligible next to a single parse. *)
 
 type 'a t
 
-val create : ?capacity:int -> unit -> 'a t
-(** [capacity] defaults to 128 entries and must be positive. *)
-
-val capacity : 'a t -> int
-val length : 'a t -> int
-
-val key : text:string -> params:string list -> string
-(** Builds a cache key from the query text and the (sorted) parameter
-    names in scope — two sessions differing only in which parameters they
-    bind never share an entry.  Every segment is length-prefixed, so keys
-    are injective in [(text, params)] even when a segment contains NUL
-    or digit/colon bytes. *)
+val create : unit -> 'a t
 
 val find : 'a t -> string -> 'a option
 (** Refreshes the entry's recency on a hit. *)
@@ -28,8 +16,6 @@ val find : 'a t -> string -> 'a option
 val add : 'a t -> string -> 'a -> unit
 (** Inserts or replaces; evicts the least recently used entry when the
     cache is full. *)
-
-val clear : 'a t -> unit
 
 val hits : 'a t -> int
 (** Number of {!find} calls that found an entry. *)

@@ -318,11 +318,7 @@ let create_path cfg ~allow_decorated_bound g row (pp : path_pattern) =
   in
   (g, row)
 
-let apply_create cfg pattern { graph = g; table } =
-  let fields =
-    List.sort_uniq String.compare
-      (Table.fields table @ Ast.free_pattern_tuple pattern)
-  in
+let apply_create cfg pattern ~fields { graph = g; table } =
   let g = ref g in
   let rows =
     List.map
@@ -475,11 +471,7 @@ let apply_remove cfg items { graph = g; table } =
   in
   { graph = g; table }
 
-let apply_merge cfg ~pattern ~on_create ~on_match { graph = g; table } =
-  let fields =
-    List.sort_uniq String.compare
-      (Table.fields table @ Ast.free_path_pattern pattern)
-  in
+let apply_merge cfg ~pattern ~on_create ~on_match ~fields { graph = g; table } =
   let g = ref g in
   let rows =
     List.concat_map
@@ -505,7 +497,7 @@ let apply_merge cfg ~pattern ~on_create ~on_match { graph = g; table } =
 (* Putting it together                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let apply_call cfg ~proc ~args ~yield_ { graph = g; table } =
+let apply_call cfg ~proc ~args ~yield_ ~fields { graph = g; table } =
   (* each driving row is cross-joined with the procedure's result rows,
      restricted and renamed per the YIELD list *)
   let selection columns =
@@ -519,16 +511,14 @@ let apply_call cfg ~proc ~args ~yield_ { graph = g; table } =
           (c, Option.value alias ~default:c))
         items
   in
-  let out_fields = ref [] in
+  let columns = ref [] in
   let rows =
     List.concat_map
       (fun row ->
         let argv = List.map (fun e -> Eval.eval_expr cfg g row e) args in
         let result = Procedures.call g proc argv in
+        columns := result.Procedures.columns;
         let sel = selection result.Procedures.columns in
-        out_fields :=
-          List.sort_uniq String.compare
-            (Table.fields table @ List.map snd sel);
         List.map
           (fun prow ->
             List.fold_left
@@ -546,18 +536,30 @@ let apply_call cfg ~proc ~args ~yield_ { graph = g; table } =
       (Table.rows table)
   in
   let fields =
-    if !out_fields <> [] then !out_fields
-    else
-      (* empty input or no rows: derive fields without running *)
-      List.sort_uniq String.compare
-        (Table.fields table
-        @ List.map
-            (fun (c, alias) -> Option.value alias ~default:c)
-            yield_)
+    match fields with
+    | Some fields -> fields
+    | None -> List.sort_uniq String.compare (Table.fields table @ !columns)
   in
   { graph = g; table = Table.create ~fields rows }
 
+(* The fields of [apply_clause]'s output for an update clause or CALL,
+   from its input's fields: the one rule both engines follow, so a plan
+   compiled for the read segment after an update sees the fields the
+   update will produce. *)
+let update_fields clause prev =
+  let extend names = Some (List.sort_uniq String.compare (prev @ names)) in
+  match clause with
+  | C_create pattern -> extend (Ast.free_pattern_tuple pattern)
+  | C_merge { pattern; _ } -> extend (Ast.free_path_pattern pattern)
+  | C_call { yield_ = []; _ } -> None
+  | C_call { yield_; _ } ->
+    extend (List.map (fun (c, alias) -> Option.value alias ~default:c) yield_)
+  | C_delete _ | C_set _ | C_remove _ | C_foreach _ -> extend []
+  | C_match _ | C_with _ | C_unwind _ ->
+    invalid_arg "Clauses.update_fields: a read clause"
+
 let rec apply_clause cfg clause state =
+  let fields () = update_fields clause (Table.fields state.table) in
   match clause with
   | C_foreach { fe_var; fe_list; fe_clauses } ->
     (* per driving row, bind the variable to each list element and apply
@@ -588,18 +590,21 @@ let rec apply_clause cfg clause state =
         state.graph (Table.rows state.table)
     in
     { state with graph = g }
-  | C_call { proc; args; yield_ } -> apply_call cfg ~proc ~args ~yield_ state
+  | C_call { proc; args; yield_ } ->
+    apply_call cfg ~proc ~args ~yield_ ~fields:(fields ()) state
   | C_match { opt; pattern; where } -> apply_match cfg ~opt ~pattern ~where state
   | C_with { proj; where } ->
     let state = apply_projection cfg ~kw:"WITH" proj state in
     { state with table = where_filter cfg state.graph where state.table }
   | C_unwind (e, a) -> apply_unwind cfg (e, a) state
-  | C_create pattern -> apply_create cfg pattern state
+  | C_create pattern ->
+    apply_create cfg pattern ~fields:(Option.get (fields ())) state
   | C_delete { detach; exprs } -> apply_delete cfg ~detach exprs state
   | C_set items -> apply_set cfg items state
   | C_remove items -> apply_remove cfg items state
   | C_merge { pattern; on_create; on_match } ->
-    apply_merge cfg ~pattern ~on_create ~on_match state
+    apply_merge cfg ~pattern ~on_create ~on_match
+      ~fields:(Option.get (fields ())) state
 
 let run_single cfg g { sq_clauses; sq_return } =
   let state =

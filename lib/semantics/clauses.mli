@@ -20,6 +20,12 @@ type state = { graph : Graph.t; table : Table.t }
 val apply_clause : Config.t -> Ast.clause -> state -> state
 (** [[C]]_G, extended to thread graph updates. *)
 
+val update_fields : Ast.clause -> string list -> string list option
+(** The fields of {!apply_clause}'s output for an update clause or CALL,
+    given its input's fields.  [None] for a CALL without YIELD, whose
+    columns are known only once the procedure has run.  Raises
+    [Invalid_argument] for a read clause. *)
+
 val apply_projection :
   Config.t -> kw:string -> Ast.projection -> state -> state
 (** The shared semantics of RETURN and WITH: projection with implicit

@@ -29,7 +29,7 @@ type t = {
 }
 
 let create ?(schema = Schema.empty) ?(params = [])
-    ?(mode = Cypher_engine.Engine.Planned) ?plan_cache_capacity ?on_commit g =
+    ?(mode = Cypher_engine.Engine.Planned) ?on_commit g =
   {
     current = g;
     snapshots = [];
@@ -37,7 +37,7 @@ let create ?(schema = Schema.empty) ?(params = [])
     config = Config.with_params params Config.default;
     schema;
     mode;
-    cache = Cypher_engine.Engine.create_plan_cache ?capacity:plan_cache_capacity ();
+    cache = Cypher_engine.Engine.create_plan_cache ();
     on_commit;
   }
 

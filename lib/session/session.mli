@@ -47,14 +47,13 @@ val create :
   ?schema:Cypher_schema.Schema.t ->
   ?params:(string * Cypher_values.Value.t) list ->
   ?mode:Cypher_engine.Engine.mode ->
-  ?plan_cache_capacity:int ->
   ?on_commit:(commit -> unit) ->
   Graph.t ->
   t
-(** Every session owns a query-plan cache (default capacity 128):
-    repeated statements skip lexing, parsing and — while the graph is
-    unchanged — planning.  Updates bump the graph version, so the next
-    run of a cached query replans against fresh statistics.
+(** Every session owns a query-plan cache of 128 statements: repeated
+    statements skip lexing, parsing and — while the graph is unchanged —
+    planning.  Updates bump the graph version, so the next run of a
+    cached statement prepares it again against fresh statistics.
 
     [on_commit] makes the session durable: it is called with a {!commit}
     record exactly when a batch's effects become permanent — at the

@@ -81,6 +81,36 @@ let unknown_yield_column_errors () =
   | Ok _ -> Alcotest.fail "expected an error"
   | Error _ -> ()
 
+(* A planner refusal in a segment after a CALL must not run the CALL a
+   second time: the whole query is prepared before any clause runs, so
+   the refusal sends it to the reference evaluator before the procedure
+   is ever called. *)
+let late_refusal_calls_once () =
+  let calls = ref 0 in
+  Cypher_semantics.Procedures.register "test.bump" (fun _ _ ->
+      incr calls;
+      { Cypher_semantics.Procedures.columns = [ "v" ]; rows = [ [ vint 1 ] ] });
+  let g =
+    (Cypher_engine.Engine.run_exn Cypher_graph.Graph.empty
+       "CREATE (:N)-[:R]->(:N)")
+      .Cypher_engine.Engine.graph
+  in
+  List.iter
+    (fun q ->
+      calls := 0;
+      (match Cypher_engine.Engine.query g q with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%S: %s" q e);
+      Alcotest.(check int) (q ^ ": procedure calls") 1 !calls)
+    [
+      "CALL test.bump() YIELD v WITH v MATCH (a:N), (b:N) MATCH p = \
+       shortestPath((a)-[:R*]-(b)) RETURN v, count(*) AS c";
+      (* two shortest paths in one MATCH: the planner refuses the tuple *)
+      "CALL test.bump() YIELD v WITH v MATCH (a:N), (b:N) MATCH p = \
+       shortestPath((a)-[:R*]-(b)), q = shortestPath((b)-[:R*]-(a)) RETURN \
+       v, count(*) AS c";
+    ]
+
 let call_roundtrips_through_printer () =
   let q = "MATCH (x) CALL algo.bfs(x) YIELD node, distance AS d RETURN d" in
   let printed =
@@ -103,4 +133,5 @@ let suite =
     tc "unknown procedure is an error" unknown_procedure_errors;
     tc "unknown YIELD column is an error" unknown_yield_column_errors;
     tc "CALL round-trips through the printer" call_roundtrips_through_printer;
+    tc "a late planner refusal runs the CALL once" late_refusal_calls_once;
   ]

@@ -51,7 +51,7 @@ let cache_sees_new_index () =
   ignore (run_ok s "UNWIND range(1, 50) AS i CREATE (:N {idx: i})");
   let q = "MATCH (n:N {idx: 7}) RETURN count(n) AS c" in
   Alcotest.(check int) "scan plan" 1 (get_count (run_ok s q));
-  (* index DDL bypasses the cache but still bumps the graph version *)
+  (* index DDL bumps the graph version *)
   ignore (run_ok s "CREATE INDEX ON :N(idx)");
   Alcotest.(check int) "seek plan, same answer" 1 (get_count (run_ok s q));
   Alcotest.(check bool) "replanned for the index" true
@@ -65,7 +65,15 @@ let cache_is_parameter_transparent () =
   (* same parameter names, new value: the cached plan must be re-evaluated
      with the new binding, not replay the old answer *)
   Session.set_params s [ ("x", vint 2) ];
-  Alcotest.(check int) "x = 2" 2 (get_count (run_ok s q))
+  Alcotest.(check int) "x = 2" 2 (get_count (run_ok s q));
+  (* the key is the text alone: binding an extra, unused parameter still
+     hits the cached entry and still answers from the live bindings *)
+  let hits = (Session.cache_stats s).Engine.cache_hits in
+  Session.set_params s [ ("x", vint 1); ("unused", vint 9) ];
+  Alcotest.(check int) "x = 1 beside an unused parameter" 1
+    (get_count (run_ok s q));
+  Alcotest.(check int) "an unused parameter still hits" (hits + 1)
+    (Session.cache_stats s).Engine.cache_hits
 
 let cache_respects_transactions () =
   let s = Session.create Graph.empty in
@@ -198,30 +206,8 @@ let table_append_linear_cost () =
   | [ r ] -> check_value "last row" (vint n) (Record.find_or_null r "a")
   | _ -> Alcotest.fail "windowing broke"
 
-(* The old key ("text \x00 params-joined-by-\x00") collided whenever the
-   query text or a parameter name itself contained a NUL: the pairs below
-   all concatenated to the same bytes.  Length-prefixed segments make the
-   key injective. *)
-let cache_key_is_injective () =
-  let key = Cypher_engine.Plan_cache.key in
-  let distinct a b =
-    if a = b then Alcotest.failf "cache keys collide: %S" a
-  in
-  distinct (key ~text:"a\x00b" ~params:[]) (key ~text:"a" ~params:[ "b" ]);
-  distinct
-    (key ~text:"a" ~params:[ "b\x00c" ])
-    (key ~text:"a" ~params:[ "b"; "c" ]);
-  distinct (key ~text:"a\x00" ~params:[ "b" ]) (key ~text:"a" ~params:[ "\x00b" ]);
-  (* and digit/colon prefixes cannot forge a length prefix *)
-  distinct (key ~text:"1:a" ~params:[]) (key ~text:"a" ~params:[]);
-  (* equal inputs still share an entry *)
-  Alcotest.(check string) "stable" (key ~text:"q" ~params:[ "x"; "y" ])
-    (key ~text:"q" ~params:[ "x"; "y" ])
-
 let suite =
   [
-    tc "cache key is injective in text and parameter names"
-      cache_key_is_injective;
     tc "cache hit, then CREATE forces a replan" cache_hit_and_invalidation;
     tc "index DDL invalidates cached plans" cache_sees_new_index;
     tc "parameter rebinding is transparent" cache_is_parameter_transparent;

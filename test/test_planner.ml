@@ -142,13 +142,21 @@ let explain_renders () =
 
 let update_queries_segment () =
   let g = Cypher_graph.Graph.empty in
-  match
-    Engine.explain g "CREATE (a:X) WITH a MATCH (b:X) RETURN count(*) AS c"
-  with
-  | Ok text ->
-    Alcotest.(check bool) "update step shown" true
-      (contains_substring ~needle:"Update [" text)
-  | Error e -> Alcotest.fail e
+  (* the read segment after CREATE is planned over the fields CREATE
+     produces, as it is when the query runs: WITH * sees [a] *)
+  List.iter
+    (fun q ->
+      match Engine.explain g q with
+      | Ok text ->
+        Alcotest.(check bool) (q ^ ": update step shown") true
+          (contains_substring ~needle:"Update [" text);
+        Alcotest.(check bool) (q ^ ": every segment planned") false
+          (contains_substring ~needle:"not planned" text)
+      | Error e -> Alcotest.fail e)
+    [
+      "CREATE (a:X) WITH a MATCH (b:X) RETURN count(*) AS c";
+      "CREATE (a:X) WITH * MATCH (b:X) RETURN *";
+    ]
 
 let scan_rels_baseline_equivalent () =
   (* the B1 baseline (Expand by scanning all relationships) computes the
