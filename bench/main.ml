@@ -1038,7 +1038,7 @@ let b16 () =
   let table_of config q =
     match Engine.query ~config g q with
     | Ok outcome -> outcome.Engine.table
-    | Error e -> failwith ("B16: " ^ q ^ ": " ^ e)
+    | Error e -> failwith ("B16: " ^ q ^ ": " ^ Engine.error_message e)
   in
   let measure q =
     let seq_table = table_of Cypher_semantics.Config.default q in
@@ -1757,11 +1757,11 @@ let b19_scale ~rounds ~batch nodes =
   let mgr = Ivm.create g 0 in
   (match Ivm.materialize mgr ~name:"cities" ~query:b19_query with
   | Ok _ -> ()
-  | Error e -> failwith ("B19 materialize: " ^ e));
+  | Error e -> failwith ("B19 materialize: " ^ Engine.error_message e));
   let sub =
     match Ivm.subscribe mgr ~query:b19_query with
     | Ok s -> s
-    | Error e -> failwith ("B19 subscribe: " ^ e)
+    | Error e -> failwith ("B19 subscribe: " ^ Engine.error_message e)
   in
   (* consume the opening full-state frame *)
   (match Ivm.next_frame mgr sub ~timeout_s:10. with
@@ -1818,7 +1818,7 @@ let b19_scale ~rounds ~batch nodes =
     let t0 = Unix.gettimeofday () in
     (match Engine.query ~mode:Engine.Planned !graph b19_query with
     | Ok _ -> ()
-    | Error e -> failwith ("B19 re-execution: " ^ e));
+    | Error e -> failwith ("B19 re-execution: " ^ Engine.error_message e));
     reexec_us :=
       min !reexec_us (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6))
   done;
@@ -2080,7 +2080,7 @@ type b21_scale = {
 let b21_time_query mode g q =
   let t0 = Unix.gettimeofday () in
   match Engine.query ~mode g q with
-  | Error e -> failwith ("B21: " ^ e)
+  | Error e -> failwith ("B21: " ^ Engine.error_message e)
   | Ok out ->
     ( int_of_float ((Unix.gettimeofday () -. t0) *. 1e6),
       Table.row_count out.Engine.table )
@@ -2126,7 +2126,7 @@ let b21_scale ~pairs ~ref_pairs ~cheap_pairs nodes =
         let rec contains i = i + n <= h && (String.sub text i n = op || contains (i + 1)) in
         if not (contains 0) then
           failwith (Printf.sprintf "B21: %s did not plan natively:\n%s" op text)
-      | Error e -> failwith ("B21 explain: " ^ e))
+      | Error e -> failwith ("B21 explain: " ^ Engine.error_message e))
     [ (shortest_q, "ShortestPath"); (cheapest_q, "CheapestPath") ];
   (* warm the statistics cache outside the timings *)
   ignore (b21_time_query Engine.Planned g (shortest_q endpoints.(0)));

@@ -228,7 +228,7 @@ let run_query st q =
       Format.printf "%a@." Cypher_table.Table.pp table;
       st
     | Error e ->
-      Printf.printf "%s\n" e;
+      Printf.printf "%s\n" (Engine.error_message e);
       st)
   | None -> (
     let result =
@@ -243,7 +243,7 @@ let run_query st q =
       Format.printf "%a@." Cypher_table.Table.pp outcome.Engine.table;
       { st with graph = outcome.Engine.graph }
     | Error e ->
-      Printf.printf "%s\n" e;
+      Printf.printf "%s\n" (Engine.error_message e);
       st)
 
 let run_script st text =
@@ -316,7 +316,7 @@ let commands : (string * (state -> string -> state)) list =
         | None -> (
           match Engine.explain (current_graph st) arg with
           | Ok plan -> print_string plan
-          | Error e -> Printf.printf "%s\n" e));
+          | Error e -> Printf.printf "%s\n" (Engine.error_message e)));
         st );
     ( ":profile ",
       fun st arg ->
@@ -325,7 +325,7 @@ let commands : (string * (state -> string -> state)) list =
         | None -> (
           match Engine.profile (current_graph st) arg with
           | Ok plan -> print_string plan
-          | Error e -> Printf.printf "%s\n" e));
+          | Error e -> Printf.printf "%s\n" (Engine.error_message e)));
         st );
     ( ":save ",
       fun st arg ->
@@ -376,7 +376,7 @@ let commands : (string * (state -> string -> state)) list =
             | None -> ());
             { st with catalog = r.Mg.catalog }
           | Error e ->
-            Printf.printf "%s\n" e;
+            Printf.printf "%s\n" (Engine.error_message e);
             st)
         | exception Sys_error e ->
           Printf.printf "%s\n" e;
@@ -417,7 +417,7 @@ let commands : (string * (state -> string -> state)) list =
             (match Ivm.materialize mgr ~name ~query with
             | Ok seq ->
               Printf.printf "view %s materialized (seq %d)\n" name seq
-            | Error e -> Printf.printf "%s\n" e);
+            | Error e -> Printf.printf "%s\n" (Engine.error_message e));
             st
         end );
     ( ":view ",
@@ -453,7 +453,7 @@ let commands : (string * (state -> string -> state)) list =
           let st, mgr = synced_ivm st in
           (match Ivm.unmaterialize mgr arg with
           | Ok () -> Printf.printf "view %s dropped\n" arg
-          | Error e -> Printf.printf "%s\n" e);
+          | Error e -> Printf.printf "%s\n" (Engine.error_message e));
           st );
     ( ":subscribe ",
       fun st arg ->
@@ -785,7 +785,7 @@ let () =
     | "--explain" :: q :: rest ->
       (match Engine.explain (current_graph st) q with
       | Ok plan -> print_string plan
-      | Error e -> Printf.printf "%s\n" e);
+      | Error e -> Printf.printf "%s\n" (Engine.error_message e));
       parse st rest
     | "--parallel" :: n :: rest -> (
       match int_of_string_opt n with

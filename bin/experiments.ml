@@ -22,7 +22,7 @@ let run_and_show ?columns ?(mode = Engine.Planned) ?config g q =
   Printf.printf "query: %s\n" (String.concat " " (String.split_on_char '\n' q));
   match Engine.query ?config ~mode g q with
   | Ok outcome -> show_table ?columns outcome.Engine.table
-  | Error e -> Printf.printf "ERROR: %s\n" e
+  | Error e -> Printf.printf "ERROR: %s\n" (Engine.error_message e)
 
 (* ------------------------------------------------------------------ *)
 
@@ -224,7 +224,7 @@ let e15 () =
   in
   Printf.printf "First query (projects the friends graph):\n%s\n" q1;
   (match Mg.run ~config ~catalog ~default:"soc_net" q1 with
-  | Error e -> Printf.printf "ERROR: %s\n" e
+  | Error e -> Printf.printf "ERROR: %s\n" (Engine.error_message e)
   | Ok r1 ->
     (match Mg.Catalog.find "friends" r1.Mg.catalog with
     | Some friends ->
@@ -241,7 +241,7 @@ let e15 () =
     Printf.printf "Follow-up query (composes with the register graph):\n%s\n" q2;
     (match Mg.run ~config ~catalog:r1.Mg.catalog ~default:"friends" q2 with
     | Ok r2 -> show_table r2.Mg.table
-    | Error e -> Printf.printf "ERROR: %s\n" e))
+    | Error e -> Printf.printf "ERROR: %s\n" (Engine.error_message e)))
 
 let e16 () =
   section "E16: Section 6 — temporal types (Cypher 10)";

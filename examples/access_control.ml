@@ -68,9 +68,11 @@ let () =
      Schema.guarded_query ~schema g "CREATE (:Group {name: 'engineering'})"
    with
   | Ok _ -> print_endline "BUG: duplicate group accepted"
-  | Error e -> Printf.printf "Duplicate group rejected as expected:\n  %s\n" e);
+  | Error e -> Printf.printf "Duplicate group rejected as expected:\n  %s\n"
+      (Engine.error_message e));
 
   (* and an anonymous user *)
   match Schema.guarded_query ~schema g "CREATE (:User)" with
   | Ok _ -> print_endline "BUG: anonymous user accepted"
-  | Error e -> Printf.printf "Anonymous user rejected as expected:\n  %s\n" e
+  | Error e -> Printf.printf "Anonymous user rejected as expected:\n  %s\n"
+      (Engine.error_message e)

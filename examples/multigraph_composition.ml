@@ -72,7 +72,7 @@ let () =
   let r1 =
     match Mg.run ~config ~catalog ~default:"soc_net" q1 with
     | Ok r -> r
-    | Error e -> failwith e
+    | Error e -> failwith (Cypher_engine.Engine.error_message e)
   in
   (match Mg.Catalog.find "friends" r1.Mg.catalog with
   | Some friends ->
@@ -94,6 +94,6 @@ let () =
   | Ok r2 ->
     Format.printf "friend-sharing pairs living in the same city:@.%a@."
       Table.pp r2.Mg.table
-  | Error e -> failwith e);
+  | Error e -> failwith (Cypher_engine.Engine.error_message e));
   Printf.printf "\ncatalog now contains: %s\n"
     (String.concat ", " (Mg.Catalog.names r1.Mg.catalog))

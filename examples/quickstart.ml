@@ -43,7 +43,7 @@ let () =
        "MATCH (a:Person {name: 'Ada'})-[:KNOWS*1..2]->(b) RETURN b.name"
    with
   | Ok plan -> Printf.printf "Physical plan:\n%s\n" plan
-  | Error e -> Printf.printf "explain failed: %s\n" e);
+  | Error e -> Printf.printf "explain failed: %s\n" (Engine.error_message e));
 
   (* 5. Updates: the outcome carries the modified graph. *)
   let { Engine.graph; table } =

@@ -14,7 +14,8 @@ module Table = Cypher_table.Table
 let show sess q =
   match Session.run sess q with
   | Ok t -> Format.printf "%s@.%a@.@." q Table.pp t
-  | Error e -> Printf.printf "%s\n  -> %s\n\n" q e
+  | Error e -> Printf.printf "%s\n  -> %s\n\n" q
+      (Cypher_engine.Engine.error_message e)
 
 let () =
   (* every Account must carry a balance, and ids are unique *)
@@ -41,7 +42,8 @@ let () =
   show sess "MATCH (b:Account {id: 'bob'}) SET b.balance = b.balance + 30";
   (match Session.commit sess with
   | Ok () -> Printf.printf "committed\n\n"
-  | Error e -> Printf.printf "commit failed: %s\n\n" e);
+  | Error e -> Printf.printf "commit failed: %s\n\n"
+      (Cypher_engine.Engine.error_message e));
   show sess "MATCH (a:Account) RETURN a.id AS id, a.balance AS balance ORDER BY id";
 
   (* a failed business rule: roll the whole thing back *)
@@ -56,7 +58,8 @@ let () =
   if overdrawn then begin
     (match Session.rollback sess with
     | Ok () -> Printf.printf "overdraft detected: rolled back\n\n"
-    | Error e -> Printf.printf "rollback failed: %s\n" e)
+    | Error e -> Printf.printf "rollback failed: %s\n"
+        (Cypher_engine.Engine.error_message e))
   end;
   show sess "MATCH (a:Account) RETURN a.id AS id, a.balance AS balance ORDER BY id";
 

@@ -52,7 +52,7 @@ let mode_name = function Planned -> "planned" | Reference -> "reference"
 (* One observation per top-level engine call: mode and latency series,
    rows produced, per-fingerprint workload statistics, and — when armed
    — the slow-query log with its per-span breakdown.  The public entry
-   points ({!query_e}, {!query_cached}) wrap exactly once; everything
+   points ({!query}, {!query_cached}) wrap exactly once; everything
    they call internally goes through unobserved helpers, so nothing
    double-counts.  [?cache_hit] is a cell the caller flips when the
    query resolved through the plan cache; [?fallback] is a cell
@@ -257,7 +257,7 @@ let error_message = function
   | Runtime_error m -> "runtime error: " ^ m
   | Unsupported m -> "unsupported: " ^ m
 
-let catching_e f =
+let catching f =
   match f () with
   | v -> Ok v
   | exception Functions.Eval_error msg -> Error (Runtime_error msg)
@@ -312,11 +312,11 @@ let strip_prefix_kw kw text =
 
 (* Parse and scope check: everything about a query that does not depend
    on the graph. *)
-let check_query text =
+let check_query ?bound text =
   match Cypher_parser.Parser.parse_query text with
   | Error e -> Error (Parse_error e)
   | Ok ast -> (
-    match Scope_check.check_query ast with
+    match Scope_check.check_query ?bound ast with
     | Ok () -> Ok ast
     | Error e -> Error (Syntax_error e))
 
@@ -433,7 +433,7 @@ let render_profile config g : prepared -> (string, error) result = function
   | Error reason -> Error (Unsupported reason)
   | Ok (Single { steps = [ Read { Build.plan; fields } ]; _ }) ->
     let stats = stats_of g in
-    catching_e (fun () ->
+    catching (fun () ->
         let table, actual =
           Trace.with_span "execute" (fun () ->
               Exec.run_profiled config g ~fields plan Table.unit)
@@ -482,13 +482,13 @@ let run_statement ~fallback ~prepare config mode g = function
   | Explain q ->
     Result.map
       (fun p -> { graph = g; table = plan_table p })
-      (catching_e (fun () -> render_explain g (prepare q)))
+      (catching (fun () -> render_explain g (prepare q)))
   | Profile q ->
     Result.map
       (fun p -> { graph = g; table = plan_table p })
       (render_profile config g (prepare q))
   | Query ast ->
-    catching_e (fun () ->
+    catching (fun () ->
         if plans config mode then
           run_prepared ~fallback config g ast (prepare ast)
         else reference config g ast)
@@ -496,36 +496,32 @@ let run_statement ~fallback ~prepare config mode g = function
 let parse_statement text = Trace.with_span "parse" (fun () -> statement text)
 
 (* Unobserved evaluation: the shared body of every public entry point.
-   EXPLAIN/PROFILE prefixes and index DDL are handled here so the typed
-   path used by the server sees them too, not only the string API. *)
+   EXPLAIN/PROFILE prefixes and index DDL are handled here, so every
+   caller — the server included — can ask for plans. *)
 let query_raw ~fallback config mode g text =
   Result.bind (parse_statement text)
     (run_statement ~fallback ~prepare:(prepare g) config mode g)
 
-let query_e ?(config = Config.default) ?(mode = Planned) g text =
+let query ?(config = Config.default) ?(mode = Planned) g text =
   let fallback = ref None in
   observe_query ~mode ~text ~fallback (fun () ->
       query_raw ~fallback config mode g text)
 
-let query_plain ?config ?mode g text =
-  Result.map_error error_message (query_e ?config ?mode g text)
-
 let run_exn ?config ?mode g text =
-  match query_plain ?config ?mode g text with
+  match query ?config ?mode g text with
   | Ok outcome -> outcome
-  | Error e -> failwith e
+  | Error e -> failwith (error_message e)
 
 let run ?config ?mode g text = (run_exn ?config ?mode g text).table
 
 let stream ?(config = Config.default) g text =
-  match check_query text with
-  | Error e -> Error (error_message e)
-  | Ok ast -> (
-    match prepare g ast with
-    | Ok (Single { steps = [ Read { Build.plan; _ } ]; _ }) ->
-      Ok (Exec.rows config g plan (Seq.return Cypher_table.Record.empty))
-    | Ok _ -> Error "stream: only read-only single queries can be streamed"
-    | Error reason -> Error (error_message (Unsupported reason)))
+  Result.bind (check_query text) (fun ast ->
+      match prepare g ast with
+      | Ok (Single { steps = [ Read { Build.plan; _ } ]; _ }) ->
+        Ok (Exec.rows config g plan (Seq.return Cypher_table.Record.empty))
+      | Ok _ ->
+        Error (Unsupported "stream: only read-only single queries can be streamed")
+      | Error reason -> Error (Unsupported reason))
 
 (* Splits a script on top-level semicolons (string literals and comments
    are respected). *)
@@ -568,28 +564,27 @@ let run_script ?config ?mode g text =
   let rec go g last = function
     | [] -> Ok { graph = g; table = (match last with Some t -> t | None -> Table.empty ~fields:[]) }
     | stmt :: rest -> (
-      match query_plain ?config ?mode g stmt with
-      | Error e -> Error (Printf.sprintf "in statement %S: %s" stmt e)
+      match query ?config ?mode g stmt with
+      | Error e ->
+        Error (Printf.sprintf "in statement %S: %s" stmt (error_message e))
       | Ok outcome -> go outcome.graph (Some outcome.table) rest)
   in
   go g None (split_statements text)
 
-let parse_query text = Trace.with_span "parse" (fun () -> check_query text)
+let parse ?bound text =
+  Trace.with_span "parse" (fun () -> check_query ?bound text)
 
 let explain g text =
-  Result.map_error error_message
-    (Result.bind (parse_query text) (fun ast ->
-         catching_e (fun () -> render_explain g (prepare g ast))))
+  Result.bind (parse text) (fun ast ->
+      catching (fun () -> render_explain g (prepare g ast)))
 
 let profile ?(config = Config.default) g text =
-  Result.map_error error_message
-    (Result.bind (parse_query text) (fun ast ->
-         render_profile config g (prepare g ast)))
+  Result.bind (parse text) (fun ast -> render_profile config g (prepare g ast))
 
 let cross_check ?(config = Config.default) g text =
   match
-    ( query_plain ~config ~mode:Reference g text,
-      query_plain ~config ~mode:Planned g text )
+    ( Result.map_error error_message (query ~config ~mode:Reference g text),
+      Result.map_error error_message (query ~config ~mode:Planned g text) )
   with
   | Error _, Error _ ->
     (* both engines reject the query: that is agreement too *)
@@ -605,10 +600,6 @@ let cross_check ?(config = Config.default) g text =
         (Format.asprintf
            "engines disagree on %S:@.reference:@.%a@.planned:@.%a" text
            Table.pp ref_out.table Table.pp planned_out.table)
-
-(* EXPLAIN/PROFILE prefixes and index DDL are handled inside
-   {!query_e}, so the string and typed APIs behave identically. *)
-let query ?config ?mode g text = query_plain ?config ?mode g text
 
 (* ------------------------------------------------------------------ *)
 (* The query-plan cache                                                *)
@@ -691,22 +682,21 @@ let query_cached ~cache ?(config = Config.default) ?(mode = Planned) g text =
   let cache_hit = ref false in
   let fallback = ref None in
   observe_query ~mode ~text ~cache_hit ~fallback @@ fun () ->
-  Result.map_error error_message
-    (if not (plans config mode) then query_raw ~fallback config mode g text
-     else
-       let entry =
-         match Plan_cache.find cache.entries text with
-         | Some entry ->
-           cache_hit := true;
-           Ok entry
-         | None ->
-           Result.map
-             (fun stmt ->
-               let entry = { ce_stmt = stmt; ce_prepared = None } in
-               Plan_cache.add cache.entries text entry;
-               entry)
-             (parse_statement text)
-       in
-       Result.bind entry (fun entry ->
-           run_statement ~fallback ~prepare:(cached_prepare cache g entry)
-             config mode g entry.ce_stmt))
+  if not (plans config mode) then query_raw ~fallback config mode g text
+  else
+    let entry =
+      match Plan_cache.find cache.entries text with
+      | Some entry ->
+        cache_hit := true;
+        Ok entry
+      | None ->
+        Result.map
+          (fun stmt ->
+            let entry = { ce_stmt = stmt; ce_prepared = None } in
+            Plan_cache.add cache.entries text entry;
+            entry)
+          (parse_statement text)
+    in
+    Result.bind entry (fun entry ->
+        run_statement ~fallback ~prepare:(cached_prepare cache g entry)
+          config mode g entry.ce_stmt)

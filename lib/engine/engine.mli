@@ -36,12 +36,25 @@ type outcome = { graph : Graph.t; table : Table.t }
 
 type error =
   | Parse_error of string
-  | Syntax_error of string  (** static scope violations *)
+  | Syntax_error of string  (** a static check failed ({!Scope_check}) *)
   | Type_error of string
   | Runtime_error of string
   | Unsupported of string
+(** An engine failure with its class.  It reaches the wire unchanged and
+    is rendered to text only where it is shown. *)
 
 val error_message : error -> string
+(** ["parse error: …"], ["syntax error: …"] and so on; a remote client
+    renders the wire error to the same text. *)
+
+val catching : (unit -> 'a) -> ('a, error) result
+(** Runs [f], mapping the evaluators' exceptions to [Runtime_error] or
+    [Type_error]. *)
+
+val parse :
+  ?bound:string list -> string -> (Cypher_ast.Ast.query, error) result
+(** Parses a query and checks it statically, with the variables [bound]
+    in scope before its first clause (default none). *)
 
 type stmt_class = Read_only | Update
 (** Whether a statement can mutate the graph, decided statically. *)
@@ -60,19 +73,10 @@ val classify : string -> stmt_class
 
 val query :
   ?config:Config.t -> ?mode:mode -> Graph.t -> string ->
-  (outcome, string) result
-(** Parses and evaluates a query.  Errors (parse errors, run-time type
-    errors, unbound names) are returned as a message.  A query prefixed
-    with [EXPLAIN] or [PROFILE] returns the plan rendering as a
-    one-column table instead of executing normally. *)
-
-val query_e :
-  ?config:Config.t -> ?mode:mode -> Graph.t -> string ->
   (outcome, error) result
-(** Like {!query} with a typed error.  EXPLAIN/PROFILE prefixes and
-    index DDL are handled exactly as in {!query}, so remote clients —
-    which reach the engine through this typed path — can ask for plans
-    too. *)
+(** Parses and evaluates a query or index DDL; every failure is a typed
+    {!error}.  A query prefixed with [EXPLAIN] or [PROFILE] returns the
+    plan rendering as a one-column table instead of executing normally. *)
 
 val run : ?config:Config.t -> ?mode:mode -> Graph.t -> string -> Table.t
 (** Like {!query} but raises [Failure] on error and discards graph
@@ -84,12 +88,12 @@ val run_exn :
 
 val stream :
   ?config:Config.t -> Graph.t -> string ->
-  (Cypher_table.Record.t Seq.t, string) result
+  (Cypher_table.Record.t Seq.t, error) result
 (** Lazily executes a read-only single query through the Volcano
     pipeline: rows are produced on demand, so consuming a prefix does
     only a prefix of the work (see the LIMIT short-circuit test).
     Queries the planner does not prepare as a single read step are
-    rejected. *)
+    rejected as [Unsupported]. *)
 
 val run_script :
   ?config:Config.t -> ?mode:mode -> Graph.t -> string ->
@@ -98,13 +102,13 @@ val run_script :
     graph; the outcome carries the final graph and the last statement's
     table.  Semicolons inside string literals are handled. *)
 
-val explain : Graph.t -> string -> (string, string) result
+val explain : Graph.t -> string -> (string, error) result
 (** The prepared form that [Planned] mode would execute, rendered as
     indented operator trees with estimated row counts: one plan per read
     segment, with a [+ Update [...]] line for each update clause between
     them.  An unplanned query renders as [(not planned: reason)]. *)
 
-val profile : ?config:Config.t -> Graph.t -> string -> (string, string) result
+val profile : ?config:Config.t -> Graph.t -> string -> (string, error) result
 (** Executes the query and renders the plan annotated per operator with
     estimated vs actual rows, {e db hits} (store accesses, see
     {!Graph.count_db_hits}) and elapsed time — PROFILE in the style of
@@ -148,12 +152,12 @@ val classify_cached : cache:plan_cache -> string -> stmt_class
 val query_cached :
   cache:plan_cache ->
   ?config:Config.t -> ?mode:mode -> Graph.t -> string ->
-  (outcome, string) result
+  (outcome, error) result
 (** Like {!query}, going through the cache.  Semantically transparent:
-    results are identical to the uncached path.  Every statement kind is
-    cached, EXPLAIN/PROFILE and index DDL included; [Reference] mode and
-    non-default morphisms, which the planner does not serve, bypass the
-    cache. *)
+    results and typed errors are identical to the uncached path.  Every
+    statement kind is cached, EXPLAIN/PROFILE and index DDL included;
+    [Reference] mode and non-default morphisms, which the planner does
+    not serve, bypass the cache. *)
 
 val cross_check :
   ?config:Config.t -> Graph.t -> string -> (Table.t, string) result

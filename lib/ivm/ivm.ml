@@ -36,7 +36,6 @@ module Record = Cypher_table.Record
 module Table = Cypher_table.Table
 module Ast = Cypher_ast.Ast
 module Pretty = Cypher_ast.Pretty
-module Parser = Cypher_parser.Parser
 module Config = Cypher_semantics.Config
 module Eval = Cypher_semantics.Eval
 module Agg = Cypher_semantics.Agg
@@ -922,7 +921,7 @@ let rerun_engine t g view =
         Vlmap.empty tbl
     in
     Ok (out, tbl)
-  | Error e -> Error e
+  | Error e -> Error (Engine.error_message e)
 
 let full_rebuild t g view =
   match view.v_state with
@@ -1239,16 +1238,17 @@ let valid_name n =
        n
 
 let create_view t ~name ~query ~auto =
-  if not (valid_name name) then Error "invalid view name"
+  let refuse m = Error (Engine.Runtime_error m) in
+  if not (valid_name name) then refuse "invalid view name"
   else begin
     Mutex.lock t.mm;
     if t.stopping then begin
       Mutex.unlock t.mm;
-      Error "the view manager is shut down"
+      refuse "the view manager is shut down"
     end
     else if Hashtbl.mem t.views name || List.mem name t.creating then begin
       Mutex.unlock t.mm;
-      Error (Printf.sprintf "view %s already exists" name)
+      refuse (Printf.sprintf "view %s already exists" name)
     end
     else begin
       t.creating <- name :: t.creating;
@@ -1270,9 +1270,10 @@ let create_view t ~name ~query ~auto =
         Result.map (fun (v : view) -> v.v_seq) result
       in
       match Engine.classify query with
-      | Engine.Update -> finish (Error "only read-only queries can be materialized")
+      | Engine.Update ->
+        finish (refuse "only read-only queries can be materialized")
       | Engine.Read_only -> (
-        match Parser.parse_query query with
+        match Engine.parse query with
         | Error e -> finish (Error e)
         | Ok ast -> (
           match Engine.query ~config:t.cfg ~mode:t.mode !g0 query with
@@ -1380,7 +1381,7 @@ let unmaterialize t name =
   let res =
     match Hashtbl.find_opt t.views name with
     | None ->
-      Error (Printf.sprintf "no view named %s" name)
+      Error (Engine.Runtime_error (Printf.sprintf "no view named %s" name))
     | Some _ ->
       Hashtbl.remove t.views name;
       List.iter
@@ -1527,7 +1528,7 @@ let subscribe t ~query =
     (match Hashtbl.find_opt t.views name with
     | None ->
       Mutex.unlock t.mm;
-      Error "view dropped during subscribe"
+      Error (Engine.Runtime_error "view dropped during subscribe")
     | Some v ->
       let id = t.next_sub in
       t.next_sub <- id + 1;

@@ -4,6 +4,7 @@ open Cypher_table
 open Cypher_ast
 open Cypher_semantics
 
+module Engine = Cypher_engine.Engine
 module Smap = Map.Make (String)
 
 module Catalog = struct
@@ -252,88 +253,76 @@ let graph_difference g1 g2 =
       else acc)
     g (Graph.rels g1)
 
+(* The core pieces go through the engine's front end — parse and static
+   check, with the incoming table's fields in scope — and its exception
+   mapping, so a composed query fails exactly as the same text would on
+   its own. *)
 let run ?(config = Config.default) ~catalog ~default text =
-  match split_pieces text with
-  | Error e -> Error e
-  | Ok pieces -> (
-    let step (catalog, current_name, table, produced) piece =
-      match piece with
-      | From_graph (name, at) ->
-        let catalog =
-          match at with
-          | Some url -> Catalog.add_location name url catalog
-          | None -> catalog
-        in
-        (match Catalog.find name catalog with
-        | Some _ -> (catalog, name, table, produced)
-        | None ->
-          failwith (Printf.sprintf "unknown graph in catalog: %s" name))
-      | Core text ->
-        let g =
-          match Catalog.find current_name catalog with
-          | Some g -> g
-          | None ->
-            failwith (Printf.sprintf "unknown graph in catalog: %s" current_name)
-        in
-        let ast =
-          match Cypher_parser.Parser.parse_query text with
-          | Ok q -> q
-          | Error e -> failwith ("parse error: " ^ e)
-        in
-        (match ast with
+  let find catalog name =
+    match Catalog.find name catalog with
+    | Some g -> g
+    | None -> Functions.eval_error "unknown graph in catalog: %s" name
+  in
+  let step (catalog, current_name, table, produced) = function
+    | From_graph (name, at) ->
+      Engine.catching (fun () ->
+          let catalog =
+            match at with
+            | Some url -> Catalog.add_location name url catalog
+            | None -> catalog
+          in
+          ignore (find catalog name);
+          (catalog, name, table, produced))
+    | Core text ->
+      Result.bind (Engine.parse ~bound:(Table.fields table) text) (function
         | Ast.Q_single { sq_clauses; sq_return } ->
-          let state =
-            List.fold_left
-              (fun state clause -> Clauses.apply_clause config clause state)
-              { Clauses.graph = g; table }
-              sq_clauses
+          Engine.catching (fun () ->
+              let state =
+                List.fold_left
+                  (fun state clause -> Clauses.apply_clause config clause state)
+                  { Clauses.graph = find catalog current_name; table }
+                  sq_clauses
+              in
+              let state =
+                match sq_return with
+                | Some proj ->
+                  Clauses.apply_projection config ~kw:"RETURN" proj state
+                | None -> state
+              in
+              let catalog = Catalog.add current_name state.Clauses.graph catalog in
+              (catalog, current_name, state.Clauses.table, produced))
+        | _ -> Error (Engine.Unsupported "UNION inside a composed query"))
+    | Graph_setop (name, op, a, b) ->
+      Engine.catching (fun () ->
+          let ga = find catalog a and gb = find catalog b in
+          let combined =
+            match op with
+            | `Union -> graph_union ga gb
+            | `Intersection -> graph_intersection ga gb
+            | `Difference -> graph_difference ga gb
           in
-          let state =
-            match sq_return with
-            | Some proj -> Clauses.apply_projection config ~kw:"RETURN" proj state
-            | None -> state
+          (Catalog.add name combined catalog, current_name, table, Some name))
+    | Return_graph (name, pattern) ->
+      Engine.catching (fun () ->
+          let projected =
+            project_graph config (find catalog current_name) table pattern
           in
-          let catalog = Catalog.add current_name state.Clauses.graph catalog in
-          (catalog, current_name, state.Clauses.table, produced)
-        | _ -> failwith "UNION is not supported inside a composed query")
-      | Graph_setop (name, op, a, b) ->
-        let get nm =
-          match Catalog.find nm catalog with
-          | Some g -> g
-          | None -> failwith (Printf.sprintf "unknown graph in catalog: %s" nm)
-        in
-        let ga = get a and gb = get b in
-        let combined =
-          match op with
-          | `Union -> graph_union ga gb
-          | `Intersection -> graph_intersection ga gb
-          | `Difference -> graph_difference ga gb
-        in
-        (Catalog.add name combined catalog, current_name, table, Some name)
-      | Return_graph (name, pattern) ->
-        let g =
-          match Catalog.find current_name catalog with
-          | Some g -> g
-          | None ->
-            failwith (Printf.sprintf "unknown graph in catalog: %s" current_name)
-        in
-        let projected = project_graph config g table pattern in
-        (Catalog.add name projected catalog, current_name, table, Some name)
-    in
-    match
-      List.fold_left step (catalog, default, Table.unit, None) pieces
-    with
-    | catalog, _, table, produced -> Ok { table; catalog; produced }
-    | exception Failure e -> Error e
-    | exception Functions.Eval_error e -> Error ("runtime error: " ^ e)
-    | exception Value.Type_error e -> Error ("type error: " ^ e))
+          (Catalog.add name projected catalog, current_name, table, Some name))
+  in
+  let rec go ((catalog, _, table, produced) as state) = function
+    | [] -> Ok { table; catalog; produced }
+    | piece :: rest -> Result.bind (step state piece) (fun state -> go state rest)
+  in
+  match split_pieces text with
+  | Error e -> Error (Engine.Parse_error e)
+  | Ok pieces -> go (catalog, default, Table.unit, None) pieces
 
 let run_chain ?config ~catalog ~default texts =
   let rec go catalog last = function
     | [] -> (
       match last with
       | Some r -> Ok r
-      | None -> Error "empty query chain")
+      | None -> Error (Engine.Runtime_error "empty query chain"))
     | text :: rest -> (
       match run ?config ~catalog ~default text with
       | Error e -> Error e

@@ -54,16 +54,19 @@ val run :
   catalog:Catalog.t ->
   default:string ->
   string ->
-  (outcome, string) result
+  (outcome, Cypher_engine.Engine.error) result
 (** Runs a composed query against the catalog, starting from the graph
-    named [default]. *)
+    named [default].  Each core piece is checked like a query of its own
+    ({!Cypher_engine.Engine.parse}), with the incoming table's fields in
+    scope, and fails with the engine's typed errors; a malformed graph
+    clause is a [Parse_error], an unknown graph a [Runtime_error]. *)
 
 val run_chain :
   ?config:Config.t ->
   catalog:Catalog.t ->
   default:string ->
   string list ->
-  (outcome, string) result
+  (outcome, Cypher_engine.Engine.error) result
 (** Runs a chain of composed queries, threading the catalog: each query
     sees the graphs projected by the previous ones — the "chain of
     elementary queries" composition of Section 6. *)

@@ -167,5 +167,6 @@ let guarded_query ?config ~schema g q =
     | [] -> Ok outcome
     | v :: _ ->
       Error
-        (Format.asprintf "schema violation (update rolled back): %a"
-           pp_violation v))
+        (Cypher_engine.Engine.Runtime_error
+           (Format.asprintf "schema violation (update rolled back): %a"
+              pp_violation v)))

@@ -64,7 +64,7 @@ val guarded_query :
   schema:t ->
   Graph.t ->
   string ->
-  (Cypher_engine.Engine.outcome, string) result
+  (Cypher_engine.Engine.outcome, Cypher_engine.Engine.error) result
 (** Runs the query; if the resulting graph violates the schema, returns
-    an error naming the first violation and discards the update (the
+    a [Runtime_error] naming the first violation and discards the update (the
     store is persistent, so rollback is free). *)

@@ -4,9 +4,9 @@ open Ast
 module Sset = Set.Make (String)
 
 exception Undefined of string
-exception Invalid_pattern of string
+exception Invalid of string
 
-let invalid fmt = Printf.ksprintf (fun s -> raise (Invalid_pattern s)) fmt
+let invalid fmt = Printf.ksprintf (fun s -> raise (Invalid s)) fmt
 
 (* Static shape checks for the path-finding extensions: shortest and
    cheapest patterns take exactly one relationship segment, and neither
@@ -125,12 +125,17 @@ let need scope vars =
 
 let need_expr scope e = need scope (required_vars e)
 
+(* A record binds each name once (paper §4.1), so a projection may not
+   produce two columns of the same name — [*] included. *)
 let check_projection scope proj =
   let items_scope =
     List.fold_left
       (fun acc item ->
         need_expr scope item.ri_expr;
-        Sset.add (Clauses.item_name item) acc)
+        let name = Clauses.item_name item in
+        if Sset.mem name acc then
+          invalid "duplicate column name in projection: %s" name;
+        Sset.add name acc)
       (if proj.pj_star then scope else Sset.empty)
       proj.pj_items
   in
@@ -206,21 +211,28 @@ let rec check_clause scope clause =
       (fun acc (c, alias) -> Sset.add (Option.value alias ~default:c) acc)
       scope yield_
 
-let check_single sq =
-  let scope = List.fold_left check_clause Sset.empty sq.sq_clauses in
+(* The columns a query returns. *)
+let check_single bound sq =
+  let scope = List.fold_left check_clause bound sq.sq_clauses in
   match sq.sq_return with
-  | Some proj -> ignore (check_projection scope proj)
-  | None -> ()
+  | Some proj -> check_projection scope proj
+  | None -> Sset.empty
 
-let rec check = function
-  | Q_single sq -> check_single sq
+(* UNION joins only tables with the same fields (paper §4.1). *)
+let rec check bound = function
+  | Q_single sq -> check_single bound sq
   | Q_union (q1, q2) | Q_union_all (q1, q2) ->
-    check q1;
-    check q2
+    let c1 = check bound q1 in
+    let c2 = check bound q2 in
+    if not (Sset.equal c1 c2) then
+      invalid "all sub queries in a UNION must return the same columns (%s vs %s)"
+        (String.concat ", " (Sset.elements c1))
+        (String.concat ", " (Sset.elements c2));
+    c1
 
-let check_query q =
-  match check q with
-  | () -> Ok ()
+let check_query ?(bound = []) q =
+  match check (Sset.of_list bound) q with
+  | _ -> Ok ()
   | exception Undefined v ->
     Error (Printf.sprintf "variable `%s` not defined" v)
-  | exception Invalid_pattern msg -> Error msg
+  | exception Invalid msg -> Error msg

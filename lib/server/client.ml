@@ -436,8 +436,4 @@ let unsubscribe sub =
   end
 
 let error_message { kind; message } =
-  match kind with
-  | Protocol.Protocol_violation -> "protocol: " ^ message
-  | Protocol.Timeout | Protocol.Server_error ->
-    Protocol.error_kind_name kind ^ ": " ^ message
-  | _ -> message (* engine messages already carry their prefix *)
+  Protocol.error_kind_name kind ^ ": " ^ message

@@ -31,7 +31,8 @@
    Responses:
      'R'  result      #columns, column names, #rows, values row-major,
                       seq (commit watermark; 0 for reads)
-     'E'  error       kind byte, message
+     'E'  error       kind byte, message (bare: the kind is not repeated
+                      in it; a client renders "<kind name>: <message>")
      'S'  stats       one Codec map value (string keys)
      'P'  repl-chunk  total size, chunk bytes
      'W'  repl-batch  last_seq, resync flag, #records, framed records
@@ -152,6 +153,9 @@ let error_kind_of_byte = function
   | 9 -> Stale_replica
   | b -> raise (Protocol_error (Printf.sprintf "unknown error kind 0x%02x" b))
 
+(* How a client shows an error: "<kind name>: <message>".  The engine's
+   five kinds read exactly as {!Cypher_engine.Engine.error_message}
+   renders them in process. *)
 let error_kind_name = function
   | Parse_error -> "parse error"
   | Syntax_error -> "syntax error"

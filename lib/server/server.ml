@@ -99,21 +99,20 @@ let metrics t = t.metrics
 let store t = t.store
 let views t = t.views
 
-(* --- error classification --------------------------------------------- *)
-
-(* Engine and session errors arrive as rendered strings ("parse error:
-   …"); map the stable prefixes back to typed wire errors. *)
-let classify msg =
-  let has p =
-    String.length msg >= String.length p && String.sub msg 0 (String.length p) = p
-  in
-  if has "parse error" then Protocol.Parse_error
-  else if has "syntax error" then Protocol.Syntax_error
-  else if has "type error" then Protocol.Type_error
-  else if has "unsupported" then Protocol.Unsupported
-  else Protocol.Runtime_error
+(* --- errors ------------------------------------------------------------- *)
 
 let error_response kind message = Protocol.Error { kind; message }
+
+(* An engine error keeps its kind on the wire, with the bare message; the
+   client renders both ({!Client.error_message}). *)
+let engine_error : Engine.error -> Protocol.response = function
+  | Parse_error m -> error_response Protocol.Parse_error m
+  | Syntax_error m -> error_response Protocol.Syntax_error m
+  | Type_error m -> error_response Protocol.Type_error m
+  | Runtime_error m -> error_response Protocol.Runtime_error m
+  | Unsupported m -> error_response Protocol.Unsupported m
+
+let no_transaction = engine_error (Runtime_error "no open transaction")
 
 let table_response ?(seq = 0) table =
   let columns = Cypher_table.Table.fields table in
@@ -253,8 +252,7 @@ let execute t conn ~parallel ~min_seq text params =
     end
   end
   else if is_keyword text "COMMIT" then begin
-    if conn.tx_depth = 0 then
-      error_response Protocol.Runtime_error "runtime error: no open transaction"
+    if conn.tx_depth = 0 then no_transaction
     else
       match Trace.with_span "commit" (fun () -> Session.commit conn.session) with
       | Ok () ->
@@ -274,11 +272,10 @@ let execute t conn ~parallel ~min_seq text params =
         conn.tx_depth <- 0;
         conn.pending := [];
         Store.writer_unlock t.store;
-        error_response (classify e) e
+        engine_error e
   end
   else if is_keyword text "ROLLBACK" then begin
-    if conn.tx_depth = 0 then
-      error_response Protocol.Runtime_error "runtime error: no open transaction"
+    if conn.tx_depth = 0 then no_transaction
     else
       match Session.rollback conn.session with
       | Ok () ->
@@ -288,7 +285,7 @@ let execute t conn ~parallel ~min_seq text params =
           Store.writer_unlock t.store
         end;
         Protocol.Result { columns = []; rows = []; seq = 0 }
-      | Error e -> error_response (classify e) e
+      | Error e -> engine_error e
   end
   else if conn.tx_depth > 0 then begin
     (* inside a transaction: the writer lock is already held and the
@@ -296,7 +293,7 @@ let execute t conn ~parallel ~min_seq text params =
     Session.set_params conn.session params;
     match Session.run conn.session text with
     | Ok table -> table_response table
-    | Error e -> error_response (classify e) e
+    | Error e -> engine_error e
   end
   else begin
     (* Auto-commit statement, classified from the AST up front so it
@@ -320,7 +317,7 @@ let execute t conn ~parallel ~min_seq text params =
           ~config ~mode:t.mode g text
       with
       | Ok outcome -> table_response outcome.Engine.table
-      | Error e -> error_response (classify e) e)
+      | Error e -> engine_error e)
     | Engine.Update when replica -> read_only_rejection t
     | Engine.Update -> (
       (* Single-writer path: rebase the session on the latest committed
@@ -348,7 +345,7 @@ let execute t conn ~parallel ~min_seq text params =
           error_response Protocol.Server_error ("commit failed: " ^ e))
       | Error e ->
         Store.writer_unlock t.store;
-        error_response (classify e) e)
+        engine_error e)
   end
 
 (* The whole process-wide registry — engine, storage and server series
@@ -538,11 +535,11 @@ let rec handle_request t conn payload =
       timeout := 0.;
       match Ivm.materialize t.views ~name ~query with
       | Ok seq -> Protocol.Result { columns = []; rows = []; seq }
-      | Error e -> error_response (classify e) e)
+      | Error e -> engine_error e)
     | View_unmaterialize { name } -> (
       match Ivm.unmaterialize t.views name with
       | Ok () -> Protocol.Result { columns = []; rows = []; seq = 0 }
-      | Error e -> error_response Protocol.Runtime_error e)
+      | Error e -> engine_error e)
     | View_list -> view_list_response t
     | View_read { name; min_seq; wait_ms } -> (
       (* the freshness wait is this verb's job, like Repl_fetch *)
@@ -550,8 +547,7 @@ let rec handle_request t conn payload =
       match Ivm.read ~min_seq ~wait_ms t.views name with
       | Ok (table, seq) -> table_response ~seq table
       | Error Ivm.Unknown_view ->
-        error_response Protocol.Runtime_error
-          (Printf.sprintf "runtime error: no view named %s" name)
+        engine_error (Runtime_error ("no view named " ^ name))
       | Error (Ivm.Stale at) ->
         Registry.incr m_stale_reads;
         error_response Protocol.Stale_replica
@@ -696,7 +692,7 @@ and serve_subscription t conn ~started_ns ~payload query =
   match Ivm.subscribe t.views ~query with
   | Error e ->
     finish_request t conn ~started_ns ~timeout:0. ~payload
-      (error_response (classify e) e)
+      (engine_error e)
   | Ok sub ->
     let next_request = ref None in
     let push f =

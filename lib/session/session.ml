@@ -59,10 +59,14 @@ let parallel t = t.config.Config.parallel
 let in_transaction t = t.snapshots <> []
 let depth t = List.length t.snapshots
 
-let validate t g =
+let validate t g ~outcome =
   match Schema.check t.schema g with
   | [] -> Ok ()
-  | v :: _ -> Error (Format.asprintf "schema violation: %a" Schema.pp_violation v)
+  | v :: _ ->
+    Error
+      (Cypher_engine.Engine.Runtime_error
+         (Format.asprintf "schema violation: %a (%s)" Schema.pp_violation v
+            outcome))
 
 let cache_stats t = Cypher_engine.Engine.cache_stats t.cache
 
@@ -115,35 +119,38 @@ let run t text =
       Ok outcome.Cypher_engine.Engine.table
     end
     else begin
-      match validate t g with
+      match validate t g ~outcome:"statement rejected" with
       | Ok () ->
         let base = t.current in
         t.current <- g;
         if updated then emit t ~base [ logged () ];
         Ok outcome.Cypher_engine.Engine.table
-      | Error e -> Error (e ^ " (statement rejected)")
+      | Error _ as e -> e
     end
 
 let begin_tx t =
   t.snapshots <- t.current :: t.snapshots;
   t.pending <- [] :: t.pending
 
+let no_transaction =
+  Error (Cypher_engine.Engine.Runtime_error "no open transaction")
+
 let commit t =
   match (t.snapshots, t.pending) with
-  | [], _ -> Error "no open transaction"
+  | [], _ -> no_transaction
   | [ outermost ], frames -> (
     let batch = match frames with f :: _ -> f | [] -> [] in
-    match validate t t.current with
+    match validate t t.current ~outcome:"transaction rolled back" with
     | Ok () ->
       t.snapshots <- [];
       t.pending <- [];
       emit t ~base:outermost (List.rev batch);
       Ok ()
-    | Error e ->
+    | Error _ as e ->
       t.current <- outermost;
       t.snapshots <- [];
       t.pending <- [];
-      Error (e ^ " (transaction rolled back)"))
+      e)
   | _ :: rest, inner :: outer :: frames ->
     (* inner commit: effects — and their log records — become part of the
        enclosing transaction *)
@@ -156,7 +163,7 @@ let commit t =
 
 let rollback t =
   match t.snapshots with
-  | [] -> Error "no open transaction"
+  | [] -> no_transaction
   | snapshot :: rest ->
     t.current <- snapshot;
     t.snapshots <- rest;

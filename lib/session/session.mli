@@ -91,22 +91,25 @@ val set_parallel : t -> int -> unit
 
 val parallel : t -> int
 
-val run : t -> string -> (Table.t, string) result
+val run : t -> string -> (Table.t, Cypher_engine.Engine.error) result
 (** Executes one statement against the current state.  Updates are
     applied immediately (auto-commit when no transaction is open) and
-    validated against the schema; a violating statement is rejected and
-    leaves the state untouched. *)
+    validated against the schema; a violating statement is rejected with
+    a [Runtime_error] and leaves the state untouched.  Engine errors are
+    returned unchanged. *)
 
 val begin_tx : t -> unit
 (** Opens a (possibly nested) transaction: snapshots the current graph. *)
 
-val commit : t -> (unit, string) result
+val commit : t -> (unit, Cypher_engine.Engine.error) result
 (** Closes the innermost transaction, keeping its effects.  The schema is
     validated at the outermost commit; a violation rolls back instead.
-    Fails if no transaction is open. *)
+    Both that and a commit with no open transaction are a
+    [Runtime_error]. *)
 
-val rollback : t -> (unit, string) result
-(** Discards all changes since the matching {!begin_tx}. *)
+val rollback : t -> (unit, Cypher_engine.Engine.error) result
+(** Discards all changes since the matching {!begin_tx}; a
+    [Runtime_error] if no transaction is open. *)
 
 val in_transaction : t -> bool
 val depth : t -> int

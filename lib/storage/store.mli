@@ -92,7 +92,8 @@ val graph : t -> Graph.t
 (** The local session's working graph: equal to {!snapshot} except
     inside a local transaction, where it shows the uncommitted state. *)
 
-val run : t -> string -> (Cypher_table.Table.t, string) result
+val run :
+  t -> string -> (Cypher_table.Table.t, Cypher_engine.Engine.error) result
 (** Runs one statement through the local session, first syncing it to
     the latest committed version (unless a local transaction is open). *)
 

@@ -253,5 +253,5 @@ let replay ?(mode = Engine.Planned) g records =
         | Error e ->
           Error
             (Printf.sprintf "WAL replay failed at record %d (%s): %s"
-               record.seq record.text e)))
+               record.seq record.text (Engine.error_message e))))
     (Ok g) records

@@ -190,10 +190,20 @@ let parse text =
             scenarios feature acc (Some { p with then_ = exp :: p.then_ }) rest
           | [], _ -> Error "result table missing"
         end
-        else if contains "should be raised" then
-          scenarios feature acc
-            (Some { p with then_ = Tck.Error_raised :: p.then_ })
-            rest
+        else if contains "should be raised" then begin
+          let expectation =
+            if contains "syntaxerror" then Some (Tck.Error_of_class SyntaxError)
+            else if contains "typeerror" then Some (Tck.Error_of_class TypeError)
+            else if contains "arithmeticerror" then
+              Some (Tck.Error_of_class ArithmeticError)
+            else if contains "an error" then Some Tck.Error_raised
+            else None
+          in
+          match expectation with
+          | Some exp ->
+            scenarios feature acc (Some { p with then_ = exp :: p.then_ }) rest
+          | None -> Error (Printf.sprintf "unsupported error class: %s" step)
+        end
         else if contains "no side effects" then
           scenarios feature acc
             (Some { p with then_ = Tck.Side_effects Tck.no_effects :: p.then_ })

@@ -23,7 +23,9 @@
           | 1 |
         Then the result should be, in order: ...
         Then the result should be empty
-        Then a SyntaxError should be raised   (any "... should be raised")
+        Then a SyntaxError should be raised   (also TypeError,
+                                               ArithmeticError, or
+                                               "an Error" for any error)
         And the side effects should be:
           | +nodes | 2 |
           | -relationships | 1 |

@@ -25,12 +25,29 @@ let no_effects =
     labels_removed = 0;
   }
 
+type error_class = SyntaxError | TypeError | ArithmeticError
+
+(* The engine errors each TCK class accepts. *)
+let in_class cls (e : Engine.error) =
+  match (cls, e) with
+  | SyntaxError, (Parse_error _ | Syntax_error _)
+  | TypeError, Type_error _
+  | ArithmeticError, Runtime_error _ ->
+    true
+  | _ -> false
+
+let class_name = function
+  | SyntaxError -> "SyntaxError"
+  | TypeError -> "TypeError"
+  | ArithmeticError -> "ArithmeticError"
+
 type expectation =
   | Rows of string list * string list list
   | Rows_ordered of string list * string list list
   | Row_count of int
   | Empty_result
   | Error_raised
+  | Error_of_class of error_class
   | Side_effects of side_effects
 
 type scenario = {
@@ -49,7 +66,9 @@ let graph_of_given setup =
     (fun g q ->
       match Engine.query g q with
       | Ok outcome -> outcome.Engine.graph
-      | Error e -> failwith (Printf.sprintf "setup query %S failed: %s" q e))
+      | Error e ->
+        failwith
+          (Printf.sprintf "setup query %S failed: %s" q (Engine.error_message e)))
     Graph.empty setup
 
 (* Expected cells are Cypher literals, evaluated against the empty graph
@@ -127,8 +146,13 @@ let check_expectation ~query_text g0 result expectation =
   let fail fmt = Format.kasprintf (fun s -> Error s) fmt in
   match expectation, result with
   | Error_raised, Error _ -> Ok ()
-  | Error_raised, Ok _ -> fail "expected an error, query succeeded"
-  | _, Error e -> fail "query %S failed: %s" query_text e
+  | Error_of_class cls, Error e ->
+    if in_class cls e then Ok ()
+    else
+      fail "expected a %s, got %s" (class_name cls) (Engine.error_message e)
+  | (Error_raised | Error_of_class _), Ok _ ->
+    fail "expected an error, query succeeded"
+  | _, Error e -> fail "query %S failed: %s" query_text (Engine.error_message e)
   | Rows (columns, rows), Ok (outcome : Engine.outcome) ->
     let expected = expected_table columns rows in
     if Table.bag_equal expected outcome.Engine.table then Ok ()

@@ -28,13 +28,19 @@ type side_effects = {
 
 val no_effects : side_effects
 
+type error_class = SyntaxError | TypeError | ArithmeticError
+(** The TCK's error classes (paper, Section 5).  A [SyntaxError] is a
+    parse or static-check error, a [TypeError] a type error, and an
+    [ArithmeticError] a run-time error. *)
+
 type expectation =
   | Rows of string list * string list list
       (** column names and rows of expression literals, unordered *)
   | Rows_ordered of string list * string list list
   | Row_count of int
   | Empty_result
-  | Error_raised
+  | Error_raised  (** any error *)
+  | Error_of_class of error_class
   | Side_effects of side_effects
 
 type scenario = {

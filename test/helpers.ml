@@ -53,3 +53,9 @@ let value_testable =
 let check_value = Alcotest.check value_testable
 
 let tc name f = Alcotest.test_case name `Quick f
+
+(* The value of an engine-typed result; its rendered error fails the
+   test. *)
+let ok_or_fail = function
+  | Ok v -> v
+  | Error e -> Alcotest.fail (Cypher_engine.Engine.error_message e)

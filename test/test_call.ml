@@ -71,7 +71,7 @@ let unknown_procedure_errors () =
   | Ok _ -> Alcotest.fail "expected an error"
   | Error e ->
     Alcotest.(check bool) "mentions the name" true
-      (String.length e > 0)
+      (String.length (Cypher_engine.Engine.error_message e) > 0)
 
 let unknown_yield_column_errors () =
   match
@@ -100,7 +100,8 @@ let late_refusal_calls_once () =
       calls := 0;
       (match Cypher_engine.Engine.query g q with
       | Ok _ -> ()
-      | Error e -> Alcotest.failf "%S: %s" q e);
+      | Error e -> Alcotest.failf "%S: %s" q
+          (Cypher_engine.Engine.error_message e));
       Alcotest.(check int) (q ^ ": procedure calls") 1 !calls)
     [
       "CALL test.bump() YIELD v WITH v MATCH (a:N), (b:N) MATCH p = \

@@ -162,7 +162,7 @@ let fuzz_update_scripts () =
         (fun g q ->
           match Engine.query ~mode g q with
           | Ok o -> o.Engine.graph
-          | Error e -> Alcotest.failf "%s failed: %s" q e)
+          | Error e -> Alcotest.failf "%s failed: %s" q (Engine.error_message e))
         Cypher_graph.Graph.empty script
     in
     let g_ref = run Engine.Reference and g_plan = run Engine.Planned in

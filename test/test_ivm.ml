@@ -22,12 +22,13 @@ module Value = Cypher_values.Value
 let run_ok sess q =
   match Session.run sess q with
   | Ok t -> t
-  | Error e -> Alcotest.failf "%s failed: %s" q e
+  | Error e -> Alcotest.failf "%s failed: %s" q (Engine.error_message e)
 
 let fresh_table g q =
   match Engine.query ~mode:Engine.Planned g q with
   | Ok o -> o.Engine.table
-  | Error e -> Alcotest.failf "fresh execution of %s failed: %s" q e
+  | Error e -> Alcotest.failf "fresh execution of %s failed: %s" q
+      (Engine.error_message e)
 
 let read_ok mgr name =
   match Ivm.read mgr name with
@@ -39,7 +40,7 @@ let read_ok mgr name =
 let materialize_ok mgr name query =
   match Ivm.materialize mgr ~name ~query with
   | Ok _seq -> ()
-  | Error e -> Alcotest.failf "materialize %s: %s" name e
+  | Error e -> Alcotest.failf "materialize %s: %s" name (Engine.error_message e)
 
 (* A session wired to a view manager exactly the way the server wires
    the store: every durable commit notifies the manager with the new
@@ -193,14 +194,14 @@ let fuzz_differential () =
            (if rint 2 = 0 then Session.commit sess else Session.rollback sess)
          with
         | Ok () -> ()
-        | Error e -> Alcotest.fail e)
+        | Error e -> Alcotest.fail (Engine.error_message e))
       end;
       ignore (run_ok sess (op ()));
       (match
          (if rint 3 = 0 then Session.rollback sess else Session.commit sess)
        with
       | Ok () -> ()
-      | Error e -> Alcotest.fail e)
+      | Error e -> Alcotest.fail (Engine.error_message e))
     | _ -> ignore (run_ok sess (op ())));
     if i mod 3 = 0 then
       check_views mgr !committed (Printf.sprintf "after op %d" i)
@@ -253,7 +254,7 @@ let unmaterialize_and_reuse () =
   Alcotest.(check int) "one view" 1 (Ivm.view_count mgr);
   (match Ivm.unmaterialize mgr "v" with
   | Ok () -> ()
-  | Error e -> Alcotest.fail e);
+  | Error e -> Alcotest.fail (Engine.error_message e));
   Alcotest.(check int) "evicted" 0 (Ivm.view_count mgr);
   (match Ivm.read mgr "v" with
   | Error Ivm.Unknown_view -> ()
@@ -323,7 +324,7 @@ let subscribe_delivery_order () =
   let query = "MATCH (p:Person) RETURN p.city AS city, count(*) AS c" in
   let sub_of = function
     | Ok s -> s
-    | Error e -> Alcotest.failf "subscribe: %s" e
+    | Error e -> Alcotest.failf "subscribe: %s" (Engine.error_message e)
   in
   let s1 = sub_of (Ivm.subscribe mgr ~query) in
   let s2 = sub_of (Ivm.subscribe mgr ~query) in
@@ -380,7 +381,7 @@ let subscribe_existing_view () =
   let sub =
     match Ivm.subscribe mgr ~query with
     | Ok s -> s
-    | Error e -> Alcotest.failf "subscribe: %s" e
+    | Error e -> Alcotest.failf "subscribe: %s" (Engine.error_message e)
   in
   Alcotest.(check string)
     "attached to the named view" "counts" (Ivm.subscription_view sub);
@@ -587,7 +588,7 @@ let replica_views_and_subscriptions () =
   let pstore = open_store (fresh_dir ()) in
   (match Store.run pstore "CREATE (:Person {k: 0, city: 0})" with
   | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
+  | Error e -> Alcotest.fail (Engine.error_message e));
   let primary = start_server pstore in
   let pport = Server.port primary in
   let rstore = open_store (fresh_dir ()) in

@@ -72,7 +72,7 @@ let example_6_1 () =
   let r1 =
     match Mg.run ~config ~catalog ~default:"soc_net" q1 with
     | Ok r -> r
-    | Error e -> Alcotest.fail e
+    | Error e -> Alcotest.fail (Cypher_engine.Engine.error_message e)
   in
   Alcotest.(check (option string)) "produced graph" (Some "friends") r1.Mg.produced;
   let friends =
@@ -96,7 +96,7 @@ let example_6_1 () =
   let r2 =
     match Mg.run ~config ~catalog:r1.Mg.catalog ~default:"friends" q2 with
     | Ok r -> r
-    | Error e -> Alcotest.fail e
+    | Error e -> Alcotest.fail (Cypher_engine.Engine.error_message e)
   in
   (* the undirected SHARE_FRIEND match produces both orientations *)
   check_table_bag "composition result"
@@ -115,7 +115,7 @@ let graph_references_registered () =
      MATCH (a:Person) RETURN count(*) AS c"
   in
   match Mg.run ~catalog ~default:"register" q with
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (Cypher_engine.Engine.error_message e)
   | Ok r ->
     check_table_bag "count from switched graph"
       (table [ "c" ] [ [ ("c", vint 6) ] ])
@@ -136,7 +136,7 @@ let chain_threading () =
     ]
   in
   match Mg.run_chain ~catalog ~default:"soc_net" queries with
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (Cypher_engine.Engine.error_message e)
   | Ok r ->
     check_table_bag "chained count"
       (table [ "pairs" ] [ [ ("pairs", vint 4) ] ])
@@ -190,7 +190,7 @@ let setop_syntax () =
      RETURN count(DISTINCT p) AS social_citizens"
   in
   match Mg.run ~catalog ~default:"soc_net" q with
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (Cypher_engine.Engine.error_message e)
   | Ok r ->
     Alcotest.(check (option string)) "constructed graph" (Some "both") r.Mg.produced;
     (* every person with both a FRIEND and an IN relationship *)
@@ -200,7 +200,7 @@ let setop_syntax () =
 let stream_api () =
   let g = Cypher_gen.Generate.chain ~n:100 ~rel_type:"T" in
   match Cypher_engine.Engine.stream g "MATCH (n) RETURN n.idx AS i" with
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (Cypher_engine.Engine.error_message e)
   | Ok seq ->
     (* consume only three rows *)
     let taken = List.of_seq (Seq.take 3 seq) in
@@ -225,10 +225,33 @@ let error_paths () =
   expect_error
     "MATCH (a:Person)-[:FRIEND]-(b)\nRETURN GRAPH g OF (a)-[:X|Y]->(b)"
 
+(* A core piece fails exactly as the same text does in the engine, and
+   sees the variables the pieces before it bound. *)
+let core_pieces_use_the_engine_front_end () =
+  let module Engine = Cypher_engine.Engine in
+  let catalog = universe () in
+  List.iter
+    (fun q ->
+      match (Mg.run ~catalog ~default:"soc_net" q, Engine.query Graph.empty q) with
+      | Error got, Error want ->
+        Alcotest.(check string) q (Engine.error_message want)
+          (Engine.error_message got)
+      | _ -> Alcotest.failf "%S: expected an error from both" q)
+    [ "RETURN 1 / 0 AS x"; "RETURN x AS y" ];
+  match
+    Mg.run ~catalog ~default:"soc_net"
+      "MATCH (a:Person)\nFROM GRAPH register\nRETURN a.name AS n"
+  with
+  | Ok r ->
+    Alcotest.(check int) "bound variable in scope" 6
+      (Cypher_table.Table.row_count r.Mg.table)
+  | Error e -> Alcotest.fail (Engine.error_message e)
+
 let suite =
   [
     tc "E15: Example 6.1 graph projection and composition" example_6_1;
     tc "composed-query error paths" error_paths;
+    tc "core pieces fail as the engine does" core_pieces_use_the_engine_front_end;
     tc "graph set operations preserve identity" set_operations;
     tc "GRAPH ... = UNION OF syntax" setop_syntax;
     tc "Engine.stream is lazy and read-only" stream_api;

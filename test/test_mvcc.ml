@@ -187,7 +187,7 @@ let group_commit_shares_one_fsync () =
       Alcotest.(check bool) "recovered all five" true
         (Cypher_table.Record.find row "c" = Some (Value.Int n))
     | _ -> Alcotest.fail "expected one row")
-  | Error e -> Alcotest.fail e);
+  | Error e -> Alcotest.fail (Engine.error_message e));
   Store.close again
 
 (* --- satellite 3: readers never wait out a write burst ----------------- *)
@@ -364,7 +364,7 @@ let differential_fuzz_vs_oracle () =
           Session.set_params oracle [ ("w", Value.Int w); ("i", Value.Int i) ];
           match Session.run oracle "CREATE (:F {w: $w, i: $i})" with
           | Ok _ -> ()
-          | Error e -> Alcotest.fail e
+          | Error e -> Alcotest.fail (Engine.error_message e)
         done
       done;
       let q = "MATCH (n:F) RETURN n.w AS w, n.i AS i ORDER BY w, i" in
@@ -377,7 +377,7 @@ let differential_fuzz_vs_oracle () =
                 (Cypher_table.Record.find_or_null row)
                 (Cypher_table.Table.fields t))
             (Cypher_table.Table.rows t)
-        | Error e -> Alcotest.fail e
+        | Error e -> Alcotest.fail (Engine.error_message e)
       in
       let c = connect () in
       let served = (ok_query c q).Client.rows in
@@ -395,7 +395,7 @@ let snapshot_age_never_negative () =
   let store = open_store dir in
   (match Store.run store "CREATE (:A {x: 1})" with
   | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
+  | Error e -> Alcotest.fail (Engine.error_message e));
   (match Store.checkpoint store with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);

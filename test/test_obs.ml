@@ -161,7 +161,7 @@ let slow_query_log_threshold () =
       Slowlog.set_threshold_ms (Some 0.);
       (match Engine.query Graph.empty "RETURN 1 AS one" with
       | Ok _ -> ()
-      | Error e -> Alcotest.fail e);
+      | Error e -> Alcotest.fail (Engine.error_message e));
       Alcotest.(check bool) "armed engine logs the query" true
         (List.length !lines >= 2);
       let last = List.hd !lines in
@@ -172,7 +172,7 @@ let slow_query_log_threshold () =
       let n = List.length !lines in
       (match Engine.query Graph.empty "RETURN 2 AS two" with
       | Ok _ -> ()
-      | Error e -> Alcotest.fail e);
+      | Error e -> Alcotest.fail (Engine.error_message e));
       Alcotest.(check int) "disarmed engine is silent" n (List.length !lines))
 
 (* --- trace spans ------------------------------------------------------ *)

@@ -39,9 +39,11 @@ let check_same g q =
             q workers Table.pp t_seq Table.pp t_par
       | Error _, Error _ -> ()
       | Ok _, Error e ->
-        Alcotest.failf "%S: parallel (%d workers) failed: %s" q workers e
+        Alcotest.failf "%S: parallel (%d workers) failed: %s" q workers
+            (Engine.error_message e)
       | Error e, Ok _ ->
-        Alcotest.failf "%S: sequential failed (%s) but parallel succeeded" q e)
+        Alcotest.failf "%S: sequential failed (%s) but parallel succeeded" q
+            (Engine.error_message e))
     [ 2; 4 ]
 
 (* --- plan-shape coverage ---------------------------------------------- *)
@@ -115,12 +117,12 @@ let test_fuzz_differential () =
         | Error _, Error _ -> ()
         | Ok _, Error e ->
           Alcotest.failf "fuzz round %d, %d workers: %S parallel failed: %s"
-            round workers q e
+            round workers q (Engine.error_message e)
         | Error e, Ok _ ->
           Alcotest.failf
             "fuzz round %d, %d workers: %S sequential failed (%s), parallel \
              succeeded"
-            round workers q e)
+            round workers q (Engine.error_message e))
       [ 2; 4 ]
   done
 
@@ -176,11 +178,11 @@ let test_to_integer_edges () =
      hardware truncation garbage *)
   List.iter
     (fun q ->
-      let e = expect_error g q in
-      if
-        not
-          (String.length e >= 13 && String.sub e 0 13 = "runtime error")
-      then Alcotest.failf "%S: expected a runtime error, got %S" q e)
+      match expect_error g q with
+      | Engine.Runtime_error _ -> ()
+      | e ->
+        Alcotest.failf "%S: expected a runtime error, got %S" q
+          (Engine.error_message e))
     [
       "RETURN toInteger(1e300)";
       "RETURN toInteger(-1e300)";
@@ -201,7 +203,7 @@ let test_percentile_non_finite () =
   List.iter
     (fun q ->
       let e = expect_error g q in
-      if not (String.length e > 0) then
+      if not (String.length (Engine.error_message e) > 0) then
         Alcotest.failf "%S: expected an error" q)
     [
       (* NaN slips through a [pct < 0 || pct > 1] check — the guard must

@@ -41,8 +41,9 @@ let expect_error ?contains mode g q () =
     match contains with
     | None -> ()
     | Some frag ->
-      if not (contains_s e frag) then
-        Alcotest.failf "%S: error %S does not mention %S" q e frag)
+      if not (contains_s (Engine.error_message e) frag) then
+        Alcotest.failf "%S: error %S does not mention %S" q
+            (Engine.error_message e) frag)
 
 (* --- TCK-style cases -------------------------------------------------- *)
 
@@ -274,7 +275,7 @@ let explain_names_operator () =
   let g = diamond () in
   let check q frag =
     match Engine.explain g q with
-    | Error e -> Alcotest.failf "explain %S: %s" q e
+    | Error e -> Alcotest.failf "explain %S: %s" q (Engine.error_message e)
     | Ok text ->
       if not (contains_s text frag) then
         Alcotest.failf "EXPLAIN %S does not mention %s:\n%s" q frag text
@@ -301,7 +302,7 @@ let profile_names_operator () =
       "MATCH p = shortestPath((a:P {name:'a'})-[:F*]->(d:P {name:'d'})) \
        RETURN length(p)"
   with
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (Engine.error_message e)
   | Ok text ->
     if not (contains_s text "ShortestPath") then
       Alcotest.failf "PROFILE does not mention ShortestPath:\n%s" text
@@ -321,7 +322,7 @@ let fallback_is_observable () =
   (match Engine.query ~mode:Engine.Planned g q with
   | Ok t ->
     check_table_bag q (table [ "l" ] [ [ ("l", vint 2) ] ]) t.Engine.table
-  | Error e -> Alcotest.fail e);
+  | Error e -> Alcotest.fail (Engine.error_message e));
   let after = Registry.value fallback_counter in
   if after <= before then
     Alcotest.failf "fallback counter did not move (%d -> %d)" before after;
@@ -329,12 +330,12 @@ let fallback_is_observable () =
   let before = Registry.value fallback_counter in
   (match Engine.query ~mode:Engine.Reference g q with
   | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
+  | Error e -> Alcotest.fail (Engine.error_message e));
   if Registry.value fallback_counter <> before then
     Alcotest.fail "reference-mode run incremented the fallback counter";
   (* EXPLAIN surfaces the same refusal *)
   match Engine.explain g q with
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (Engine.error_message e)
   | Ok text ->
     if not (contains_s text "not planned") then
       Alcotest.failf "EXPLAIN does not surface the planner refusal:\n%s" text
@@ -361,7 +362,8 @@ let parallel_agrees () =
       with
       | Ok seq, Ok par ->
         check_table_bag q seq.Engine.table par.Engine.table
-      | Error e, _ | _, Error e -> Alcotest.failf "%S: %s" q e)
+      | Error e, _ | _, Error e -> Alcotest.failf "%S: %s" q
+          (Engine.error_message e))
     [
       "MATCH (a:Person), (b:Person) WHERE a.name < b.name MATCH p = \
        shortestPath((a)-[:FRIEND*]->(b)) RETURN length(p) AS l, count(*) AS \
@@ -502,7 +504,8 @@ let fuzz_cheapest_differential () =
             let run mode =
               match Engine.query ~mode g q with
               | Ok out -> out.Engine.table
-              | Error e -> Alcotest.failf "round %d, %s: %s" round q e
+              | Error e -> Alcotest.failf "round %d, %s: %s" round q
+                  (Engine.error_message e)
             in
             let reference = run Engine.Reference and planned = run Engine.Planned in
             if not (Cypher_table.Table.bag_equal reference planned) then
@@ -617,7 +620,8 @@ let oracle_rpq () =
             List.iter
               (fun mode ->
                 match Engine.query ~mode g q with
-                | Error e -> Alcotest.failf "round %d, %s: %s" round q e
+                | Error e -> Alcotest.failf "round %d, %s: %s" round q
+                    (Engine.error_message e)
                 | Ok out ->
                   check_table_bag
                     (Printf.sprintf "round %d, %s (%s)" round q
@@ -700,7 +704,7 @@ let oracle_shortest_lengths () =
     List.iter
       (fun mode ->
         match Engine.query ~mode g q with
-        | Error e -> Alcotest.failf "round %d: %s" round e
+        | Error e -> Alcotest.failf "round %d: %s" round (Engine.error_message e)
         | Ok out ->
           check_table_bag
             (Printf.sprintf "round %d (%s)" round
@@ -721,7 +725,7 @@ let restrictor_does_not_lose_alternatives () =
     List.iter
       (fun mode ->
         match Engine.query ~mode g q with
-        | Error e -> Alcotest.fail e
+        | Error e -> Alcotest.fail (Engine.error_message e)
         | Ok out -> check_table_bag q (table fields rows) out.Engine.table)
       [ Engine.Reference; Engine.Planned ]
   in

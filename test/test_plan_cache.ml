@@ -21,7 +21,8 @@ let get_count table =
 let run_ok s q =
   match Session.run s q with
   | Ok t -> t
-  | Error e -> Alcotest.failf "session run %S failed: %s" q e
+  | Error e ->
+    Alcotest.failf "session run %S failed: %s" q (Engine.error_message e)
 
 let cache_hit_and_invalidation () =
   let s = Session.create Graph.empty in
@@ -85,7 +86,7 @@ let cache_respects_transactions () =
   Alcotest.(check int) "inside tx" 2 (get_count (run_ok s q));
   (match Session.rollback s with
   | Ok () -> ()
-  | Error e -> Alcotest.fail e);
+  | Error e -> Alcotest.fail (Engine.error_message e));
   Alcotest.(check int) "after rollback" 1 (get_count (run_ok s q))
 
 let negative_skip_limit_rejected () =
@@ -96,7 +97,7 @@ let negative_skip_limit_rejected () =
       Alcotest.(check bool)
         (Printf.sprintf "%S reports a count error" q)
         true
-        (let lower = String.lowercase_ascii e in
+        (let lower = String.lowercase_ascii (Engine.error_message e) in
          let contains sub =
            let n = String.length lower and m = String.length sub in
            let rec go i =
@@ -122,7 +123,7 @@ let zero_skip_limit_still_fine () =
   let g, _ = Graph.add_node Graph.empty in
   match Engine.query g "MATCH (n) RETURN n SKIP 0 LIMIT 0" with
   | Ok out -> Alcotest.(check int) "LIMIT 0" 0 (Table.row_count out.Engine.table)
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (Engine.error_message e)
 
 let var_expand_zero_min_with_type_filter () =
   (* (a {k:1})-[:T]->(b), (a)-[:U]->(c): *0..1 over :T must produce the

@@ -138,7 +138,7 @@ let explain_renders () =
         Alcotest.(check bool) (needle ^ " in explain") true
           (contains_substring ~needle text))
       [ "NodeByLabelScan"; "Expand"; "Projection"; "Sort" ]
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (Engine.error_message e)
 
 let update_queries_segment () =
   let g = Cypher_graph.Graph.empty in
@@ -152,7 +152,7 @@ let update_queries_segment () =
           (contains_substring ~needle:"Update [" text);
         Alcotest.(check bool) (q ^ ": every segment planned") false
           (contains_substring ~needle:"not planned" text)
-      | Error e -> Alcotest.fail e)
+      | Error e -> Alcotest.fail (Engine.error_message e))
     [
       "CREATE (a:X) WITH a MATCH (b:X) RETURN count(*) AS c";
       "CREATE (a:X) WITH * MATCH (b:X) RETURN *";
@@ -193,7 +193,7 @@ let cost_estimates_sane () =
   | Ok text ->
     Alcotest.(check bool) "estimate shown" true
       (contains_substring ~needle:"est." text)
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (Engine.error_message e)
 
 let run_script_threads_graph () =
   match
@@ -229,7 +229,7 @@ let profile_reports_actuals () =
     Alcotest.(check bool) "label scan produced 3" true
       (contains_substring ~needle:"NodeByLabelScan (r:Researcher)" text
       && contains_substring ~needle:"actual 3 rows" text)
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (Engine.error_message e)
 
 let profile_and_run_agree () =
   (* profiling must not change results *)
@@ -283,16 +283,16 @@ let explain_profile_prefixes () =
       (Cypher_table.Table.fields o.Cypher_engine.Engine.table);
     Alcotest.(check bool) "has rows" true
       (Cypher_table.Table.row_count o.Cypher_engine.Engine.table > 0)
-  | Error e -> Alcotest.fail e);
+  | Error e -> Alcotest.fail (Engine.error_message e));
   (match Cypher_engine.Engine.query g "PROFILE MATCH (n) RETURN count(*) AS c" with
   | Ok o ->
     Alcotest.(check bool) "profile produced a plan" true
       (Cypher_table.Table.row_count o.Cypher_engine.Engine.table > 0)
-  | Error e -> Alcotest.fail e);
+  | Error e -> Alcotest.fail (Engine.error_message e));
   (* typed errors *)
-  match Cypher_engine.Engine.query_e Cypher_graph.Graph.empty "RETURN x" with
+  match Cypher_engine.Engine.query Cypher_graph.Graph.empty "RETURN x" with
   | Error (Cypher_engine.Engine.Syntax_error _) -> ()
-  | Error e -> Alcotest.failf "wrong error kind: %s" (Cypher_engine.Engine.error_message e)
+  | Error e -> Alcotest.failf "wrong error kind: %s" (Engine.error_message e)
   | Ok _ -> Alcotest.fail "expected an error"
 
 let stress_scale () =

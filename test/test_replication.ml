@@ -110,7 +110,7 @@ let bootstrap_and_tail () =
   let pstore = open_store pdir in
   (match Store.run pstore "CREATE (:Person {name: 'Ada', city: 'London'})" with
   | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
+  | Error e -> Alcotest.fail (Cypher_engine.Engine.error_message e));
   (match Store.checkpoint pstore with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
@@ -168,7 +168,7 @@ let chunked_bootstrap () =
   for i = 1 to 10 do
     match Store.run pstore (Printf.sprintf "CREATE (:N {i: %d})" i) with
     | Ok _ -> ()
-    | Error e -> Alcotest.fail e
+    | Error e -> Alcotest.fail (Cypher_engine.Engine.error_message e)
   done;
   let primary = start_server pstore in
   Fun.protect
@@ -196,7 +196,7 @@ let validate_batch_checks () =
   for i = 1 to 5 do
     match Store.run store (Printf.sprintf "CREATE (:N {i: %d})" i) with
     | Ok _ -> ()
-    | Error e -> Alcotest.fail e
+    | Error e -> Alcotest.fail (Cypher_engine.Engine.error_message e)
   done;
   let fetched = Store.fetch_since store ~from_seq:1 ~max_records:100 in
   let frames = List.map snd fetched.Store.fr_records in
@@ -246,7 +246,7 @@ let fetch_since_semantics () =
   for i = 1 to 6 do
     match Store.run store (Printf.sprintf "CREATE (:N {i: %d})" i) with
     | Ok _ -> ()
-    | Error e -> Alcotest.fail e
+    | Error e -> Alcotest.fail (Cypher_engine.Engine.error_message e)
   done;
   let f = Store.fetch_since store ~from_seq:1 ~max_records:100 in
   Alcotest.(check bool) "serves from 1" false f.Store.fr_resync;

@@ -84,14 +84,14 @@ let guarded_rollback () =
   | Ok outcome ->
     Alcotest.(check int) "node added" 2
       (Graph.node_count outcome.Engine.graph)
-  | Error e -> Alcotest.fail e);
+  | Error e -> Alcotest.fail (Engine.error_message e));
   (* a violating update is rejected and does not modify the graph *)
   match S.guarded_query ~schema g "CREATE (:Person {ssn: 1})" with
   | Ok _ -> Alcotest.fail "expected the duplicate to be rejected"
   | Error msg ->
     Alcotest.(check bool) "message mentions the violation" true
       (Cypher_values.Value.type_name (Cypher_values.Value.Int 0) = "INTEGER"
-      && String.length msg > 0);
+      && String.length (Engine.error_message msg) > 0);
     Alcotest.(check int) "original graph untouched" 1 (Graph.node_count g)
 
 let merge_under_schema () =
@@ -104,7 +104,7 @@ let merge_under_schema () =
   let step g q =
     match S.guarded_query ~schema g q with
     | Ok o -> o.Engine.graph
-    | Error e -> Alcotest.fail e
+    | Error e -> Alcotest.fail (Engine.error_message e)
   in
   let g = step g "MERGE (n:U {k: 1})" in
   let g = step g "MERGE (n:U {k: 1})" in

@@ -195,24 +195,97 @@ let value_domain_over_the_wire () =
               | _ -> Alcotest.fail "expected exactly one cell")
             tricky))
 
+(* Every engine error kind, on every server path that can produce one:
+   the auto-commit read and write paths, inside a transaction, COMMIT
+   outside one, and view registration and subscription.  Each arrives
+   with its own kind — never as a server error — and the client renders
+   it exactly as the same statement's error renders in process. *)
 let typed_errors () =
+  let module Engine = Cypher_engine.Engine in
+  let module Ivm = Cypher_ivm.Ivm in
+  let in_process q =
+    match Engine.query Graph.empty q with
+    | Error e -> e
+    | Ok _ -> Alcotest.failf "%S unexpectedly succeeded in process" q
+  in
+  let local_views f =
+    let mgr = Ivm.create Graph.empty 0 in
+    Fun.protect ~finally:(fun () -> Ivm.shutdown mgr) (fun () ->
+        match f mgr with
+        | Error e -> e
+        | Ok _ -> Alcotest.fail "view call unexpectedly succeeded in process")
+  in
+  let bad_view = "MATCH (n RETURN n" in
+  let unsupported =
+    "PROFILE MATCH (a:N), (b:N) MATCH p = shortestPath((a)-[:R*]-(b)), \
+     q = shortestPath((b)-[:R*]-(a)) RETURN count(*) AS c"
+  in
   with_server (fun ~dir:_ ~server:_ ~connect ~stop:_ ->
       let client = connect () in
       Fun.protect ~finally:(fun () -> Client.close client)
         (fun () ->
-          let expect_kind kind q =
-            match Client.query client q with
-            | Ok _ -> Alcotest.failf "%S unexpectedly succeeded" q
-            | Error e ->
-              if e.Client.kind <> kind then
-                Alcotest.failf "%S: expected %s, got %s (%s)" q
-                  (Protocol.error_kind_name kind)
-                  (Protocol.error_kind_name e.Client.kind)
-                  e.Client.message
+          let query q = Result.map ignore (Client.query client q) in
+          let in_tx q () =
+            ignore (ok_query client "BEGIN");
+            let r = query q in
+            ignore (ok_query client "ROLLBACK");
+            r
           in
-          expect_kind Protocol.Parse_error "MATCH (";
-          expect_kind Protocol.Syntax_error "MATCH (n) RETURN m";
-          expect_kind Protocol.Runtime_error "COMMIT"))
+          let cases =
+            [
+              ("parse error", Protocol.Parse_error, (fun () -> query "MATCH ("),
+                fun () -> in_process "MATCH (");
+              ( "scope error", Protocol.Syntax_error,
+                (fun () -> query "MATCH (n) RETURN m"),
+                fun () -> in_process "MATCH (n) RETURN m" );
+              ( "type error", Protocol.Type_error,
+                (fun () -> query "RETURN 1 - 'a'"),
+                fun () -> in_process "RETURN 1 - 'a'" );
+              ( "unsupported PROFILE", Protocol.Unsupported,
+                (fun () -> query unsupported),
+                fun () -> in_process unsupported );
+              ( "write path", Protocol.Runtime_error,
+                (fun () -> query "CREATE (:X {v: 1 / 0})"),
+                fun () -> in_process "CREATE (:X {v: 1 / 0})" );
+              ( "inside a transaction", Protocol.Parse_error, in_tx "MATCH (",
+                fun () -> in_process "MATCH (" );
+              ( "COMMIT outside a transaction", Protocol.Runtime_error,
+                (fun () -> query "COMMIT"),
+                fun () ->
+                  match Session.commit (Session.create Graph.empty) with
+                  | Error e -> e
+                  | Ok () -> Alcotest.fail "commit without a transaction" );
+              ( "materialize", Protocol.Parse_error,
+                (fun () ->
+                  Result.map ignore
+                    (Client.materialize client ~name:"v" ~query:bad_view)),
+                fun () ->
+                  local_views (fun mgr ->
+                      Result.map ignore
+                        (Ivm.materialize mgr ~name:"v" ~query:bad_view)) );
+              ( "subscribe", Protocol.Parse_error,
+                (fun () ->
+                  Result.bind (Client.subscribe client ~query:bad_view)
+                    (fun sub -> Result.map ignore (Client.next_delta sub))),
+                fun () ->
+                  local_views (fun mgr ->
+                      Result.map ignore (Ivm.subscribe mgr ~query:bad_view)) );
+            ]
+          in
+          List.iter
+            (fun (name, kind, remote, local) ->
+              match remote () with
+              | Ok () -> Alcotest.failf "%s: unexpectedly succeeded" name
+              | Error e ->
+                if e.Client.kind <> kind then
+                  Alcotest.failf "%s: expected %s, got %s" name
+                    (Protocol.error_kind_name kind)
+                    (Client.error_message e);
+                Alcotest.(check string)
+                  (name ^ ": rendered as in process")
+                  (Engine.error_message (local ()))
+                  (Client.error_message e))
+            cases))
 
 let frame_size_guard () =
   let config = { Server.default_config with Server.max_frame = 4096 } in
@@ -264,7 +337,7 @@ let transactions_over_the_wire () =
           Alcotest.(check bool) "recovered count" true
             (Cypher_table.Record.find row "c" = Some (Value.Int 2))
         | _ -> Alcotest.fail "expected one row")
-      | Error e -> Alcotest.fail e);
+      | Error e -> Alcotest.fail (Cypher_engine.Engine.error_message e));
       Store.close again)
 
 let abrupt_disconnect_mid_transaction () =
@@ -351,7 +424,7 @@ let concurrent_clients_match_oracle () =
           Session.set_params oracle [ ("c", Value.Int i); ("j", Value.Int j) ];
           match Session.run oracle "CREATE (:C {c: $c, j: $j})" with
           | Ok _ -> ()
-          | Error e -> Alcotest.fail e
+          | Error e -> Alcotest.fail (Cypher_engine.Engine.error_message e)
         done
       done;
       let summary_q =
@@ -360,7 +433,7 @@ let concurrent_clients_match_oracle () =
       let oracle_table =
         match Session.run oracle summary_q with
         | Ok t -> t
-        | Error e -> Alcotest.fail e
+        | Error e -> Alcotest.fail (Cypher_engine.Engine.error_message e)
       in
       let client = connect () in
       let served = ok_query client summary_q in
@@ -391,7 +464,7 @@ let concurrent_clients_match_oracle () =
             (Cypher_table.Record.find row "c"
             = Some (Value.Int (n_clients * creates_per_client)))
         | _ -> Alcotest.fail "expected one row")
-      | Error e -> Alcotest.fail e);
+      | Error e -> Alcotest.fail (Cypher_engine.Engine.error_message e));
       Store.close again)
 
 (* --- crash recovery from a server-produced WAL ------------------------- *)
@@ -443,7 +516,7 @@ let kill_mid_commit_recovers () =
       Alcotest.(check bool) "all acknowledged commits recovered" true
         (Cypher_table.Record.find row "c" = Some (Value.Int committed))
     | _ -> Alcotest.fail "expected one row")
-  | Error e -> Alcotest.fail e);
+  | Error e -> Alcotest.fail (Cypher_engine.Engine.error_message e));
   Store.close recovered
 
 (* --- timeouts, metrics, stats verbs ------------------------------------ *)
@@ -593,7 +666,7 @@ let graceful_stop_checkpoints () =
       Alcotest.(check bool) "state survives graceful stop" true
         (Cypher_table.Record.find row "c" = Some (Value.Int 1))
     | _ -> Alcotest.fail "expected one row")
-  | Error e -> Alcotest.fail e);
+  | Error e -> Alcotest.fail (Cypher_engine.Engine.error_message e));
   Store.close again
 
 let suite =

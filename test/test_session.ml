@@ -2,13 +2,14 @@
 
 open Helpers
 module Session = Cypher_session.Session
+module Engine = Cypher_engine.Engine
 module Schema = Cypher_schema.Schema
 module Graph = Cypher_graph.Graph
 
 let run_ok sess q =
   match Session.run sess q with
   | Ok t -> t
-  | Error e -> Alcotest.failf "%s failed: %s" q e
+  | Error e -> Alcotest.failf "%s failed: %s" q (Engine.error_message e)
 
 let node_count sess = Graph.node_count (Session.graph sess)
 
@@ -26,7 +27,7 @@ let rollback_restores () =
   ignore (run_ok sess "CREATE (:Temp1)");
   ignore (run_ok sess "CREATE (:Temp2)");
   Alcotest.(check int) "changes visible inside tx" 3 (node_count sess);
-  (match Session.rollback sess with Ok () -> () | Error e -> Alcotest.fail e);
+  ok_or_fail (Session.rollback sess);
   Alcotest.(check int) "rolled back" 1 (node_count sess);
   (* the session still works after rollback *)
   ignore (run_ok sess "CREATE (:After)");
@@ -36,7 +37,7 @@ let commit_keeps () =
   let sess = Session.create Graph.empty in
   Session.begin_tx sess;
   ignore (run_ok sess "CREATE (:X)");
-  (match Session.commit sess with Ok () -> () | Error e -> Alcotest.fail e);
+  ok_or_fail (Session.commit sess);
   Alcotest.(check int) "committed" 1 (node_count sess)
 
 let nested_transactions () =
@@ -46,9 +47,9 @@ let nested_transactions () =
   Session.begin_tx sess;
   ignore (run_ok sess "CREATE (:Inner)");
   Alcotest.(check int) "depth" 2 (Session.depth sess);
-  (match Session.rollback sess with Ok () -> () | Error e -> Alcotest.fail e);
+  ok_or_fail (Session.rollback sess);
   Alcotest.(check int) "inner rolled back" 1 (node_count sess);
-  (match Session.commit sess with Ok () -> () | Error e -> Alcotest.fail e);
+  ok_or_fail (Session.commit sess);
   Alcotest.(check int) "outer committed" 1 (node_count sess);
   Alcotest.(check bool) "closed" false (Session.in_transaction sess)
 
@@ -74,7 +75,7 @@ let schema_deferred_to_commit () =
   ignore (run_ok sess "CREATE (:P)");
   (* violating intermediate state *)
   ignore (run_ok sess "MATCH (p:P) SET p.name = 'fixed'");
-  (match Session.commit sess with Ok () -> () | Error e -> Alcotest.fail e);
+  ok_or_fail (Session.commit sess);
   Alcotest.(check int) "committed" 1 (node_count sess);
   (* and a commit that still violates rolls back *)
   Session.begin_tx sess;
@@ -109,9 +110,9 @@ let coalesced_commit_delta () =
   Session.begin_tx sess;
   ignore (run_ok sess "MATCH (p:P {k: 1}) SET p.v = 1");
   ignore (run_ok sess "MATCH (p:P {k: 2}) SET p.v = 1");
-  (match Session.commit sess with Ok () -> () | Error e -> Alcotest.fail e);
+  ok_or_fail (Session.commit sess);
   ignore (run_ok sess "MATCH (p:P {k: 1}) SET p.v = 2");
-  (match Session.commit sess with Ok () -> () | Error e -> Alcotest.fail e);
+  ok_or_fail (Session.commit sess);
   (match !commits with
   | [ c ] ->
     Alcotest.(check int) "merged batch in order" 4
@@ -142,8 +143,8 @@ let coalesced_commit_delta () =
   Session.begin_tx sess;
   ignore (run_ok sess "CREATE (:P {k: 99, v: 0})");
   ignore (run_ok sess "MATCH (p:P {k: 1}) SET p.v = 9");
-  (match Session.rollback sess with Ok () -> () | Error e -> Alcotest.fail e);
-  (match Session.commit sess with Ok () -> () | Error e -> Alcotest.fail e);
+  ok_or_fail (Session.rollback sess);
+  ok_or_fail (Session.commit sess);
   (match !commits with
   | [ c ] ->
     Alcotest.(check int) "only the surviving statement" 1
@@ -159,12 +160,12 @@ let coalesced_commit_delta () =
   (* a fully rolled-back outer transaction reports nothing *)
   Session.begin_tx sess;
   ignore (run_ok sess "CREATE (:P {k: 4, v: 0})");
-  (match Session.rollback sess with Ok () -> () | Error e -> Alcotest.fail e);
+  ok_or_fail (Session.rollback sess);
   Alcotest.(check int) "rollback reports no commit" 0 (List.length !commits);
   (* base/graph span agrees with the delta *)
   Session.begin_tx sess;
   ignore (run_ok sess "CREATE (:P {k: 5, v: 0})");
-  (match Session.commit sess with Ok () -> () | Error e -> Alcotest.fail e);
+  ok_or_fail (Session.commit sess);
   match !commits with
   | [ c ] ->
     Alcotest.(check int) "base node count"

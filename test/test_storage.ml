@@ -14,6 +14,7 @@ module Snapshot = Cypher_storage.Snapshot
 module Wal = Cypher_storage.Wal
 module Store = Cypher_storage.Store
 module Session = Cypher_session.Session
+module Engine = Cypher_engine.Engine
 module Q = QCheck
 
 (* --- scratch files ---------------------------------------------------- *)
@@ -411,12 +412,12 @@ let probe = "MATCH (n) RETURN labels(n) AS ls, n.name AS name, n.v AS v"
 let table_of store =
   match Store.run store probe with
   | Ok t -> t
-  | Error e -> Alcotest.failf "probe failed: %s" e
+  | Error e -> Alcotest.failf "probe failed: %s" (Engine.error_message e)
 
 let must_run store q =
   match Store.run store q with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "%s failed: %s" q e
+  | Error e -> Alcotest.failf "%s failed: %s" q (Engine.error_message e)
 
 let must_open ?mode dir =
   match Store.open_ ?mode dir with
@@ -462,7 +463,7 @@ let store_recovery_matches_uninterrupted () =
       (fun g q ->
         match Cypher_engine.Engine.query g q with
         | Ok o -> o.Cypher_engine.Engine.graph
-        | Error e -> Alcotest.failf "%s failed: %s" q e)
+        | Error e -> Alcotest.failf "%s failed: %s" q (Engine.error_message e))
       Graph.empty statements
   in
   let recovered = must_open dir in
@@ -480,12 +481,12 @@ let store_transactions () =
   must_run st "CREATE (:Committed {v: 2})";
   (match Session.commit s with
   | Ok () -> ()
-  | Error e -> Alcotest.failf "commit failed: %s" e);
+  | Error e -> Alcotest.failf "commit failed: %s" (Engine.error_message e));
   Session.begin_tx s;
   must_run st "CREATE (:RolledBack)";
   (match Session.rollback s with
   | Ok () -> ()
-  | Error e -> Alcotest.failf "rollback failed: %s" e);
+  | Error e -> Alcotest.failf "rollback failed: %s" (Engine.error_message e));
   Alcotest.(check int) "only the committed batch reaches the WAL" 2
     (Store.wal_records st);
   let recovered = must_open dir in
@@ -503,14 +504,14 @@ let store_nested_transactions () =
   must_run st "CREATE (:Outer)";
   Session.begin_tx s;
   must_run st "CREATE (:InnerKept)";
-  (match Session.commit s with Ok () -> () | Error e -> Alcotest.fail e);
+  ok_or_fail (Session.commit s);
   Session.begin_tx s;
   must_run st "CREATE (:InnerDropped)";
-  (match Session.rollback s with Ok () -> () | Error e -> Alcotest.fail e);
+  ok_or_fail (Session.rollback s);
   (* nothing is durable until the outermost commit *)
   Alcotest.(check int) "no WAL records before outermost commit" 0
     (Store.wal_records st);
-  (match Session.commit s with Ok () -> () | Error e -> Alcotest.fail e);
+  ok_or_fail (Session.commit s);
   Alcotest.(check int) "outer + inner-committed statements" 2
     (Store.wal_records st);
   let recovered = must_open dir in
@@ -612,7 +613,7 @@ let store_durable_params () =
     [ ("name", vstr "Grace"); ("tags", vlist [ vint 1; vnull; vstr "x" ]) ];
   (match Session.run s "CREATE (:P {name: $name, tags: $tags})" with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "run failed: %s" e);
+  | Error e -> Alcotest.failf "run failed: %s" (Engine.error_message e));
   let recovered = must_open dir in
   expect_bag (Store.graph recovered)
     "MATCH (p:P) RETURN p.name AS name, p.tags AS tags" [ "name"; "tags" ]

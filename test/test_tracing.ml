@@ -72,7 +72,8 @@ let qstats_aggregation () =
       let run q =
         match Engine.query g q with
         | Ok _ -> ()
-        | Error e -> Alcotest.failf "query %S failed: %s" q e
+        | Error e ->
+          Alcotest.failf "query %S failed: %s" q (Engine.error_message e)
       in
       run "RETURN 1 AS probe";
       run "RETURN 2 AS probe";
@@ -277,7 +278,7 @@ let write_lineage_end_to_end () =
   let pstore = open_store (fresh_dir ()) in
   (match Store.run pstore "CREATE (:City {name: 'seed', pop: 1})" with
   | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
+  | Error e -> Alcotest.fail (Engine.error_message e));
   let primary = start_server pstore in
   let pport = Server.port primary in
   let rstore = open_store (fresh_dir ()) in
@@ -373,14 +374,8 @@ let introspection_verbs () =
   let pstore = open_store (fresh_dir ()) in
   let primary = start_server pstore in
   let pport = Server.port primary in
-  let rstore = open_store (fresh_dir ()) in
-  let replica = start_replica ~port:pport rstore in
-  let rserver = start_server ~replica_of:("127.0.0.1", pport) rstore in
   Fun.protect
-    ~finally:(fun () ->
-      Replica.stop replica;
-      ignore (Server.stop rserver);
-      ignore (Server.stop primary))
+    ~finally:(fun () -> ignore (Server.stop primary))
     (fun () ->
       Qstats.reset ();
       let pc = connect pport in
@@ -413,6 +408,17 @@ let introspection_verbs () =
         (* the client stamps every request, so the shape has a last trace *)
         Alcotest.(check bool) "last trace recorded" true
           (match List.nth row ti with Value.String _ -> true | _ -> false));
+      (* The replica starts only now: it replays the three CREATEs through
+         the engine in this process, into the same statistics, so the
+         primary's counts above must be read before it exists. *)
+      let rstore = open_store (fresh_dir ()) in
+      let replica = start_replica ~port:pport rstore in
+      let rserver = start_server ~replica_of:("127.0.0.1", pport) rstore in
+      Fun.protect
+        ~finally:(fun () ->
+          Replica.stop replica;
+          ignore (Server.stop rserver))
+      @@ fun () ->
       (* the same verb answers on a replica *)
       let rc = connect (Server.port rserver) in
       ignore (ok_query rc "MATCH (n:Q) RETURN count(n) AS c");
@@ -478,7 +484,7 @@ let slowlog_attribution () =
       Trace.with_context ctx (fun () ->
           match Engine.query Graph.empty "RETURN 11 AS slow_probe" with
           | Ok _ -> ()
-          | Error e -> Alcotest.fail e);
+          | Error e -> Alcotest.fail (Engine.error_message e));
       let hex = Trace.id_to_hex ctx.Trace.trace_id in
       let fp = Trace.id_to_hex (Qstats.fingerprint_hash "RETURN 11 AS slow_probe") in
       let line =
