@@ -1872,7 +1872,7 @@ let b19 () =
     if lg.bs_incrementals = 0 then
       failwith "B19: the large-scale view never refreshed incrementally"
   | _ -> ());
-  let path = try Sys.getenv "BENCH_JSON" with Not_found -> "BENCH_pr8.json" in
+  let path = try Sys.getenv "BENCH_JSON" with Not_found -> "BENCH_b19.json" in
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
   out "{\n";
@@ -2035,7 +2035,7 @@ let b20 () =
     sink_pct;
   Printf.printf "  no-sink budget: <5%% — %s\n"
     (if overhead_pct < 5. then "within budget" else "OVER BUDGET");
-  let path = try Sys.getenv "BENCH_JSON" with Not_found -> "BENCH_pr9.json" in
+  let path = try Sys.getenv "BENCH_JSON" with Not_found -> "BENCH_b20.json" in
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
   out "{\n";
@@ -2196,12 +2196,13 @@ let b21 () =
           (fun r -> Printf.sprintf "%d us at %d nodes" (p50 r.ps_cheapest_us) r.ps_nodes)
           results));
   let path =
-    try Sys.getenv "BENCH_JSON" with Not_found -> "BENCH_pr10.json"
+    try Sys.getenv "BENCH_JSON" with Not_found -> "BENCH_b21.json"
   in
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
   out "{\n";
   out "  \"pr\": 10,\n";
+  out "  \"host_cores\": %d,\n" (Domain.recommended_domain_count ());
   out
     "  \"experiment\": \"B21 planner-native path finding: bound-endpoint \
      shortestPath (bidirectional BFS) and cheapestPath (bidirectional \

@@ -4,10 +4,7 @@ module Nmap = Ids.Node_map
 module Nset = Ids.Node_set
 
 let neighbours g dir n =
-  match dir with
-  | `Out -> List.map (fun r -> Graph.tgt g r) (Graph.out_rels g n)
-  | `In -> List.map (fun r -> Graph.src g r) (Graph.in_rels g n)
-  | `Both -> List.map (fun r -> Graph.other_end g r n) (Graph.all_rels_of g n)
+  List.map (fun d -> Graph.far_end d n) (Graph.adjacent g n dir)
 
 let pagerank ?(damping = 0.85) ?(iterations = 50) ?(tolerance = 1e-9) g =
   let nodes = Graph.nodes g in
@@ -17,7 +14,7 @@ let pagerank ?(damping = 0.85) ?(iterations = 50) ?(tolerance = 1e-9) g =
     let base = (1. -. damping) /. float_of_int n in
     let init = 1. /. float_of_int n in
     let scores = ref (List.fold_left (fun m v -> Nmap.add v init m) Nmap.empty nodes) in
-    let out_degree v = List.length (Graph.out_rels g v) in
+    let out_degree v = List.length (Graph.adjacent g v `Out) in
     let converged = ref false in
     let iter = ref 0 in
     while (not !converged) && !iter < iterations do
@@ -35,10 +32,10 @@ let pagerank ?(damping = 0.85) ?(iterations = 50) ?(tolerance = 1e-9) g =
           (fun m v ->
             let inflow =
               List.fold_left
-                (fun acc r ->
-                  let u = Graph.src g r in
+                (fun acc (d : Graph.rel_data) ->
+                  let u = d.src in
                   acc +. (Nmap.find u !scores /. float_of_int (out_degree u)))
-                0. (Graph.in_rels g v)
+                0. (Graph.adjacent g v `In)
             in
             Nmap.add v (base +. spread +. (damping *. inflow)) m)
           Nmap.empty nodes

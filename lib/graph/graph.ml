@@ -17,6 +17,7 @@ end)
 type node_data = { labels : Sset.t; node_props : Value.t Smap.t }
 
 type rel_data = {
+  rel_id : Ids.rel;
   src : Ids.node;
   tgt : Ids.node;
   rel_type : string;
@@ -26,11 +27,15 @@ type rel_data = {
 type t = {
   node_map : node_data Nmap.t;
   rel_map : rel_data Rmap.t;
-  (* Adjacency lists: relationship ids in reverse insertion order.  These
-     are the "direct references from each node via its edges to the
-     related nodes" of Section 2. *)
-  out_adj : Ids.rel list Nmap.t;
-  in_adj : Ids.rel list Nmap.t;
+  (* Adjacency lists: the relationship records themselves, in reverse
+     insertion order.  These are the "direct references from each node
+     via its edges to the related nodes" of Section 2: each entry is
+     physically the record [rel_map] holds under its [rel_id], so a
+     neighbour's other end, type and properties are read off the entry
+     with no second lookup.  Every update of a relationship rewrites its
+     record in all three places. *)
+  out_adj : rel_data list Nmap.t;
+  in_adj : rel_data list Nmap.t;
   label_index : Ids.Node_set.t Smap.t;
   type_index : Ids.Rel_set.t Smap.t;
   (* (label, key) -> value -> nodes; maintained by every node update *)
@@ -76,7 +81,9 @@ type t = {
 (* PROFILE's cost unit: one "db hit" per store access — an entity-record
    fetch (node_data/rel_data, and everything routed through them:
    property reads, labels, endpoints), an adjacency-list read, or an
-   index lookup.  Disabled by default: the counter costs one atomic
+   index lookup.  An adjacency-list read hands out the relationship
+   records themselves, so reading a neighbour off it costs nothing
+   more.  Disabled by default: the counter costs one atomic
    boolean load per access.  Both cells are [Atomic]: the parallel
    executor's worker domains touch the store in true parallel, and a
    plain load-incr-store would drop hits (an unsynchronised int ref was
@@ -281,21 +288,33 @@ let add_node ?(labels = []) ?(props = []) g =
 let mem_node g n = Nmap.mem n g.node_map
 let mem_rel g r = Rmap.mem r g.rel_map
 
-let adj_cons n r adj =
-  Nmap.update n (function None -> Some [ r ] | Some rs -> Some (r :: rs)) adj
+let rel_record rel_id ~src ~tgt ~rel_type rel_props =
+  { rel_id; src; tgt; rel_type; rel_props }
+
+let adj_cons n d adj =
+  Nmap.update n (function None -> Some [ d ] | Some ds -> Some (d :: ds)) adj
 
 let adj_remove n r adj =
   Nmap.update n
     (function
       | None -> None
-      | Some rs -> Some (List.filter (fun r' -> not (Ids.equal_rel r r')) rs))
+      | Some ds ->
+        Some (List.filter (fun d -> not (Ids.equal_rel r d.rel_id)) ds))
     adj
+
+(* Swaps [old] for [d] in place, sharing the list's tail past it. *)
+let adj_replace n old d adj =
+  let rec swap = function
+    | [] -> []
+    | e :: tl -> if e == old then d :: tl else e :: swap tl
+  in
+  Nmap.update n (Option.map swap) adj
 
 let add_rel ~src ~tgt ~rel_type ?(props = []) g =
   if not (mem_node g src && mem_node g tgt) then
     invalid_arg "Graph.add_rel: endpoint not in graph";
   let id = Ids.rel_of_int g.next_rel in
-  let data = { src; tgt; rel_type; rel_props = props_of_list props } in
+  let data = rel_record id ~src ~tgt ~rel_type (props_of_list props) in
   let type_index, type_counts =
     index_add_rel rel_type id (g.type_index, g.type_counts)
   in
@@ -304,8 +323,8 @@ let add_rel ~src ~tgt ~rel_type ?(props = []) g =
          {
            g with
            rel_map = Rmap.add id data g.rel_map;
-           out_adj = adj_cons src id g.out_adj;
-           in_adj = adj_cons tgt id g.in_adj;
+           out_adj = adj_cons src data g.out_adj;
+           in_adj = adj_cons tgt data g.in_adj;
            type_index;
            type_counts;
            n_rels = g.n_rels + 1;
@@ -321,24 +340,29 @@ let rel_data g r =
   db_hit ();
   Rmap.find r g.rel_map
 
-let out_rels g n =
+type direction = [ `Out | `In | `Both ]
+
+let adj_list adj n =
   db_hit ();
-  try Nmap.find n g.out_adj with Not_found -> []
+  try Nmap.find n adj with Not_found -> []
 
-let in_rels g n =
-  db_hit ();
-  try Nmap.find n g.in_adj with Not_found -> []
+let adjacent g n (dir : [< direction ]) =
+  match dir with
+  | `Out -> adj_list g.out_adj n
+  | `In -> adj_list g.in_adj n
+  | `Both ->
+    (* loops already appear among the outgoing records *)
+    adj_list g.out_adj n
+    @ List.filter
+        (fun d -> not (Ids.equal_node d.src n))
+        (adj_list g.in_adj n)
 
-let all_rels_of g n =
-  let out = out_rels g n in
-  let inc =
-    List.filter
-      (fun r -> not (Ids.equal_node (rel_data g r).src n))
-      (in_rels g n)
-  in
-  out @ inc
+let far_end d n = if Ids.equal_node d.src n then d.tgt else d.src
 
-let degree g n = List.length (all_rels_of g n)
+let rel_ids ds = List.map (fun d -> d.rel_id) ds
+let out_rels g n = rel_ids (adjacent g n `Out)
+let in_rels g n = rel_ids (adjacent g n `In)
+let degree g n = List.length (adjacent g n `Both)
 
 let delete_rel g r =
   match Rmap.find_opt r g.rel_map with
@@ -384,7 +408,7 @@ let remove_node_raw g n =
 
 let delete_node g n =
   if not (mem_node g n) then Ok g
-  else if all_rels_of g n <> [] then
+  else if adjacent g n `Both <> [] then
     Error
       (Format.asprintf
          "cannot delete %a: it still has relationships (use DETACH DELETE)"
@@ -394,8 +418,8 @@ let delete_node g n =
 let detach_delete_node g n =
   if not (mem_node g n) then g
   else
-    let incident = out_rels g n @ in_rels g n in
-    let g = List.fold_left delete_rel g incident in
+    let incident = adjacent g n `Both in
+    let g = List.fold_left (fun g d -> delete_rel g d.rel_id) g incident in
     remove_node_raw g n
 
 let update_node g n f =
@@ -407,8 +431,22 @@ let update_node g n f =
     let g = { g with node_map = Nmap.add n new_data g.node_map } in
     stamp (jnode n (pidx_update ~add:true g n new_data))
 
+(* [f] keeps the id and endpoints; the new record replaces the old one
+   in [rel_map] and in both endpoint lists, while older graph values keep
+   the old record everywhere. *)
 let update_rel g r f =
-  stamp (jrel r { g with rel_map = Rmap.update r (Option.map f) g.rel_map })
+  match Rmap.find_opt r g.rel_map with
+  | None -> g
+  | Some old ->
+    let d = f old in
+    stamp
+      (jrel r
+         {
+           g with
+           rel_map = Rmap.add r d g.rel_map;
+           out_adj = adj_replace old.src old d g.out_adj;
+           in_adj = adj_replace old.tgt old d g.in_adj;
+         })
 
 let set_node_prop g n k v =
   update_node g n (fun d ->
@@ -478,9 +516,7 @@ let rels g =
 let node_count g = g.n_nodes
 let rel_count g = g.n_rels
 
-let other_end g r n =
-  let d = rel_data g r in
-  if Ids.equal_node d.src n then d.tgt else d.src
+let other_end g r n = far_end (rel_data g r) n
 
 (* Label and type scans, like whole-store scans, cost one hit per entity
    they surface (plus one for the index lookup itself). *)
@@ -549,25 +585,77 @@ let insert_node g n data =
   in
   stamp (jnode n (pidx_update ~add:true g n data))
 
-let insert_rel g r data =
-  if not (mem_node g data.src && mem_node g data.tgt) then
-    invalid_arg "Graph.insert_rel: endpoint not in graph";
-  let g = if mem_rel g r then delete_rel g r else g in
-  let type_index, type_counts =
-    index_add_rel data.rel_type r (g.type_index, g.type_counts)
+(* The records of [ds] grouped by [key], each group newest first. *)
+let group_by key ds =
+  let groups = Hashtbl.create 64 in
+  List.iter
+    (fun d ->
+      let k = key d in
+      Hashtbl.replace groups k
+        (d :: Option.value ~default:[] (Hashtbl.find_opt groups k)))
+    ds;
+  groups
+
+(* The same graph as inserting the records one by one, but each endpoint
+   list and type set is updated once per batch rather than once per
+   record: a snapshot load files every relationship through here. *)
+let insert_rels g ds =
+  List.iter
+    (fun d ->
+      if not (mem_node g d.src && mem_node g d.tgt) then
+        invalid_arg "Graph.insert_rels: endpoint not in graph")
+    ds;
+  let g = List.fold_left (fun g d -> delete_rel g d.rel_id) g ds in
+  let rel_map =
+    List.fold_left
+      (fun m d ->
+        Rmap.update d.rel_id
+          (function
+            | None -> Some d
+            | Some _ -> invalid_arg "Graph.insert_rels: duplicate id")
+          m)
+      g.rel_map ds
   in
-  stamp
-    (jrel r
-       {
-         g with
-         rel_map = Rmap.add r data g.rel_map;
-         out_adj = adj_cons data.src r g.out_adj;
-         in_adj = adj_cons data.tgt r g.in_adj;
-         type_index;
-         type_counts;
-         n_rels = g.n_rels + 1;
-         next_rel = max g.next_rel (Ids.rel_to_int r + 1);
-       })
+  let prepend key adj =
+    Hashtbl.fold
+      (fun n group adj ->
+        Nmap.update n
+          (fun old -> Some (group @ Option.value ~default:[] old))
+          adj)
+      (group_by key ds) adj
+  in
+  let type_index, type_counts =
+    Hashtbl.fold
+      (fun t group (idx, counts) ->
+        let ids = Ids.Rel_set.of_list (List.map (fun d -> d.rel_id) group) in
+        ( Smap.update t
+            (fun s ->
+              Some
+                (Ids.Rel_set.union ids
+                   (Option.value ~default:Ids.Rel_set.empty s)))
+            idx,
+          Smap.update t
+            (fun c -> Some (List.length group + Option.value c ~default:0))
+            counts ))
+      (group_by (fun d -> d.rel_type) ds)
+      (g.type_index, g.type_counts)
+  in
+  let g =
+    {
+      g with
+      rel_map;
+      out_adj = prepend (fun d -> d.src) g.out_adj;
+      in_adj = prepend (fun d -> d.tgt) g.in_adj;
+      type_index;
+      type_counts;
+      n_rels = g.n_rels + List.length ds;
+      next_rel =
+        List.fold_left
+          (fun m d -> max m (Ids.rel_to_int d.rel_id + 1))
+          g.next_rel ds;
+    }
+  in
+  stamp (List.fold_left (fun g d -> jrel d.rel_id g) g ds)
 
 let next_ids g = (g.next_node, g.next_rel)
 

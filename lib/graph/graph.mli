@@ -11,7 +11,9 @@
     relationships, which is the structural property the paper ascribes to
     Neo4j's store: the Expand operator "never needs to read any
     unnecessary data, or proceed via an indirection such as an index in
-    order to find related nodes" (Section 2). *)
+    order to find related nodes" (Section 2).  An adjacency entry is the
+    relationship's own record, so the far end, type and properties of a
+    neighbour are read off the entry, not looked up by id. *)
 
 open Cypher_values
 
@@ -22,7 +24,8 @@ type node_data = {
   node_props : Value.t Value.Smap.t;  (** ι(n, ·) *)
 }
 
-type rel_data = {
+type rel_data = private {
+  rel_id : Ids.rel;  (** r, the key the record is filed under *)
   src : Ids.node;  (** src(r) *)
   tgt : Ids.node;  (** tgt(r) *)
   rel_type : string;  (** τ(r) *)
@@ -47,10 +50,14 @@ val version : t -> int
     access — an entity-record fetch ([node_data]/[rel_data] and every
     reader routed through them, e.g. property and label reads), one per
     entity surfaced by a scan ([nodes], [nodes_with_label], …), an
-    adjacency-list read, or an index lookup.  Counting is off by default
-    and costs one boolean load per access when off.  The counter is
-    process-global and unsynchronised: a diagnostic, not a metric —
-    concurrent profiled runs interleave their counts. *)
+    adjacency-list read, or an index lookup.  An adjacency-list read
+    ({!adjacent}) costs one hit per list, however many neighbours it
+    yields: its entries are the relationship records, so reading a
+    neighbour off them costs none.  Counting is off by default and costs
+    one boolean load per access when off.  The counter is process-global
+    and atomic, so hits from parallel worker domains are never lost; it
+    is still a diagnostic, not a metric — concurrent profiled runs
+    interleave their counts. *)
 
 val count_db_hits : bool -> unit
 (** Enables or disables the counter (it is never reset: readers take
@@ -83,6 +90,10 @@ val set_node_prop : t -> Ids.node -> string -> Value.t -> t
 (** Setting a property to [Null] removes it, as in Cypher. *)
 
 val set_rel_prop : t -> Ids.rel -> string -> Value.t -> t
+(** Like {!set_node_prop}, an update of an id outside the graph returns
+    the graph unchanged, version included.  Older graph values keep the
+    old record, in [rel_data] and in both adjacency lists alike. *)
+
 val remove_node_prop : t -> Ids.node -> string -> t
 val remove_rel_prop : t -> Ids.rel -> string -> t
 val add_label : t -> Ids.node -> string -> t
@@ -122,14 +133,28 @@ val rel_count : t -> int
 
 (** {1 Adjacency — the substrate of Expand} *)
 
+type direction = [ `Out | `In | `Both ]
+
+val adjacent : t -> Ids.node -> [< direction ] -> rel_data list
+(** The records of the relationships incident to the node: those whose
+    source it is ([`Out]), whose target it is ([`In]), or either
+    ([`Both]: the outgoing, then the incoming that are not loops), each
+    list newest first.  Each is physically the record {!rel_data}
+    returns.  One db hit per list read — two for [`Both] — and none per
+    relationship. *)
+
+val far_end : rel_data -> Ids.node -> Ids.node
+(** [far_end d n] is the endpoint of [d] that is not [n]; for a loop,
+    [n] itself. *)
+
 val out_rels : t -> Ids.node -> Ids.rel list
-(** Relationships whose source is the node. *)
+(** The ids of [adjacent g n `Out]. *)
 
 val in_rels : t -> Ids.node -> Ids.rel list
-val all_rels_of : t -> Ids.node -> Ids.rel list
-(** Incident relationships in either direction (loops listed once). *)
+(** The ids of [adjacent g n `In]. *)
 
 val degree : t -> Ids.node -> int
+(** Incident relationships in either direction, loops counted once. *)
 
 val other_end : t -> Ids.rel -> Ids.node -> Ids.node
 (** The endpoint of [r] that is not [n]; for a loop, [n] itself. *)
@@ -172,9 +197,19 @@ val insert_node : t -> Ids.node -> node_data -> t
 (** Inserts (or replaces) a node under a caller-chosen identifier.
     Replacing keeps existing incident relationships. *)
 
-val insert_rel : t -> Ids.rel -> rel_data -> t
-(** Inserts (or replaces) a relationship under a caller-chosen
-    identifier; endpoints must exist. *)
+val rel_record :
+  Ids.rel -> src:Ids.node -> tgt:Ids.node -> rel_type:string ->
+  Value.t Value.Smap.t -> rel_data
+(** A relationship record for {!insert_rels}. *)
+
+val insert_rels : t -> rel_data list -> t
+(** Inserts (or replaces) each relationship under its record's
+    [rel_id], with the result of inserting them one by one in list
+    order, but with one update per endpoint list rather than one per
+    relationship.  Endpoints must exist and the ids must be distinct
+    ([Invalid_argument] otherwise).  The records themselves are filed,
+    so a record taken from another graph of the same universe is shared,
+    not copied. *)
 
 (** {1 Identifier allocation}
 

@@ -207,7 +207,7 @@ let project_graph cfg source_graph table (pattern : Ast.path_pattern) =
 
 let copy_rel ~from_g ~into r =
   if Graph.mem_rel into r then into
-  else Graph.insert_rel into r (Graph.rel_data from_g r)
+  else Graph.insert_rels into [ Graph.rel_data from_g r ]
 
 let graph_union g1 g2 =
   let g =

@@ -21,37 +21,24 @@ let bind_or_check row var v =
 
 let seq_filter_map_concat f seq = Seq.concat_map f seq
 
+let graph_dir = function Plan.Out -> `Out | Plan.In -> `In | Plan.Both -> `Both
+
+(* The records of the relationships [n] expands along. *)
 let expand_candidates g ~scan_rels ~dir n =
-  if not scan_rels then
-    (* One adjacency-list traversal per direction, one [rel_data] lookup
-       per candidate — no intermediate list assembly. *)
-    match dir with
-    | Plan.Out -> List.map (fun r -> (r, Graph.tgt g r)) (Graph.out_rels g n)
-    | Plan.In -> List.map (fun r -> (r, Graph.src g r)) (Graph.in_rels g n)
-    | Plan.Both ->
-      let out = List.map (fun r -> (r, Graph.tgt g r)) (Graph.out_rels g n) in
-      let inc =
-        (* loops already appear among the outgoing candidates *)
-        List.filter_map
-          (fun r ->
-            let s = Graph.src g r in
-            if Ids.equal_node s n then None else Some (r, s))
-          (Graph.in_rels g n)
-      in
-      out @ inc
+  if not scan_rels then Graph.adjacent g n (graph_dir dir)
   else
     (* Baseline without adjacency locality: scan every relationship in
        the graph and keep the incident ones. *)
     List.filter_map
       (fun r ->
-        let s = Graph.src g r and t = Graph.tgt g r in
+        let (d : Graph.rel_data) = Graph.rel_data g r in
+        let from_src = Ids.equal_node d.src n
+        and to_tgt = Ids.equal_node d.tgt n in
         match dir with
-        | Plan.Out -> if Ids.equal_node s n then Some (r, t) else None
-        | Plan.In -> if Ids.equal_node t n then Some (r, s) else None
-        | Plan.Both ->
-          if Ids.equal_node s n then Some (r, t)
-          else if Ids.equal_node t n then Some (r, s)
-          else None)
+        | Plan.Out when from_src -> Some d
+        | Plan.In when to_tgt -> Some d
+        | Plan.Both when from_src || to_tgt -> Some d
+        | _ -> None)
       (Graph.rels g)
 
 (* A sequence whose computation is deferred until first demanded. *)
@@ -290,12 +277,12 @@ and rows_body cfg g plan arg =
         | Some n ->
           let candidates = expand_candidates g ~scan_rels ~dir n in
           Seq.filter_map
-            (fun (r, other) ->
-              if types <> [] && not (List.mem (Graph.rel_type g r) types) then
-                None
+            (fun (d : Graph.rel_data) ->
+              if types <> [] && not (List.mem d.rel_type types) then None
               else
-                Option.bind (bind_or_check row rel (Value.Rel r)) (fun row ->
-                    bind_or_check row to_ (Value.Node other)))
+                Option.bind (bind_or_check row rel (Value.Rel d.rel_id))
+                  (fun row ->
+                    bind_or_check row to_ (Value.Node (Graph.far_end d n))))
             (List.to_seq candidates))
       (rows cfg g input arg)
   | Plan.Var_expand { from_; rel; types; dir; min_len; max_len; to_; input } ->

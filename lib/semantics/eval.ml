@@ -17,6 +17,15 @@ let value_of_ternary = function
   | Ternary.False -> Value.Bool false
   | Ternary.Unknown -> Value.Null
 
+let graph_direction = function
+  | Left_to_right -> `Out
+  | Right_to_left -> `In
+  | Undirected -> `Both
+
+(* ι(r, k) read off a relationship record in hand. *)
+let record_prop (d : Graph.rel_data) k =
+  Option.value ~default:Value.Null (Value.Smap.find_opt k d.rel_props)
+
 (* The cost cheapestPath reads off one relationship's cost property:
    missing and non-numeric costs are typed errors here; negative and NaN
    costs are rejected by the search when it relaxes the relationship. *)
@@ -369,8 +378,9 @@ and eval_truth cfg g u e =
 
 (* The filtered adjacency every path search runs on, forwards along
    [dir] and backwards against it: type filter and relationship property
-   predicates.  Each candidate's record is fetched once and supplies its
-   type, other end, properties and [cost]; the predicate values depend
+   predicates.  Each adjacency entry is the candidate's record and
+   supplies its type, other end, properties and [cost] with no further
+   store access (one db hit per list read); the predicate values depend
    only on [u], so they are evaluated once per search, on the first
    candidate that needs them.  A predicate that cannot evaluate (it
    references a variable the pattern never binds) is a typed error:
@@ -394,41 +404,19 @@ and search_neighbours :
                k)
          props)
   in
-  let step r other (d : Graph.rel_data) =
+  let step cur (d : Graph.rel_data) =
     if
       (types = [] || List.mem d.rel_type types)
       && (props = []
          || List.for_all
               (fun (k, v) ->
-                let actual =
-                  match Value.Smap.find_opt k d.rel_props with
-                  | Some a -> a
-                  | None -> Value.Null
-                in
-                Ternary.is_true (Value.equal_ternary actual v))
+                Ternary.is_true (Value.equal_ternary (record_prop d k) v))
               (Lazy.force expected))
-    then Some (r, other, cost d)
+    then Some (d.rel_id, Graph.far_end d cur, cost d)
     else None
   in
-  let out cur =
-    List.filter_map
-      (fun r ->
-        let d = Graph.rel_data g r in
-        step r d.tgt d)
-      (Graph.out_rels g cur)
-  in
-  (* [loops] = false drops loops, already listed among the outgoing *)
-  let inc ~loops cur =
-    List.filter_map
-      (fun r ->
-        let d = Graph.rel_data g r in
-        if (not loops) && Ids.equal_node d.src cur then None else step r d.src d)
-      (Graph.in_rels g cur)
-  in
-  let along = function
-    | Left_to_right -> out
-    | Right_to_left -> inc ~loops:true
-    | Undirected -> fun cur -> out cur @ inc ~loops:false cur
+  let along dir cur =
+    List.filter_map (step cur) (Graph.adjacent g cur (graph_direction dir))
   in
   let against = function
     | Left_to_right -> Right_to_left
@@ -545,18 +533,17 @@ and match_pattern_tuple cfg g u patterns =
       else Some st
     in
     let adjacent, _ =
-      search_neighbours cfg g st.bnd ~types:[] ~props:[]
-        ~cost:(fun d -> d.rel_type) rp.rp_dir
+      search_neighbours cfg g st.bnd ~types:[] ~props:[] ~cost:Fun.id rp.rp_dir
     in
     let next (st, q, inner) cur =
       match visit st cur inner with
       | None -> []
       | Some st ->
         List.filter_map
-          (fun (r, n, t) ->
+          (fun (r, n, (d : Graph.rel_data)) ->
             if track_rels && Ids.Rel_set.mem r st.used_rels then None
             else
-              Option.bind (hop.step q t) (fun q ->
+              Option.bind (hop.step q d.rel_type) (fun q ->
                   Option.map
                     (fun st ->
                       let st =
@@ -565,7 +552,7 @@ and match_pattern_tuple cfg g u patterns =
                         else st
                       in
                       (r, n, (st, q, true)))
-                    (check_props st (Graph.rel_prop g r) rp.rp_props)))
+                    (check_props st (record_prop d) rp.rp_props)))
           (adjacent cur)
     in
     Path_search.walks next

@@ -110,13 +110,7 @@ let fn_degree dir g = function
   | [ Value.Null ] -> Value.Null
   | [ v ] ->
     let n = as_node "degree" v in
-    let count =
-      match dir with
-      | `Out -> List.length (Graph.out_rels g n)
-      | `In -> List.length (Graph.in_rels g n)
-      | `Both -> Graph.degree g n
-    in
-    Value.Int count
+    Value.Int (List.length (Graph.adjacent g n dir))
   | _ -> assert false
 
 (* --- path functions ------------------------------------------------- *)

@@ -63,11 +63,11 @@ let write_props buf props =
       Codec.write_value buf v)
     props
 
-let read_props r =
+let read_props intern r =
   let n = Codec.read_uvarint r in
   let props = ref Value.Smap.empty in
   for _ = 1 to n do
-    let k = Codec.read_string r in
+    let k = intern (Codec.read_string r) in
     props := Value.Smap.add k (Codec.read_value r) !props
   done;
   !props
@@ -154,6 +154,16 @@ let decode data =
       else
         match
           let r = Codec.reader ~pos:header_len data in
+          (* Labels, types and property keys repeat on every record: one
+             shared copy of each instead of one string per occurrence. *)
+          let interned = Hashtbl.create 64 in
+          let intern s =
+            match Hashtbl.find_opt interned s with
+            | Some s -> s
+            | None ->
+              Hashtbl.add interned s s;
+              s
+          in
           let last_seq = Codec.read_uvarint r in
           let next_node = Codec.read_uvarint r in
           let next_rel = Codec.read_uvarint r in
@@ -164,20 +174,22 @@ let decode data =
             let n_labels = Codec.read_uvarint r in
             let labels = ref Graph.Sset.empty in
             for _ = 1 to n_labels do
-              labels := Graph.Sset.add (Codec.read_string r) !labels
+              labels := Graph.Sset.add (intern (Codec.read_string r)) !labels
             done;
-            let node_props = read_props r in
+            let node_props = read_props intern r in
             g := Graph.insert_node !g id { Graph.labels = !labels; node_props }
           done;
           let n_rels = Codec.read_uvarint r in
+          let rels = ref [] in
           for _ = 1 to n_rels do
             let id = Ids.rel_of_int (Codec.read_uvarint r) in
             let src = Ids.node_of_int (Codec.read_uvarint r) in
             let tgt = Ids.node_of_int (Codec.read_uvarint r) in
-            let rel_type = Codec.read_string r in
-            let rel_props = read_props r in
-            g := Graph.insert_rel !g id { Graph.src; tgt; rel_type; rel_props }
+            let rel_type = intern (Codec.read_string r) in
+            let rel_props = read_props intern r in
+            rels := Graph.rel_record id ~src ~tgt ~rel_type rel_props :: !rels
           done;
+          g := Graph.insert_rels !g (List.rev !rels);
           let n_indexes = Codec.read_uvarint r in
           for _ = 1 to n_indexes do
             let label = Codec.read_string r in

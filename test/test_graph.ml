@@ -33,10 +33,11 @@ let adjacency () =
     (Ids.equal_node (Graph.other_end g r a) b);
   Alcotest.(check bool) "other end reversed" true
     (Ids.equal_node (Graph.other_end g r b) a);
-  (* loops appear once in all_rels_of *)
+  (* loops appear once among the undirected entries *)
   let g, l = Graph.add_rel ~src:a ~tgt:a ~rel_type:"L" g in
   ignore l;
-  Alcotest.(check int) "loop counted once" 2 (List.length (Graph.all_rels_of g a))
+  Alcotest.(check int) "loop counted once" 2
+    (List.length (Graph.adjacent g a `Both))
 
 let indexes () =
   let g, a, _b, r = build_small () in
@@ -75,6 +76,43 @@ let persistence () =
   let g2 = Graph.set_node_prop g a "v" (vint 99) in
   check_value "new version" (vint 99) (Graph.node_prop g2 a "v");
   check_value "old version untouched" (vint 1) (Graph.node_prop g a "v")
+
+(* SET on a relationship replaces its record in [rel_data] and in both
+   adjacency lists of the new version; the old version keeps the old
+   record everywhere. *)
+let rel_update_persistence () =
+  let g, a, b, r = build_small () in
+  let g2 = Graph.set_rel_prop g r "w" (vint 9) in
+  let entry g n dir =
+    match Graph.adjacent g n dir with
+    | [ d ] -> d
+    | ds -> Alcotest.failf "expected one entry, got %d" (List.length ds)
+  in
+  let w (d : Graph.rel_data) = Value.Smap.find "w" d.rel_props in
+  check_value "new out entry" (vint 9) (w (entry g2 a `Out));
+  check_value "new in entry" (vint 9) (w (entry g2 b `In));
+  Alcotest.(check bool) "entries are the record" true
+    (entry g2 a `Out == Graph.rel_data g2 r
+    && entry g2 b `In == Graph.rel_data g2 r);
+  check_value "old out entry" (vint 2) (w (entry g a `Out));
+  check_value "old in entry" (vint 2) (w (entry g b `In));
+  check_value "old record" (vint 2) (Graph.rel_prop g r "w")
+
+(* An update of a missing relationship is no update: same graph value,
+   same version, nothing journalled. *)
+let update_missing_rel () =
+  let g, _a, _b, r = build_small () in
+  let missing = Ids.rel_of_int (Ids.rel_to_int r + 100) in
+  let set = Graph.set_rel_prop g missing "w" (vint 7) in
+  Alcotest.(check int) "set keeps the version" (Graph.version g)
+    (Graph.version set);
+  let removed = Graph.remove_rel_prop g missing "w" in
+  Alcotest.(check int) "remove keeps the version" (Graph.version g)
+    (Graph.version removed);
+  Alcotest.(check bool) "empty delta" true
+    (match Graph.delta_between ~since:g set with
+    | Some d -> Graph.delta_is_empty d
+    | None -> false)
 
 let null_prop_removes () =
   let g, a, _b, _r = build_small () in
@@ -153,11 +191,7 @@ let incremental_counts () =
       (fun acc n -> Graph.insert_node acc n (Graph.node_data g n))
       Graph.empty (Graph.nodes g)
   in
-  let g2 =
-    List.fold_left
-      (fun acc r -> Graph.insert_rel acc r (Graph.rel_data g r))
-      g2 (Graph.rels g)
-  in
+  let g2 = Graph.insert_rels g2 (List.map (Graph.rel_data g) (Graph.rels g)) in
   check_counts "after insert round-trip" g2;
   Alcotest.(check int) "round-trip node_count" (Graph.node_count g)
     (Graph.node_count g2);
@@ -209,6 +243,123 @@ let stats () =
   Alcotest.(check bool) "expand estimate" true
     (Stats.estimate_expand s ~direction:`Out ~rel_types:[ "CITES" ] = 0.5)
 
+(* --- adjacency invariant under random mutation --------------------- *)
+
+type op =
+  | Add_node
+  | Add_rel of int * int * bool
+  | Delete_rel of int
+  | Set_rel_prop of int * int option  (* [None] removes the property *)
+  | Detach_delete of int
+  | Insert_foreign of int * int  (* relationships of an earlier version *)
+  | Snapshot_round_trip
+
+let show_op = function
+  | Add_node -> "add_node"
+  | Add_rel (i, j, t) -> Printf.sprintf "add_rel(%d,%d,%b)" i j t
+  | Delete_rel i -> Printf.sprintf "delete_rel %d" i
+  | Set_rel_prop (i, v) ->
+    Printf.sprintf "set_rel_prop(%d,%s)" i
+      (Option.fold ~none:"null" ~some:string_of_int v)
+  | Detach_delete i -> Printf.sprintf "detach_delete %d" i
+  | Insert_foreign (h, i) -> Printf.sprintf "insert_foreign(%d,%d)" h i
+  | Snapshot_round_trip -> "snapshot"
+
+let gen_op =
+  let open QCheck.Gen in
+  let small = int_bound 50 in
+  frequency
+    [
+      (3, return Add_node);
+      (5, map3 (fun i j t -> Add_rel (i, j, t)) small small bool);
+      (1, map (fun i -> Delete_rel i) small);
+      (3, map2 (fun i v -> Set_rel_prop (i, v)) small (opt (int_bound 9)));
+      (1, map (fun i -> Detach_delete i) small);
+      (2, map2 (fun h i -> Insert_foreign (h, i)) small small);
+      (1, return Snapshot_round_trip);
+    ]
+
+let pick xs i =
+  match xs with [] -> None | _ -> Some (List.nth xs (i mod List.length xs))
+
+(* Applies [op] to the newest of [versions], keeping every version. *)
+let apply versions op =
+  let g = List.hd versions in
+  let g' =
+    match op with
+    | Add_node -> fst (Graph.add_node ~labels:[ "N" ] g)
+    | Add_rel (i, j, t) -> (
+      match pick (Graph.nodes g) i, pick (Graph.nodes g) j with
+      | Some src, Some tgt ->
+        fst
+          (Graph.add_rel ~src ~tgt ~rel_type:(if t then "A" else "B")
+             ~props:[ ("k", vint i) ] g)
+      | _ -> g)
+    | Delete_rel i ->
+      Option.fold ~none:g ~some:(Graph.delete_rel g) (pick (Graph.rels g) i)
+    | Set_rel_prop (i, v) ->
+      Option.fold ~none:g
+        ~some:(fun r ->
+          Graph.set_rel_prop g r "k" (Option.fold ~none:vnull ~some:vint v))
+        (pick (Graph.rels g) i)
+    | Detach_delete i ->
+      Option.fold ~none:g ~some:(Graph.detach_delete_node g)
+        (pick (Graph.nodes g) i)
+    | Insert_foreign (h, i) ->
+      (* as Multigraph copies relationships between graphs of one
+         universe, the foreign records themselves are filed: a third of
+         an earlier version's, some replacing a relationship still in
+         [g], some re-adding a deleted one *)
+      let from_g = Option.get (pick versions h) in
+      Graph.insert_rels g
+        (List.filter_map
+           (fun r ->
+             let d = Graph.rel_data from_g r in
+             if
+               Ids.rel_to_int r mod 3 = i mod 3
+               && Graph.mem_node g d.src && Graph.mem_node g d.tgt
+             then Some d
+             else None)
+           (Graph.rels from_g))
+    | Snapshot_round_trip -> (
+      let module Snapshot = Cypher_storage.Snapshot in
+      match Snapshot.decode (Snapshot.encode g) with
+      | Ok (g, _) -> g
+      | Error e -> failwith e)
+  in
+  g' :: versions
+
+(* Every relationship's record sits exactly once in its source's out list
+   and once in its target's in list, physically the [rel_map] record and
+   filed under its own id, and the lists hold nothing else. *)
+let adjacency_consistent g =
+  let occurrences d ds = List.length (List.filter (fun e -> e == d) ds) in
+  let total dir =
+    List.fold_left
+      (fun acc n -> acc + List.length (Graph.adjacent g n dir))
+      0 (Graph.nodes g)
+  in
+  List.for_all
+    (fun r ->
+      let d = Graph.rel_data g r in
+      Ids.equal_rel d.rel_id r
+      && occurrences d (Graph.adjacent g d.src `Out) = 1
+      && occurrences d (Graph.adjacent g d.tgt `In) = 1)
+    (Graph.rels g)
+  && total `Out = Graph.rel_count g
+  && total `In = Graph.rel_count g
+
+let t_adjacency_invariant =
+  QCheck.Test.make ~count:200 ~name:"adjacency entries are the rel_map records"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+       QCheck.Gen.(list_size (int_range 1 60) gen_op))
+    (fun ops ->
+      (* older versions must stay consistent too: updates never reach
+         back into a pinned graph value *)
+      List.for_all adjacency_consistent
+        (List.fold_left apply [ Graph.empty ] ops))
+
 let suite =
   [
     tc "construction and access" basics;
@@ -216,10 +367,13 @@ let suite =
     tc "label and type indexes" indexes;
     tc "deletion" deletion;
     tc "persistence" persistence;
+    tc "relationship update persistence" rel_update_persistence;
+    tc "update of a missing relationship" update_missing_rel;
     tc "setting a property to null removes it" null_prop_removes;
     tc "identity-preserving insertion" insert_preserves_identity;
     tc "union remaps identifiers" union_remaps;
     tc "incremental cardinalities match enumeration" incremental_counts;
     tc "delta across a journal reset is refused" journal_reset_spanning_delta;
     tc "statistics" stats;
+    QCheck_alcotest.to_alcotest t_adjacency_invariant;
   ]

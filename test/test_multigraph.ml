@@ -156,9 +156,7 @@ let set_operations () =
         (fun acc n -> Graph.insert_node acc n (Graph.node_data g n))
         Graph.empty nodes
     in
-    List.fold_left
-      (fun acc r -> Graph.insert_rel acc r (Graph.rel_data g r))
-      acc rels
+    Graph.insert_rels acc (List.map (Graph.rel_data g) rels)
   in
   let g1 = sub [ a; b ] [ rab ] and g2 = sub [ b; c ] [ rbc ] in
   let u = Mg.graph_union g1 g2 in

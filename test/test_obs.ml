@@ -11,6 +11,7 @@ module Graph = Cypher_graph.Graph
 module Stats = Cypher_graph.Stats
 module Build = Cypher_planner.Build
 module Exec = Cypher_planner.Exec
+module Plan = Cypher_planner.Plan
 module Engine = Cypher_engine.Engine
 module Value = Cypher_values.Value
 
@@ -132,6 +133,84 @@ let db_hits_indexed_vs_scan () =
   Alcotest.(check bool) "counting disabled after a profiled run" false
     (Graph.db_hit_counting_on ())
 
+(* The cost model of index-free adjacency: an operator that walks
+   adjacency pays one hit per list it reads, and nothing per neighbour,
+   because each entry is the relationship record itself.  On a fan of
+   [a] -> five middle nodes -> [d], a second lookup per neighbour would
+   add at least five hits to every pinned figure below. *)
+let db_hits_adjacency_not_neighbours () =
+  let g = ref Graph.empty in
+  let node name =
+    let g', n =
+      Graph.add_node ~labels:[ "P" ] ~props:[ ("name", Value.String name) ] !g
+    in
+    g := g';
+    n
+  in
+  let a = node "a" and d = node "d" in
+  for i = 1 to 5 do
+    let m = node (Printf.sprintf "m%d" i) in
+    g := fst (Graph.add_rel ~src:a ~tgt:m ~rel_type:"F" !g);
+    g := fst (Graph.add_rel ~src:m ~tgt:d ~rel_type:"F" !g)
+  done;
+  let g = !g in
+  (* the first operator satisfying [is_op] on the plan's input chain,
+     its self hits, and the rows its input produced *)
+  let self_hits q is_op =
+    match Cypher_parser.Parser.parse_query_exn q with
+    | Cypher_ast.Ast.Q_single { sq_clauses; sq_return } -> (
+      let { Build.plan; fields } =
+        Build.compile_clauses ~stats:(Stats.collect g) ~visible:[] sq_clauses
+          sq_return
+      in
+      let _table, actual =
+        Exec.run_profiled cfg g ~fields plan Cypher_table.Table.unit
+      in
+      let rec find p =
+        if is_op p then Some p else Option.bind (Plan.input_of p) find
+      in
+      match find plan with
+      | None -> Alcotest.failf "%S: operator not in the plan" q
+      | Some op ->
+        let rows_in =
+          Option.fold ~none:1
+            ~some:(fun i -> (actual i).Exec.prof_rows)
+            (Plan.input_of op)
+        in
+        (op, (Exec.self_profile actual op).Exec.prof_hits, rows_in))
+    | _ -> Alcotest.fail "expected a single query"
+  in
+  let is_expand = function Plan.Expand _ -> true | _ -> false in
+  List.iter
+    (fun q ->
+      let op, hits, rows_in = self_hits q is_expand in
+      let lists =
+        match op with Plan.Expand { dir = Plan.Both; _ } -> 2 | _ -> 1
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "%s: Expand hits = %d input rows x %d lists" q rows_in
+           lists)
+        (rows_in * lists) hits)
+    [
+      "MATCH (:P {name:'a'})-[:F]->(m) RETURN m";
+      "MATCH (:P {name:'d'})<-[:F]-(m) RETURN m";
+      "MATCH (:P {name:'a'})-[:F]-(m) RETURN m";
+    ];
+  (* one expansion from each end meets in the middle: two list reads
+     directed, four undirected *)
+  let is_shortest = function Plan.Shortest_path _ -> true | _ -> false in
+  List.iter
+    (fun (arrow, expected) ->
+      let q =
+        Printf.sprintf
+          "MATCH (a:P {name:'a'}), (d:P {name:'d'}) MATCH p = \
+           shortestPath((a)-[:F*]%s(d)) RETURN length(p)"
+          arrow
+      in
+      let _, hits, _ = self_hits q is_shortest in
+      Alcotest.(check int) q expected hits)
+    [ ("->", 2); ("-", 4) ]
+
 (* --- slow-query log --------------------------------------------------- *)
 
 let slow_query_log_threshold () =
@@ -234,6 +313,8 @@ let suite =
     tc "registry: kind clashes rejected, re-registration idempotent"
       registry_kind_clash;
     tc "db hits: indexed lookup beats label scan" db_hits_indexed_vs_scan;
+    tc "db hits: one per adjacency list, none per neighbour"
+      db_hits_adjacency_not_neighbours;
     tc "slow-query log fires at or above its threshold only"
       slow_query_log_threshold;
     tc "trace spans nest well-formed in the JSONL sink"

@@ -764,6 +764,37 @@ let restrictor_does_not_lose_alternatives () =
      (a)-[:R]->(b {name:'b'}) RETURN [n IN nodes(p) | n.name] AS n"
     [ "a"; "x"; "c" ]
 
+(* SET on a relationship reaches every reader of the adjacency lists —
+   Expand's property filter, the shortest-path predicate and the
+   cheapest-path cost, in both engines — while the graph value taken
+   before the SET keeps the old value for all of them. *)
+let set_rel_prop_reaches_adjacency () =
+  let before = diamond () in
+  let after =
+    (Engine.run_exn before
+       "MATCH (:P {name:'a'})-[r:F {w:5}]->(:P {name:'d'}) SET r.w = 1")
+      .Engine.graph
+  in
+  let names rows = List.map (fun n -> [ ("x", vstr n) ]) rows in
+  let expand =
+    "MATCH (:P {name:'a'})-[:F {w: 1}]->(x) RETURN x.name AS x"
+  in
+  let shortest =
+    "MATCH p = shortestPath((a:P {name:'a'})-[:F* {w: 1}]->(d:P {name:'d'})) \
+     RETURN length(p) AS l"
+  in
+  let cheapest =
+    "MATCH p = cheapestPath((a:P {name:'a'})-[:F*]->(d:P {name:'d'}), 'w') \
+     RETURN length(p) AS l, reduce(s = 0, r IN relationships(p) | s + r.w) \
+     AS c"
+  in
+  expect after expand [ "x" ] (names [ "b"; "c"; "d" ]) ();
+  expect after shortest [ "l" ] [ [ ("l", vint 1) ] ] ();
+  expect after cheapest [ "l"; "c" ] [ [ ("l", vint 1); ("c", vint 1) ] ] ();
+  expect before expand [ "x" ] (names [ "b"; "c" ]) ();
+  expect before shortest [ "l" ] [ [ ("l", vint 2) ] ] ();
+  expect before cheapest [ "l"; "c" ] [ [ ("l", vint 2); ("c", vint 2) ] ] ()
+
 let suite =
   List.map (fun (name, f) -> tc name f) (tck_cases @ error_cases)
   @ [
@@ -779,4 +810,6 @@ let suite =
       tc "oracle: RPQ hops match naive enumeration" oracle_rpq;
       tc "restrictors do not lose equal-length alternatives"
         restrictor_does_not_lose_alternatives;
+      tc "SET on a relationship reaches Expand and both path searches"
+        set_rel_prop_reaches_adjacency;
     ]
