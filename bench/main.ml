@@ -820,6 +820,9 @@ let b14 () =
   let out fmt = Printf.fprintf oc fmt in
   out "{\n";
   out "  \"pr\": 3,\n";
+  (* the server spreads connections over one request domain per core,
+     so the client-scaling speedups depend on the core count *)
+  out "  \"host_cores\": %d,\n" (Domain.recommended_domain_count ());
   out
     "  \"experiment\": \"B14 query server: requests/sec and latency under \
      concurrent clients\",\n";
@@ -1305,6 +1308,7 @@ let b17 () =
   let out fmt = Printf.fprintf oc fmt in
   out "{\n";
   out "  \"pr\": 6,\n";
+  out "  \"host_cores\": %d,\n" (Domain.recommended_domain_count ());
   out
     "  \"experiment\": \"B17 MVCC snapshot reads + WAL group commit: \
      commits/sec with and without grouping, read p95 during a write \

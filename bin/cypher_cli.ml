@@ -739,9 +739,10 @@ let serve_forever st ?replica_of (host, port) =
       let request_stop _ = stop_requested := true in
       Sys.set_signal Sys.sigint (Sys.Signal_handle request_stop);
       Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop);
-      Printf.printf "serving %s on %s:%d (ctrl-C to stop)\n%!"
+      Printf.printf "serving %s on %s:%d, %d request domains (ctrl-C to stop)\n%!"
         (match replica with Some _ -> "replica" | None -> "database")
-        host (Server.port server);
+        host (Server.port server)
+        (Server.request_domains server);
       while not !stop_requested do
         Unix.sleepf 0.2
       done;

@@ -1,28 +1,38 @@
-(* The process-wide worker-domain pool behind parallel read execution.
+(* The process-wide domain pool: the only extra domains the process has.
 
-   One pool per process, sized lazily: domains are spawned the first
-   time a job asks for them and kept for the life of the process, so
+   Two kinds of work share it.
+
+   Morsel jobs.  A job ([run ~workers n f]) is a bag of [n] independent
+   index-addressed tasks; scheduling is work-stealing over a single
+   atomic next-index counter, so morsel imbalance (one morsel hits a hub
+   node, another is all misses) self-corrects: fast workers just claim
+   more indices.  The caller always participates as one of the workers.
+   That bounds the helpers needed at [workers - 1], and — more
+   importantly — makes the pool deadlock-free under concurrent jobs:
+   even if every pool domain is busy with other jobs, each caller drives
+   its own job to completion alone, merely without speed-up.
+
+   Hosted threads.  [spawn_thread f] starts a systhread on the domain
+   hosting the fewest live threads, so request handling runs on as many
+   cores as the pool has domains, plus the caller's.  A systhread must
+   be created by its own domain, so each pool domain has a spawn inbox:
+   the spawner queues the body, the domain's loop creates the thread and
+   hands the [Thread.t] back.  The loop serves its inbox ahead of the
+   job queue and between the tasks of a job, so a long morsel job delays
+   a spawn by at most one morsel.
+
+   Domains are spawned lazily and kept for the life of the process, so
    the spawn cost (~ tens of microseconds plus a runtime ring slot) is
-   paid once, not per query.  A job ([run ~workers n f]) is a bag of
-   [n] independent index-addressed tasks; scheduling is work-stealing
-   over a single atomic next-index counter, so morsel imbalance (one
-   morsel hits a hub node, another is all misses) self-corrects: fast
-   workers just claim more indices.
-
-   The caller always participates as one of the workers.  That bounds
-   the helpers needed at [workers - 1], and — more importantly — makes
-   the pool deadlock-free under concurrent jobs: even if every pool
-   domain is busy with other jobs, each caller drives its own job to
-   completion alone, merely without speed-up.
+   paid once, not per query.  Everything mutable here is under [lock].
 
    Tasks MUST NOT raise: the executor wraps each morsel and stores the
-   outcome; a leaked exception here would kill a worker domain.  As a
+   outcome; a leaked exception here would kill a pool domain.  As a
    backstop, leaked exceptions are swallowed (and counted).
 
-   OCaml's runtime joins live domains at process exit, so an [at_exit]
-   hook shuts the pool down: it flips [shutting_down], wakes every
-   sleeper, and joins.  Without it, any process that ever ran a
-   parallel query would hang on exit. *)
+   Shutdown retires every domain and joins those that host no live
+   thread.  A domain still hosting a thread cannot be joined — its
+   threads keep it alive — so it is left to the process exit; an idle
+   connection therefore never makes exit hang. *)
 
 module Registry = Cypher_obs.Registry
 
@@ -61,19 +71,64 @@ type job = {
   mutable j_finished : bool;
 }
 
+(* A thread to create on a given domain; [sp_thread] is filled by that
+   domain's loop. *)
+type spawn = { sp_body : unit -> unit; mutable sp_thread : Thread.t option }
+
+(* One pool domain.  [live] counts the threads it hosts, including
+   spawns still in its inbox. *)
+type slot = {
+  inbox : spawn Queue.t;
+  mutable live : int;
+  mutable retired : bool;
+  mutable domain : unit Domain.t option;
+}
+
 let lock = Mutex.create ()
 let work_available = Condition.create ()
+let spawned = Condition.create ()
 let queue : job Queue.t = Queue.create ()
-let domains : unit Domain.t list ref = ref []
-let shutting_down = ref false  (* under [lock] *)
+let slots : slot list ref = ref []
+
+(* Threads spawned in place on the caller's domain, which counts as one
+   request domain beside the pool's. *)
+let local_live = ref 0
+
+(* Creates the inbox's threads, counted against [slot] until their body
+   returns.  Called with [lock] held; drops it around [Thread.create]. *)
+let serve_inbox slot =
+  while not (Queue.is_empty slot.inbox) do
+    let sp = Queue.pop slot.inbox in
+    Mutex.unlock lock;
+    let body () =
+      Fun.protect sp.sp_body ~finally:(fun () ->
+          Mutex.lock lock;
+          slot.live <- slot.live - 1;
+          Mutex.unlock lock)
+    in
+    let th = Thread.create body () in
+    Mutex.lock lock;
+    sp.sp_thread <- Some th;
+    Condition.broadcast spawned
+  done
 
 (* Claims task indices until the job is drained.  Runs on pool domains
-   and on the caller alike. *)
-let help job ~on_pool =
+   ([slot] given, which also keeps its inbox served) and on the caller. *)
+let help ?slot job =
   let rec loop () =
+    Option.iter
+      (fun s ->
+        (* a racy peek, cheap between tasks; [serve_inbox] re-reads the
+           inbox under the lock *)
+        if not (Queue.is_empty s.inbox) then begin
+          Mutex.lock lock;
+          serve_inbox s;
+          Mutex.unlock lock
+        end)
+      slot;
     let i = Atomic.fetch_and_add job.j_next 1 in
     if i < job.j_total then begin
-      if on_pool then Registry.incr m_tasks;
+      if slot <> None then Registry.incr m_tasks;
       (try job.j_run i
        with _ -> Registry.incr m_task_errors);
       let completed = 1 + Atomic.fetch_and_add job.j_done 1 in
@@ -88,37 +143,90 @@ let help job ~on_pool =
   in
   loop ()
 
-let rec worker_loop () =
+let rec domain_loop slot =
   Mutex.lock lock;
-  while Queue.is_empty queue && not !shutting_down do
+  while
+    Queue.is_empty slot.inbox && Queue.is_empty queue && not slot.retired
+  do
     Condition.wait work_available lock
   done;
-  if !shutting_down then Mutex.unlock lock
+  if not (Queue.is_empty slot.inbox) then begin
+    serve_inbox slot;
+    Mutex.unlock lock;
+    domain_loop slot
+  end
+  else if slot.retired then Mutex.unlock lock
   else begin
     let job = Queue.pop queue in
     Mutex.unlock lock;
     Registry.gauge_incr m_busy;
-    help job ~on_pool:true;
+    help ~slot job;
     Registry.gauge_decr m_busy;
-    worker_loop ()
+    domain_loop slot
   end
 
-(* Grows the pool to [n] domains; no-op once it is there.  Under
-   [lock] so two racing jobs cannot over-spawn. *)
+(* Grows the pool to [n] domains (clamped to [max_domains]); no-op once
+   it is there.  Under [lock] so two racing callers cannot over-spawn. *)
 let ensure_domains n =
   let n = min n max_domains in
   Mutex.lock lock;
-  while List.length !domains < n && not !shutting_down do
-    domains := Domain.spawn worker_loop :: !domains;
+  while List.length !slots < n do
+    let slot =
+      { inbox = Queue.create (); live = 0; retired = false; domain = None }
+    in
+    slot.domain <- Some (Domain.spawn (fun () -> domain_loop slot));
+    slots := !slots @ [ slot ];
     Registry.gauge_incr m_domains
   done;
   Mutex.unlock lock
 
 let size () =
   Mutex.lock lock;
-  let n = List.length !domains in
+  let n = List.length !slots in
   Mutex.unlock lock;
   n
+
+let request_domains () =
+  ensure_domains (Domain.recommended_domain_count () - 1);
+  size () + 1
+
+let spawn_thread f =
+  ensure_domains (Domain.recommended_domain_count () - 1);
+  Mutex.lock lock;
+  (* least loaded wins; on a tie a pool domain beats the caller's, which
+     also runs the accept loop and the background threads *)
+  let least =
+    List.fold_left
+      (fun acc s ->
+        match acc with Some b when b.live <= s.live -> acc | _ -> Some s)
+      None !slots
+  in
+  match least with
+  | Some slot when slot.live <= !local_live ->
+    let sp = { sp_body = f; sp_thread = None } in
+    slot.live <- slot.live + 1;
+    Queue.push sp slot.inbox;
+    Condition.broadcast work_available;
+    let rec await () =
+      match sp.sp_thread with
+      | Some th -> th
+      | None ->
+        Condition.wait spawned lock;
+        await ()
+    in
+    let th = await () in
+    Mutex.unlock lock;
+    th
+  | _ ->
+    incr local_live;
+    Mutex.unlock lock;
+    Thread.create
+      (fun () ->
+        Fun.protect f ~finally:(fun () ->
+            Mutex.lock lock;
+            decr local_live;
+            Mutex.unlock lock))
+      ()
 
 let run ~workers n f =
   if n > 0 then begin
@@ -145,7 +253,7 @@ let run ~workers n f =
       for _ = 1 to helpers do Queue.push job queue done;
       Condition.broadcast work_available;
       Mutex.unlock lock;
-      help job ~on_pool:false;
+      help job;
       Mutex.lock job.j_mutex;
       while not job.j_finished do Condition.wait job.j_cond job.j_mutex done;
       Mutex.unlock job.j_mutex
@@ -154,16 +262,15 @@ let run ~workers n f =
 
 let shutdown () =
   Mutex.lock lock;
-  shutting_down := true;
+  let retiring = !slots in
+  slots := [];
+  List.iter (fun s -> s.retired <- true) retiring;
   Queue.clear queue;
   Condition.broadcast work_available;
-  let ds = !domains in
-  domains := [];
+  let idle = List.filter (fun s -> s.live = 0) retiring in
   Mutex.unlock lock;
-  List.iter Domain.join ds;
-  Mutex.lock lock;
-  shutting_down := false;
-  Mutex.unlock lock
+  Registry.gauge_set m_domains 0;
+  List.iter (fun s -> Option.iter Domain.join s.domain) idle
 
-(* see the module comment: live domains block process exit *)
+(* see the module comment: joins the pool's idle domains on the way out *)
 let () = at_exit shutdown

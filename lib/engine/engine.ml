@@ -89,9 +89,9 @@ let observe_query ~mode ~text ?(cache_hit = ref false)
   (match result with
   | Ok _ -> Registry.add m_rows_produced rows
   | Error _ -> Registry.incr m_query_errors);
-  (* db hits are counted only while a profiled run has the counter on;
-     the cumulative delta is 0 for ordinary runs and approximate when
-     profiled runs overlap on other threads. *)
+  (* db hits are counted only while a profiled run has the counter on,
+     and per thread: the delta is this query's own hits, 0 for an
+     ordinary run unless a PROFILE elsewhere has counting on. *)
   let db_hits = max 0 (Graph.db_hits () - hits0) in
   let trace = Trace.current_trace_id () in
   if Qstats.enabled () then

@@ -111,7 +111,7 @@ val explain : Graph.t -> string -> (string, error) result
 val profile : ?config:Config.t -> Graph.t -> string -> (string, error) result
 (** Executes the query and renders the plan annotated per operator with
     estimated vs actual rows, {e db hits} (store accesses, see
-    {!Graph.count_db_hits}) and elapsed time — PROFILE in the style of
+    {!Graph.db_hits}) and elapsed time — PROFILE in the style of
     Neo4j.  Hits and time are the operator's own share (inputs
     subtracted); a [total:] footer gives the whole query.  Only a query
     prepared as a single read step is profiled; any other planned query

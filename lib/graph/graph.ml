@@ -83,28 +83,56 @@ type t = {
    property reads, labels, endpoints), an adjacency-list read, or an
    index lookup.  An adjacency-list read hands out the relationship
    records themselves, so reading a neighbour off it costs nothing
-   more.  Disabled by default: the counter costs one atomic
-   boolean load per access.  Both cells are [Atomic]: the parallel
-   executor's worker domains touch the store in true parallel, and a
-   plain load-incr-store would drop hits (an unsynchronised int ref was
-   exact under single-domain systhreads, but no longer).  Concurrent
-   PROFILEs still interleave their counts into the one global — an
-   accepted diagnostic limitation. *)
+   more.
 
-let db_hit_counting = Atomic.make false
-let db_hit_counter = Atomic.make 0
+   Counts are per thread, so a profiled run reads only its own hits
+   while other connections' threads — on its domain or another — touch
+   the store.  Thread ids are small monotonically increasing ints,
+   unique across domains, so the common store is a plain array indexed
+   by id (the same pattern as [Trace]'s context slots): a slot is only
+   ever touched by its own thread.  Processes that have created more
+   than [hit_slot_cap] threads overflow into a mutex-guarded table.
 
-let db_hits () = Atomic.get db_hit_counter
-let count_db_hits enabled = Atomic.set db_hit_counting enabled
-let db_hit_counting_on () = Atomic.get db_hit_counting
+   Counting is on while any profiled run is in flight: [counting_depth]
+   is a count, not a flag, so one run finishing cannot switch counting
+   off under another.  When no run is profiled an access costs one
+   atomic load. *)
 
-let[@inline] db_hit () =
-  if Atomic.get db_hit_counting then
-    ignore (Atomic.fetch_and_add db_hit_counter 1)
+let counting_depth = Atomic.make 0
+let hit_slot_cap = 8192
+let hit_slots = Array.make hit_slot_cap 0
+let hit_overflow : (int, int) Hashtbl.t = Hashtbl.create 16
+let hit_overflow_lock = Mutex.create ()
 
-let[@inline] db_hit_n n =
-  if Atomic.get db_hit_counting then
-    ignore (Atomic.fetch_and_add db_hit_counter n)
+let db_hits () =
+  let id = Thread.id (Thread.self ()) in
+  if id < hit_slot_cap then Array.unsafe_get hit_slots id
+  else begin
+    Mutex.lock hit_overflow_lock;
+    let n = Option.value ~default:0 (Hashtbl.find_opt hit_overflow id) in
+    Mutex.unlock hit_overflow_lock;
+    n
+  end
+
+let count_hits n =
+  let id = Thread.id (Thread.self ()) in
+  if id < hit_slot_cap then
+    Array.unsafe_set hit_slots id (Array.unsafe_get hit_slots id + n)
+  else begin
+    Mutex.lock hit_overflow_lock;
+    Hashtbl.replace hit_overflow id
+      (n + Option.value ~default:0 (Hashtbl.find_opt hit_overflow id));
+    Mutex.unlock hit_overflow_lock
+  end
+
+let with_db_hit_counting f =
+  Atomic.incr counting_depth;
+  Fun.protect ~finally:(fun () -> Atomic.decr counting_depth) f
+
+let db_hit_counting_on () = Atomic.get counting_depth > 0
+
+let[@inline] db_hit () = if Atomic.get counting_depth > 0 then count_hits 1
+let[@inline] db_hit_n n = if Atomic.get counting_depth > 0 then count_hits n
 
 let version_counter = ref 0
 

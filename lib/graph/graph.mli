@@ -53,18 +53,21 @@ val version : t -> int
     adjacency-list read, or an index lookup.  An adjacency-list read
     ({!adjacent}) costs one hit per list, however many neighbours it
     yields: its entries are the relationship records, so reading a
-    neighbour off them costs none.  Counting is off by default and costs
-    one boolean load per access when off.  The counter is process-global
-    and atomic, so hits from parallel worker domains are never lost; it
-    is still a diagnostic, not a metric — concurrent profiled runs
-    interleave their counts. *)
+    neighbour off them costs none.  Counting is on while any profiled run
+    is in flight and costs one atomic load per access when off.  Counts
+    are kept per thread, so a profiled run reads exactly its own hits
+    however many other threads, on any domain, touch the store meanwhile;
+    hits made on morsel-parallel worker domains count on those domains'
+    threads. *)
 
-val count_db_hits : bool -> unit
-(** Enables or disables the counter (it is never reset: readers take
-    deltas). *)
+val with_db_hit_counting : (unit -> 'a) -> 'a
+(** [with_db_hit_counting f] runs [f] with counting on.  Nested and
+    concurrent calls are counted, not set and restored: counting stays
+    on until the last of them returns. *)
 
 val db_hits : unit -> int
-(** The running total of store accesses while counting was enabled. *)
+(** The calling thread's running total of store accesses made while
+    counting was on (it is never reset: readers take deltas). *)
 
 val db_hit_counting_on : unit -> bool
 

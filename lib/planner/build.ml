@@ -15,12 +15,12 @@ module Sset = Set.Make (String)
 (* ------------------------------------------------------------------ *)
 
 (* Internal variables start with '#', which the lexer cannot produce, so
-   they can never collide with user variables. *)
-let counter = ref 0
+   they can never collide with user variables.  Atomic, because queries
+   are planned on several domains at once. *)
+let counter = Atomic.make 0
 
 let fresh prefix =
-  incr counter;
-  Printf.sprintf "#%s%d" prefix !counter
+  Printf.sprintf "#%s%d" prefix (1 + Atomic.fetch_and_add counter 1)
 
 (* A path pattern with every position named: node variables n0..nk and a
    relationship variable per hop. *)

@@ -144,14 +144,14 @@ let bound_steps g row start hops =
        (start, [])
   |> snd |> List.rev
 
-(* Observation hook for PROFILE.  When the profiler is set, every
+(* Observation hook for PROFILE.  When a run carries a profiler, every
    operator's output sequence is wrapped so that each pull is measured:
-   rows produced, db hits (via the {!Graph} access counter) and
-   wall-clock time.  A pull of an operator forces pulls of its inputs
+   rows produced, db hits (the calling thread's {!Graph} access count)
+   and wall-clock time.  A pull of an operator forces pulls of its inputs
    inside it, so the recorded hits and time are *inclusive* — per-node
-   self costs are recovered by {!self_profile}.  The hook is dynamically
-   scoped around a fully materialised profiled run, so laziness cannot
-   leak measurements outside it. *)
+   self costs are recovered by {!self_profile}.  A profiled run is fully
+   materialised while counting is on, so laziness cannot leak
+   measurements outside it. *)
 
 type profile = { prof_rows : int; prof_hits : int; prof_ns : int }
 
@@ -161,13 +161,11 @@ type prof_entry = {
   mutable e_ns : int;
 }
 
-(* Dynamically scoped per *domain*, not a plain global: a profiled run
-   on one server thread must not instrument — or race against — a
-   parallel query whose morsels execute on worker domains at the same
-   time.  Workers start from the key's initializer, so they always see
-   [None]; profiled runs themselves stay entirely on one domain. *)
-let profiler_key : (Plan.t -> prof_entry) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
+(* The profiler of one run: maps each operator (by physical identity)
+   to its measurement cell.  It is passed down the pipeline explicitly,
+   so only the run that asked for it is instrumented — not the pipelines
+   that other connections' threads build meanwhile. *)
+type profiler = Plan.t -> prof_entry
 
 let rec instrument entry (seq : 'a Seq.t) : 'a Seq.t =
  fun () ->
@@ -183,12 +181,12 @@ let rec instrument entry (seq : 'a Seq.t) : 'a Seq.t =
     entry.e_rows <- entry.e_rows + 1;
     Seq.Cons (x, instrument entry rest)
 
-let rec rows cfg g plan arg =
-  match Domain.DLS.get profiler_key with
-  | None -> rows_body cfg g plan arg
-  | Some find -> instrument (find plan) (rows_body cfg g plan arg)
+let rec pull (prof : profiler option) cfg g plan arg =
+  match prof with
+  | None -> rows_body prof cfg g plan arg
+  | Some find -> instrument (find plan) (rows_body prof cfg g plan arg)
 
-and rows_body cfg g plan arg =
+and rows_body prof cfg g plan arg =
   match plan with
   | Plan.Argument -> arg
   | Plan.All_nodes_scan { var; input } ->
@@ -204,7 +202,7 @@ and rows_body cfg g plan arg =
           Seq.map
             (fun n -> Record.add row var (Value.Node n))
             (List.to_seq (Lazy.force all_nodes)))
-      (rows cfg g input arg)
+      (pull prof cfg g input arg)
   | Plan.Rel_type_scan { rel; types; from_; to_; dir; input } ->
     (* likewise, orient the relationship set once per execution *)
     let oriented =
@@ -231,7 +229,7 @@ and rows_body cfg g plan arg =
                 Option.bind (bind_or_check row from_ (Value.Node a)) (fun row ->
                     bind_or_check row to_ (Value.Node b))))
           (List.to_seq (Lazy.force oriented)))
-      (rows cfg g input arg)
+      (pull prof cfg g input arg)
   | Plan.Node_index_seek { var; label; key; value; input } ->
     seq_filter_map_concat
       (fun row ->
@@ -256,7 +254,7 @@ and rows_body cfg g plan arg =
             Seq.map
               (fun n -> Record.add row var (Value.Node n))
               (List.to_seq hits))
-      (rows cfg g input arg)
+      (pull prof cfg g input arg)
   | Plan.Node_by_label_scan { var; label; input } ->
     let labelled = lazy (Graph.nodes_with_label g label) in
     seq_filter_map_concat
@@ -268,7 +266,7 @@ and rows_body cfg g plan arg =
           Seq.map
             (fun n -> Record.add row var (Value.Node n))
             (List.to_seq (Lazy.force labelled)))
-      (rows cfg g input arg)
+      (pull prof cfg g input arg)
   | Plan.Expand { from_; rel; types; dir; to_; scan_rels; input } ->
     seq_filter_map_concat
       (fun row ->
@@ -284,25 +282,25 @@ and rows_body cfg g plan arg =
                   (fun row ->
                     bind_or_check row to_ (Value.Node (Graph.far_end d n))))
             (List.to_seq candidates))
-      (rows cfg g input arg)
+      (pull prof cfg g input arg)
   | Plan.Var_expand { from_; rel; types; dir; min_len; max_len; to_; input } ->
     walk_rows cfg g ~from_ ~rel ~dir ~to_
       (Eval.type_filter_hop cfg g ~types ~min_len ~max_len)
-      (rows cfg g input arg)
+      (pull prof cfg g input arg)
   | Plan.Filter { pred; input } ->
     Seq.filter
       (fun row -> Ternary.is_true (Eval.eval_truth cfg g row pred))
-      (rows cfg g input arg)
+      (pull prof cfg g input arg)
   | Plan.Project { items; input } ->
     Seq.map
       (fun row ->
         Record.of_list
           (List.map (fun (name, e) -> (name, Eval.eval_expr cfg g row e)) items))
-      (rows cfg g input arg)
+      (pull prof cfg g input arg)
   | Plan.Aggregate { keys; aggs; input } ->
     delayed
       (fun () ->
-        let materialized = List.of_seq (rows cfg g input arg) in
+        let materialized = List.of_seq (pull prof cfg g input arg) in
         let groups =
           if keys = [] then [ ([], materialized) ]
           else
@@ -333,11 +331,11 @@ and rows_body cfg g plan arg =
         else (
           Hashtbl.replace seen h (row :: bucket);
           true))
-      (rows cfg g input arg)
+      (pull prof cfg g input arg)
   | Plan.Sort { by; input } ->
     delayed
       (fun () ->
-        let materialized = List.of_seq (rows cfg g input arg) in
+        let materialized = List.of_seq (pull prof cfg g input arg) in
         let compare_rows r1 r2 =
           let rec go = function
             | [] -> 0
@@ -354,10 +352,10 @@ and rows_body cfg g plan arg =
         List.to_seq (List.stable_sort compare_rows materialized))
   | Plan.Skip_rows { count; input } ->
     let n = eval_count cfg g "SKIP" count in
-    Seq.drop n (rows cfg g input arg)
+    Seq.drop n (pull prof cfg g input arg)
   | Plan.Limit_rows { count; input } ->
     let n = eval_count cfg g "LIMIT" count in
-    Seq.take n (rows cfg g input arg)
+    Seq.take n (pull prof cfg g input arg)
   | Plan.Unwind { expr; var; input } ->
     seq_filter_map_concat
       (fun row ->
@@ -366,7 +364,7 @@ and rows_body cfg g plan arg =
           Seq.map (fun v -> Record.add row var v) (List.to_seq vs)
         | Value.Null -> Seq.empty
         | v -> Seq.return (Record.add row var v))
-      (rows cfg g input arg)
+      (pull prof cfg g input arg)
   | Plan.Optional { inner; introduced; input } ->
     seq_filter_map_concat
       (fun row ->
@@ -377,7 +375,7 @@ and rows_body cfg g plan arg =
           Seq.map
             (fun inner_row ->
               Record.overlay row (Record.project inner_row introduced))
-            (rows cfg g inner (Seq.return row))
+            (pull prof cfg g inner (Seq.return row))
         in
         match produced () with
         | Seq.Nil ->
@@ -386,17 +384,17 @@ and rows_body cfg g plan arg =
           in
           Seq.return (Record.with_nulls row missing)
         | Seq.Cons (first, rest) -> Seq.cons first rest)
-      (rows cfg g input arg)
+      (pull prof cfg g input arg)
   | Plan.Rel_uniqueness { vars; input } ->
     Seq.filter
       (fun row ->
         let ids = List.concat_map (rel_ids_of_binding row) vars in
         let set = Ids.Rel_set.of_list ids in
         Ids.Rel_set.cardinal set = List.length ids)
-      (rows cfg g input arg)
+      (pull prof cfg g input arg)
   | Plan.Regex_expand { from_; rel; regex; dir; to_; input } ->
     walk_rows cfg g ~from_ ~rel ~dir ~to_ (Eval.regex_hop cfg g regex)
-      (rows cfg g input arg)
+      (pull prof cfg g input arg)
   | Plan.Shortest_path
       { from_; to_; rel; rel_single; types; dir; props; min_len; max_len; all;
         restr; path; input } ->
@@ -418,7 +416,7 @@ and rows_body cfg g plan arg =
               | None -> false);
           List.to_seq (List.rev !found)
         | _ -> Seq.empty)
-      (rows cfg g input arg)
+      (pull prof cfg g input arg)
   | Plan.Cheapest_path
       { from_; to_; rel; types; dir; props; cost_prop; restr; path; input } ->
     seq_filter_map_concat
@@ -434,14 +432,14 @@ and rows_body cfg g plan arg =
                (bind_path row ~rel ~rel_single:false ~path restr s)
                (Eval.cheapest_path cost_prop ~fwd ~bwd s e))
         | _ -> Seq.empty)
-      (rows cfg g input arg)
+      (pull prof cfg g input arg)
   | Plan.Path_restrict { restr; start_var; hops; input } ->
     Seq.filter
       (fun row ->
         match node_of row start_var with
         | None -> false
         | Some start -> Eval.restr_ok restr start (bound_steps g row start hops))
-      (rows cfg g input arg)
+      (pull prof cfg g input arg)
   | Plan.Project_path { var; start_var; hops; input } ->
     Seq.filter_map
       (fun row ->
@@ -450,7 +448,7 @@ and rows_body cfg g plan arg =
         | Some start ->
           let steps = bound_steps g row start hops in
           bind_or_check row var (Value.Path { path_start = start; path_steps = steps }))
-      (rows cfg g input arg)
+      (pull prof cfg g input arg)
 
 and eval_count cfg g what e =
   match Eval.eval_expr cfg g Record.empty e with
@@ -458,6 +456,8 @@ and eval_count cfg g what e =
   | Value.Int n ->
     eval_error "%s: expected a non-negative integer, got %d" what n
   | v -> eval_error "%s: expected an integer, got %s" what (Value.type_name v)
+
+let rows cfg g plan arg = pull None cfg g plan arg
 
 let run cfg g ~fields plan table =
   Table.of_seq ~fields (rows cfg g plan (Table.to_seq table))
@@ -472,15 +472,9 @@ let run_profiled cfg g ~fields plan table =
       entries := (node, e) :: !entries;
       e
   in
-  let was_counting = Graph.db_hit_counting_on () in
-  Graph.count_db_hits true;
-  Domain.DLS.set profiler_key (Some find);
   let result =
-    Fun.protect
-      ~finally:(fun () ->
-        Domain.DLS.set profiler_key None;
-        Graph.count_db_hits was_counting)
-      (fun () -> Table.of_seq ~fields (rows cfg g plan (Table.to_seq table)))
+    Graph.with_db_hit_counting (fun () ->
+        Table.of_seq ~fields (pull (Some find) cfg g plan (Table.to_seq table)))
   in
   let stats node =
     match List.find_opt (fun (p, _) -> p == node) !entries with

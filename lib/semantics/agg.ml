@@ -55,14 +55,14 @@ let rec contains_aggregate = function
    synthetic variable, so that an aggregating item such as
    [r.name + count(s)] can be evaluated in two stages. *)
 (* Global counter: two items of one projection must not share synthetic
-   names, since their aggregate results are bound in a single record. *)
-let counter = ref 0
+   names, since their aggregate results are bound in a single record.
+   Atomic, because queries are compiled on several domains at once. *)
+let counter = Atomic.make 0
 
 let extract_aggregates expr =
   let extracted = ref [] in
   let fresh spec =
-    incr counter;
-    let name = Printf.sprintf "#agg%d" !counter in
+    let name = Printf.sprintf "#agg%d" (1 + Atomic.fetch_and_add counter 1) in
     extracted := (name, spec) :: !extracted;
     E_var name
   in

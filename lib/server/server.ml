@@ -1,9 +1,14 @@
 (* The concurrent query server.
 
-   One process, one shared {!Cypher_storage.Store}, thread-per-connection
-   (threads.posix).  Every connection gets a private
-   {!Cypher_session.Session} — its own plan cache and its own transaction
-   state.
+   One process, one shared {!Cypher_storage.Store}, one systhread per
+   connection, hosted on request domains: the accept loop hands each
+   connection to {!Cypher_engine.Domain_pool.spawn_thread}, which starts
+   its thread on the domain hosting the fewest live connections — the
+   pool's domains (one per core beyond the first) and the server's own.
+   Reads on different domains run in parallel, so a long read on one
+   connection no longer holds the runtime lock every other connection
+   waits on.  Every connection gets a private {!Cypher_session.Session}
+   — its own plan cache and its own transaction state.
 
    Concurrency discipline is MVCC (see DESIGN.md):
    - every statement is classified read/write from its AST up front
@@ -30,6 +35,7 @@
 module Store = Cypher_storage.Store
 module Session = Cypher_session.Session
 module Engine = Cypher_engine.Engine
+module Domain_pool = Cypher_engine.Domain_pool
 module Config = Cypher_semantics.Config
 module Value = Cypher_values.Value
 module Registry = Cypher_obs.Registry
@@ -66,6 +72,10 @@ let m_readonly_rejected =
   Registry.counter ~help:"writes rejected because this server is a replica"
     "cypher_server_readonly_rejected_total"
 
+let m_request_domains =
+  Registry.gauge ~help:"domains hosting connection threads"
+    "cypher_server_request_domains"
+
 let m_stale_reads =
   Registry.counter
     ~help:"reads rejected because the replica could not reach min_seq in time"
@@ -88,13 +98,15 @@ type t = {
   views : Ivm.t;
   listen_fd : Unix.file_descr;
   bound_port : int;
-  mutable stopping : bool;
+  stopping : bool Atomic.t;  (* read by connection threads on every domain *)
+  request_domains : int;
   state_lock : Mutex.t;
   mutable conn_threads : Thread.t list;
   mutable accept_thread : Thread.t option;
 }
 
 let port t = t.bound_port
+let request_domains t = t.request_domains
 let metrics t = t.metrics
 let store t = t.store
 let views t = t.views
@@ -596,7 +608,7 @@ let rec handle_request t conn payload =
       let rec poll () =
         let f = Store.fetch_since t.store ~from_seq ~max_records in
         if
-          f.Store.fr_records <> [] || f.Store.fr_resync || t.stopping
+          f.Store.fr_records <> [] || f.Store.fr_resync || Atomic.get t.stopping
           || Cypher_obs.Clock.now_ns () >= deadline
         then f
         else begin
@@ -700,7 +712,7 @@ and serve_subscription t conn ~started_ns ~payload query =
         (Protocol.encode_response (delta_response f))
     in
     let rec stream () =
-      if not t.stopping then
+      if not (Atomic.get t.stopping) then
         match Unix.select [ conn.fd ] [] [] 0. with
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> stream ()
         | [ _ ], _, _ -> (
@@ -737,7 +749,7 @@ and serve_subscription t conn ~started_ns ~payload query =
 (* Waits until [fd] is readable, in slices so shutdown is noticed; the
    answer also turns true on EOF (read_frame then reports it). *)
 let rec readable t fd =
-  if t.stopping then false
+  if Atomic.get t.stopping then false
   else
     match Unix.select [ fd ] [] [] 0.2 with
     | [], _, _ -> readable t fd
@@ -805,10 +817,10 @@ let serve_connection t fd =
 
 let accept_loop t =
   let rec loop () =
-    if not t.stopping then begin
+    if not (Atomic.get t.stopping) then begin
       match Unix.accept t.listen_fd with
       | fd, _ ->
-        let thread = Thread.create (fun () -> serve_connection t fd) () in
+        let thread = Domain_pool.spawn_thread (fun () -> serve_connection t fd) in
         Mutex.lock t.state_lock;
         t.conn_threads <- thread :: t.conn_threads;
         Mutex.unlock t.state_lock;
@@ -853,6 +865,8 @@ let start ?(config = default_config) ?(schema = Cypher_schema.Schema.empty)
         | Unix.ADDR_INET (_, p) -> p
         | _ -> config.port
       in
+      let request_domains = Domain_pool.request_domains () in
+      Registry.gauge_set m_request_domains request_domains;
       let t =
         {
           config;
@@ -863,7 +877,8 @@ let start ?(config = default_config) ?(schema = Cypher_schema.Schema.empty)
           views = Ivm.attach ~mode store;
           listen_fd = fd;
           bound_port;
-          stopping = false;
+          stopping = Atomic.make false;
+          request_domains;
           state_lock = Mutex.create ();
           conn_threads = [];
           accept_thread = None;
@@ -872,11 +887,12 @@ let start ?(config = default_config) ?(schema = Cypher_schema.Schema.empty)
       t.accept_thread <- Some (Thread.create accept_loop t);
       Ok t)
 
-(* Graceful shutdown: stop accepting, let every connection finish its
-   in-flight request (the per-connection loop re-checks [stopping] at
-   each frame boundary), then checkpoint and close the WAL. *)
-let stop t =
-  t.stopping <- true;
+(* Stops accepting and joins every connection thread; each notices
+   [stopping] at its next frame boundary, so an in-flight request
+   finishes first.  The threads live on pool domains, and joining them
+   here is what lets {!Domain_pool.shutdown} join those domains later. *)
+let halt t =
+  Atomic.set t.stopping true;
   (try Unix.shutdown t.listen_fd Unix.SHUTDOWN_ALL
    with Unix.Unix_error _ -> ());
   (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
@@ -890,32 +906,22 @@ let stop t =
     th
   in
   List.iter Thread.join threads;
-  Ivm.shutdown t.views;
+  Ivm.shutdown t.views
+
+(* Graceful shutdown: drain the connections, then checkpoint and close
+   the WAL. *)
+let stop t =
+  halt t;
   let checkpoint_result = Store.checkpoint t.store in
   Store.close t.store;
   checkpoint_result
 
 (* Crash-equivalent shutdown: stop accepting and close the store WITHOUT
-   checkpointing or draining gracefully — the WAL is left exactly as the
-   last fsync wrote it, so reopening the directory exercises the real
-   recovery path.  Used by the replication failure tests to kill a
-   primary mid-stream. *)
+   checkpointing — the WAL is left exactly as the last fsync wrote it,
+   so reopening the directory exercises the real recovery path.  Used by
+   the replication failure tests to kill a primary mid-stream. *)
 let kill t =
-  t.stopping <- true;
-  (try Unix.shutdown t.listen_fd Unix.SHUTDOWN_ALL
-   with Unix.Unix_error _ -> ());
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  Option.iter Thread.join t.accept_thread;
-  t.accept_thread <- None;
-  let threads =
-    Mutex.lock t.state_lock;
-    let th = t.conn_threads in
-    t.conn_threads <- [];
-    Mutex.unlock t.state_lock;
-    th
-  in
-  List.iter Thread.join threads;
-  Ivm.shutdown t.views;
+  halt t;
   Store.close t.store
 
 let wait t = Option.iter Thread.join t.accept_thread

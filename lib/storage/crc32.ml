@@ -5,19 +5,19 @@
 let poly = 0xEDB88320
 let mask = 0xFFFFFFFF
 
+(* Built eagerly: a lazy table forced for the first time by two domains
+   at once raises [Lazy.Undefined]. *)
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           if !c land 1 = 1 then c := (!c lsr 1) lxor poly else c := !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        if !c land 1 = 1 then c := (!c lsr 1) lxor poly else c := !c lsr 1
+      done;
+      !c)
 
 let digest_sub ?(crc = 0) s ~pos ~len =
   if pos < 0 || len < 0 || pos + len > String.length s then
     invalid_arg "Crc32.digest_sub";
-  let table = Lazy.force table in
   let c = ref (crc lxor mask) in
   for i = pos to pos + len - 1 do
     c := table.((!c lxor Char.code s.[i]) land 0xFF) lxor (!c lsr 8)

@@ -211,6 +211,73 @@ let db_hits_adjacency_not_neighbours () =
       Alcotest.(check int) q expected hits)
     [ ("->", 2); ("-", 4) ]
 
+(* A PROFILE counts only its own run's hits: while a second domain loops
+   the same query, profiled and unprofiled, every operator of a profiled
+   run on this domain reports exactly the hits of an isolated run.  A
+   process-global counter would add the other domain's hits; a counting
+   switch set and restored around each run would let the other domain's
+   finishing PROFILE switch counting off mid-run. *)
+let db_hits_profile_isolated () =
+  let g = ref Graph.empty in
+  let prev = ref None in
+  for i = 1 to 1500 do
+    let g', n =
+      Graph.add_node ~labels:[ "P" ] ~props:[ ("k", Value.Int i) ] !g
+    in
+    g := g';
+    Option.iter
+      (fun p -> g := fst (Graph.add_rel ~src:p ~tgt:n ~rel_type:"F" !g))
+      !prev;
+    prev := Some n
+  done;
+  let g = !g in
+  let q = "MATCH (a:P)-[:F]->(b) WHERE b.k % 3 = 0 RETURN count(*) AS c" in
+  let plan, fields =
+    match Cypher_parser.Parser.parse_query_exn q with
+    | Cypher_ast.Ast.Q_single { sq_clauses; sq_return } ->
+      let { Build.plan; fields } =
+        Build.compile_clauses ~stats:(Stats.collect g) ~visible:[] sq_clauses
+          sq_return
+      in
+      (plan, fields)
+    | _ -> Alcotest.fail "expected a single query"
+  in
+  let rec chain p = p :: Option.fold ~none:[] ~some:chain (Plan.input_of p) in
+  let per_operator () =
+    let _table, actual =
+      Exec.run_profiled cfg g ~fields plan Cypher_table.Table.unit
+    in
+    List.map (fun op -> (actual op).Exec.prof_hits) (chain plan)
+  in
+  let isolated = per_operator () in
+  Alcotest.(check bool) "the query touches the store" true
+    (List.exists (fun h -> h > 0) isolated);
+  let stop = Atomic.make false and rounds = Atomic.make 0 in
+  let other =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          ignore (per_operator ());
+          ignore (Exec.run cfg g ~fields plan Cypher_table.Table.unit);
+          Atomic.incr rounds
+        done)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Domain.join other)
+    (fun () ->
+      (* run until the other domain has looped a few times meanwhile *)
+      let runs = ref 0 in
+      while !runs < 10 || Atomic.get rounds < 3 do
+        incr runs;
+        Alcotest.(check (list int))
+          (Printf.sprintf "run %d: per-operator hits equal the isolated run"
+             !runs)
+          isolated (per_operator ())
+      done);
+  Alcotest.(check bool) "counting off once every PROFILE is done" false
+    (Graph.db_hit_counting_on ())
+
 (* --- slow-query log --------------------------------------------------- *)
 
 let slow_query_log_threshold () =
@@ -315,6 +382,7 @@ let suite =
     tc "db hits: indexed lookup beats label scan" db_hits_indexed_vs_scan;
     tc "db hits: one per adjacency list, none per neighbour"
       db_hits_adjacency_not_neighbours;
+    tc "db hits: a PROFILE counts only its own run" db_hits_profile_isolated;
     tc "slow-query log fires at or above its threshold only"
       slow_query_log_threshold;
     tc "trace spans nest well-formed in the JSONL sink"

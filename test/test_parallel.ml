@@ -140,8 +140,11 @@ let test_pool_runs_all_tasks () =
       Alcotest.(check int) (Printf.sprintf "task %d runs exactly once" i) 1
         (Atomic.get c))
     hits;
+  (* the server's request domains share the pool: one per core beyond
+     the first, so a job may find the pool already that large *)
   Alcotest.(check bool) "pool spawned at most workers-1 domains" true
-    (Domain_pool.size () <= 3)
+    (Domain_pool.size ()
+    <= max 3 (min 8 (Domain.recommended_domain_count () - 1)))
 
 let test_pool_concurrent_jobs () =
   (* jobs submitted from several threads at once must all complete (the
@@ -159,6 +162,71 @@ let test_pool_concurrent_jobs () =
   List.iter Thread.join threads;
   Alcotest.(check int) "all tasks of all jobs ran" (6 * 5 * 8)
     (Atomic.get total)
+
+(* A thread spawned on the pool that reports its domain and then parks
+   until released. *)
+let parked_thread () =
+  let where = ref None and release = ref false in
+  let m = Mutex.create () and c = Condition.create () in
+  let th =
+    Domain_pool.spawn_thread (fun () ->
+        Mutex.lock m;
+        where := Some (Domain.self ());
+        Condition.broadcast c;
+        while not !release do Condition.wait c m done;
+        Mutex.unlock m)
+  in
+  Mutex.lock m;
+  while !where = None do Condition.wait c m done;
+  let d = Option.get !where in
+  Mutex.unlock m;
+  let finish () =
+    Mutex.lock m;
+    release := true;
+    Condition.broadcast c;
+    Mutex.unlock m;
+    Thread.join th
+  in
+  (d, finish)
+
+let test_pool_placement () =
+  if Domain.recommended_domain_count () < 2 then begin
+    print_endline "skipped: one recommended domain, so every thread runs on                    the caller's";
+    Alcotest.skip ()
+  end;
+  let d1, finish1 = parked_thread () in
+  let d2, finish2 = parked_thread () in
+  Alcotest.(check bool) "two consecutive spawns land on different domains"
+    true (d1 <> d2);
+  finish1 ();
+  let d3, finish3 = parked_thread () in
+  Alcotest.(check bool) "once the first ends, the next spawn reuses its domain"
+    true (d3 = d1);
+  finish2 ();
+  finish3 ()
+
+let test_pool_shutdown_leaves_busy_domains () =
+  (* a thread parked on a pool domain keeps that domain alive: shutdown
+     must return without joining it, or an idle connection would hang
+     process exit *)
+  let _, finish = parked_thread () in
+  let returned = Atomic.make false in
+  let shutter =
+    Thread.create (fun () -> Domain_pool.shutdown (); Atomic.set returned true) ()
+  in
+  let deadline = Unix.gettimeofday () +. 10. in
+  while (not (Atomic.get returned)) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  let ok = Atomic.get returned in
+  finish ();
+  Thread.join shutter;
+  Alcotest.(check bool) "shutdown returns while a hosted thread lives" true ok;
+  Alcotest.(check int) "every domain retired" 0 (Domain_pool.size ());
+  (* the pool re-grows on demand *)
+  let total = Atomic.make 0 in
+  Domain_pool.run ~workers:2 4 (fun _ -> Atomic.incr total);
+  Alcotest.(check int) "a job after shutdown still runs" 4 (Atomic.get total)
 
 (* --- float → integer conversion guards -------------------------------- *)
 
@@ -311,6 +379,10 @@ let suite =
       test_fuzz_differential;
     tc "domain pool runs every task exactly once" test_pool_runs_all_tasks;
     tc "domain pool survives concurrent jobs" test_pool_concurrent_jobs;
+    tc "domain pool places threads on the least-loaded domain"
+      test_pool_placement;
+    tc "domain pool shutdown leaves domains hosting live threads"
+      test_pool_shutdown_leaves_busy_domains;
     tc "toInteger edge values" test_to_integer_edges;
     tc "non-finite percentiles are rejected" test_percentile_non_finite;
     tc "server: concurrent parallel readers" test_server_parallel_readers;

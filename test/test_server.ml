@@ -669,6 +669,95 @@ let graceful_stop_checkpoints () =
   | Error e -> Alcotest.fail (Cypher_engine.Engine.error_message e));
   Store.close again
 
+(* Request domains: a long read on one connection must not stall the
+   others.  A's cartesian count runs for a second or so on one domain;
+   B's connection, placed on another, answers 20 point reads meanwhile.
+   With every connection on one domain, B would wait for the runtime
+   lock A's read holds at every request. *)
+let long_read_does_not_stall_others () =
+  if Domain.recommended_domain_count () < 2 then begin
+    print_endline "skipped: one recommended domain, so every connection \
+                   shares the server's";
+    Alcotest.skip ()
+  end;
+  with_server (fun ~dir:_ ~server:_ ~connect ~stop:_ ->
+      let a = connect () in
+      let b = connect () in
+      (* one worker per read (sticky on the session), so A's read holds
+         one domain even where CYPHER_PARALLEL would spread its morsels
+         over every domain, B's included *)
+      List.iter
+        (fun c ->
+          match
+            Client.query ~options:[ ("parallel", Value.Int 1) ] c "RETURN 1"
+          with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "parallel 1: %s" (Client.error_message e))
+        [ a; b ];
+      ignore (ok_query a "UNWIND range(1, 2000) AS i CREATE (:N {v: i})");
+      let a_done = ref 0. and a_elapsed = ref 0. and a_count = ref 0 in
+      let long_read =
+        Thread.create
+          (fun () ->
+            let t0 = Unix.gettimeofday () in
+            a_count := count_of (ok_query a "MATCH (x:N), (y:N) RETURN count(*) AS c");
+            a_done := Unix.gettimeofday ();
+            a_elapsed := !a_done -. t0)
+          ()
+      in
+      (* let A's request reach its connection thread first *)
+      Thread.delay 0.05;
+      let b_start = Unix.gettimeofday () in
+      for i = 1 to 20 do
+        let r =
+          ok_query b (Printf.sprintf "MATCH (n:N {v: %d}) RETURN count(n) AS c" i)
+        in
+        Alcotest.(check int) "point read answers" 1 (count_of r)
+      done;
+      let b_done = Unix.gettimeofday () in
+      Thread.join long_read;
+      Alcotest.(check int) "the long read answers" (2000 * 2000) !a_count;
+      Alcotest.(check bool)
+        (Printf.sprintf "the long read takes at least 300 ms (%.0f ms)"
+           (!a_elapsed *. 1e3))
+        true (!a_elapsed >= 0.3);
+      Alcotest.(check bool)
+        (Printf.sprintf "B's 20 reads finish %.0f ms before A's answer"
+           ((!a_done -. b_done) *. 1e3))
+        true (b_done < !a_done);
+      (* on one shared domain B still gets a slice at each 50 ms tick, so
+         its reads crawl through A's whole run instead of finishing
+         at once *)
+      Alcotest.(check bool)
+        (Printf.sprintf "B's 20 reads take %.0f ms, under a quarter of A's"
+           ((b_done -. b_start) *. 1e3))
+        true (b_done -. b_start < !a_elapsed /. 4.);
+      Client.close a;
+      Client.close b)
+
+(* Shutdown with a connection idle on a helper domain: Server.stop joins
+   the connection thread, after which the pool can join every domain. *)
+let stop_with_idle_connection () =
+  let dir = fresh_dir () in
+  let store = open_store dir in
+  match Server.start ~config:{ Server.default_config with Server.port = 0 } store with
+  | Error e -> Alcotest.failf "cannot start server: %s" e
+  | Ok server ->
+    let client =
+      match Client.connect ~host:"127.0.0.1" ~port:(Server.port server) () with
+      | Ok c -> c
+      | Error e -> Alcotest.failf "cannot connect: %s" e
+    in
+    ignore (ok_query client "RETURN 1 AS one");
+    (* the connection now sits idle; stop and shutdown must both return *)
+    (match Server.stop server with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "stop: %s" e);
+    Cypher_engine.Domain_pool.shutdown ();
+    Alcotest.(check int) "every pool domain joined" 0
+      (Cypher_engine.Domain_pool.size ());
+    Client.close client
+
 let suite =
   [
     tc "protocol round-trips requests, responses and malformed input"
@@ -691,4 +780,8 @@ let suite =
       metrics_verb_and_remote_profile;
     tc "graceful stop drains, checkpoints and truncates the WAL"
       graceful_stop_checkpoints;
+    tc "a long read on one connection does not stall another"
+      long_read_does_not_stall_others;
+    tc "stop and pool shutdown return with a connection idle"
+      stop_with_idle_connection;
   ]
