@@ -19,7 +19,11 @@
    the spawner queues the body, the domain's loop creates the thread and
    hands the [Thread.t] back.  The loop serves its inbox ahead of the
    job queue and between the tasks of a job, so a long morsel job delays
-   a spawn by at most one morsel.
+   a spawn by at most one morsel.  The spawner waits for that hand-back,
+   and placement counts threads, not how busy they are: if a thread
+   already on the chosen domain is in a CPU-bound read, the loop waits
+   for that domain's runtime lock, up to one tick (~50 ms), and so does
+   the spawner.
 
    Domains are spawned lazily and kept for the life of the process, so
    the spawn cost (~ tens of microseconds plus a runtime ring slot) is
@@ -186,12 +190,16 @@ let size () =
   Mutex.unlock lock;
   n
 
+(* One request domain per core: the pool's, beside the caller's. *)
+let grow_for_requests () =
+  ensure_domains (Domain.recommended_domain_count () - 1)
+
 let request_domains () =
-  ensure_domains (Domain.recommended_domain_count () - 1);
+  grow_for_requests ();
   size () + 1
 
 let spawn_thread f =
-  ensure_domains (Domain.recommended_domain_count () - 1);
+  grow_for_requests ();
   Mutex.lock lock;
   (* least loaded wins; on a tie a pool domain beats the caller's, which
      also runs the accept loop and the background threads *)
@@ -270,7 +278,8 @@ let shutdown () =
   let idle = List.filter (fun s -> s.live = 0) retiring in
   Mutex.unlock lock;
   Registry.gauge_set m_domains 0;
-  List.iter (fun s -> Option.iter Domain.join s.domain) idle
+  List.iter (fun s -> Option.iter Domain.join s.domain) idle;
+  List.length idle
 
 (* see the module comment: joins the pool's idle domains on the way out *)
-let () = at_exit shutdown
+let () = at_exit (fun () -> ignore (shutdown ()))

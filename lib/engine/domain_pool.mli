@@ -29,7 +29,8 @@ val spawn_thread : (unit -> unit) -> Thread.t
     wins only strictly.  Grows the pool to one domain per core beyond
     the caller's first (see {!request_domains}); on a 1-core host every
     thread runs on the caller's domain.  Returns once the thread
-    exists. *)
+    exists: if a thread already on the chosen domain is in a CPU-bound
+    computation, that can take up to one runtime tick (~50 ms). *)
 
 val request_domains : unit -> int
 (** Grows the pool to [Domain.recommended_domain_count () - 1] domains
@@ -39,10 +40,10 @@ val request_domains : unit -> int
 val size : unit -> int
 (** Pool domains currently alive. *)
 
-val shutdown : unit -> unit
+val shutdown : unit -> int
 (** Retires every pool domain (they finish their current task first)
-    and joins those hosting no live thread; a domain still hosting one
-    is left to end with its threads, so an idle connection cannot make
-    process exit hang.  Installed as an [at_exit] hook; safe to call
-    more than once, and the pool re-grows on the next {!run} or
-    {!spawn_thread}. *)
+    and joins those hosting no live thread, returning how many it
+    joined; a domain still hosting one is left to end with its threads,
+    so an idle connection cannot make process exit hang.  Installed as
+    an [at_exit] hook; safe to call more than once, and the pool
+    re-grows on the next {!run} or {!spawn_thread}. *)

@@ -68,10 +68,9 @@ let observe_query ~mode ~text ?(cache_hit = ref false)
     | Reference -> m_queries_reference);
   let slow = Slowlog.armed () in
   if slow then Trace.begin_collect ();
-  let hits0 = Graph.db_hits () in
   let t0 = Trace.now_us () in
-  let result =
-    match Trace.with_span "query" f with
+  let result, db_hits =
+    match Graph.own_db_hits (fun () -> Trace.with_span "query" f) with
     | r -> r
     | exception e ->
       if slow then ignore (Trace.end_collect ());
@@ -90,9 +89,8 @@ let observe_query ~mode ~text ?(cache_hit = ref false)
   | Ok _ -> Registry.add m_rows_produced rows
   | Error _ -> Registry.incr m_query_errors);
   (* db hits are counted only while a profiled run has the counter on,
-     and per thread: the delta is this query's own hits, 0 for an
-     ordinary run unless a PROFILE elsewhere has counting on. *)
-  let db_hits = max 0 (Graph.db_hits () - hits0) in
+     and per thread: [db_hits] is this query's own, 0 for an ordinary
+     run unless a PROFILE elsewhere has counting on. *)
   let trace = Trace.current_trace_id () in
   if Qstats.enabled () then
     Qstats.observe ~text ~elapsed_us ~rows ~db_hits ~cache_hit:!cache_hit

@@ -85,13 +85,12 @@ type t = {
    records themselves, so reading a neighbour off it costs nothing
    more.
 
-   Counts are per thread, so a profiled run reads only its own hits
-   while other connections' threads — on its domain or another — touch
-   the store.  Thread ids are small monotonically increasing ints,
-   unique across domains, so the common store is a plain array indexed
-   by id (the same pattern as [Trace]'s context slots): a slot is only
-   ever touched by its own thread.  Processes that have created more
-   than [hit_slot_cap] threads overflow into a mutex-guarded table.
+   Counts are per thread ({!Cypher_obs.Per_thread}), so a profiled run
+   reads only its own hits while other connections' threads — on its
+   domain or another — touch the store.  [own_db_hits] scopes a thread's
+   count to one query and resets it when the query ends, which keeps
+   the per-thread store's overflow table from growing with the number
+   of connections a long-lived server has served.
 
    Counting is on while any profiled run is in flight: [counting_depth]
    is a count, not a flag, so one run finishing cannot switch counting
@@ -99,31 +98,18 @@ type t = {
    atomic load. *)
 
 let counting_depth = Atomic.make 0
-let hit_slot_cap = 8192
-let hit_slots = Array.make hit_slot_cap 0
-let hit_overflow : (int, int) Hashtbl.t = Hashtbl.create 16
-let hit_overflow_lock = Mutex.create ()
+let hits : int Cypher_obs.Per_thread.t = Cypher_obs.Per_thread.make 0
+let db_hits () = Cypher_obs.Per_thread.get hits
+let count_hits n = Cypher_obs.Per_thread.set hits (db_hits () + n)
 
-let db_hits () =
-  let id = Thread.id (Thread.self ()) in
-  if id < hit_slot_cap then Array.unsafe_get hit_slots id
-  else begin
-    Mutex.lock hit_overflow_lock;
-    let n = Option.value ~default:0 (Hashtbl.find_opt hit_overflow id) in
-    Mutex.unlock hit_overflow_lock;
-    n
-  end
-
-let count_hits n =
-  let id = Thread.id (Thread.self ()) in
-  if id < hit_slot_cap then
-    Array.unsafe_set hit_slots id (Array.unsafe_get hit_slots id + n)
-  else begin
-    Mutex.lock hit_overflow_lock;
-    Hashtbl.replace hit_overflow id
-      (n + Option.value ~default:0 (Hashtbl.find_opt hit_overflow id));
-    Mutex.unlock hit_overflow_lock
-  end
+let own_db_hits f =
+  let saved = db_hits () in
+  Cypher_obs.Per_thread.set hits 0;
+  Fun.protect
+    ~finally:(fun () -> Cypher_obs.Per_thread.set hits saved)
+    (fun () ->
+      let r = f () in
+      (r, db_hits ()))
 
 let with_db_hit_counting f =
   Atomic.incr counting_depth;

@@ -67,7 +67,14 @@ val with_db_hit_counting : (unit -> 'a) -> 'a
 
 val db_hits : unit -> int
 (** The calling thread's running total of store accesses made while
-    counting was on (it is never reset: readers take deltas). *)
+    counting was on, since its innermost {!own_db_hits} began; readers
+    take deltas. *)
+
+val own_db_hits : (unit -> 'a) -> 'a * int
+(** [own_db_hits f] runs [f] and also returns the store accesses the
+    calling thread made in it while counting was on, not counting those
+    of nested [own_db_hits] calls.  The thread's total is restored when
+    [f] returns or raises, so the outermost call leaves it at zero. *)
 
 val db_hit_counting_on : unit -> bool
 

@@ -96,16 +96,10 @@ let rec new_id () =
 let id_to_hex id = Printf.sprintf "%016x" id
 
 (* Installed per thread (the server installs the remote caller's context
-   for the duration of one request).  Thread ids are small monotonically
-   increasing ints, so the common store is a plain array indexed by id: a
-   slot is only ever touched by its own thread, making reads and writes
-   lock-free — the server pays an array store to install a context and an
-   array load to read it back.  Processes that have created more than
-   [slot_cap] threads overflow into a mutex-guarded table. *)
-let slot_cap = 8192
-let slots : ctx option array = Array.make slot_cap None
-let ctxs : (int, ctx) Hashtbl.t = Hashtbl.create 16
-let ctx_lock = Mutex.create ()
+   for the duration of one request): a {!Per_thread} value, so the
+   server pays an array store to install a context and an array load to
+   read it back. *)
+let contexts : ctx option Per_thread.t = Per_thread.make None
 
 (* Number of threads with a context installed: lets [current_context]
    short-circuit on one atomic load in processes that never trace
@@ -113,40 +107,14 @@ let ctx_lock = Mutex.create ()
 let ctx_count = Atomic.make 0
 
 let set_context c =
-  let id = Thread.id (Thread.self ()) in
-  if id < slot_cap then begin
-    (match (Array.unsafe_get slots id, c) with
-    | None, Some _ -> Atomic.incr ctx_count
-    | Some _, None -> Atomic.decr ctx_count
-    | _ -> ());
-    Array.unsafe_set slots id c
-  end
-  else begin
-    Mutex.lock ctx_lock;
-    (match c with
-    | Some c ->
-      if not (Hashtbl.mem ctxs id) then Atomic.incr ctx_count;
-      Hashtbl.replace ctxs id c
-    | None ->
-      if Hashtbl.mem ctxs id then begin
-        Atomic.decr ctx_count;
-        Hashtbl.remove ctxs id
-      end);
-    Mutex.unlock ctx_lock
-  end
+  (match (Per_thread.get contexts, c) with
+  | None, Some _ -> Atomic.incr ctx_count
+  | Some _, None -> Atomic.decr ctx_count
+  | _ -> ());
+  Per_thread.set contexts c
 
 let current_context () =
-  if Atomic.get ctx_count = 0 then None
-  else begin
-    let id = Thread.id (Thread.self ()) in
-    if id < slot_cap then Array.unsafe_get slots id
-    else begin
-      Mutex.lock ctx_lock;
-      let c = Hashtbl.find_opt ctxs id in
-      Mutex.unlock ctx_lock;
-      c
-    end
-  end
+  if Atomic.get ctx_count = 0 then None else Per_thread.get contexts
 
 let with_context c f =
   let prev = current_context () in

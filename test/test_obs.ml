@@ -372,6 +372,65 @@ let span_overhead_off_path () =
   | _ -> Alcotest.fail "exception swallowed"
   | exception Failure m -> Alcotest.(check string) "exception through" "boom" m
 
+(* A query's db hits are its own: a nested scope's hits are reported by
+   that scope and left out of the enclosing one, and the thread's total
+   is back where it was once the outermost scope ends. *)
+let db_hits_own_scope () =
+  let g, n = Graph.add_node ~labels:[ "P" ] Graph.empty in
+  let fetch () = ignore (Graph.node_data g n) in
+  let before = Graph.db_hits () in
+  let ((), inner), outer =
+    Graph.with_db_hit_counting (fun () ->
+        Graph.own_db_hits (fun () ->
+            fetch ();
+            let r = Graph.own_db_hits (fun () -> fetch (); fetch ()) in
+            fetch ();
+            r))
+  in
+  Alcotest.(check int) "the nested scope counts its own two fetches" 2 inner;
+  Alcotest.(check int) "the enclosing scope counts only its own two" 2 outer;
+  Alcotest.(check int) "the thread's total is restored" before
+    (Graph.db_hits ())
+
+(* Threads past the array's 8192 slots keep their values in the overflow
+   table; each thread must still read only its own value, the default
+   until it sets one. *)
+let per_thread_values () =
+  let module P = Cypher_obs.Per_thread in
+  let v = P.make 0 in
+  let on_thread f =
+    let r = ref None in
+    Thread.join (Thread.create (fun () -> r := Some (f ())) ());
+    Option.get !r
+  in
+  let own () =
+    let id = Thread.id (Thread.self ()) in
+    let fresh = P.get v in
+    P.set v id;
+    (id, fresh, P.get v)
+  in
+  let check (id, fresh, mine) =
+    Alcotest.(check int) (Printf.sprintf "thread %d starts at the default" id)
+      0 fresh;
+    Alcotest.(check int) (Printf.sprintf "thread %d reads its own value" id)
+      id mine
+  in
+  check (on_thread own);
+  let spawned_past_array () =
+    let th = Thread.create ignore () in
+    Thread.join th;
+    Thread.id th >= 8192
+  in
+  while not (spawned_past_array ()) do () done;
+  on_thread (fun () ->
+      let (id, _, _) as a = own () in
+      check a;
+      check (on_thread own);
+      Alcotest.(check int) "a neighbour's value leaves this one alone" id
+        (P.get v);
+      P.set v 0;
+      Alcotest.(check int) "a reset reads the default" 0 (P.get v))
+
 let suite =
   [
     tc "registry: concurrent writers lose no updates" registry_concurrency;
@@ -383,6 +442,10 @@ let suite =
     tc "db hits: one per adjacency list, none per neighbour"
       db_hits_adjacency_not_neighbours;
     tc "db hits: a PROFILE counts only its own run" db_hits_profile_isolated;
+    tc "db hits: a query counts its own, not nested queries'"
+      db_hits_own_scope;
+    tc "per-thread values stay per thread past the slot array"
+      per_thread_values;
     tc "slow-query log fires at or above its threshold only"
       slow_query_log_threshold;
     tc "trace spans nest well-formed in the JSONL sink"

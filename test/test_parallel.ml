@@ -129,6 +129,9 @@ let test_fuzz_differential () =
 (* --- the domain pool -------------------------------------------------- *)
 
 let test_pool_runs_all_tasks () =
+  (* start from an empty pool: the server tests grow it to one request
+     domain per core, and their connection threads have all ended *)
+  ignore (Domain_pool.shutdown ());
   let n = 200 in
   let hits = Array.make n (Atomic.make 0) in
   for i = 0 to n - 1 do
@@ -140,11 +143,8 @@ let test_pool_runs_all_tasks () =
       Alcotest.(check int) (Printf.sprintf "task %d runs exactly once" i) 1
         (Atomic.get c))
     hits;
-  (* the server's request domains share the pool: one per core beyond
-     the first, so a job may find the pool already that large *)
   Alcotest.(check bool) "pool spawned at most workers-1 domains" true
-    (Domain_pool.size ()
-    <= max 3 (min 8 (Domain.recommended_domain_count () - 1)))
+    (Domain_pool.size () <= 3)
 
 let test_pool_concurrent_jobs () =
   (* jobs submitted from several threads at once must all complete (the
@@ -191,7 +191,8 @@ let parked_thread () =
 
 let test_pool_placement () =
   if Domain.recommended_domain_count () < 2 then begin
-    print_endline "skipped: one recommended domain, so every thread runs on                    the caller's";
+    print_endline "skipped: one recommended domain, so every thread runs on \
+                   the caller's";
     Alcotest.skip ()
   end;
   let d1, finish1 = parked_thread () in
@@ -209,10 +210,16 @@ let test_pool_shutdown_leaves_busy_domains () =
   (* a thread parked on a pool domain keeps that domain alive: shutdown
      must return without joining it, or an idle connection would hang
      process exit *)
-  let _, finish = parked_thread () in
-  let returned = Atomic.make false in
+  let parked_on, finish = parked_thread () in
+  let hosting = if parked_on = Domain.self () then 0 else 1 in
+  let domains = Domain_pool.size () in
+  let returned = Atomic.make false and joined = ref 0 in
   let shutter =
-    Thread.create (fun () -> Domain_pool.shutdown (); Atomic.set returned true) ()
+    Thread.create
+      (fun () ->
+        joined := Domain_pool.shutdown ();
+        Atomic.set returned true)
+      ()
   in
   let deadline = Unix.gettimeofday () +. 10. in
   while (not (Atomic.get returned)) && Unix.gettimeofday () < deadline do
@@ -222,7 +229,8 @@ let test_pool_shutdown_leaves_busy_domains () =
   finish ();
   Thread.join shutter;
   Alcotest.(check bool) "shutdown returns while a hosted thread lives" true ok;
-  Alcotest.(check int) "every domain retired" 0 (Domain_pool.size ());
+  Alcotest.(check int) "every domain but the hosting one joined"
+    (domains - hosting) !joined;
   (* the pool re-grows on demand *)
   let total = Atomic.make 0 in
   Domain_pool.run ~workers:2 4 (fun _ -> Atomic.incr total);

