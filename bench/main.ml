@@ -2207,6 +2207,8 @@ let b21 () =
   out "{\n";
   out "  \"pr\": 10,\n";
   out "  \"host_cores\": %d,\n" (Domain.recommended_domain_count ());
+  (* the whole run's peak, so the largest scale's memory is read here *)
+  out "  \"peak_rss_mb\": %.1f,\n" (Kit.proc_hwm_mb (Unix.getpid ()));
   out
     "  \"experiment\": \"B21 planner-native path finding: bound-endpoint \
      shortestPath (bidirectional BFS) and cheapestPath (bidirectional \
@@ -2236,6 +2238,65 @@ let b21 () =
   close_out oc;
   Printf.printf "(B21 results written to %s)\n" path
 
+(* ------------------------------------------------------------------ *)
+(* B22: store lookups                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* What finding a record costs, on the standing benchmark's social graph
+   after a snapshot round trip (the store a loaded server reads): the two
+   [node_data] reads a label scan makes per person, that scan through the
+   engine, and one outgoing adjacency read per node.  Each figure is the
+   median of 51 timed runs. *)
+let b22 () =
+  let people = 20_000 and reps = 51 in
+  let d =
+    Dataset.generate { Dataset.ds_name = "b22"; people; avg_friends = 8 }
+  in
+  let g =
+    match
+      Cypher_storage.Snapshot.decode
+        (Cypher_storage.Snapshot.encode (Dataset.build_graph d))
+    with
+    | Ok (g, _) -> g
+    | Error e -> failwith e
+  in
+  let median_ms f =
+    Kit.median
+      (List.init reps (fun _ ->
+           let t0 = Kit.now_ns () in
+           ignore (Sys.opaque_identity (f ()));
+           float (Kit.now_ns () - t0) /. 1e6))
+  in
+  let persons = Graph.nodes_with_label g "Person" in
+  let all = Graph.nodes g in
+  let lookups_ms =
+    median_ms (fun () ->
+        List.iter
+          (fun n ->
+            ignore (Sys.opaque_identity (Graph.node_data g n));
+            ignore (Sys.opaque_identity (Graph.node_data g n)))
+          persons)
+  in
+  let q =
+    "MATCH (p:Person) WHERE p.city = 'Oslo' AND p.name ENDS WITH '3' \
+     RETURN count(*) AS n"
+  in
+  let scan_ms = median_ms (fun () -> run_planned g q) in
+  let adjacent_ms =
+    median_ms (fun () ->
+        List.iter
+          (fun n -> ignore (Sys.opaque_identity (Graph.adjacent g n `Out)))
+          all)
+  in
+  Printf.printf
+    "\nB22 store lookups, %d people, %d relationships (median of %d runs)\n\
+    \  two node_data per Person   %8.3f ms  (%.1f ns per lookup)\n\
+    \  label scan, Engine.run     %8.3f ms\n\
+    \  adjacent `Out, every node  %8.3f ms\n%!"
+    people (Graph.rel_count g) reps lookups_ms
+    (lookups_ms *. 1e6 /. float (2 * List.length persons))
+    scan_ms adjacent_ms
+
 let groups =
   [
     ( "tables",
@@ -2248,6 +2309,7 @@ let groups =
     ("b7", b7); ("b8", b8); ("b9", b9); ("b10", b10); ("b11", b11);
     ("b12", b12); ("b13", b13); ("b14", b14); ("b15", b15); ("b16", b16);
     ("b17", b17); ("b18", b18); ("b19", b19); ("b20", b20); ("b21", b21);
+    ("b22", b22);
   ]
 
 let () =

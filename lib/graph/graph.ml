@@ -1,8 +1,6 @@
 open Cypher_values
 module Sset = Set.Make (String)
 module Smap = Value.Smap
-module Nmap = Ids.Node_map
-module Rmap = Ids.Rel_map
 module Vmap = Map.Make (struct
   type t = Value.t
 
@@ -24,9 +22,11 @@ type rel_data = {
   rel_props : Value.t Smap.t;
 }
 
+(* The store maps are dense-id tries ({!Idmap}) keyed by the ids'
+   integers: a record or adjacency list is a few array reads away. *)
 type t = {
-  node_map : node_data Nmap.t;
-  rel_map : rel_data Rmap.t;
+  node_map : node_data Idmap.t;
+  rel_map : rel_data Idmap.t;
   (* Adjacency lists: the relationship records themselves, in reverse
      insertion order.  These are the "direct references from each node
      via its edges to the related nodes" of Section 2: each entry is
@@ -34,8 +34,8 @@ type t = {
      neighbour's other end, type and properties are read off the entry
      with no second lookup.  Every update of a relationship rewrites its
      record in all three places. *)
-  out_adj : rel_data list Nmap.t;
-  in_adj : rel_data list Nmap.t;
+  out_adj : rel_data list Idmap.t;
+  in_adj : rel_data list Idmap.t;
   label_index : Ids.Node_set.t Smap.t;
   type_index : Ids.Rel_set.t Smap.t;
   (* (label, key) -> value -> nodes; maintained by every node update *)
@@ -139,10 +139,10 @@ let version g = g.version
 
 let empty =
   {
-    node_map = Nmap.empty;
-    rel_map = Rmap.empty;
-    out_adj = Nmap.empty;
-    in_adj = Nmap.empty;
+    node_map = Idmap.empty;
+    rel_map = Idmap.empty;
+    out_adj = Idmap.empty;
+    in_adj = Idmap.empty;
     label_index = Smap.empty;
     type_index = Smap.empty;
     prop_indexes = Pmap.empty;
@@ -167,8 +167,10 @@ let journal e g =
     { g with chg = [ e ]; chg_len = 1; chg_epoch = g.chg_epoch + 1 }
   else { g with chg = e :: g.chg; chg_len = g.chg_len + 1 }
 
-let jnode n g = journal (Ids.node_to_int n lsl 1) g
-let jrel r g = journal ((Ids.rel_to_int r lsl 1) lor 1) g
+let nkey = Ids.node_to_int
+let rkey = Ids.rel_to_int
+let jnode n g = journal (nkey n lsl 1) g
+let jrel r g = journal ((rkey r lsl 1) lor 1) g
 
 let props_of_list kvs =
   List.fold_left
@@ -288,9 +290,9 @@ let add_node ?(labels = []) ?(props = []) g =
   let g =
     {
       g with
-      node_map = Nmap.add id data g.node_map;
-      out_adj = Nmap.add id [] g.out_adj;
-      in_adj = Nmap.add id [] g.in_adj;
+      node_map = Idmap.add (nkey id) data g.node_map;
+      out_adj = Idmap.add (nkey id) [] g.out_adj;
+      in_adj = Idmap.add (nkey id) [] g.in_adj;
       label_index;
       label_counts;
       n_nodes = g.n_nodes + 1;
@@ -299,17 +301,19 @@ let add_node ?(labels = []) ?(props = []) g =
   in
   (stamp (jnode id (pidx_update ~add:true g id data)), id)
 
-let mem_node g n = Nmap.mem n g.node_map
-let mem_rel g r = Rmap.mem r g.rel_map
+let mem_node g n = Idmap.mem (nkey n) g.node_map
+let mem_rel g r = Idmap.mem (rkey r) g.rel_map
 
 let rel_record rel_id ~src ~tgt ~rel_type rel_props =
   { rel_id; src; tgt; rel_type; rel_props }
 
 let adj_cons n d adj =
-  Nmap.update n (function None -> Some [ d ] | Some ds -> Some (d :: ds)) adj
+  Idmap.update (nkey n)
+    (function None -> Some [ d ] | Some ds -> Some (d :: ds))
+    adj
 
 let adj_remove n r adj =
-  Nmap.update n
+  Idmap.update (nkey n)
     (function
       | None -> None
       | Some ds ->
@@ -322,7 +326,7 @@ let adj_replace n old d adj =
     | [] -> []
     | e :: tl -> if e == old then d :: tl else e :: swap tl
   in
-  Nmap.update n (Option.map swap) adj
+  Idmap.update (nkey n) (Option.map swap) adj
 
 let add_rel ~src ~tgt ~rel_type ?(props = []) g =
   if not (mem_node g src && mem_node g tgt) then
@@ -336,7 +340,7 @@ let add_rel ~src ~tgt ~rel_type ?(props = []) g =
       (jrel id
          {
            g with
-           rel_map = Rmap.add id data g.rel_map;
+           rel_map = Idmap.add (rkey id) data g.rel_map;
            out_adj = adj_cons src data g.out_adj;
            in_adj = adj_cons tgt data g.in_adj;
            type_index;
@@ -348,17 +352,17 @@ let add_rel ~src ~tgt ~rel_type ?(props = []) g =
 
 let node_data g n =
   db_hit ();
-  Nmap.find n g.node_map
+  Idmap.find (nkey n) g.node_map
 
 let rel_data g r =
   db_hit ();
-  Rmap.find r g.rel_map
+  Idmap.find (rkey r) g.rel_map
 
 type direction = [ `Out | `In | `Both ]
 
 let adj_list adj n =
   db_hit ();
-  try Nmap.find n adj with Not_found -> []
+  try Idmap.find (nkey n) adj with Not_found -> []
 
 let adjacent g n (dir : [< direction ]) =
   match dir with
@@ -376,10 +380,16 @@ let far_end d n = if Ids.equal_node d.src n then d.tgt else d.src
 let rel_ids ds = List.map (fun d -> d.rel_id) ds
 let out_rels g n = rel_ids (adjacent g n `Out)
 let in_rels g n = rel_ids (adjacent g n `In)
-let degree g n = List.length (adjacent g n `Both)
+(* [degree] and [delete_node] read the two lists as [`Both] does, at
+   the same two hits, without building the joined list. *)
+let degree g n =
+  let outs = adjacent g n `Out and ins = adjacent g n `In in
+  List.fold_left
+    (fun c d -> if Ids.equal_node d.src n then c else c + 1)
+    (List.length outs) ins
 
 let delete_rel g r =
-  match Rmap.find_opt r g.rel_map with
+  match Idmap.find_opt (rkey r) g.rel_map with
   | None -> g
   | Some data ->
     let type_index, type_counts =
@@ -389,7 +399,7 @@ let delete_rel g r =
       (jrel r
          {
            g with
-           rel_map = Rmap.remove r g.rel_map;
+           rel_map = Idmap.remove (rkey r) g.rel_map;
            out_adj = adj_remove data.src r g.out_adj;
            in_adj = adj_remove data.tgt r g.in_adj;
            type_index;
@@ -398,7 +408,7 @@ let delete_rel g r =
          })
 
 let remove_node_raw g n =
-  match Nmap.find_opt n g.node_map with
+  match Idmap.find_opt (nkey n) g.node_map with
   | None -> g
   | Some data ->
     let g = pidx_update ~add:false g n data in
@@ -412,9 +422,9 @@ let remove_node_raw g n =
       (jnode n
          {
            g with
-           node_map = Nmap.remove n g.node_map;
-           out_adj = Nmap.remove n g.out_adj;
-           in_adj = Nmap.remove n g.in_adj;
+           node_map = Idmap.remove (nkey n) g.node_map;
+           out_adj = Idmap.remove (nkey n) g.out_adj;
+           in_adj = Idmap.remove (nkey n) g.in_adj;
            label_index;
            label_counts;
            n_nodes = g.n_nodes - 1;
@@ -422,7 +432,11 @@ let remove_node_raw g n =
 
 let delete_node g n =
   if not (mem_node g n) then Ok g
-  else if adjacent g n `Both <> [] then
+  else if
+    match (adjacent g n `Out, adjacent g n `In) with
+    | [], [] -> false
+    | _ -> true
+  then
     Error
       (Format.asprintf
          "cannot delete %a: it still has relationships (use DETACH DELETE)"
@@ -437,19 +451,19 @@ let detach_delete_node g n =
     remove_node_raw g n
 
 let update_node g n f =
-  match Nmap.find_opt n g.node_map with
+  match Idmap.find_opt (nkey n) g.node_map with
   | None -> g
   | Some old_data ->
     let new_data = f old_data in
     let g = pidx_update ~add:false g n old_data in
-    let g = { g with node_map = Nmap.add n new_data g.node_map } in
+    let g = { g with node_map = Idmap.add (nkey n) new_data g.node_map } in
     stamp (jnode n (pidx_update ~add:true g n new_data))
 
 (* [f] keeps the id and endpoints; the new record replaces the old one
    in [rel_map] and in both endpoint lists, while older graph values keep
    the old record everywhere. *)
 let update_rel g r f =
-  match Rmap.find_opt r g.rel_map with
+  match Idmap.find_opt (rkey r) g.rel_map with
   | None -> g
   | Some old ->
     let d = f old in
@@ -457,7 +471,7 @@ let update_rel g r f =
       (jrel r
          {
            g with
-           rel_map = Rmap.add r d g.rel_map;
+           rel_map = Idmap.add (rkey r) d g.rel_map;
            out_adj = adj_replace old.src old d g.out_adj;
            in_adj = adj_replace old.tgt old d g.in_adj;
          })
@@ -519,14 +533,12 @@ let rel_type g r = (rel_data g r).rel_type
 (* Whole-store scans count one hit per entity touched: a full
    AllNodesScan is as expensive as fetching every record. *)
 let nodes g =
-  let ns = List.map fst (Nmap.bindings g.node_map) in
-  db_hit_n (List.length ns);
-  ns
+  db_hit_n g.n_nodes;
+  Idmap.fold_right (fun n _ ns -> Ids.node_of_int n :: ns) g.node_map []
 
 let rels g =
-  let rs = List.map fst (Rmap.bindings g.rel_map) in
-  db_hit_n (List.length rs);
-  rs
+  db_hit_n g.n_rels;
+  Idmap.fold_right (fun r _ rs -> Ids.rel_of_int r :: rs) g.rel_map []
 let node_count g = g.n_nodes
 let rel_count g = g.n_rels
 
@@ -560,13 +572,13 @@ let all_types g = List.map fst (Smap.bindings g.type_index)
 
 let insert_node g n data =
   let g =
-    match Nmap.find_opt n g.node_map with
+    match Idmap.find_opt (nkey n) g.node_map with
     | Some old_data -> pidx_update ~add:false g n old_data
     | None -> g
   in
-  let fresh = not (Nmap.mem n g.node_map) in
+  let fresh = not (Idmap.mem (nkey n) g.node_map) in
   let prev_labels =
-    match Nmap.find_opt n g.node_map with
+    match Idmap.find_opt (nkey n) g.node_map with
     | Some d -> d.labels
     | None -> Sset.empty
   in
@@ -579,18 +591,13 @@ let insert_node g n data =
   let label_index, label_counts =
     Sset.fold (fun l acc -> index_add_node l n acc) data.labels acc
   in
-  let out_adj =
-    if Nmap.mem n g.out_adj then g.out_adj else Nmap.add n [] g.out_adj
-  in
-  let in_adj =
-    if Nmap.mem n g.in_adj then g.in_adj else Nmap.add n [] g.in_adj
-  in
+  let adj m = if Idmap.mem (nkey n) m then m else Idmap.add (nkey n) [] m in
   let g =
     {
       g with
-      node_map = Nmap.add n data g.node_map;
-      out_adj;
-      in_adj;
+      node_map = Idmap.add (nkey n) data g.node_map;
+      out_adj = adj g.out_adj;
+      in_adj = adj g.in_adj;
       label_index;
       label_counts;
       n_nodes = (if fresh then g.n_nodes + 1 else g.n_nodes);
@@ -623,7 +630,7 @@ let insert_rels g ds =
   let rel_map =
     List.fold_left
       (fun m d ->
-        Rmap.update d.rel_id
+        Idmap.update (rkey d.rel_id)
           (function
             | None -> Some d
             | Some _ -> invalid_arg "Graph.insert_rels: duplicate id")
@@ -633,7 +640,7 @@ let insert_rels g ds =
   let prepend key adj =
     Hashtbl.fold
       (fun n group adj ->
-        Nmap.update n
+        Idmap.update (nkey n)
           (fun old -> Some (group @ Option.value ~default:[] old))
           adj)
       (group_by key ds) adj
@@ -688,11 +695,11 @@ let union g1 g2 =
      insert_node keeps every index (label and property) maintained. *)
   let remap_node n = Ids.node_of_int (Ids.node_to_int n + g1.next_node) in
   let g =
-    Nmap.fold
-      (fun n d g -> insert_node g (remap_node n) d)
+    Idmap.fold
+      (fun n d g -> insert_node g (remap_node (Ids.node_of_int n)) d)
       g2.node_map g1
   in
-  Rmap.fold
+  Idmap.fold
     (fun _ d g ->
       let g, _ =
         add_rel ~src:(remap_node d.src) ~tgt:(remap_node d.tgt)
@@ -712,17 +719,17 @@ let pp ppf g =
            (fun ppf (k, v) -> Format.fprintf ppf "%s: %a" k Value.pp v))
         (Smap.bindings props)
   in
-  Nmap.iter
+  Idmap.iter
     (fun n d ->
-      Format.fprintf ppf "(%a%t%a)@." Ids.pp_node n
+      Format.fprintf ppf "(%a%t%a)@." Ids.pp_node (Ids.node_of_int n)
         (fun ppf ->
           Sset.iter (fun l -> Format.fprintf ppf ":%s" l) d.labels)
         pp_props d.node_props)
     g.node_map;
-  Rmap.iter
-    (fun r d ->
+  Idmap.iter
+    (fun _ d ->
       Format.fprintf ppf "(%a)-[%a:%s%a]->(%a)@." Ids.pp_node d.src Ids.pp_rel
-        r d.rel_type pp_props d.rel_props Ids.pp_node d.tgt)
+        d.rel_id d.rel_type pp_props d.rel_props Ids.pp_node d.tgt)
     g.rel_map
 
 let equal_structure g1 g2 =

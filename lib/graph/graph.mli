@@ -13,7 +13,13 @@
     unnecessary data, or proceed via an indirection such as an index in
     order to find related nodes" (Section 2).  An adjacency entry is the
     relationship's own record, so the far end, type and properties of a
-    neighbour are read off the entry, not looked up by id. *)
+    neighbour are read off the entry, not looked up by id.
+
+    Node records, relationship records and both adjacency lists are
+    filed in {!Idmap} tries keyed by the ids' integers: a lookup is one
+    array read per five bits of id, and an update copies only the arrays
+    on its key's path, so every published graph value can be read from
+    any domain with no lock. *)
 
 open Cypher_values
 

@@ -15,6 +15,5 @@ let pp_node ppf n = Format.fprintf ppf "n%d" n
 let pp_rel ppf r = Format.fprintf ppf "r%d" r
 
 module Node_map = Map.Make (Int)
-module Rel_map = Map.Make (Int)
 module Node_set = Set.Make (Int)
 module Rel_set = Set.Make (Int)

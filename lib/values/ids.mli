@@ -28,6 +28,5 @@ val pp_rel : Format.formatter -> rel -> unit
 (** Prints as [r17], matching the paper's naming of relationships. *)
 
 module Node_map : Map.S with type key = node
-module Rel_map : Map.S with type key = rel
 module Node_set : Set.S with type elt = node
 module Rel_set : Set.S with type elt = rel

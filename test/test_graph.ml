@@ -138,6 +138,114 @@ let union_remaps () =
   Alcotest.(check int) "union rel count" 2 (Graph.rel_count u);
   Alcotest.(check int) "label index merged" 2 (Graph.label_count u "A")
 
+(* Ids far apart and across the store trie's level boundaries (32^k)
+   behave as dense ones: a snapshot round trip keeps them, and a union
+   whose remapping crosses 32^3 keeps structure and order. *)
+let sparse_ids () =
+  let chain g ~label k =
+    let g, ns =
+      List.fold_left
+        (fun (g, ns) i ->
+          let g, n =
+            Graph.add_node ~labels:[ label ] ~props:[ ("i", vint i) ] g
+          in
+          (g, n :: ns))
+        (g, []) (List.init k Fun.id)
+    in
+    let ns = List.rev ns in
+    let g =
+      List.fold_left2
+        (fun g a b -> fst (Graph.add_rel ~src:a ~tgt:b ~rel_type:"NEXT" g))
+        g
+        (List.filteri (fun i _ -> i < k - 1) ns)
+        (List.tl ns)
+    in
+    (g, ns)
+  in
+  let far =
+    Graph.reserve_ids Graph.empty ~next_node:(1 lsl 30) ~next_rel:(1 lsl 30)
+  in
+  let g, ns = chain far ~label:"Far" 5 in
+  Alcotest.(check (list int))
+    "ids from 2^30"
+    (List.init 5 (fun i -> (1 lsl 30) + i))
+    (List.map Ids.node_to_int (Graph.nodes g));
+  (* a low id beside the far ones, joined to them *)
+  let near = Ids.node_of_int 7 in
+  let g =
+    Graph.insert_node g near
+      {
+        Graph.labels = Graph.Sset.singleton "Near";
+        node_props = Value.Smap.empty;
+      }
+  in
+  let g, _ = Graph.add_rel ~src:near ~tgt:(List.hd ns) ~rel_type:"TO" g in
+  (match
+     Cypher_storage.Snapshot.decode (Cypher_storage.Snapshot.encode g)
+   with
+  | Error e -> Alcotest.fail e
+  | Ok (g', _) ->
+    Alcotest.(check bool)
+      "snapshot round trip" true
+      (Graph.equal_structure g g');
+    Alcotest.(check (pair int int))
+      "counters" (Graph.next_ids g) (Graph.next_ids g');
+    Alcotest.(check int) "far degree" 2 (Graph.degree g' (List.nth ns 2)));
+  let base =
+    Graph.reserve_ids Graph.empty ~next_node:(32768 - 3) ~next_rel:1023
+  in
+  let g1, _ = chain base ~label:"A" 2 in
+  let g2, _ = chain Graph.empty ~label:"B" 6 in
+  let u = Graph.union g1 g2 in
+  let ids = List.map Ids.node_to_int (Graph.nodes u) in
+  Alcotest.(check (list int))
+    "union ids cross 32^3"
+    ([ 32765; 32766 ] @ List.init 6 (fun i -> 32768 + i))
+    ids;
+  Alcotest.(check int) "union rels" 6 (Graph.rel_count u);
+  List.iter
+    (fun r ->
+      let d = Graph.rel_data u r in
+      Alcotest.(check bool)
+        "each NEXT joins same-label nodes" true
+        (Graph.labels u d.src = Graph.labels u d.tgt))
+    (Graph.rels u);
+  Alcotest.(check (list int))
+    "B chain in order"
+    (List.init 6 Fun.id)
+    (List.map
+       (fun n ->
+         match Graph.node_prop u n "i" with Value.Int i -> i | _ -> -1)
+       (Graph.nodes_with_label u "B"))
+
+(* A deleted node's record and a deleted relationship's record are
+   collectable once the graph that held them is gone, though the store
+   leaves they sat in live on. *)
+let[@inline never] delete_tracked () =
+  let g, ns =
+    List.fold_left
+      (fun (g, ns) i ->
+        let g, n = Graph.add_node ~props:[ ("i", vint i) ] g in
+        (g, n :: ns))
+      (Graph.empty, []) (List.init 6 Fun.id)
+  in
+  let n3 = List.nth (List.rev ns) 3 and n4 = List.nth (List.rev ns) 4 in
+  let g, r = Graph.add_rel ~src:n3 ~tgt:n4 ~rel_type:"T" g in
+  let g, _ = Graph.add_rel ~src:n4 ~tgt:n4 ~rel_type:"T" g in
+  let node = Weak.create 1 and rel = Weak.create 1 in
+  Weak.set node 0 (Some (Graph.node_data g n3));
+  Weak.set rel 0 (Some (Graph.rel_data g r));
+  (Graph.detach_delete_node g n3, node, rel)
+
+let no_retention () =
+  let g, node, rel = delete_tracked () in
+  Gc.full_major ();
+  Alcotest.(check bool) "node record collected" false (Weak.check node 0);
+  Alcotest.(check bool) "rel record collected" false (Weak.check rel 0);
+  Alcotest.(check (pair int int))
+    "the rest stays" (5, 1)
+    (Graph.node_count g, List.length (Graph.rels (Sys.opaque_identity g)))
+
 (* The graph maintains node/rel/label/type cardinalities incrementally
    (enumerating to count made post-write statistics recollection O(graph)).
    Pin the incremental counts against the authoritative enumerations
@@ -251,6 +359,7 @@ type op =
   | Delete_rel of int
   | Set_rel_prop of int * int option  (* [None] removes the property *)
   | Detach_delete of int
+  | Delete_node of int  (* refused while the node has relationships *)
   | Insert_foreign of int * int  (* relationships of an earlier version *)
   | Snapshot_round_trip
 
@@ -262,6 +371,7 @@ let show_op = function
     Printf.sprintf "set_rel_prop(%d,%s)" i
       (Option.fold ~none:"null" ~some:string_of_int v)
   | Detach_delete i -> Printf.sprintf "detach_delete %d" i
+  | Delete_node i -> Printf.sprintf "delete_node %d" i
   | Insert_foreign (h, i) -> Printf.sprintf "insert_foreign(%d,%d)" h i
   | Snapshot_round_trip -> "snapshot"
 
@@ -275,6 +385,7 @@ let gen_op =
       (1, map (fun i -> Delete_rel i) small);
       (3, map2 (fun i v -> Set_rel_prop (i, v)) small (opt (int_bound 9)));
       (1, map (fun i -> Detach_delete i) small);
+      (2, map (fun i -> Delete_node i) small);
       (2, map2 (fun h i -> Insert_foreign (h, i)) small small);
       (1, return Snapshot_round_trip);
     ]
@@ -305,6 +416,10 @@ let apply versions op =
     | Detach_delete i ->
       Option.fold ~none:g ~some:(Graph.detach_delete_node g)
         (pick (Graph.nodes g) i)
+    | Delete_node i ->
+      Option.fold ~none:g
+        ~some:(fun n -> Result.value (Graph.delete_node g n) ~default:g)
+        (pick (Graph.nodes g) i)
     | Insert_foreign (h, i) ->
       (* as Multigraph copies relationships between graphs of one
          universe, the foreign records themselves are filed: a third of
@@ -329,23 +444,41 @@ let apply versions op =
   in
   g' :: versions
 
+let rec ascending compare = function
+  | a :: (b :: _ as tl) -> compare a b < 0 && ascending compare tl
+  | _ -> true
+
 (* Every relationship's record sits exactly once in its source's out list
    and once in its target's in list, physically the [rel_map] record and
-   filed under its own id, and the lists hold nothing else. *)
+   filed under its own id, and the lists hold nothing else.  The id scans
+   ascend and agree with the maintained counts, and [degree] counts the
+   [`Both] list. *)
 let adjacency_consistent g =
   let occurrences d ds = List.length (List.filter (fun e -> e == d) ds) in
+  let nodes = Graph.nodes g and rels = Graph.rels g in
   let total dir =
     List.fold_left
       (fun acc n -> acc + List.length (Graph.adjacent g n dir))
-      0 (Graph.nodes g)
+      0 nodes
   in
-  List.for_all
+  ascending Ids.compare_node nodes
+  && ascending Ids.compare_rel rels
+  && List.length nodes = Graph.node_count g
+  && List.length rels = Graph.rel_count g
+  && List.for_all
+       (fun n ->
+         Graph.degree g n = List.length (Graph.adjacent g n `Both)
+         && List.for_all
+              (fun e -> e == Graph.rel_data g e.Graph.rel_id)
+              (Graph.adjacent g n `Out @ Graph.adjacent g n `In))
+       nodes
+  && List.for_all
     (fun r ->
       let d = Graph.rel_data g r in
       Ids.equal_rel d.rel_id r
       && occurrences d (Graph.adjacent g d.src `Out) = 1
       && occurrences d (Graph.adjacent g d.tgt `In) = 1)
-    (Graph.rels g)
+    rels
   && total `Out = Graph.rel_count g
   && total `In = Graph.rel_count g
 
@@ -372,6 +505,8 @@ let suite =
     tc "setting a property to null removes it" null_prop_removes;
     tc "identity-preserving insertion" insert_preserves_identity;
     tc "union remaps identifiers" union_remaps;
+    tc "sparse ids: snapshot and union across trie levels" sparse_ids;
+    tc "deleted records are not retained" no_retention;
     tc "incremental cardinalities match enumeration" incremental_counts;
     tc "delta across a journal reset is refused" journal_reset_spanning_delta;
     tc "statistics" stats;
