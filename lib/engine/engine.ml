@@ -10,6 +10,7 @@ module Registry = Cypher_obs.Registry
 module Trace = Cypher_obs.Trace
 module Slowlog = Cypher_obs.Slowlog
 module Qstats = Cypher_obs.Qstats
+module Query_record = Cypher_obs.Query_record
 
 (* force the algo.* procedures to link with the engine *)
 let () = Cypher_procs.Procs.ensure ()
@@ -48,65 +49,6 @@ type mode = Reference | Planned
 type outcome = { graph : Graph.t; table : Table.t }
 
 let mode_name = function Planned -> "planned" | Reference -> "reference"
-
-(* One observation per top-level engine call: mode and latency series,
-   rows produced, per-fingerprint workload statistics, and — when armed
-   — the slow-query log with its per-span breakdown.  The public entry
-   points ({!query}, {!query_cached}) wrap exactly once; everything
-   they call internally goes through unobserved helpers, so nothing
-   double-counts.  [?cache_hit] is a cell the caller flips when the
-   query resolved through the plan cache; [?fallback] is a cell
-   {!run_prepared} fills with the planner's refusal when a Planned-mode
-   query fell back to the reference evaluator, so
-   the slow-query log names both the mode asked for and the one that
-   ran. *)
-let observe_query ~mode ~text ?(cache_hit = ref false)
-    ?(fallback : string option ref = ref None) f =
-  Registry.incr
-    (match mode with
-    | Planned -> m_queries_planned
-    | Reference -> m_queries_reference);
-  let slow = Slowlog.armed () in
-  if slow then Trace.begin_collect ();
-  let t0 = Trace.now_us () in
-  let result, db_hits =
-    match Graph.own_db_hits (fun () -> Trace.with_span "query" f) with
-    | r -> r
-    | exception e ->
-      if slow then ignore (Trace.end_collect ());
-      Registry.incr m_query_errors;
-      raise e
-  in
-  let elapsed_us = Trace.now_us () - t0 in
-  Registry.observe_us m_query_latency elapsed_us;
-  let spans = if slow then Trace.end_collect () else [] in
-  let rows =
-    match result with
-    | Ok outcome -> Table.row_count outcome.table
-    | Error _ -> 0
-  in
-  (match result with
-  | Ok _ -> Registry.add m_rows_produced rows
-  | Error _ -> Registry.incr m_query_errors);
-  (* db hits are counted only while a profiled run has the counter on,
-     and per thread: [db_hits] is this query's own, 0 for an ordinary
-     run unless a PROFILE elsewhere has counting on. *)
-  let trace = Trace.current_trace_id () in
-  if Qstats.enabled () then
-    Qstats.observe ~text ~elapsed_us ~rows ~db_hits ~cache_hit:!cache_hit
-      ~error:(Result.is_error result) ~trace;
-  if slow then begin
-    let mode_str =
-      match !fallback with
-      | Some _ -> mode_name mode ^ "+reference-fallback"
-      | None -> mode_name mode
-    in
-    Slowlog.note ~trace_id:trace
-      ~fingerprint:(Qstats.fingerprint_hash text)
-      ~conn:(Slowlog.current_conn ())
-      ~query:text ~mode:mode_str ~elapsed_us ~rows ~spans ()
-  end;
-  result
 
 (* Clauses executed by the reference implementation between plan
    segments: updates and CALL. *)
@@ -364,11 +306,13 @@ let rec classify_ast = function
    back to EXPLAIN for updates — neither mutates.  A statement that is
    rejected before it runs is left to the lock-free read path, which
    reports the same error. *)
+let class_of = function
+  | Ddl _ -> Update
+  | Query ast -> classify_ast ast
+  | Explain _ | Profile _ -> Read_only
+
 let classify text =
-  match statement text with
-  | Ok (Ddl _) -> Update
-  | Ok (Query ast) -> classify_ast ast
-  | Ok (Explain _ | Profile _) | Error _ -> Read_only
+  match statement text with Ok stmt -> class_of stmt | Error _ -> Read_only
 
 (* --- consumers of the prepared form ------------------------------------ *)
 
@@ -381,19 +325,6 @@ let reference config g ast =
    queries under the default morphism. *)
 let plans config mode =
   mode = Planned && config.Config.morphism = Config.Edge_isomorphism
-
-(* Runs a prepared query.  An unplanned one (a planner limitation such
-   as ORDER BY on a non-projected variable under DISTINCT) runs on the
-   reference evaluator rather than failing — but never silently: the downgrade is counted, traced with its
-   reason, and reported through [fallback] to the caller's observation
-   wrapper (see {!observe_query}). *)
-let run_prepared ~fallback config g ast = function
-  | Ok tree -> run_tree config g tree
-  | Error reason ->
-    Registry.incr m_reference_fallback;
-    fallback := Some reason;
-    Trace.note ~attrs:[ ("reason", reason) ] "reference_fallback" 0;
-    reference config g ast
 
 let render_explain g : prepared -> string = function
   | Error reason -> "(not planned: " ^ reason ^ ")\n"
@@ -466,44 +397,131 @@ let plan_table text =
   in
   Table.create ~fields:[ "plan" ] rows
 
+(* What a runner knows of one execution beyond its result: the
+   planner's refusal, when a Planned-mode query fell back to the
+   reference evaluator, and — on the cached path — whether the text's
+   lookup hit and the entry's fingerprint.  {!observe_query} turns it
+   into the query's record. *)
+type ran = {
+  result : (outcome, error) result;
+  fallback : string option;
+  cache_hit : bool;
+  fingerprint : Query_record.fingerprint option;
+}
+
+let ran ?fallback result = { result; fallback; cache_hit = false; fingerprint = None }
+
 (* Executes a dispatched statement: the shared body of the uncached and
    the cached path, which differ only in where [prepare] finds the
-   prepared form. *)
-let run_statement ~fallback ~prepare config mode g = function
+   prepared form.  An unplanned query (a planner limitation such as ORDER
+   BY on a non-projected variable under DISTINCT) runs on the reference
+   evaluator rather than failing — but never silently: the downgrade is
+   traced with its reason and returned as [fallback], which the query's
+   record carries to the counter and the slow-query log. *)
+let run_statement ~prepare config mode g = function
   | Ddl (action, label, key) ->
     let g =
       match action with
       | `Create -> Graph.create_index g ~label ~key
       | `Drop -> Graph.drop_index g ~label ~key
     in
-    Ok { graph = g; table = Table.empty ~fields:[] }
+    ran (Ok { graph = g; table = Table.empty ~fields:[] })
   | Explain q ->
-    Result.map
-      (fun p -> { graph = g; table = plan_table p })
-      (catching (fun () -> render_explain g (prepare q)))
+    ran
+      (Result.map
+         (fun p -> { graph = g; table = plan_table p })
+         (catching (fun () -> render_explain g (prepare q))))
   | Profile q ->
-    Result.map
-      (fun p -> { graph = g; table = plan_table p })
-      (render_profile config g (prepare q))
-  | Query ast ->
-    catching (fun () ->
-        if plans config mode then
-          run_prepared ~fallback config g ast (prepare ast)
-        else reference config g ast)
+    ran
+      (Result.map
+         (fun p -> { graph = g; table = plan_table p })
+         (render_profile config g (prepare q)))
+  | Query ast when plans config mode -> (
+    match catching (fun () -> prepare ast) with
+    | Error e -> ran (Error e)
+    | Ok (Ok tree) -> ran (catching (fun () -> run_tree config g tree))
+    | Ok (Error reason) ->
+      Trace.note ~attrs:[ ("reason", reason) ] "reference_fallback" 0;
+      ran ~fallback:reason (catching (fun () -> reference config g ast)))
+  | Query ast -> ran (catching (fun () -> reference config g ast))
 
 let parse_statement text = Trace.with_span "parse" (fun () -> statement text)
 
 (* Unobserved evaluation: the shared body of every public entry point.
    EXPLAIN/PROFILE prefixes and index DDL are handled here, so every
    caller — the server included — can ask for plans. *)
-let query_raw ~fallback config mode g text =
-  Result.bind (parse_statement text)
-    (run_statement ~fallback ~prepare:(prepare g) config mode g)
+let query_raw config mode g text =
+  match parse_statement text with
+  | Error e -> ran (Error e)
+  | Ok stmt -> run_statement ~prepare:(prepare g) config mode g stmt
+
+let m_mode = function
+  | Planned -> m_queries_planned
+  | Reference -> m_queries_reference
+
+(* The registry's engine series, read off the query's record. *)
+let count_query (r : Query_record.t) =
+  Registry.observe_us m_query_latency r.elapsed_us;
+  if r.error then Registry.incr m_query_errors
+  else Registry.add m_rows_produced r.rows;
+  if Option.is_some r.fallback then Registry.incr m_reference_fallback
+
+(* One observation per top-level engine call, built into one record that
+   every observer reads: the registry series, the per-fingerprint
+   workload statistics and — when armed — the slow-query log with its
+   per-span breakdown.  The public entry points ({!query},
+   {!query_cached}) wrap exactly once; everything they call internally
+   goes through unobserved helpers, so nothing double-counts.  A query
+   without a cache entry is fingerprinted here, and only when an
+   observer reads the fingerprint. *)
+let observe_query ~mode ~text f =
+  Registry.incr (m_mode mode);
+  let slow = Slowlog.armed () in
+  if slow then Trace.begin_collect ();
+  let t0 = Trace.now_us () in
+  let ran, db_hits =
+    match Graph.own_db_hits (fun () -> Trace.with_span "query" f) with
+    | r -> r
+    | exception e ->
+      if slow then ignore (Trace.end_collect ());
+      Registry.incr m_query_errors;
+      raise e
+  in
+  let elapsed_us = Trace.now_us () - t0 in
+  let spans = if slow then Trace.end_collect () else [] in
+  let qstats = Qstats.enabled () in
+  let r =
+    {
+      Query_record.text;
+      fingerprint =
+        (match ran.fingerprint with
+        | Some fp -> fp
+        | None when qstats || slow -> Qstats.fingerprint text
+        | None -> Query_record.no_fingerprint);
+      mode = mode_name mode;
+      fallback = ran.fallback;
+      elapsed_us;
+      rows =
+        (match ran.result with
+        | Ok outcome -> Table.row_count outcome.table
+        | Error _ -> 0);
+      (* db hits are counted only while a profiled run has the counter
+         on, and per thread: this query's own, 0 for an ordinary run *)
+      db_hits;
+      cache_hit = ran.cache_hit;
+      error = Result.is_error ran.result;
+      trace = Trace.current_trace_id ();
+      conn = Slowlog.current_conn ();
+      spans;
+    }
+  in
+  count_query r;
+  if qstats then Qstats.observe r;
+  if slow then Slowlog.note r;
+  ran.result
 
 let query ?(config = Config.default) ?(mode = Planned) g text =
-  let fallback = ref None in
-  observe_query ~mode ~text ~fallback (fun () ->
-      query_raw ~fallback config mode g text)
+  observe_query ~mode ~text (fun () -> query_raw config mode g text)
 
 let run_exn ?config ?mode g text =
   match query ?config ?mode g text with
@@ -521,8 +539,9 @@ let stream ?(config = Config.default) g text =
         Error (Unsupported "stream: only read-only single queries can be streamed")
       | Error reason -> Error (Unsupported reason))
 
-(* Splits a script on top-level semicolons (string literals and comments
-   are respected). *)
+(* Splits a script on top-level semicolons.  String literals, comments
+   and backtick identifiers are skipped the way the lexer skips them, so
+   a semicolon inside one does not split. *)
 let split_statements text =
   let n = String.length text in
   let out = ref [] and buf = Buffer.create 128 in
@@ -552,6 +571,20 @@ let split_statements text =
     | '/' when !i + 1 < n && text.[!i + 1] = '/' ->
       while !i < n && text.[!i] <> '\n' do incr i done;
       Buffer.add_char buf '\n'
+    | '/' when !i + 1 < n && text.[!i + 1] = '*' ->
+      let j = ref (!i + 2) in
+      while !j + 1 < n && not (text.[!j] = '*' && text.[!j + 1] = '/') do
+        incr j
+      done;
+      let last = min (n - 1) (!j + 1) in
+      Buffer.add_string buf (String.sub text !i (last - !i + 1));
+      i := last
+    | '`' ->
+      let last =
+        Option.value ~default:(n - 1) (String.index_from_opt text (!i + 1) '`')
+      in
+      Buffer.add_string buf (String.sub text !i (last - !i + 1));
+      i := last
     | c -> Buffer.add_char buf c);
     incr i
   done;
@@ -603,25 +636,21 @@ let cross_check ?(config = Config.default) g text =
 (* The query-plan cache                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* A cache entry carries the dispatched statement — parsed and
-   scope-checked, valid against any graph — and its prepared form tagged
+(* One entry per statement text: the dispatched statement — parsed and
+   scope-checked, valid against any graph — with what that one parse
+   decides (its class and its fingerprint), and its prepared form tagged
    with the version of the graph whose statistics drove the compilation.
    A version mismatch keeps the statement but prepares it again, so
    updates invalidate cardinality estimates without paying for parsing
    again. *)
 type cache_entry = {
   ce_stmt : statement;
+  ce_class : stmt_class;
+  ce_fingerprint : Query_record.fingerprint;
   mutable ce_prepared : (int * prepared) option;
 }
 
-type plan_cache = {
-  entries : cache_entry Plan_cache.t;
-  (* statement classification memoised per query text; bounded, guarded
-     by [classes_m] because the server classifies on connection threads *)
-  classes : (string, stmt_class) Hashtbl.t;
-  classes_m : Mutex.t;
-  mutable replans : int;
-}
+type plan_cache = { entries : cache_entry Plan_cache.t; mutable replans : int }
 
 type cache_stats = {
   cache_hits : int;
@@ -630,30 +659,7 @@ type cache_stats = {
   cache_evictions : int;
 }
 
-let create_plan_cache () =
-  {
-    entries = Plan_cache.create ();
-    classes = Hashtbl.create 64;
-    classes_m = Mutex.create ();
-    replans = 0;
-  }
-
-let max_class_cache = 1024
-
-let classify_cached ~cache text =
-  Mutex.lock cache.classes_m;
-  let hit = Hashtbl.find_opt cache.classes text in
-  Mutex.unlock cache.classes_m;
-  match hit with
-  | Some c -> c
-  | None ->
-    let c = classify text in
-    Mutex.lock cache.classes_m;
-    if Hashtbl.length cache.classes >= max_class_cache then
-      Hashtbl.reset cache.classes;
-    Hashtbl.replace cache.classes text c;
-    Mutex.unlock cache.classes_m;
-    c
+let create_plan_cache () = { entries = Plan_cache.create (); replans = 0 }
 
 let cache_stats c =
   {
@@ -662,6 +668,31 @@ let cache_stats c =
     cache_replans = c.replans;
     cache_evictions = Plan_cache.evictions c.entries;
   }
+
+(* The one parse of a text the cache does not hold. *)
+let new_entry text =
+  Result.map
+    (fun stmt ->
+      {
+        ce_stmt = stmt;
+        ce_class = class_of stmt;
+        ce_fingerprint = Qstats.fingerprint text;
+        ce_prepared = None;
+      })
+    (parse_statement text)
+
+(* Classification is no lookup: it neither hits nor misses.  A text it
+   parses is stored uncounted, so the execution that finds it next
+   counts the miss its parse stands for. *)
+let classify_cached ~cache text =
+  match Plan_cache.peek cache.entries text with
+  | Some entry -> entry.ce_class
+  | None -> (
+    match new_entry text with
+    | Ok entry ->
+      Plan_cache.add ~counted:false cache.entries text entry;
+      entry.ce_class
+    | Error _ -> Read_only)
 
 (* The entry's prepared form for [g], prepared again when the graph
    version moved; only read statements count as replans. *)
@@ -677,24 +708,26 @@ let cached_prepare cache g entry ast =
     p
 
 let query_cached ~cache ?(config = Config.default) ?(mode = Planned) g text =
-  let cache_hit = ref false in
-  let fallback = ref None in
-  observe_query ~mode ~text ~cache_hit ~fallback @@ fun () ->
-  if not (plans config mode) then query_raw ~fallback config mode g text
+  observe_query ~mode ~text @@ fun () ->
+  if not (plans config mode) then query_raw config mode g text
   else
-    let entry =
+    let found =
       match Plan_cache.find cache.entries text with
-      | Some entry ->
-        cache_hit := true;
-        Ok entry
+      | Some found -> Ok found
       | None ->
         Result.map
-          (fun stmt ->
-            let entry = { ce_stmt = stmt; ce_prepared = None } in
+          (fun entry ->
             Plan_cache.add cache.entries text entry;
-            entry)
-          (parse_statement text)
+            (entry, false))
+          (new_entry text)
     in
-    Result.bind entry (fun entry ->
-        run_statement ~fallback ~prepare:(cached_prepare cache g entry)
-          config mode g entry.ce_stmt)
+    match found with
+    | Error e -> ran (Error e)
+    | Ok (entry, cache_hit) ->
+      {
+        (run_statement ~prepare:(cached_prepare cache g entry) config mode g
+           entry.ce_stmt)
+        with
+        cache_hit;
+        fingerprint = Some entry.ce_fingerprint;
+      }

@@ -100,7 +100,8 @@ val run_script :
   (outcome, string) result
 (** Runs a semicolon-separated sequence of statements, threading the
     graph; the outcome carries the final graph and the last statement's
-    table.  Semicolons inside string literals are handled. *)
+    table.  Semicolons inside string literals, comments and backtick
+    identifiers do not split. *)
 
 val explain : Graph.t -> string -> (string, error) result
 (** The prepared form that [Planned] mode would execute, rendered as
@@ -122,12 +123,14 @@ val profile : ?config:Config.t -> Graph.t -> string -> (string, error) result
 
     The plan cache amortises parsing and planning to zero for repeated
     statements.  Entries are keyed by the statement text alone — the
-    planner never reads parameter values or names.  Each entry holds the
-    dispatched statement (valid against any graph) and its prepared form
-    tagged with the {!Graph.version} whose statistics it was compiled
-    from.  When the graph changes, the next execution prepares it again
-    against fresh statistics — cached cardinality estimates can never go
-    stale — while the parse and scope check are still reused. *)
+    planner never reads parameter values or names.  A text has one
+    entry, made by its one parse: the dispatched statement (valid against
+    any graph), its {!stmt_class}, its {!Cypher_obs.Qstats.fingerprint},
+    and its prepared form tagged with the {!Graph.version} whose
+    statistics it was compiled from.  When the graph changes, the next
+    execution prepares it again against fresh statistics — cached
+    cardinality estimates can never go stale — while the parse and scope
+    check are still reused. *)
 
 type plan_cache
 
@@ -146,15 +149,19 @@ type cache_stats = {
 val cache_stats : plan_cache -> cache_stats
 
 val classify_cached : cache:plan_cache -> string -> stmt_class
-(** {!classify}, memoised per query text in the session's plan cache so
-    repeated statements skip the classification parse. *)
+(** {!classify}, read from the text's plan-cache entry.  A text the cache
+    does not hold is parsed into a new entry, so the {!query_cached} that
+    runs it next does not parse it again.  Classification counts no
+    lookup: that execution's lookup is the miss. *)
 
 val query_cached :
   cache:plan_cache ->
   ?config:Config.t -> ?mode:mode -> Graph.t -> string ->
   (outcome, error) result
 (** Like {!query}, going through the cache.  Semantically transparent:
-    results and typed errors are identical to the uncached path.  Every
+    results and typed errors are identical to the uncached path.  Each
+    call is one counted lookup, a miss exactly when this request parsed
+    the text.  Every
     statement kind is cached, EXPLAIN/PROFILE and index DDL included;
     [Reference] mode and non-default morphisms, which the planner does
     not serve, bypass the cache. *)

@@ -13,7 +13,13 @@ let m_evictions =
   Cypher_obs.Registry.counter ~help:"plan cache LRU evictions"
     "cypher_plan_cache_evictions_total"
 
-type 'a entry = { mutable value : 'a; mutable last_used : int }
+(* [counted] is false for an entry stored by an uncounted lookup until
+   its first {!find}, which counts the miss its parse stood for. *)
+type 'a entry = {
+  mutable value : 'a;
+  mutable last_used : int;
+  mutable counted : bool;
+}
 
 type 'a t = {
   tbl : (string, 'a entry) Hashtbl.t;
@@ -47,18 +53,36 @@ let touch t e =
   t.tick <- t.tick + 1;
   e.last_used <- t.tick
 
+let count_miss t =
+  t.miss_count <- t.miss_count + 1;
+  Cypher_obs.Registry.incr m_misses
+
 let find t k =
   locked t (fun () ->
       match Hashtbl.find_opt t.tbl k with
       | Some e ->
-        t.hit_count <- t.hit_count + 1;
-        Cypher_obs.Registry.incr m_hits;
+        let hit = e.counted in
+        if hit then begin
+          t.hit_count <- t.hit_count + 1;
+          Cypher_obs.Registry.incr m_hits
+        end
+        else begin
+          e.counted <- true;
+          count_miss t
+        end;
+        touch t e;
+        Some (e.value, hit)
+      | None ->
+        count_miss t;
+        None)
+
+let peek t k =
+  locked t (fun () ->
+      match Hashtbl.find_opt t.tbl k with
+      | Some e ->
         touch t e;
         Some e.value
-      | None ->
-        t.miss_count <- t.miss_count + 1;
-        Cypher_obs.Registry.incr m_misses;
-        None)
+      | None -> None)
 
 let evict_lru t =
   let victim =
@@ -76,15 +100,16 @@ let evict_lru t =
     Cypher_obs.Registry.incr m_evictions
   | None -> ()
 
-let add t k v =
+let add ?(counted = true) t k v =
   locked t (fun () ->
       match Hashtbl.find_opt t.tbl k with
       | Some e ->
         e.value <- v;
+        e.counted <- counted;
         touch t e
       | None ->
         if Hashtbl.length t.tbl >= capacity then evict_lru t;
-        let e = { value = v; last_used = 0 } in
+        let e = { value = v; last_used = 0; counted } in
         touch t e;
         Hashtbl.replace t.tbl k e)
 

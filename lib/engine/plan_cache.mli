@@ -1,8 +1,9 @@
 (** A small LRU map from statement texts to cached compilation results.
 
-    The cache is deliberately generic: the engine stores dispatched
-    statements and their prepared forms in it, but the structure only
-    knows about string keys and recency.  Eviction is
+    The cache is deliberately generic: the engine stores one entry per
+    statement text in it (the dispatched statement, its class, its
+    fingerprint and its prepared form), but the structure only knows
+    about string keys, recency and lookup counts.  Eviction is
     least-recently-used over 128 entries; at that size the linear
     eviction scan is negligible next to a single parse. *)
 
@@ -10,15 +11,22 @@ type 'a t
 
 val create : unit -> 'a t
 
-val find : 'a t -> string -> 'a option
-(** Refreshes the entry's recency on a hit. *)
+val find : 'a t -> string -> ('a * bool) option
+(** A counted lookup, refreshing the entry's recency.  [Some (v, hit)]:
+    [hit] is false on the first find of an entry {!add}ed with
+    [~counted:false], which counts as the miss that entry's parse stood
+    for. *)
 
-val add : 'a t -> string -> 'a -> unit
+val peek : 'a t -> string -> 'a option
+(** An uncounted lookup, refreshing the entry's recency. *)
+
+val add : ?counted:bool -> 'a t -> string -> 'a -> unit
 (** Inserts or replaces; evicts the least recently used entry when the
-    cache is full. *)
+    cache is full.  [~counted:false] (default [true]) marks an entry
+    stored after an uncounted lookup. *)
 
 val hits : 'a t -> int
-(** Number of {!find} calls that found an entry. *)
+(** Number of {!find} calls that counted a hit. *)
 
 val misses : 'a t -> int
 val evictions : 'a t -> int

@@ -5,12 +5,14 @@
    hits, a latency histogram, and the last trace id that executed the
    shape.  The table lives here rather than in the registry because
    registry series are process-global *names*; a per-fingerprint
-   histogram needs per-entry storage with eviction.
+   histogram needs per-entry storage with eviction, so each entry keeps
+   a {!Registry.unregistered_histogram}.
 
-   Everything is guarded by one mutex.  The per-query cost is one
-   bounded-cache lookup (hit: a Hashtbl find) plus a dozen integer
-   stores — benchmark B20 prices this against the B14 server read
-   workload. *)
+   A query's fingerprint arrives in its {!Query_record.t}: the plan cache
+   computes it once per text, beside the text's one parse.  The table is
+   guarded by one mutex; the per-query cost is a Hashtbl find, a dozen
+   integer stores and one histogram observation — benchmark B20 prices
+   this against the B14 server read workload. *)
 
 let enabled_flag = Atomic.make false
 let set_enabled b = Atomic.set enabled_flag b
@@ -169,55 +171,11 @@ let hash_normalized s =
     s;
   Int64.to_int !h land max_int
 
-(* --- bounded text -> fingerprint cache -------------------------------- *)
-
-(* Normalization is a linear scan of the query text; repeated texts (the
-   common case — the plan cache exists for the same reason) resolve with
-   one Hashtbl lookup instead. *)
-let cache_cap = 1024
-let fp_cache : (string, string * int) Hashtbl.t = Hashtbl.create 256
-
-(* One lock covers the fingerprint cache and the statistics table, so
-   [observe] pays a single lock/unlock on its hot path. *)
-let lock = Mutex.create ()
-
-(* Must be called with [lock] held. *)
-let fingerprint_locked text =
-  match Hashtbl.find_opt fp_cache text with
-  | Some r -> r
-  | None ->
-    let norm = normalize text in
-    let r = (norm, hash_normalized norm) in
-    if Hashtbl.length fp_cache >= cache_cap then Hashtbl.reset fp_cache;
-    Hashtbl.replace fp_cache text r;
-    r
-
-let fingerprint_of text =
-  Mutex.lock lock;
-  let r = fingerprint_locked text in
-  Mutex.unlock lock;
-  r
-
-let fingerprint text = fst (fingerprint_of text)
-let fingerprint_hash text = snd (fingerprint_of text)
+let fingerprint text : Query_record.fingerprint =
+  let normalized = normalize text in
+  { normalized; hash = hash_normalized normalized }
 
 (* --- per-fingerprint statistics --------------------------------------- *)
-
-(* Power-of-two µs latency buckets, like the registry's histograms:
-   bucket k holds durations in (2^(k-1), 2^k].  Quantiles report the
-   bucket's upper bound; the maximum is kept exactly. *)
-let buckets = 40
-
-let bucket_of us =
-  if us <= 0 then 0
-  else begin
-    let b = ref 0 and v = ref us in
-    while !v > 0 do
-      incr b;
-      v := !v lsr 1
-    done;
-    min (buckets - 1) !b
-  end
 
 type entry = {
   e_query : string;
@@ -229,7 +187,7 @@ type entry = {
   mutable e_cache_hits : int;
   mutable e_total_us : int;
   mutable e_max_us : int;
-  e_lat : int array;
+  e_latency : Registry.histogram;
   mutable e_last_trace : int;
   mutable e_stamp : int;
 }
@@ -237,6 +195,7 @@ type entry = {
 let table_cap = 512
 let table : (int, entry) Hashtbl.t = Hashtbl.create 128
 let stamp = ref 0
+let lock = Mutex.create ()
 
 (* When the table is full a new fingerprint evicts the least-recently
    executed entry: a workload's steady-state shapes stay put while
@@ -251,48 +210,45 @@ let evict_oldest () =
     table;
   match !victim with Some (h, _) -> Hashtbl.remove table h | None -> ()
 
-let observe ~text ~elapsed_us ~rows ~db_hits ~cache_hit ~error ~trace =
-  if Atomic.get enabled_flag then begin
-    Mutex.lock lock;
-    let norm, hash = fingerprint_locked text in
-    incr stamp;
-    let e =
-      match Hashtbl.find_opt table hash with
-      | Some e -> e
-      | None ->
-        if Hashtbl.length table >= table_cap then evict_oldest ();
-        let e =
-          {
-            e_query = norm;
-            e_hash = hash;
-            e_calls = 0;
-            e_errors = 0;
-            e_rows = 0;
-            e_db_hits = 0;
-            e_cache_hits = 0;
-            e_total_us = 0;
-            e_max_us = 0;
-            e_lat = Array.make buckets 0;
-            e_last_trace = 0;
-            e_stamp = 0;
-          }
-        in
-        Hashtbl.replace table hash e;
-        e
-    in
-    e.e_calls <- e.e_calls + 1;
-    if error then e.e_errors <- e.e_errors + 1;
-    e.e_rows <- e.e_rows + rows;
-    e.e_db_hits <- e.e_db_hits + db_hits;
-    if cache_hit then e.e_cache_hits <- e.e_cache_hits + 1;
-    e.e_total_us <- e.e_total_us + elapsed_us;
-    if elapsed_us > e.e_max_us then e.e_max_us <- elapsed_us;
-    let b = bucket_of elapsed_us in
-    e.e_lat.(b) <- e.e_lat.(b) + 1;
-    if trace <> 0 then e.e_last_trace <- trace;
-    e.e_stamp <- !stamp;
-    Mutex.unlock lock
-  end
+let observe (r : Query_record.t) =
+  let { Query_record.normalized; hash } = r.fingerprint in
+  Mutex.lock lock;
+  incr stamp;
+  let e =
+    match Hashtbl.find_opt table hash with
+    | Some e -> e
+    | None ->
+      if Hashtbl.length table >= table_cap then evict_oldest ();
+      let e =
+        {
+          e_query = normalized;
+          e_hash = hash;
+          e_calls = 0;
+          e_errors = 0;
+          e_rows = 0;
+          e_db_hits = 0;
+          e_cache_hits = 0;
+          e_total_us = 0;
+          e_max_us = 0;
+          e_latency = Registry.unregistered_histogram ();
+          e_last_trace = 0;
+          e_stamp = 0;
+        }
+      in
+      Hashtbl.replace table hash e;
+      e
+  in
+  e.e_calls <- e.e_calls + 1;
+  if r.error then e.e_errors <- e.e_errors + 1;
+  e.e_rows <- e.e_rows + r.rows;
+  e.e_db_hits <- e.e_db_hits + r.db_hits;
+  if r.cache_hit then e.e_cache_hits <- e.e_cache_hits + 1;
+  e.e_total_us <- e.e_total_us + r.elapsed_us;
+  if r.elapsed_us > e.e_max_us then e.e_max_us <- r.elapsed_us;
+  Registry.observe_us e.e_latency r.elapsed_us;
+  if r.trace <> 0 then e.e_last_trace <- r.trace;
+  e.e_stamp <- !stamp;
+  Mutex.unlock lock
 
 type stat = {
   s_hash : int;
@@ -309,30 +265,6 @@ type stat = {
   s_last_trace : int;
 }
 
-let quantile e p =
-  let total = Array.fold_left ( + ) 0 e.e_lat in
-  if total = 0 then 0
-  else begin
-    let rank = int_of_float (ceil (p *. float_of_int total)) in
-    let rank = max 1 (min total rank) in
-    let seen = ref 0 and b = ref 0 in
-    (try
-       for k = 0 to buckets - 1 do
-         seen := !seen + e.e_lat.(k);
-         if !seen >= rank then begin
-           b := k;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    if !b = 0 then 0
-    else begin
-      (* the bucket's upper bound, capped at the observed maximum *)
-      let bound = 1 lsl !b in
-      min bound e.e_max_us
-    end
-  end
-
 let snapshot () =
   Mutex.lock lock;
   let stats =
@@ -347,8 +279,8 @@ let snapshot () =
           s_db_hits = e.e_db_hits;
           s_cache_hits = e.e_cache_hits;
           s_total_us = e.e_total_us;
-          s_p50_us = quantile e 0.50;
-          s_p95_us = quantile e 0.95;
+          s_p50_us = (Registry.quantile e.e_latency 0.50).Registry.q_us;
+          s_p95_us = (Registry.quantile e.e_latency 0.95).Registry.q_us;
           s_max_us = e.e_max_us;
           s_last_trace = e.e_last_trace;
         }

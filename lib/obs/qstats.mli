@@ -2,9 +2,9 @@
     normalized into fingerprints (literals and parameters masked, case
     and whitespace canonicalized) and a bounded table aggregates calls,
     errors, rows, db hits, plan-cache hits, latency quantiles, and the
-    last trace id per fingerprint.  The engine feeds it from its single
-    per-query observation point; the server exposes it over the wire
-    and the CLI renders it as [:queries]. *)
+    last trace id per fingerprint.  The engine feeds it each query's
+    {!Query_record.t} from its single observation point; the server
+    exposes it over the wire and the CLI renders it as [:queries]. *)
 
 val set_enabled : bool -> unit
 (** Collection switch (default off, so a bare engine pays one atomic
@@ -12,27 +12,19 @@ val set_enabled : bool -> unit
 
 val enabled : unit -> bool
 
-val fingerprint : string -> string
-(** The normalized text: comments stripped, whitespace canonicalized,
+val fingerprint : string -> Query_record.fingerprint
+(** The normalized text — comments stripped, whitespace canonicalized,
     string/number literals masked to [?], parameters to [$?], keywords
-    uppercased, identifiers kept verbatim.  Cached per input text. *)
+    uppercased, identifiers kept verbatim — and its FNV-1a hash, folded
+    to a positive 63-bit int: the stable identity shown (in hex) by
+    [:queries] and the slowlog.  Not cached here: the plan cache keeps a
+    text's fingerprint beside its one parse. *)
 
-val fingerprint_hash : string -> int
-(** FNV-1a of {!fingerprint}, folded to a positive 63-bit int — the
-    stable identity shown (in hex) by [:queries] and the slowlog. *)
-
-val observe :
-  text:string ->
-  elapsed_us:int ->
-  rows:int ->
-  db_hits:int ->
-  cache_hit:bool ->
-  error:bool ->
-  trace:int ->
-  unit
-(** Records one execution of [text] under its fingerprint.  [db_hits]
-    may be 0 when the run was not profiled; [trace] is 0 when the
-    request carried no trace context. *)
+val observe : Query_record.t -> unit
+(** Records one execution under the record's fingerprint.  Its
+    [db_hits] may be 0 when the run was not profiled; its [trace] is 0
+    when the request carried no trace context.  The caller checks
+    {!enabled}. *)
 
 type stat = {
   s_hash : int;
@@ -43,7 +35,10 @@ type stat = {
   s_db_hits : int;
   s_cache_hits : int;  (** plan-cache hits *)
   s_total_us : int;
-  s_p50_us : int;  (** power-of-two bucket resolution *)
+  s_p50_us : int;
+      (** power-of-two bucket resolution, from a
+          {!Registry.unregistered_histogram}: [Registry.set_enabled false]
+          pauses these buckets *)
   s_p95_us : int;
   s_max_us : int;  (** exact *)
   s_last_trace : int;  (** 0 when no traced request ran the shape *)

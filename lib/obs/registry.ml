@@ -193,19 +193,22 @@ let gauge ?(help = "") name =
     (fun () -> Gauge { g_name = name; g_help = help; g_v = Atomic.make 0 })
     (function Gauge g -> Some g | _ -> None)
 
+let new_histogram name help =
+  {
+    h_name = name;
+    h_help = help;
+    buckets = Array.init bucket_count (fun _ -> Atomic.make 0);
+    h_count = Atomic.make 0;
+    h_sum_us = Atomic.make 0;
+    h_max_us = Atomic.make 0;
+  }
+
 let histogram ?(help = "") name =
   register name
-    (fun () ->
-      Histogram
-        {
-          h_name = name;
-          h_help = help;
-          buckets = Array.init bucket_count (fun _ -> Atomic.make 0);
-          h_count = Atomic.make 0;
-          h_sum_us = Atomic.make 0;
-          h_max_us = Atomic.make 0;
-        })
+    (fun () -> Histogram (new_histogram name help))
     (function Histogram h -> Some h | _ -> None)
+
+let unregistered_histogram () = new_histogram "" ""
 
 let metrics_in_order () =
   Mutex.lock registry_lock;
@@ -306,21 +309,6 @@ let expose () =
     (metrics_in_order ());
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* One flat JSON object over {!samples} — machine-readable twin of the
    Prometheus dump. *)
 let expose_json () =
@@ -331,9 +319,9 @@ let expose_json () =
       if i > 0 then Buffer.add_char buf ',';
       match s with
       | Int_sample (n, v) ->
-        Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (json_escape n) v)
+        Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (Trace.json_escape n) v)
       | Float_sample (n, v) ->
-        Buffer.add_string buf (Printf.sprintf "\"%s\":%g" (json_escape n) v))
+        Buffer.add_string buf (Printf.sprintf "\"%s\":%g" (Trace.json_escape n) v))
     (samples ());
   Buffer.add_char buf '}';
   Buffer.contents buf

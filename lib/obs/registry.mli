@@ -42,6 +42,12 @@ val gauge_value : gauge -> int
 type histogram
 
 val histogram : ?help:string -> string -> histogram
+
+val unregistered_histogram : unit -> histogram
+(** A histogram outside the registry: never exposed and never zeroed by
+    {!reset_all}, but paused like every series by [set_enabled false].
+    {!Qstats} keeps one per fingerprint. *)
+
 val observe_us : histogram -> int -> unit
 val observe_s : histogram -> float -> unit
 

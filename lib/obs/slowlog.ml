@@ -36,66 +36,49 @@ let set_sink = function
   | None -> Atomic.set sink default_sink
 
 (* Connection attribution: the server labels each connection thread so
-   the engine's slow lines can name the session that ran the query.
-   Off the hot path — read only when a line is actually emitted. *)
-let conns : (int, string) Hashtbl.t = Hashtbl.create 16
-let conns_lock = Mutex.create ()
+   the engine's slow lines can name the session that ran the query. *)
+let conns : string option Per_thread.t = Per_thread.make None
+let set_conn label = Per_thread.set conns label
+let current_conn () = Option.value ~default:"" (Per_thread.get conns)
 
-let set_conn label =
-  let id = Thread.id (Thread.self ()) in
-  Mutex.lock conns_lock;
-  (match label with
-  | Some l -> Hashtbl.replace conns id l
-  | None -> Hashtbl.remove conns id);
-  Mutex.unlock conns_lock
-
-let current_conn () =
-  let id = Thread.id (Thread.self ()) in
-  Mutex.lock conns_lock;
-  let l = Hashtbl.find_opt conns id in
-  Mutex.unlock conns_lock;
-  match l with Some l -> l | None -> ""
-
-(* [trace_id] (hex) joins a slow line against the trace JSONL,
-   [fingerprint] (hex hash) against [:queries] output, and [conn]
-   attributes the line to a server connection/session — all omitted
-   when absent so pre-existing consumers and local runs see the old
-   shape. *)
-let render ?(trace_id = 0) ?(fingerprint = 0) ?(conn = "") ~query ~mode
-    ~elapsed_us ~rows ~spans () =
+(* [trace] (hex) joins a slow line against the trace JSONL, the
+   fingerprint (hex hash) against [:queries] output, and [conn]
+   attributes the line to a server connection/session — each omitted
+   when absent (0 or "") so local runs see the old shape. *)
+let render (r : Query_record.t) =
+  let mode =
+    match r.fallback with
+    | Some _ -> r.mode ^ "+reference-fallback"
+    | None -> r.mode
+  in
   let buf = Buffer.create 256 in
   Buffer.add_string buf
     (Printf.sprintf "{\"slow_query\":true,\"ms\":%.3f,\"mode\":\"%s\",\"rows\":%d"
-       (float_of_int elapsed_us /. 1e3)
-       (Trace.json_escape mode) rows);
-  if trace_id <> 0 then
+       (float_of_int r.elapsed_us /. 1e3)
+       (Trace.json_escape mode) r.rows);
+  if r.trace <> 0 then
     Buffer.add_string buf
-      (Printf.sprintf ",\"trace_id\":\"%s\"" (Trace.id_to_hex trace_id));
-  if fingerprint <> 0 then
+      (Printf.sprintf ",\"trace_id\":\"%s\"" (Trace.id_to_hex r.trace));
+  if r.fingerprint.hash <> 0 then
     Buffer.add_string buf
-      (Printf.sprintf ",\"fingerprint\":\"%s\"" (Trace.id_to_hex fingerprint));
-  if conn <> "" then
+      (Printf.sprintf ",\"fingerprint\":\"%s\""
+         (Trace.id_to_hex r.fingerprint.hash));
+  if r.conn <> "" then
     Buffer.add_string buf
-      (Printf.sprintf ",\"conn\":\"%s\"" (Trace.json_escape conn));
+      (Printf.sprintf ",\"conn\":\"%s\"" (Trace.json_escape r.conn));
   Buffer.add_string buf ",\"spans\":{";
   List.iteri
     (fun i (name, dur_us) ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
         (Printf.sprintf "\"%s\":%d" (Trace.json_escape name) dur_us))
-    spans;
+    r.spans;
   Buffer.add_string buf "}";
   Buffer.add_string buf
-    (Printf.sprintf ",\"query\":\"%s\"}" (Trace.json_escape query));
+    (Printf.sprintf ",\"query\":\"%s\"}" (Trace.json_escape r.text));
   Buffer.contents buf
 
-(* Reports one finished query; logs only at or above the armed
-   threshold.  [spans] are (name, Σ µs) pairs as returned by
-   {!Trace.end_collect}. *)
-let note ?trace_id ?fingerprint ?conn ~query ~mode ~elapsed_us ~rows ~spans ()
-    =
+(* Logs one finished query at or above the armed threshold. *)
+let note (r : Query_record.t) =
   let t = Atomic.get threshold_us in
-  if t >= 0 && elapsed_us >= t then
-    (Atomic.get sink)
-      (render ?trace_id ?fingerprint ?conn ~query ~mode ~elapsed_us ~rows
-         ~spans ())
+  if t >= 0 && r.elapsed_us >= t then (Atomic.get sink) (render r)

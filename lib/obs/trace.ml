@@ -133,44 +133,25 @@ type collector = {
   mutable totals : (string * int) list;  (* span name -> Σ dur_us *)
 }
 
-type thread_state = { mutable depth : int; mutable collector : collector option }
+(* A thread's open-span depth and its collector: {!Per_thread} values
+   with immediate defaults, so reading or writing one is an array access
+   and a thread back at depth 0 with no collector keeps no entry. *)
+let depth : int Per_thread.t = Per_thread.make 0
+let collector : collector option Per_thread.t = Per_thread.make None
 
-(* Thread ids are small ints; the table is touched only when a sink or a
-   collector is active, so the mutex is off every no-observer path. *)
-let threads : (int, thread_state) Hashtbl.t = Hashtbl.create 16
-let threads_lock = Mutex.create ()
-
-(* Count of active collectors; lets [with_span] skip the thread-table
-   lookup entirely when nobody is collecting and no sink is attached. *)
+(* Count of active collectors; lets [with_span] skip the per-thread
+   reads entirely when nobody is collecting and no sink is attached. *)
 let collectors = Atomic.make 0
 
-let thread_state () =
-  let id = Thread.id (Thread.self ()) in
-  Mutex.lock threads_lock;
-  let st =
-    match Hashtbl.find_opt threads id with
-    | Some st -> st
-    | None ->
-      let st = { depth = 0; collector = None } in
-      Hashtbl.replace threads id st;
-      st
-  in
-  Mutex.unlock threads_lock;
-  st
-
 let begin_collect () =
-  let st = thread_state () in
-  (match st.collector with
-  | None -> Atomic.incr collectors
-  | Some _ -> ());
-  st.collector <- Some { totals = [] }
+  if Option.is_none (Per_thread.get collector) then Atomic.incr collectors;
+  Per_thread.set collector (Some { totals = [] })
 
 let end_collect () =
-  let st = thread_state () in
-  match st.collector with
+  match Per_thread.get collector with
   | None -> []
   | Some c ->
-    st.collector <- None;
+    Per_thread.set collector None;
     Atomic.decr collectors;
     List.rev c.totals
 
@@ -245,8 +226,7 @@ let note ?ctx ?(attrs = []) name dur_us =
   match Atomic.get sink with
   | None when not (collecting ()) -> ()
   | observer -> (
-    let st = thread_state () in
-    (match st.collector with
+    (match Per_thread.get collector with
     | Some c -> add_total c name dur_us
     | None -> ());
     match observer with
@@ -262,7 +242,7 @@ let note ?ctx ?(attrs = []) name dur_us =
       in
       emit ?ids out ~name
         ~thread:(Thread.id (Thread.self ()))
-        ~depth:st.depth
+        ~depth:(Per_thread.get depth)
         ~start_us:(now_us () - dur_us)
         ~dur_us ~attrs
     | None -> ())
@@ -271,14 +251,14 @@ let with_span ?(attrs = []) name f =
   match Atomic.get sink with
   | None when not (collecting ()) -> f ()
   | observer -> (
-    let st = thread_state () in
-    match (observer, st.collector) with
+    match (observer, Per_thread.get collector) with
     | None, None ->
       (* some other thread is collecting, not this one *)
       f ()
     | _ ->
       let start_us = now_us () in
-      st.depth <- st.depth + 1;
+      let outer = Per_thread.get depth in
+      Per_thread.set depth (outer + 1);
       (* With both a sink and a trace context, the span gets its own id
          and children opened inside [f] on this thread parent to it. *)
       let ctx = match observer with Some _ -> current_context () | None -> None in
@@ -292,16 +272,16 @@ let with_span ?(attrs = []) name f =
       in
       let finish () =
         let dur_us = now_us () - start_us in
-        st.depth <- st.depth - 1;
+        Per_thread.set depth outer;
         (match ctx with Some _ -> set_context ctx | None -> ());
-        (match st.collector with
+        (match Per_thread.get collector with
         | Some c -> add_total c name dur_us
         | None -> ());
         match observer with
         | Some out ->
           emit ?ids out ~name
             ~thread:(Thread.id (Thread.self ()))
-            ~depth:st.depth ~start_us ~dur_us ~attrs
+            ~depth:outer ~start_us ~dur_us ~attrs
         | None -> ()
       in
       Fun.protect ~finally:finish f)

@@ -73,7 +73,10 @@ val enabled : unit -> bool
 
     The slow-query log's per-phase breakdown: between [begin_collect]
     and [end_collect], every span completed on the calling thread adds
-    its duration to a per-name running total. *)
+    its duration to a per-name running total.  A thread's collector and
+    span depth are {!Per_thread} values, like its trace context: no lock
+    is taken on the span path, and a thread back at depth 0 with no
+    collector keeps no state. *)
 
 val begin_collect : unit -> unit
 val end_collect : unit -> (string * int) list
@@ -87,4 +90,5 @@ val now_us : unit -> int
 (** The clock used by spans: monotonic microseconds (arbitrary epoch). *)
 
 val json_escape : string -> string
-(** JSON string-body escaping (shared with the slow-query log). *)
+(** JSON string-body escaping, shared with the slow-query log and the
+    registry's JSON exposition. *)

@@ -7,6 +7,7 @@ open Helpers
 module Registry = Cypher_obs.Registry
 module Trace = Cypher_obs.Trace
 module Slowlog = Cypher_obs.Slowlog
+module Query_record = Cypher_obs.Query_record
 module Graph = Cypher_graph.Graph
 module Stats = Cypher_graph.Stats
 module Build = Cypher_planner.Build
@@ -289,13 +290,32 @@ let slow_query_log_threshold () =
       Slowlog.set_threshold_ms None)
     (fun () ->
       Slowlog.set_threshold_ms (Some 1000.);
-      Slowlog.note ~query:"just_under" ~mode:"planned" ~elapsed_us:999_999
-        ~rows:0 ~spans:[] ();
+      let record =
+        {
+          Query_record.text = "just_under";
+          fingerprint = Query_record.no_fingerprint;
+          mode = "planned";
+          fallback = None;
+          elapsed_us = 999_999;
+          rows = 0;
+          db_hits = 0;
+          cache_hit = false;
+          error = false;
+          trace = 0;
+          conn = "";
+          spans = [];
+        }
+      in
+      Slowlog.note record;
       Alcotest.(check int) "below the threshold: silent" 0 (List.length !lines);
-      Slowlog.note ~query:"right_at" ~mode:"planned" ~elapsed_us:1_000_000
-        ~rows:3
-        ~spans:[ ("execute", 42) ]
-        ();
+      Slowlog.note
+        {
+          record with
+          text = "right_at";
+          elapsed_us = 1_000_000;
+          rows = 3;
+          spans = [ ("execute", 42) ];
+        };
       Alcotest.(check int) "at the threshold: logged" 1 (List.length !lines);
       let line = List.hd !lines in
       Alcotest.(check bool) "line carries the query text" true
@@ -320,6 +340,35 @@ let slow_query_log_threshold () =
       | Ok _ -> ()
       | Error e -> Alcotest.fail (Engine.error_message e));
       Alcotest.(check int) "disarmed engine is silent" n (List.length !lines))
+
+(* A planner-refused query (two shortestPath patterns in one MATCH) runs
+   on the reference evaluator: its slow line names both modes, and the
+   fallback counter moves exactly once. *)
+let slow_line_names_reference_fallback () =
+  let fallbacks = Registry.counter "cypher_engine_reference_fallback_total" in
+  let q =
+    "MATCH p = shortestPath((a:P {name:'a'})-[:F*]->(d:P {name:'d'})), q = \
+     shortestPath((d)-[:G*]->(a)) RETURN length(p) + length(q) AS l"
+  in
+  let lines = ref [] in
+  Slowlog.set_sink (Some (fun l -> lines := l :: !lines));
+  Fun.protect
+    ~finally:(fun () ->
+      Slowlog.set_sink None;
+      Slowlog.set_threshold_ms None)
+    (fun () ->
+      Slowlog.set_threshold_ms (Some 0.);
+      let before = Registry.value fallbacks in
+      (match Engine.query Graph.empty q with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail (Engine.error_message e));
+      Alcotest.(check int) "fallback counted exactly once" (before + 1)
+        (Registry.value fallbacks);
+      match !lines with
+      | [ line ] ->
+        Alcotest.(check bool) "slow line names the fallback" true
+          (contains line "\"mode\":\"planned+reference-fallback\"")
+      | l -> Alcotest.failf "expected one slow line, got %d" (List.length l))
 
 (* --- trace spans ------------------------------------------------------ *)
 
@@ -448,6 +497,8 @@ let suite =
       per_thread_values;
     tc "slow-query log fires at or above its threshold only"
       slow_query_log_threshold;
+    tc "slow line and counter name a reference fallback"
+      slow_line_names_reference_fallback;
     tc "trace spans nest well-formed in the JSONL sink"
       span_nesting_wellformed;
     tc "spans are transparent with no sink attached" span_overhead_off_path;

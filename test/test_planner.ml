@@ -217,6 +217,30 @@ let script_respects_strings () =
       outcome.Cypher_engine.Engine.table
   | Error e -> Alcotest.fail e
 
+(* A semicolon inside a block comment or a backtick identifier does not
+   end the statement. *)
+let script_respects_block_comments () =
+  match
+    Cypher_engine.Engine.run_script Cypher_graph.Graph.empty
+      "RETURN 1 /* a; b */ AS x"
+  with
+  | Ok outcome ->
+    check_table_bag "comment with semicolon skipped"
+      (table [ "x" ] [ [ ("x", Cypher_values.Value.Int 1) ] ])
+      outcome.Cypher_engine.Engine.table
+  | Error e -> Alcotest.fail e
+
+let script_respects_backticks () =
+  match
+    Cypher_engine.Engine.run_script Cypher_graph.Graph.empty
+      "RETURN 1 AS `a;b`"
+  with
+  | Ok outcome ->
+    check_table_bag "backtick identifier with semicolon survives"
+      (table [ "a;b" ] [ [ ("a;b", Cypher_values.Value.Int 1) ] ])
+      outcome.Cypher_engine.Engine.table
+  | Error e -> Alcotest.fail e
+
 let profile_reports_actuals () =
   let g = Paper_graphs.academic () in
   match
@@ -368,6 +392,8 @@ let suite =
     tc "profiling does not change results" profile_and_run_agree;
     tc "run_script threads the graph" run_script_threads_graph;
     tc "run_script respects string literals" script_respects_strings;
+    tc "run_script respects block comments" script_respects_block_comments;
+    tc "run_script respects backtick identifiers" script_respects_backticks;
     tc "label scan chosen over all-nodes scan" label_scan_chosen;
     tc "orientation starts from the smaller side" orientation_prefers_smaller_side;
     tc "expand direction" expand_direction;

@@ -15,6 +15,7 @@ module Protocol = Cypher_server.Protocol
 module Server = Cypher_server.Server
 module Client = Cypher_server.Client
 module Metrics = Cypher_server.Metrics
+module Registry = Cypher_obs.Registry
 
 let fresh_dir =
   let counter = ref 0 in
@@ -538,6 +539,32 @@ let request_timeout () =
             Alcotest.(check bool) "timeout kind" true
               (e.Client.kind = Protocol.Timeout)))
 
+(* Each request executed on the server is one plan-cache lookup: a new
+   text is one miss, its repeat one hit, on the MVCC read path and on
+   the auto-commit write path alike. *)
+let plan_cache_accounting_over_the_wire () =
+  let hits = Registry.counter "cypher_plan_cache_hits_total"
+  and misses = Registry.counter "cypher_plan_cache_misses_total" in
+  with_server (fun ~dir:_ ~server:_ ~connect ~stop:_ ->
+      let c = connect () in
+      let send path text =
+        let h0 = Registry.value hits and m0 = Registry.value misses in
+        ignore (ok_query c text);
+        Alcotest.(check int) (path ^ ": a new text misses once") (m0 + 1)
+          (Registry.value misses);
+        Alcotest.(check int) (path ^ ": a new text hits nothing") h0
+          (Registry.value hits);
+        let h1 = Registry.value hits and m1 = Registry.value misses in
+        ignore (ok_query c text);
+        Alcotest.(check int) (path ^ ": its repeat hits once") (h1 + 1)
+          (Registry.value hits);
+        Alcotest.(check int) (path ^ ": its repeat misses nothing") m1
+          (Registry.value misses)
+      in
+      send "MVCC read" "RETURN 7 AS plan_cache_probe";
+      send "auto-commit write" "CREATE (:PlanCacheProbe {v: 1})";
+      Client.close c)
+
 let stats_verbs_and_metrics () =
   with_server (fun ~dir:_ ~server ~connect ~stop:_ ->
       let client = connect () in
@@ -772,6 +799,8 @@ let suite =
       kill_mid_commit_recovers;
     tc "per-request timeout returns a typed error" request_timeout;
     tc "stats verbs and server metrics" stats_verbs_and_metrics;
+    tc "plan-cache lookups counted once per request over the wire"
+      plan_cache_accounting_over_the_wire;
     tc "metrics verb exposes the whole registry; PROFILE works remotely"
       metrics_verb_and_remote_profile;
     tc "graceful stop drains, checkpoints and truncates the WAL"

@@ -25,14 +25,17 @@ let contains s sub =
 
 (* --- fingerprint normalization ----------------------------------------- *)
 
+let fingerprint text = (Qstats.fingerprint text).normalized
+let fingerprint_hash text = (Qstats.fingerprint text).hash
+
 let same_shape a b =
   Alcotest.(check string)
     (Printf.sprintf "%S ~ %S" a b)
-    (Qstats.fingerprint a) (Qstats.fingerprint b)
+    (fingerprint a) (fingerprint b)
 
 let distinct_shape a b =
-  if Qstats.fingerprint_hash a = Qstats.fingerprint_hash b then
-    Alcotest.failf "%S and %S collided on %S" a b (Qstats.fingerprint a)
+  if fingerprint_hash a = fingerprint_hash b then
+    Alcotest.failf "%S and %S collided on %S" a b (fingerprint a)
 
 let fingerprint_normalization () =
   (* literals are masked: the constant never distinguishes the shape *)
@@ -50,15 +53,15 @@ let fingerprint_normalization () =
   same_shape "MATCH (n) /* x */ RETURN n" "MATCH (n) RETURN n";
   (* the masked text reads conventionally *)
   Alcotest.(check string) "canonical text" "MATCH (n:Person {age:?}) RETURN n.name"
-    (Qstats.fingerprint "match (n : Person{age: 42})  return n . name");
+    (fingerprint "match (n : Person{age: 42})  return n . name");
   (* identifiers keep their spelling: distinct shapes stay distinct *)
   distinct_shape "MATCH (n:Person) RETURN n" "MATCH (n:Animal) RETURN n";
   distinct_shape "MATCH (n) RETURN n.a" "MATCH (n) RETURN n.b";
   distinct_shape "MATCH (n) RETURN n" "MATCH (n) RETURN count(n)";
-  (* the hash is stable across calls (cache hit or miss) *)
+  (* the hash is stable across calls *)
   Alcotest.(check int) "hash stable"
-    (Qstats.fingerprint_hash "RETURN 1")
-    (Qstats.fingerprint_hash "RETURN 2")
+    (fingerprint_hash "RETURN 1")
+    (fingerprint_hash "RETURN 2")
 
 let qstats_aggregation () =
   Qstats.set_enabled true;
@@ -82,7 +85,7 @@ let qstats_aggregation () =
       | Ok _ -> Alcotest.fail "expected an error"
       | Error _ -> ());
       let stats = Qstats.snapshot () in
-      let shape = Qstats.fingerprint "RETURN 1 AS probe" in
+      let shape = fingerprint "RETURN 1 AS probe" in
       let s =
         match List.find_opt (fun s -> s.Qstats.s_query = shape) stats with
         | Some s -> s
@@ -94,10 +97,35 @@ let qstats_aggregation () =
       Alcotest.(check bool) "quantiles ordered" true
         (s.Qstats.s_p50_us <= s.Qstats.s_p95_us
         && s.Qstats.s_p95_us <= s.Qstats.s_max_us);
-      let err_shape = Qstats.fingerprint "RETURN bogus_function_xyz(1) AS e" in
+      let err_shape = fingerprint "RETURN bogus_function_xyz(1) AS e" in
       match List.find_opt (fun s -> s.Qstats.s_query = err_shape) stats with
       | Some s -> Alcotest.(check int) "error counted" 1 s.Qstats.s_errors
       | None -> Alcotest.fail "errored shape not tracked")
+
+(* A text run once and then [n] more times through one plan cache is
+   one miss and [n] hits, and its statistics row says so. *)
+let qstats_counts_cache_hits () =
+  Qstats.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Qstats.set_enabled false;
+      Qstats.reset ())
+    (fun () ->
+      Qstats.reset ();
+      let cache = Engine.create_plan_cache () in
+      let text = "RETURN 5 AS cached_probe" and n = 4 in
+      for _ = 0 to n do
+        match Engine.query_cached ~cache Graph.empty text with
+        | Ok _ -> ()
+        | Error e -> Alcotest.fail (Engine.error_message e)
+      done;
+      match
+        List.find_opt
+          (fun s -> s.Qstats.s_calls = n + 1)
+          (Qstats.snapshot ())
+      with
+      | Some s -> Alcotest.(check int) "cache hits" n s.Qstats.s_cache_hits
+      | None -> Alcotest.fail "no statistics row for the cached text")
 
 (* --- wire-level fixtures ----------------------------------------------- *)
 
@@ -382,8 +410,8 @@ let introspection_verbs () =
       ignore (ok_query pc "CREATE (:Q {v: 1})");
       ignore (ok_query pc "CREATE (:Q {v: 2})");
       ignore (ok_query pc "CREATE (:Q {v: 3})");
-      let shape = Qstats.fingerprint "CREATE (:Q {v: 1})" in
-      let hash_hex = Trace.id_to_hex (Qstats.fingerprint_hash "CREATE (:Q {v: 1})") in
+      let shape = fingerprint "CREATE (:Q {v: 1})" in
+      let hash_hex = Trace.id_to_hex (fingerprint_hash "CREATE (:Q {v: 1})") in
       (match Client.query_stats pc with
       | Error e -> Alcotest.failf "query_stats: %s" (Client.error_message e)
       | Ok { Client.columns; rows; _ } ->
@@ -427,7 +455,7 @@ let introspection_verbs () =
         Alcotest.failf "replica query_stats: %s" (Client.error_message e)
       | Ok { Client.columns; rows; _ } ->
         let qi = find_column columns "query" in
-        let shape = Qstats.fingerprint "MATCH (n:Q) RETURN count(n) AS c" in
+        let shape = fingerprint "MATCH (n:Q) RETURN count(n) AS c" in
         Alcotest.(check bool) "replica lists the read it served" true
           (List.exists (fun r -> List.nth r qi = Value.String shape) rows));
       (* cluster health names the role and the replication position *)
@@ -486,7 +514,7 @@ let slowlog_attribution () =
           | Ok _ -> ()
           | Error e -> Alcotest.fail (Engine.error_message e));
       let hex = Trace.id_to_hex ctx.Trace.trace_id in
-      let fp = Trace.id_to_hex (Qstats.fingerprint_hash "RETURN 11 AS slow_probe") in
+      let fp = Trace.id_to_hex (fingerprint_hash "RETURN 11 AS slow_probe") in
       let line =
         match
           List.find_opt (fun l -> contains l "slow_probe") !lines
@@ -501,6 +529,57 @@ let slowlog_attribution () =
       Alcotest.(check bool) "slow line names the connection" true
         (contains line "\"conn\":\"conn-test-7\""))
 
+(* The top-level keys of a flat-ish JSON object, in order: a key is a
+   string at depth 1 followed by a colon. *)
+let top_level_keys line =
+  let n = String.length line in
+  let keys = ref [] and depth = ref 0 and i = ref 0 in
+  while !i < n do
+    (match line.[!i] with
+    | '{' -> incr depth
+    | '}' -> decr depth
+    | '"' ->
+      let j = ref (!i + 1) in
+      while line.[!j] <> '"' do
+        if line.[!j] = '\\' then incr j;
+        incr j
+      done;
+      if !depth = 1 && !j + 1 < n && line.[!j + 1] = ':' then
+        keys := String.sub line (!i + 1) (!j - !i - 1) :: !keys;
+      i := !j
+    | _ -> ());
+    incr i
+  done;
+  List.rev !keys
+
+let slow_line_key_order () =
+  let module Slowlog = Cypher_obs.Slowlog in
+  let lines = ref [] in
+  Slowlog.set_sink (Some (fun l -> lines := l :: !lines));
+  Slowlog.set_threshold_ms (Some 0.);
+  Slowlog.set_conn (Some "conn-order");
+  Fun.protect
+    ~finally:(fun () ->
+      Slowlog.set_conn None;
+      Slowlog.set_threshold_ms None;
+      Slowlog.set_sink None)
+    (fun () ->
+      let ctx = { Trace.trace_id = Trace.new_id (); parent_span = 0 } in
+      Trace.with_context ctx (fun () ->
+          match Engine.query Graph.empty "RETURN 12 AS key_order_probe" with
+          | Ok _ -> ()
+          | Error e -> Alcotest.fail (Engine.error_message e));
+      match List.find_opt (fun l -> contains l "key_order_probe") !lines with
+      | None -> Alcotest.fail "no slowlog line"
+      | Some line ->
+        Alcotest.(check (list string))
+          "keys in order"
+          [
+            "slow_query"; "ms"; "mode"; "rows"; "trace_id"; "fingerprint";
+            "conn"; "spans"; "query";
+          ]
+          (top_level_keys line))
+
 let suite =
   [
     Alcotest.test_case "fingerprints mask literals, keep identifiers" `Quick
@@ -509,6 +588,10 @@ let suite =
       `Quick qstats_aggregation;
     Alcotest.test_case "slowlog lines carry trace, fingerprint, connection"
       `Quick slowlog_attribution;
+    Alcotest.test_case "slow line keys keep their order" `Quick
+      slow_line_key_order;
+    Alcotest.test_case "qstats counts plan-cache hits per text" `Quick
+      qstats_counts_cache_hits;
     Alcotest.test_case "trace context crosses the wire" `Quick
       propagation_direct;
     Alcotest.test_case "router and replica join one trace" `Quick
