@@ -2242,6 +2242,86 @@ let b21 () =
 (* B22: store lookups                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* The path-search kernel alone, on pairs from the standing [paths]
+   workload's curated-pair generator (the first 64 shortestPath pairs a
+   run with seed 1 sends, then 16 cheapestPath pairs) on the same graph.  Per query: the kernel's time with the engine's neighbour
+   function ([Eval.search_neighbours], FRIEND in both directions, cost
+   [since] for the cheapest search) and with a bare [Graph.adjacent] one,
+   the adjacency lists and relationships a search reads, and the time
+   the engine's neighbour function alone takes on those lists —
+   enumeration's share of the kernel.  Each figure is the median over
+   11 runs of all pairs. *)
+let b22_paths d g =
+  let module Eval = Cypher_semantics.Eval in
+  let module Path_search = Cypher_algos.Path_search in
+  let cfg = Config.default and reps = 11 in
+  let by_name = Hashtbl.create 20_000 in
+  List.iter
+    (fun n ->
+      match Graph.node_prop g n "name" with
+      | Cypher_values.Value.String s -> Hashtbl.replace by_name s n
+      | _ -> ())
+    (Graph.nodes_with_label g "Person");
+  let node i = Hashtbl.find by_name d.Dataset.names.(i) in
+  let r = Dataset.rng (1 + 17) in
+  let pairs weighted count =
+    List.map
+      (fun (p : Dataset.pair) -> (node p.src, node p.dst))
+      (Dataset.curated_pairs d ~weighted r count)
+  in
+  let shortest_pairs = pairs false 64 and cheapest_pairs = pairs true 16 in
+  let kmax = Eval.max_hops cfg g None in
+  let engine cost =
+    Eval.search_neighbours cfg g Cypher_table.Record.empty ~types:[ "FRIEND" ]
+      ~props:[] ~cost Cypher_ast.Ast.Undirected
+  in
+  let bare cost n =
+    List.map
+      (fun rd -> (rd.Graph.rel_id, Graph.far_end rd n, cost rd))
+      (Graph.adjacent g n `Both)
+  in
+  let shortest (fwd, bwd) (s, e) =
+    Path_search.shortest ~bwd fwd s e ~kmin:1 ~kmax ~all:false ~accept:(fun _ -> true)
+  in
+  let cheapest (fwd, bwd) (s, e) = ignore (Path_search.cheapest ~fwd ~bwd s e) in
+  let us_per_query pairs f =
+    Kit.median
+      (List.init reps (fun _ ->
+           let t0 = Kit.now_ns () in
+           List.iter f pairs;
+           float (Kit.now_ns () - t0) /. 1e3 /. float (List.length pairs)))
+  in
+  let report name pairs search cost =
+    let fwd, bwd = engine cost in
+    (* one untimed pass records the lists each search reads *)
+    let reads = ref [] and rels = ref 0 in
+    let counted next n =
+      let l = next n in
+      reads := (next, n) :: !reads;
+      rels := !rels + List.length (Graph.adjacent g n `Both);
+      l
+    in
+    List.iter (search (counted fwd, counted bwd)) pairs;
+    let reads = List.rev !reads and q = float (List.length pairs) in
+    let kernel = us_per_query pairs (search (fwd, bwd)) in
+    let bare_us = us_per_query pairs (search (bare cost, bare cost)) in
+    let enumeration =
+      us_per_query [ () ] (fun () ->
+          List.iter (fun (next, n) -> ignore (Sys.opaque_identity (next n))) reads)
+      /. q
+    in
+    Printf.printf
+      "  %-9s kernel %7.1f us/query  bare adjacency %7.1f us  enumeration %6.1f us  \
+       %6.1f lists %7.1f rels read per query\n%!"
+      name kernel bare_us enumeration
+      (float (List.length reads) /. q)
+      (float !rels /. q)
+  in
+  Printf.printf "  path kernel, %d shortest and %d cheapest curated pairs:\n"
+    (List.length shortest_pairs) (List.length cheapest_pairs);
+  report "shortest" shortest_pairs shortest (fun _ -> ());
+  report "cheapest" cheapest_pairs cheapest (Eval.path_cost "since")
+
 (* What finding a record costs, on the standing benchmark's social graph
    after a snapshot round trip (the store a loaded server reads): the two
    [node_data] reads a label scan makes per person, that scan through the
@@ -2295,7 +2375,8 @@ let b22 () =
     \  adjacent `Out, every node  %8.3f ms\n%!"
     people (Graph.rel_count g) reps lookups_ms
     (lookups_ms *. 1e6 /. float (2 * List.length persons))
-    scan_ms adjacent_ms
+    scan_ms adjacent_ms;
+  b22_paths d g
 
 let groups =
   [

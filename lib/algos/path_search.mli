@@ -9,9 +9,18 @@
     predicates, relationship uniqueness against the rest of the pattern
     tuple, and (for the cheapest search) the cost of each relationship.
 
-    All search state is allocated per call and sized to the nodes the
-    search touches; nothing is shared, so concurrent searches on
-    different domains are safe. *)
+    Search state lives in pooled tables.  Each side of a search takes
+    one from a process-wide pool (a lock-free stack on an [Atomic]) and
+    gives it back when the search ends, by return or by exception, so a
+    failing neighbour function or cost leaks nothing.  A table is keyed
+    by node id with open addressing and sized by the nodes the search
+    touches, never by id.  Its slots carry an epoch stamp, so a new
+    search starts with one increment and no clearing, and no mark of an
+    earlier search is ever read.  A state belongs to one search at a
+    time: concurrent searches on any domains or threads take distinct
+    states, and a search started from inside a neighbour function takes
+    states of its own.  A state grown past 2^16 slots or heap entries
+    by one large search goes back to the GC rather than to the pool. *)
 
 open Cypher_values
 

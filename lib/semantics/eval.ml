@@ -382,10 +382,10 @@ and eval_truth cfg g u e =
    supplies its type, other end, properties and [cost] with no further
    store access (one db hit per list read); the predicate values depend
    only on [u], so they are evaluated once per search, on the first
-   candidate that needs them.  A predicate that cannot evaluate (it
-   references a variable the pattern never binds) is a typed error:
-   silently dropping every edge would turn a user mistake into an empty
-   result. *)
+   candidate that needs them.  A predicate that cannot evaluate is a
+   typed error — silently dropping every edge would turn a user mistake
+   into an empty result — named as an unbound variable when it
+   references one, and otherwise the evaluator's own error. *)
 and search_neighbours :
       'w. Config.t -> Graph.t -> Record.t -> types:string list ->
       props:(string * expr) list -> cost:(Graph.rel_data -> 'w) -> direction ->
@@ -397,11 +397,16 @@ and search_neighbours :
          (fun (k, e) ->
            match eval_expr cfg g u e with
            | v -> (k, v)
-           | exception Eval_error _ ->
-             eval_error
-               "shortest-path relationship predicate on '%s' references an \
-                unbound variable"
-               k)
+           | exception (Eval_error _ as err) -> (
+             match
+               List.find_opt (fun a -> not (Record.mem u a)) (Ast.expr_free_vars e)
+             with
+             | Some a ->
+               eval_error
+                 "shortest-path relationship predicate on '%s' references \
+                  the unbound variable %s"
+                 k a
+             | None -> raise err))
          props)
   in
   let step cur (d : Graph.rel_data) =

@@ -83,7 +83,10 @@ val search_neighbours :
     [types] (any, if empty) and each property in [props], evaluated
     under [u], equals its own; its payload is [cost] of its record,
     which is fetched once.  A predicate that cannot evaluate under [u]
-    raises {!Eval_error} when the search first needs it. *)
+    raises {!Eval_error} when the search first needs it: naming the
+    variable when it references one [u] does not bind, and otherwise
+    the evaluator's own error (a missing parameter, an unknown
+    function). *)
 
 val path_cost : string -> Graph.rel_data -> float
 (** [path_cost prop d]: the cost of a relationship with record [d] for

@@ -262,12 +262,28 @@ let error_cases =
           expect_error mode untyped
             "MATCH p = cheapestPath((a {name:'a'})-[:R*]->(b {name:'b'}), \
              'w') RETURN p" );
+        ( m ^ ": a missing parameter in a path predicate is named",
+          expect_error ~contains:"missing parameter: $nope" mode g
+            "MATCH p = shortestPath((a:P {name:'a'})-[:F* {w: $nope}]->(d:P \
+             {name:'d'})) RETURN p" );
+        ( m ^ ": an unknown function in a path predicate is named",
+          expect_error ~contains:"unknown function: nosuchfn" mode g
+            "MATCH p = cheapestPath((a:P {name:'a'})-[:F* {w: \
+             nosuchfn(1)}]->(d:P {name:'d'}), 'w') RETURN p" );
         ( m ^ ": shortestPath in CREATE is rejected",
           expect_error mode g "CREATE shortestPath((a)-[:R*]->(b))" );
         ( m ^ ": regex in CREATE is rejected",
           expect_error mode g "CREATE (a)-[:(F G)]->(b)" );
       ])
     [ Engine.Planned; Engine.Reference ]
+  @ [
+      (* the planner binds [c] before the search; the reference evaluator
+         searches first, with [c] still unbound *)
+      ( "ref: an unbound variable in a path predicate is named",
+        expect_error ~contains:"unbound variable c" Engine.Reference g
+          "MATCH (a:P {name:'a'}), (d:P {name:'d'}) MATCH p = \
+           shortestPath((a)-[:F* {w: c.w}]->(d)), (c) RETURN p" );
+    ]
 
 (* --- planner integration ---------------------------------------------- *)
 
@@ -795,6 +811,275 @@ let set_rel_prop_reaches_adjacency () =
   expect before shortest [ "l" ] [ [ ("l", vint 2) ] ] ();
   expect before cheapest [ "l"; "c" ] [ [ ("l", vint 2); ("c", vint 2) ] ] ()
 
+(* --- the kernel's pooled search state ----------------------------------- *)
+
+module Path_search = Cypher_algos.Path_search
+module Ids = Cypher_values.Ids
+
+(* Forward and backward neighbour functions over [edges], given as
+   (relationship, source, target, cost) on hand-picked ids. *)
+let adjacency edges =
+  let along from_ to_ n =
+    List.filter_map
+      (fun e ->
+        if from_ e = Ids.node_to_int n then
+          let r, _, _, w = e in
+          Some (Ids.rel_of_int r, Ids.node_of_int (to_ e), w)
+        else None)
+      edges
+  in
+  ( along (fun (_, a, _, _) -> a) (fun (_, _, b, _) -> b),
+    along (fun (_, _, b, _) -> b) (fun (_, a, _, _) -> a) )
+
+let shortest_steps ?bwd fwd s e ~all =
+  let found = ref [] in
+  Path_search.shortest ?bwd fwd (Ids.node_of_int s) (Ids.node_of_int e) ~kmin:1
+    ~kmax:max_int ~all ~accept:(fun steps ->
+      found := steps :: !found;
+      true);
+  List.rev !found
+
+let cheapest_steps fwd bwd s e =
+  Path_search.cheapest ~fwd ~bwd (Ids.node_of_int s) (Ids.node_of_int e)
+
+let check_steps msg expected actual =
+  Alcotest.(check (list (pair int int)))
+    msg expected
+    (List.map (fun (r, n) -> (Ids.rel_to_int r, Ids.node_to_int n)) actual)
+
+(* A search that fails half way must leave nothing behind for the next
+   one: after each failure below, the next search's endpoints are the
+   same, and a label left from the failed search on node 1 would offer a
+   false two-hop meeting through it. *)
+let failed_search_leaves_no_marks () =
+  (* cheapestPath: the forward side settles 0 and reaches 5, the backward
+     side settles 9 and reaches 1 and 2, then 5 -(-1)-> 6 is relaxed *)
+  let fwd, bwd =
+    adjacency [ (100, 0, 5, 1.); (101, 5, 6, -1.); (102, 1, 9, 1.); (103, 2, 9, 1.) ]
+  in
+  (match cheapest_steps fwd bwd 0 9 with
+  | _ -> Alcotest.fail "a negative cost was accepted"
+  | exception Path_search.Invalid_cost _ -> ());
+  let fwd, bwd = adjacency [ (200, 0, 1, 1.); (201, 1, 3, 1.); (202, 3, 9, 1.) ] in
+  (match cheapest_steps fwd bwd 0 9 with
+  | Some (c, steps) ->
+    Alcotest.(check (float 0.)) "cost after a failed search" 3. c;
+    check_steps "path after a failed search" [ (200, 1); (201, 3); (202, 9) ] steps
+  | None -> Alcotest.fail "no path after a failed search");
+  (* shortestPath: the forward side reaches 5 and 7, the backward side
+     reaches 1, and expanding 1 backwards meets an unbound variable *)
+  let fwd, bwd = adjacency [ (100, 0, 5, ()); (101, 0, 7, ()); (102, 1, 9, ()) ] in
+  let bwd n =
+    if Ids.node_to_int n = 1 then
+      raise (Cypher_semantics.Eval.Eval_error "unbound variable: x")
+    else bwd n
+  in
+  (match shortest_steps ~bwd fwd 0 9 ~all:false with
+  | _ -> Alcotest.fail "the neighbour function's error was lost"
+  | exception Cypher_semantics.Eval.Eval_error _ -> ());
+  let fwd, bwd =
+    adjacency [ (300, 0, 1, ()); (301, 1, 3, ()); (302, 3, 4, ()); (303, 4, 9, ()) ]
+  in
+  match shortest_steps ~bwd fwd 0 9 ~all:false with
+  | [ steps ] ->
+    check_steps "path after a failed search" [ (300, 1); (301, 3); (302, 4); (303, 9) ]
+      steps
+  | found -> Alcotest.failf "%d paths after a failed search" (List.length found)
+
+(* Equal heap keys pop first-in first-out: from s, the entries of a, b
+   and c all cost 1, and whichever settles first becomes x's parent on
+   the cheapest path s ~> x -> e. *)
+let cheapest_ties_pop_in_insertion_order () =
+  let edges =
+    [ (1, 0, 1, 1.); (2, 0, 2, 1.); (3, 0, 3, 1.); (4, 3, 4, 1.); (5, 2, 4, 1.);
+      (6, 1, 4, 1.); (7, 4, 9, 10.) ]
+  in
+  let fwd, bwd = adjacency edges in
+  match cheapest_steps fwd bwd 0 9 with
+  | Some (c, steps) ->
+    Alcotest.(check (float 0.)) "cost" 12. c;
+    check_steps "the first-pushed route" [ (1, 1); (6, 4); (7, 9) ] steps
+  | None -> Alcotest.fail "no path"
+
+(* The tables start at 256 slots and grow with the nodes a search
+   touches; searches far past that, between two small ones, must agree
+   with the answers by construction. *)
+let search_state_grows_past_initial_capacity () =
+  let chain n = List.init n (fun i -> (1000 + i, i, i + 1, 1.)) in
+  let both edges =
+    let fwd, bwd = adjacency edges in
+    fun n -> fwd n @ bwd n
+  in
+  let small () =
+    let g = both (chain 3) in
+    check_steps "small shortest" [ (1000, 1); (1001, 2); (1002, 3) ]
+      (List.hd (shortest_steps ~bwd:g g 0 3 ~all:false));
+    match cheapest_steps g g 3 0 with
+    | Some (c, steps) ->
+      Alcotest.(check (float 0.)) "small cheapest" 3. c;
+      check_steps "small cheapest path" [ (1002, 2); (1001, 1); (1000, 0) ] steps
+    | None -> Alcotest.fail "small cheapest: no path"
+  in
+  small ();
+  let n = 3000 in
+  let g = both (chain n) in
+  let expected = List.init n (fun i -> (1000 + i, i + 1)) in
+  List.iter
+    (fun (name, found) ->
+      match found with
+      | [ steps ] -> check_steps name expected steps
+      | l -> Alcotest.failf "%s: %d paths" name (List.length l))
+    [
+      ("bidirectional BFS", shortest_steps ~bwd:g g 0 n ~all:false);
+      ("level BFS", shortest_steps g 0 n ~all:false);
+      ("level BFS, all", shortest_steps g 0 n ~all:true);
+    ];
+  (match cheapest_steps g g 0 n with
+  | Some (c, steps) ->
+    Alcotest.(check (float 0.)) "large cheapest" (float n) c;
+    check_steps "large cheapest path" expected steps
+  | None -> Alcotest.fail "large cheapest: no path");
+  (* depths survive growth: the forward side reaches s = 0's [k]
+     neighbours, more than half of the largest pooled table, so it grows
+     with 1 in it and without [k]; the backward side then meets [k] and 1
+     at the same length, and the first meeting stands *)
+  let k = 40_000 in
+  let fan = List.init k (fun i -> (10_000 + i, 0, i + 1, ())) in
+  let e = 1_000_000 in
+  let fwd, bwd = adjacency (fan @ [ (1, k, e, ()); (2, 1, e, ()) ]) in
+  check_steps "first of equal meetings after growth" [ (10_000 + k - 1, k); (1, e) ]
+    (List.hd (shortest_steps ~bwd fwd 0 e ~all:false));
+  small ()
+
+(* Several domains, each with several threads, run shortest,
+   allShortest and cheapest searches at once on one graph; every answer
+   must be the one a sequential run gives. *)
+let concurrent_searches_agree () =
+  let g = Generate.social ~seed:20 ~people:200 ~avg_friends:4 in
+  let names =
+    Array.of_list
+      (List.map
+         (fun n ->
+           match Graph.node_prop g n "name" with
+           | Value.String s -> s
+           | _ -> Alcotest.fail "social node without a name")
+         (Graph.nodes_with_label g "Person"))
+  in
+  let queries =
+    List.concat_map
+      (fun (i, j) ->
+        let a = names.(i) and b = names.(j) in
+        List.map
+          (fun (mode, q) -> (mode, Printf.sprintf q a b))
+          [
+            ( Engine.Planned,
+              "MATCH (a:Person {name: '%s'}), (b:Person {name: '%s'}) MATCH p = \
+               shortestPath((a)-[:FRIEND*]-(b)) RETURN nodes(p) AS p" );
+            ( Engine.Reference,
+              "MATCH (a:Person {name: '%s'}), (b:Person {name: '%s'}) MATCH p = \
+               shortestPath((a)-[:FRIEND*]-(b)) RETURN nodes(p) AS p" );
+            ( Engine.Planned,
+              "MATCH (a:Person {name: '%s'}), (b:Person {name: '%s'}) MATCH p = \
+               allShortestPaths((a)-[:FRIEND*]-(b)) RETURN nodes(p) AS p" );
+            ( Engine.Planned,
+              "MATCH (a:Person {name: '%s'}), (b:Person {name: '%s'}) MATCH p = \
+               cheapestPath((a)-[:FRIEND*]-(b), 'since') RETURN nodes(p) AS p" );
+          ])
+      [ (0, 199); (3, 150); (17, 42); (60, 61); (99, 5); (120, 180) ]
+  in
+  let run (mode, q) =
+    match Engine.query ~mode g q with
+    | Ok out -> out.Engine.table
+    | Error e -> Alcotest.failf "%S: %s" q (Engine.error_message e)
+  in
+  let expected = List.map (fun q -> (q, run q)) queries in
+  let failures = Atomic.make [] in
+  let worker offset () =
+    for round = 0 to 2 do
+      List.iteri
+        (fun i _ ->
+          let q, want =
+            List.nth expected ((i + offset + round) mod List.length expected)
+          in
+          match Engine.query ~mode:(fst q) g (snd q) with
+          | Ok out when Cypher_table.Table.equal_ordered want out.Engine.table -> ()
+          | Ok _ | Error _ ->
+            let rec note () =
+              let l = Atomic.get failures in
+              if not (Atomic.compare_and_set failures l (snd q :: l)) then note ()
+            in
+            note ())
+        expected
+    done
+  in
+  let domains =
+    List.init 3 (fun d ->
+        Domain.spawn (fun () ->
+            List.iter Thread.join
+              (List.init 2 (fun t -> Thread.create (worker ((2 * d) + t)) ()))))
+  in
+  List.iter Domain.join domains;
+  match Atomic.get failures with
+  | [] -> ()
+  | q :: _ as l ->
+    Alcotest.failf "%d concurrent answers differ from the sequential run; one: %s"
+      (List.length l) q
+
+(* Node ids up to 2^30 are legal; a search between such ids and a low one
+   must be sized by the nodes it touches, not by the ids. *)
+let sparse_ids_search () =
+  let far = Graph.reserve_ids Graph.empty ~next_node:(1 lsl 30) ~next_rel:(1 lsl 30) in
+  let g, ns =
+    List.fold_left
+      (fun (g, ns) i ->
+        let g, n = Graph.add_node ~labels:[ "Far" ] ~props:[ ("i", vint i) ] g in
+        (g, n :: ns))
+      (far, []) (List.init 5 Fun.id)
+  in
+  let ns = List.rev ns in
+  let link g a b w = fst (Graph.add_rel ~src:a ~tgt:b ~rel_type:"R" ~props:[ ("w", vint w) ] g) in
+  let g = List.fold_left2 (fun g a b -> link g a b 1) g (List.filteri (fun i _ -> i < 4) ns) (List.tl ns) in
+  let near = Cypher_values.Ids.node_of_int 7 in
+  let g =
+    Graph.insert_node g near
+      { Graph.labels = Graph.Sset.singleton "Near"; node_props = Value.Smap.empty }
+  in
+  (* near -1-> far0 -> ... -> far4, and an expensive shortcut near -100-> far4 *)
+  let g = link (link g near (List.hd ns) 1) near (List.nth ns 4) 100 in
+  let q =
+    [
+      ( "MATCH p = shortestPath((a:Near)-[:R*]->(b:Far {i: 4})) RETURN length(p) AS l",
+        [ [ ("l", vint 1) ] ] );
+      ( "MATCH p = cheapestPath((a:Near)-[:R*]->(b:Far {i: 4}), 'w') RETURN \
+         length(p) AS l, [n IN nodes(p) | id(n)] AS ids",
+        [
+          [
+            ("l", vint 5);
+            ("ids", vlist (vint 7 :: List.init 5 (fun i -> vint ((1 lsl 30) + i))));
+          ];
+        ] );
+      ( "MATCH p = cheapestPath((b:Far {i: 4})<-[:R*]-(a:Near), 'w') RETURN \
+         length(p) AS l",
+        [ [ ("l", vint 5) ] ] );
+    ]
+  in
+  Gc.full_major ();
+  let before = (Gc.quick_stat ()).Gc.heap_words in
+  List.iter
+    (fun (q, rows) ->
+      List.iter
+        (fun mode ->
+          match Engine.query ~mode g q with
+          | Error e -> Alcotest.failf "%S: %s" q (Engine.error_message e)
+          | Ok out ->
+            check_table_bag q (table (List.map fst (List.hd rows)) rows) out.Engine.table)
+        [ Engine.Reference; Engine.Planned ])
+    q;
+  let grown = ((Gc.quick_stat ()).Gc.heap_words - before) * (Sys.word_size / 8) in
+  if grown >= 1024 * 1024 then
+    Alcotest.failf "the major heap grew by %d KB during searches on sparse ids"
+      (grown / 1024)
+
 let suite =
   List.map (fun (name, f) -> tc name f) (tck_cases @ error_cases)
   @ [
@@ -812,4 +1097,11 @@ let suite =
         restrictor_does_not_lose_alternatives;
       tc "SET on a relationship reaches Expand and both path searches"
         set_rel_prop_reaches_adjacency;
+      tc "a failed search leaves no marks for the next" failed_search_leaves_no_marks;
+      tc "cheapest: equal costs settle first-in first-out"
+        cheapest_ties_pop_in_insertion_order;
+      tc "search state grows past its initial capacity and is reused"
+        search_state_grows_past_initial_capacity;
+      tc "concurrent searches on domains and threads agree" concurrent_searches_agree;
+      tc "searches between sparse ids stay small" sparse_ids_search;
     ]
