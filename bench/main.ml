@@ -37,11 +37,11 @@ let run_scan_expand g q =
   match Cypher_parser.Parser.parse_query_exn q with
   | Cypher_ast.Ast.Q_single { sq_clauses; sq_return } ->
     let stats = Stats.collect g in
-    let { Cypher_planner.Build.plan; fields } =
+    let { Cypher_planner.Build.prog; fields; _ } =
       Cypher_planner.Build.compile_clauses ~stats ~scan_rels:true ~visible:[]
         sq_clauses sq_return
     in
-    Cypher_planner.Exec.run Config.default g ~fields plan Table.unit
+    Cypher_planner.Exec.run Config.default g ~fields prog Table.unit
   | _ -> failwith "unsupported"
 
 let row_count t = Table.row_count t
@@ -343,11 +343,11 @@ let run_with_ordering ordering g q =
   match Cypher_parser.Parser.parse_query_exn q with
   | Cypher_ast.Ast.Q_single { sq_clauses; sq_return } ->
     let stats = Stats.collect g in
-    let { Cypher_planner.Build.plan; fields } =
+    let { Cypher_planner.Build.prog; fields; _ } =
       Cypher_planner.Build.compile_clauses ~stats ~ordering ~visible:[]
         sq_clauses sq_return
     in
-    Cypher_planner.Exec.run Config.default g ~fields plan Table.unit
+    Cypher_planner.Exec.run Config.default g ~fields prog Table.unit
   | _ -> failwith "unsupported"
 
 let b8 () =

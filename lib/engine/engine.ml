@@ -98,15 +98,15 @@ let stats_of g =
    for more than one worker.  Only full-table runs are routed — PROFILE
    and [stream] keep the sequential executor, whose per-pull
    instrumentation and laziness do not decompose. *)
-let exec_run cfg g ~fields plan table =
+let exec_run cfg g ~fields prog table =
   let workers = cfg.Config.parallel in
   if workers > 1 then
     Cypher_planner.Par_exec.run
       { Cypher_planner.Par_exec.workers;
         run_tasks = (fun n f -> Domain_pool.run ~workers n f);
       }
-      cfg g ~fields plan table
-  else Exec.run cfg g ~fields plan table
+      cfg g ~fields prog table
+  else Exec.run cfg g ~fields prog table
 
 (* --- the prepared form ------------------------------------------------- *)
 
@@ -162,9 +162,9 @@ let prepare g ast : prepared =
 let run_tree cfg g tree =
   let rec steps g table = function
     | [] -> { graph = g; table }
-    | Read { Build.plan; fields } :: rest ->
+    | Read { Build.prog; fields; _ } :: rest ->
       let table =
-        Trace.with_span "execute" (fun () -> exec_run cfg g ~fields plan table)
+        Trace.with_span "execute" (fun () -> exec_run cfg g ~fields prog table)
       in
       steps g table rest
     | Update c :: rest ->
@@ -360,12 +360,12 @@ let pp_prof_ns ns =
    rendering and never runs. *)
 let render_profile config g : prepared -> (string, error) result = function
   | Error reason -> Error (Unsupported reason)
-  | Ok (Single { steps = [ Read { Build.plan; fields } ]; _ }) ->
+  | Ok (Single { steps = [ Read { Build.plan; fields; prog } ]; _ }) ->
     let stats = stats_of g in
     catching (fun () ->
         let table, actual =
           Trace.with_span "execute" (fun () ->
-              Exec.run_profiled config g ~fields plan Table.unit)
+              Exec.run_profiled config g ~fields prog Table.unit)
         in
         let rendered =
           Format.asprintf "%a"
@@ -533,8 +533,8 @@ let run ?config ?mode g text = (run_exn ?config ?mode g text).table
 let stream ?(config = Config.default) g text =
   Result.bind (check_query text) (fun ast ->
       match prepare g ast with
-      | Ok (Single { steps = [ Read { Build.plan; _ } ]; _ }) ->
-        Ok (Exec.rows config g plan (Seq.return Cypher_table.Record.empty))
+      | Ok (Single { steps = [ Read { Build.prog; _ } ]; _ }) ->
+        Ok (Exec.rows config g prog (Seq.return Cypher_table.Record.empty))
       | Ok _ ->
         Error (Unsupported "stream: only read-only single queries can be streamed")
       | Error reason -> Error (Unsupported reason))

@@ -588,7 +588,7 @@ let add_tuple cfg g st dirty events key mult bnd =
 (* Re-finalizes every dirty group with the engine's own [Agg.finalize],
    expanding each maintained value multiset in canonical ascending
    order, and emits the row transitions. *)
-let finalize_groups cfg g st dirty events =
+let finalize_groups st dirty events =
   Vlmap.iter
     (fun gkey () ->
       let old_row = Vlmap.find_opt gkey st.gout in
@@ -621,7 +621,7 @@ let finalize_groups cfg g st dirty events =
                   in
                   incr agg_i;
                   let v =
-                    Agg.finalize cfg g ~first_row:None ~row_count:gr.g_count
+                    Agg.finalize ~percentile:None ~row_count:gr.g_count
                       (List.rev values) spec
                   in
                   v :: acc)
@@ -688,7 +688,7 @@ let init_istate cfg g plan =
   let dirty = ref Vlmap.empty in
   let events = ref [] in
   admit_candidates cfg g st dirty events (enumerate_all cfg g plan);
-  if plan.p_grouping then finalize_groups cfg g st !dirty events;
+  if plan.p_grouping then finalize_groups st !dirty events;
   (st, !events)
 
 (* The incremental step.  Retract every tuple binding a touched entity;
@@ -789,7 +789,7 @@ let apply_delta cfg new_g st (d : Graph.delta) =
       end)
     by_first;
   admit_candidates cfg new_g st dirty events cand;
-  if plan.p_grouping then finalize_groups cfg new_g st !dirty events;
+  if plan.p_grouping then finalize_groups st !dirty events;
   !events
 
 (* --- the manager -------------------------------------------------------- *)

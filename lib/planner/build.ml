@@ -6,7 +6,7 @@ exception Unsupported of string
 
 let unsupported fmt = Format.kasprintf (fun s -> raise (Unsupported s)) fmt
 
-type compiled = { plan : Plan.t; fields : string list }
+type compiled = { plan : Plan.t; fields : string list; prog : Exec.program }
 
 module Sset = Set.Make (String)
 
@@ -690,12 +690,15 @@ let compile_projection proj visible input =
 
 let compile_clauses ~stats ?(scan_rels = false) ?(ordering = `Greedy) ~visible
     clauses ret =
+  let compiled plan fields =
+    { plan; fields; prog = Exec.compile ~input:visible plan }
+  in
   let rec go plan bound visible = function
     | [] -> (
       match ret with
       | Some proj ->
         let plan, names = compile_projection proj visible plan in
-        { plan; fields = names }
+        compiled plan names
       | None ->
         (* end of a read segment feeding an update clause: project to the
            user-visible fields so internals do not leak *)
@@ -706,7 +709,7 @@ let compile_clauses ~stats ?(scan_rels = false) ?(ordering = `Greedy) ~visible
           then plan
           else Plan.Project { items; input = plan }
         in
-        { plan; fields = visible })
+        compiled plan visible)
     | C_match { opt = false; pattern; where } :: rest ->
       let plan, bound =
         compile_pattern_tuple ~stats ~scan_rels ~ordering bound pattern plan

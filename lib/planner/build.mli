@@ -22,8 +22,11 @@ exception Unsupported of string
     non-default morphisms); the engine falls back to the reference
     semantics for those. *)
 
-type compiled = { plan : Plan.t; fields : string list }
-(** A plan together with the user-visible output fields. *)
+type compiled = { plan : Plan.t; fields : string list; prog : Exec.program }
+(** A plan together with the user-visible output fields, and the plan
+    compiled for execution over the driving table's fields ([visible]):
+    slots given, expressions compiled.  A prepared query keeps it, so a
+    plan-cache hit never compiles again. *)
 
 val compile_clauses :
   stats:Stats.t ->

@@ -2,24 +2,76 @@ open Cypher_values
 open Cypher_graph
 open Cypher_table
 open Cypher_semantics
+module Smap = Compile.Smap
+
+type row = Compile.row
 
 let eval_error = Functions.eval_error
 
-let node_of row var =
-  match Record.find row var with
-  | Some (Value.Node n) -> Some n
-  | Some Value.Null | None -> None
-  | Some v ->
-    eval_error "expand: %s is bound to %s, not a node" var (Value.type_name v)
+(* --- slotted rows ----------------------------------------------------- *)
 
-(* Binds [var] to [v] in [row], or keeps the row only when the existing
-   binding agrees (Expand-into behaviour). *)
-let bind_or_check row var v =
-  match Record.find row var with
-  | None -> Some (Record.add row var v)
-  | Some v0 -> if Value.equal_total v0 v then Some row else None
+(* A binding never mutates a row in place: a row may be shared (a
+   driving row fans out into many), so it is copied and one slot set.
+   Rows are narrow, and an array literal is allocated inline where
+   [Array.copy] is a call into the runtime, about three times the cost
+   per row at these widths. *)
+let copy (row : row) =
+  match Array.length row with
+  | 1 -> [| row.(0) |]
+  | 2 -> [| row.(0); row.(1) |]
+  | 3 -> [| row.(0); row.(1); row.(2) |]
+  | 4 -> [| row.(0); row.(1); row.(2); row.(3) |]
+  | 5 -> [| row.(0); row.(1); row.(2); row.(3); row.(4) |]
+  | 6 -> [| row.(0); row.(1); row.(2); row.(3); row.(4); row.(5) |]
+  | 7 -> [| row.(0); row.(1); row.(2); row.(3); row.(4); row.(5); row.(6) |]
+  | 8 ->
+    [| row.(0); row.(1); row.(2); row.(3); row.(4); row.(5); row.(6); row.(7) |]
+  | _ -> Array.copy row
 
-let seq_filter_map_concat f seq = Seq.concat_map f seq
+let set row i v =
+  let r = copy row in
+  r.(i) <- v;
+  r
+
+(* Reads [var] as a node, as the operators that start from a bound node
+   do: absent or null gives no rows. *)
+let node_reader scope var =
+  match Smap.find_opt var scope with
+  | None -> fun _ -> None
+  | Some i -> (
+    fun (row : row) ->
+      match row.(i) with
+      | Value.Node n -> Some n
+      | Value.Null -> None
+      | v ->
+        eval_error "expand: %s is bound to %s, not a node" var
+          (Value.type_name v))
+
+(* Binds [var] to a value, or keeps the row only when the existing
+   binding agrees (Expand-into behaviour).  Which of the two is decided
+   here, from the input schema, not per row; the returned scope is the
+   output schema. *)
+let binder ~slot scope var =
+  match Smap.find_opt var scope with
+  | Some i ->
+    ((fun (row : row) v -> if Value.equal_total row.(i) v then Some row else None), scope)
+  | None ->
+    let i = slot var in
+    ((fun row v -> Some (set row i v)), Smap.add var i scope)
+
+let rel_ids_reader scope binding =
+  let read var f =
+    match Smap.find_opt var scope with
+    | None -> fun _ -> []
+    | Some i -> fun (row : row) -> f row.(i)
+  in
+  match binding with
+  | Plan.Single_rel var -> read var (function Value.Rel r -> [ r ] | _ -> [])
+  | Plan.Rel_list var ->
+    read var (function
+      | Value.List vs ->
+        List.filter_map (function Value.Rel r -> Some r | _ -> None) vs
+      | _ -> [])
 
 let graph_dir = function Plan.Out -> `Out | Plan.In -> `In | Plan.Both -> `Both
 
@@ -41,42 +93,28 @@ let expand_candidates g ~scan_rels ~dir n =
         | _ -> None)
       (Graph.rels g)
 
+(* [row] bound at slot [i] to each of [xs] in turn, then [rest]: one
+   input row's share of a scan, with no intermediate sequences. *)
+let rec fan_out row i wrap xs rest () =
+  match xs with
+  | [] -> rest ()
+  | x :: xs -> Seq.Cons (set row i (wrap x), fan_out row i wrap xs rest)
+
+(* A scan binding slot [i] to each element of [elements ()] per input
+   row, the list read on the first input row of the pull. *)
+let scan_bind i wrap elements rows =
+  let xs = lazy (elements ()) in
+  let rec go rows () =
+    match rows () with
+    | Seq.Nil -> Seq.Nil
+    | Seq.Cons (row, rows) -> fan_out row i wrap (Lazy.force xs) (go rows) ()
+  in
+  go rows
+
+let node v = Value.Node v
+
 (* A sequence whose computation is deferred until first demanded. *)
 let delayed (f : unit -> 'a Seq.t) : 'a Seq.t = fun () -> f () ()
-
-(* Bag grouping over plain record lists (rows out of different operator
-   branches need not be uniform, so this bypasses Table's field check). *)
-let group_rows rows ~key =
-  let tbl = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iter
-    (fun row ->
-      let k = key row in
-      let h = Hashtbl.hash (List.map Value.hash k) in
-      let bucket = try Hashtbl.find tbl h with Not_found -> [] in
-      match
-        List.find_opt (fun (k', _) -> List.equal Value.equal_total k k') bucket
-      with
-      | Some (_, cell) -> cell := row :: !cell
-      | None ->
-        let cell = ref [ row ] in
-        Hashtbl.replace tbl h ((k, cell) :: bucket);
-        order := (k, cell) :: !order)
-    rows;
-  List.rev_map (fun (k, cell) -> (k, List.rev !cell)) !order
-
-let rel_ids_of_binding row = function
-  | Plan.Single_rel var -> (
-    match Record.find row var with
-    | Some (Value.Rel r) -> [ r ]
-    | _ -> [])
-  | Plan.Rel_list var -> (
-    match Record.find row var with
-    | Some (Value.List vs) ->
-      List.filter_map (function Value.Rel r -> Some r | _ -> None) vs
-    | _ -> [])
-
-(* --- path-finding operators ------------------------------------------ *)
 
 module Path_search = Cypher_algos.Path_search
 
@@ -85,64 +123,17 @@ let ast_dir = function
   | Plan.In -> Cypher_ast.Ast.Right_to_left
   | Plan.Both -> Cypher_ast.Ast.Undirected
 
-(* The rows a variable-length or regex hop extends [input] by: one per
-   relationship-unique walk from [from_] that [hop] accepts, binding the
-   relationship list and the end node, in the walker's order. *)
-let walk_rows cfg g ~from_ ~rel ~dir ~to_ (hop : Eval.hop) input =
-  let adjacent, _ =
-    Eval.search_neighbours cfg g Record.empty ~types:[] ~props:[]
-      ~cost:(fun d -> d.Graph.rel_type) (ast_dir dir)
-  in
-  let next (used, q) cur =
-    List.filter_map
-      (fun (r, n, t) ->
-        if Ids.Rel_set.mem r used then None
-        else Option.map (fun q -> (r, n, (Ids.Rel_set.add r used, q))) (hop.step q t))
-      (adjacent cur)
-  in
-  seq_filter_map_concat
-    (fun row ->
-      match node_of row from_ with
-      | None -> Seq.empty
-      | Some n0 ->
-        let results = ref [] in
-        Path_search.walks next
-          ~accept:(fun depth (_, q) -> hop.ends depth q)
-          ~kmax:hop.kmax (Ids.Rel_set.empty, hop.start) n0
-          (fun last steps _ ->
-            let rels = Value.List (List.map (fun (r, _) -> Value.Rel r) steps) in
-            Option.iter
-              (fun row -> results := row :: !results)
-              (Option.bind (bind_or_check row rel rels) (fun row ->
-                   bind_or_check row to_ (Value.Node last))));
-        List.to_seq (List.rev !results))
-    input
-
-(* A path-search result [steps] from [s] as a row, when it passes the
-   restrictor and agrees with the row's bindings. *)
-let bind_path row ~rel ~rel_single ~path restr s steps =
-  if not (Eval.restr_ok restr s steps) then None
-  else
-    let rel_value =
-      match rel_single, steps with
-      | true, [ (r, _) ] -> Value.Rel r
-      | _ -> Value.List (List.map (fun (r, _) -> Value.Rel r) steps)
-    in
-    Option.bind (bind_or_check row rel rel_value) (fun row ->
-        match path with
-        | None -> Some row
-        | Some p ->
-          bind_or_check row p (Value.Path { path_start = s; path_steps = steps }))
-
 (* The steps of the path a row binds from [start] through [hops]. *)
-let bound_steps g row start hops =
-  List.concat_map (rel_ids_of_binding row) hops
+let bound_steps g row start readers =
+  List.concat_map (fun read -> read row) readers
   |> List.fold_left
        (fun (cur, acc) r ->
          let next = Graph.other_end g r cur in
          (next, (r, next) :: acc))
        (start, [])
   |> snd |> List.rev
+
+(* --- PROFILE ------------------------------------------------------------ *)
 
 (* Observation hook for PROFILE.  When a run carries a profiler, every
    operator's output sequence is wrapped so that each pull is measured:
@@ -181,288 +172,673 @@ let rec instrument entry (seq : 'a Seq.t) : 'a Seq.t =
     entry.e_rows <- entry.e_rows + 1;
     Seq.Cons (x, instrument entry rest)
 
-let rec pull (prof : profiler option) cfg g plan arg =
-  match prof with
-  | None -> rows_body prof cfg g plan arg
-  | Some find -> instrument (find plan) (rows_body prof cfg g plan arg)
+(* One execution: what expressions evaluate under, the row width, and
+   the profiler of a PROFILE run. *)
+type ctx = { env : Compile.env; width : int; prof : profiler option }
 
-and rows_body prof cfg g plan arg =
-  match plan with
-  | Plan.Argument -> arg
-  | Plan.All_nodes_scan { var; input } ->
-    (* the node list does not depend on the row: assemble it once per
-       execution, not once per input row *)
-    let all_nodes = lazy (Graph.nodes g) in
-    seq_filter_map_concat
+(* --- grouping and ordering, shared with the parallel executor --------- *)
+
+(* Hash grouping on key vectors: groups in order of first occurrence. *)
+module Groups = struct
+  type 'a t = {
+    tbl : (int, (Value.t list * 'a) list) Hashtbl.t;
+    mutable order : (Value.t list * 'a) list;  (* newest first *)
+  }
+
+  let create () = { tbl = Hashtbl.create 16; order = [] }
+
+  let find_or_add t key init =
+    let h = Hashtbl.hash (List.map Value.hash key) in
+    let bucket = try Hashtbl.find t.tbl h with Not_found -> [] in
+    match List.find_opt (fun (k, _) -> List.equal Value.equal_total key k) bucket with
+    | Some (_, v) -> v
+    | None ->
+      let v = init () in
+      Hashtbl.replace t.tbl h ((key, v) :: bucket);
+      t.order <- (key, v) :: t.order;
+      v
+
+  let to_list t = List.rev t.order
+end
+
+(* Aggregation folds each row into its group as it arrives: the group's
+   first row (a percentile is evaluated against it), its row count, and
+   per aggregate the non-null argument values, newest first. *)
+type group = {
+  mutable first : row option;
+  mutable count : int;
+  vals : Value.t list array;
+}
+
+type aggregate = {
+  keys : (int * Value.t Compile.compiled) list;  (* output slot, key *)
+  aggs :
+    (int * Agg.spec * Value.t Compile.compiled option * Value.t Compile.compiled option)
+    list;
+      (* output slot, spec, argument, percentile *)
+}
+
+type groups = group Groups.t
+
+let new_group n () = { first = None; count = 0; vals = Array.make n [] }
+
+let fold_groups ctx agg rows =
+  let env = ctx.env in
+  let keys = List.map (fun (_, c) -> c env) agg.keys in
+  let args =
+    Array.of_list (List.map (fun (_, _, arg, _) -> Option.map (fun c -> c env) arg) agg.aggs)
+  in
+  let n = Array.length args in
+  let add gr row =
+    if Option.is_none gr.first then gr.first <- Some row;
+    gr.count <- gr.count + 1;
+    Array.iteri
+      (fun j arg ->
+        match arg with
+        | None -> ()
+        | Some f ->
+          let v = f row in
+          if not (Value.is_null v) then gr.vals.(j) <- v :: gr.vals.(j))
+      args
+  in
+  let groups = Groups.create () in
+  (match keys with
+  | [] ->
+    (* a global aggregate has its one group even over no rows *)
+    let gr = Groups.find_or_add groups [] (new_group n) in
+    Seq.iter (add gr) rows
+  | _ ->
+    Seq.iter
       (fun row ->
-        match Record.find row var with
-        | Some (Value.Node n) when Graph.mem_node g n -> Seq.return row
-        | Some _ -> Seq.empty
-        | None ->
-          Seq.map
-            (fun n -> Record.add row var (Value.Node n))
-            (List.to_seq (Lazy.force all_nodes)))
-      (pull prof cfg g input arg)
-  | Plan.Rel_type_scan { rel; types; from_; to_; dir; input } ->
-    (* likewise, orient the relationship set once per execution *)
-    let oriented =
-      lazy
-        (let rels = List.concat_map (Graph.rels_with_type g) types in
-         match dir with
-         | Plan.Out ->
-           List.map (fun r -> (r, Graph.src g r, Graph.tgt g r)) rels
-         | Plan.In ->
-           List.map (fun r -> (r, Graph.tgt g r, Graph.src g r)) rels
-         | Plan.Both ->
-           List.concat_map
-             (fun r ->
-               let s = Graph.src g r and t = Graph.tgt g r in
-               if Ids.equal_node s t then [ (r, s, t) ]
-               else [ (r, s, t); (r, t, s) ])
-             rels)
+        add (Groups.find_or_add groups (List.map (fun f -> f row) keys) (new_group n)) row)
+      rows);
+  groups
+
+(* Combines per-morsel groups in morsel order: a group's first row comes
+   from the lowest morsel that has it, and its values follow morsel
+   order, so the folds see the sequential row order. *)
+let merge_groups (parts : groups array) =
+  let merged = Groups.create () in
+  Array.iter
+    (fun part ->
+      List.iter
+        (fun (key, (gr : group)) ->
+          let acc = Groups.find_or_add merged key (new_group (Array.length gr.vals)) in
+          if Option.is_none acc.first then acc.first <- gr.first;
+          acc.count <- acc.count + gr.count;
+          Array.iteri (fun j vs -> acc.vals.(j) <- vs @ acc.vals.(j)) gr.vals)
+        (Groups.to_list part))
+    parts;
+  merged
+
+let finish_groups ctx agg groups =
+  let pcts =
+    List.map (fun (_, _, _, pct) -> Option.map (fun c -> c ctx.env) pct) agg.aggs
+  in
+  List.map
+    (fun (key, gr) ->
+      let r = Array.make ctx.width Value.Null in
+      List.iter2 (fun (i, _) v -> r.(i) <- v) agg.keys key;
+      List.iteri
+        (fun j ((i, spec, _, _), pct) ->
+          let percentile =
+            match gr.first, pct with
+            | Some first, Some f -> Some (fun () -> f first)
+            | _ -> None
+          in
+          r.(i) <-
+            Agg.finalize ~percentile ~row_count:gr.count (List.rev gr.vals.(j)) spec)
+        (List.combine agg.aggs pcts);
+      r)
+    (Groups.to_list groups)
+
+(* ORDER BY decorates each row with its sort keys, evaluated at most
+   once per row and only as far as comparisons demand — a key after the
+   first differing one is never evaluated, exactly as when the keys were
+   evaluated inside the comparator. *)
+type order = { by : (Value.t Compile.compiled * Plan.sort_dir) list }
+
+type keyed = {
+  row : row;
+  keyfns : (row -> Value.t) array;
+  desc : bool array;
+  keys : Value.t array;
+  mutable known : int;  (* keys.(0 .. known-1) are evaluated *)
+}
+
+let key k j =
+  while k.known <= j do
+    k.keys.(k.known) <- k.keyfns.(k.known) k.row;
+    k.known <- k.known + 1
+  done;
+  k.keys.(j)
+
+let compare_keyed a b =
+  let n = Array.length a.keyfns in
+  let rec go j =
+    if j = n then 0
+    else
+      (* the right operand's key first, as the comparator always did *)
+      let kb = key b j in
+      let c = Value.compare_total (key a j) kb in
+      let c = if a.desc.(j) then -c else c in
+      if c <> 0 then c else go (j + 1)
+  in
+  go 0
+
+let sort_keyed ctx order rows =
+  let keyfns = Array.of_list (List.map (fun (c, _) -> c ctx.env) order.by) in
+  let desc = Array.of_list (List.map (fun (_, d) -> d = Plan.Desc) order.by) in
+  let n = Array.length keyfns in
+  List.stable_sort compare_keyed
+    (List.of_seq
+       (Seq.map
+          (fun row -> { row; keyfns; desc; keys = Array.make n Value.Null; known = 0 })
+          rows))
+
+let unkey k = k.row
+
+(* --- compiled operators -------------------------------------------------- *)
+
+type kind = Pipe | Aggregate of aggregate | Sort of order
+
+(* An operator compiled against its input schema.  [stage ctx] binds
+   the execution once — parameters, compiled closures; the function it
+   returns is one pull of the operator over an input stream, and holds
+   that pull's own state (the lazily read node list of a scan, say). *)
+type op = { node : Plan.t; stage : ctx -> row Seq.t -> row Seq.t; kind : kind }
+
+type program = {
+  plan : Plan.t;
+  input : string list;  (* the driving table's fields, sorted *)
+  width : int;
+  of_record : Record.t -> row;  (* a driving row, slotted *)
+  to_record : row -> Record.t;  (* a result row, as a record *)
+  chain : op list;  (* bottom-up, starting at Argument *)
+}
+
+(* The pipeline of [ops] over [input], instantiated for one execution. *)
+let instantiate ctx ops =
+  let stages = List.map (fun op -> (op.node, op.stage ctx)) ops in
+  fun input ->
+    List.fold_left
+      (fun rows (node, stage) ->
+        let out = stage rows in
+        match ctx.prof with None -> out | Some find -> instrument (find node) out)
+      input stages
+
+let pipe (stage : ctx -> row Seq.t -> row Seq.t) = (stage, Pipe)
+
+let walk_rows ~bind_rel ~bind_to ~from_ ~dir ~hop ctx =
+  let cfg = ctx.env.Compile.cfg and g = ctx.env.Compile.g in
+  fun input ->
+    let (hop : Eval.hop) = hop cfg g in
+    let adjacent, _ =
+      Eval.search_neighbours cfg g Record.empty ~types:[] ~props:[]
+        ~cost:(fun d -> d.Graph.rel_type) (ast_dir dir)
     in
-    seq_filter_map_concat
-      (fun row ->
-        Seq.filter_map
-          (fun (r, a, b) ->
-            Option.bind (bind_or_check row rel (Value.Rel r)) (fun row ->
-                Option.bind (bind_or_check row from_ (Value.Node a)) (fun row ->
-                    bind_or_check row to_ (Value.Node b))))
-          (List.to_seq (Lazy.force oriented)))
-      (pull prof cfg g input arg)
-  | Plan.Node_index_seek { var; label; key; value; input } ->
-    seq_filter_map_concat
-      (fun row ->
-        let v = Eval.eval_expr cfg g row value in
-        if Value.is_null v then Seq.empty
-        else
-          let hits =
-            try Graph.index_seek g ~label ~key v
-            with Not_found ->
-              (* index dropped between planning and execution: recover by
-                 scanning the label *)
-              List.filter
-                (fun n -> Value.equal_total (Graph.node_prop g n key) v)
-                (Graph.nodes_with_label g label)
-          in
-          match Record.find row var with
-          | Some (Value.Node n0) ->
-            if List.exists (Ids.equal_node n0) hits then Seq.return row
-            else Seq.empty
-          | Some _ -> Seq.empty
-          | None ->
-            Seq.map
-              (fun n -> Record.add row var (Value.Node n))
-              (List.to_seq hits))
-      (pull prof cfg g input arg)
-  | Plan.Node_by_label_scan { var; label; input } ->
-    let labelled = lazy (Graph.nodes_with_label g label) in
-    seq_filter_map_concat
-      (fun row ->
-        match Record.find row var with
-        | Some (Value.Node n) when Graph.has_label g n label -> Seq.return row
-        | Some _ -> Seq.empty
-        | None ->
-          Seq.map
-            (fun n -> Record.add row var (Value.Node n))
-            (List.to_seq (Lazy.force labelled)))
-      (pull prof cfg g input arg)
-  | Plan.Expand { from_; rel; types; dir; to_; scan_rels; input } ->
-    seq_filter_map_concat
-      (fun row ->
-        match node_of row from_ with
-        | None -> Seq.empty
-        | Some n ->
-          let candidates = expand_candidates g ~scan_rels ~dir n in
-          Seq.filter_map
-            (fun (d : Graph.rel_data) ->
-              if types <> [] && not (List.mem d.rel_type types) then None
-              else
-                Option.bind (bind_or_check row rel (Value.Rel d.rel_id))
-                  (fun row ->
-                    bind_or_check row to_ (Value.Node (Graph.far_end d n))))
-            (List.to_seq candidates))
-      (pull prof cfg g input arg)
-  | Plan.Var_expand { from_; rel; types; dir; min_len; max_len; to_; input } ->
-    walk_rows cfg g ~from_ ~rel ~dir ~to_
-      (Eval.type_filter_hop cfg g ~types ~min_len ~max_len)
-      (pull prof cfg g input arg)
-  | Plan.Filter { pred; input } ->
-    Seq.filter
-      (fun row -> Ternary.is_true (Eval.eval_truth cfg g row pred))
-      (pull prof cfg g input arg)
-  | Plan.Project { items; input } ->
-    Seq.map
-      (fun row ->
-        Record.of_list
-          (List.map (fun (name, e) -> (name, Eval.eval_expr cfg g row e)) items))
-      (pull prof cfg g input arg)
-  | Plan.Aggregate { keys; aggs; input } ->
-    delayed
-      (fun () ->
-        let materialized = List.of_seq (pull prof cfg g input arg) in
-        let groups =
-          if keys = [] then [ ([], materialized) ]
+    let next (used, q) cur =
+      List.filter_map
+        (fun (r, n, t) ->
+          if Ids.Rel_set.mem r used then None
           else
-            group_rows materialized ~key:(fun row ->
-                List.map (fun (_, e) -> Eval.eval_expr cfg g row e) keys)
-        in
-        List.to_seq
-          (List.map
-             (fun (key_vals, group_rows) ->
-               let base =
-                 if keys = [] then Record.empty
-                 else
-                   Record.of_list
-                     (List.map2 (fun (name, _) v -> (name, v)) keys key_vals)
-               in
-               List.fold_left
-                 (fun acc (name, spec) ->
-                   Record.add acc name (Agg.compute cfg g group_rows spec))
-                 base aggs)
-             groups))
-  | Plan.Distinct { input } ->
-    let seen = Hashtbl.create 64 in
-    Seq.filter
+            Option.map (fun q -> (r, n, (Ids.Rel_set.add r used, q))) (hop.step q t))
+        (adjacent cur)
+    in
+    Seq.concat_map
       (fun row ->
-        let h = Record.hash row in
-        let bucket = try Hashtbl.find seen h with Not_found -> [] in
-        if List.exists (Record.equal row) bucket then false
-        else (
-          Hashtbl.replace seen h (row :: bucket);
-          true))
-      (pull prof cfg g input arg)
-  | Plan.Sort { by; input } ->
-    delayed
-      (fun () ->
-        let materialized = List.of_seq (pull prof cfg g input arg) in
-        let compare_rows r1 r2 =
-          let rec go = function
-            | [] -> 0
-            | (e, d) :: rest ->
-              let c =
-                Value.compare_total (Eval.eval_expr cfg g r1 e)
-                  (Eval.eval_expr cfg g r2 e)
-              in
-              let c = match d with Plan.Asc -> c | Plan.Desc -> -c in
-              if c <> 0 then c else go rest
-          in
-          go by
-        in
-        List.to_seq (List.stable_sort compare_rows materialized))
-  | Plan.Skip_rows { count; input } ->
-    let n = eval_count cfg g "SKIP" count in
-    Seq.drop n (pull prof cfg g input arg)
-  | Plan.Limit_rows { count; input } ->
-    let n = eval_count cfg g "LIMIT" count in
-    Seq.take n (pull prof cfg g input arg)
-  | Plan.Unwind { expr; var; input } ->
-    seq_filter_map_concat
-      (fun row ->
-        match Eval.eval_expr cfg g row expr with
-        | Value.List vs ->
-          Seq.map (fun v -> Record.add row var v) (List.to_seq vs)
-        | Value.Null -> Seq.empty
-        | v -> Seq.return (Record.add row var v))
-      (pull prof cfg g input arg)
-  | Plan.Optional { inner; introduced; input } ->
-    seq_filter_map_concat
-      (fun row ->
-        (* Only the bindings of the introduced variables are taken from
-           the inner rows; inner-internal variables must not leak, so
-           that the output rows stay uniform with the null-padded ones. *)
-        let produced =
-          Seq.map
-            (fun inner_row ->
-              Record.overlay row (Record.project inner_row introduced))
-            (pull prof cfg g inner (Seq.return row))
-        in
-        match produced () with
-        | Seq.Nil ->
-          let missing =
-            List.filter (fun a -> not (Record.mem row a)) introduced
-          in
-          Seq.return (Record.with_nulls row missing)
-        | Seq.Cons (first, rest) -> Seq.cons first rest)
-      (pull prof cfg g input arg)
-  | Plan.Rel_uniqueness { vars; input } ->
-    Seq.filter
-      (fun row ->
-        let ids = List.concat_map (rel_ids_of_binding row) vars in
-        let set = Ids.Rel_set.of_list ids in
-        Ids.Rel_set.cardinal set = List.length ids)
-      (pull prof cfg g input arg)
-  | Plan.Regex_expand { from_; rel; regex; dir; to_; input } ->
-    walk_rows cfg g ~from_ ~rel ~dir ~to_ (Eval.regex_hop cfg g regex)
-      (pull prof cfg g input arg)
-  | Plan.Shortest_path
-      { from_; to_; rel; rel_single; types; dir; props; min_len; max_len; all;
-        restr; path; input } ->
-    let kmax = Eval.max_hops cfg g max_len in
-    seq_filter_map_concat
-      (fun row ->
-        match node_of row from_, node_of row to_ with
-        | Some s, Some e ->
-          let fwd, bwd =
-            Eval.search_neighbours cfg g row ~types ~props ~cost:ignore (ast_dir dir)
-          in
-          let found = ref [] in
-          Path_search.shortest ~bwd fwd s e ~kmin:min_len ~kmax ~all
-            ~accept:(fun steps ->
-              match bind_path row ~rel ~rel_single ~path restr s steps with
-              | Some row' ->
-                found := row' :: !found;
-                true
-              | None -> false);
-          List.to_seq (List.rev !found)
-        | _ -> Seq.empty)
-      (pull prof cfg g input arg)
-  | Plan.Cheapest_path
-      { from_; to_; rel; types; dir; props; cost_prop; restr; path; input } ->
-    seq_filter_map_concat
-      (fun row ->
-        match node_of row from_, node_of row to_ with
-        | Some s, Some e ->
-          let fwd, bwd =
-            Eval.search_neighbours cfg g row ~types ~props
-              ~cost:(Eval.path_cost cost_prop) (ast_dir dir)
-          in
-          List.to_seq
-            (List.filter_map
-               (bind_path row ~rel ~rel_single:false ~path restr s)
-               (Eval.cheapest_path cost_prop ~fwd ~bwd s e))
-        | _ -> Seq.empty)
-      (pull prof cfg g input arg)
-  | Plan.Path_restrict { restr; start_var; hops; input } ->
-    Seq.filter
-      (fun row ->
-        match node_of row start_var with
-        | None -> false
-        | Some start -> Eval.restr_ok restr start (bound_steps g row start hops))
-      (pull prof cfg g input arg)
-  | Plan.Project_path { var; start_var; hops; input } ->
-    Seq.filter_map
-      (fun row ->
-        match node_of row start_var with
-        | None -> None
-        | Some start ->
-          let steps = bound_steps g row start hops in
-          bind_or_check row var (Value.Path { path_start = start; path_steps = steps }))
-      (pull prof cfg g input arg)
+        match from_ row with
+        | None -> Seq.empty
+        | Some n0 ->
+          let results = ref [] in
+          Path_search.walks next
+            ~accept:(fun depth (_, q) -> hop.ends depth q)
+            ~kmax:hop.kmax (Ids.Rel_set.empty, hop.start) n0
+            (fun last steps _ ->
+              let rels = Value.List (List.map (fun (r, _) -> Value.Rel r) steps) in
+              Option.iter
+                (fun row -> results := row :: !results)
+                (Option.bind (bind_rel row rels) (fun row ->
+                     bind_to row (Value.Node last))));
+          List.to_seq (List.rev !results))
+      input
 
-and eval_count cfg g what e =
+(* A path-search result [steps] from [s] as a row, when it passes the
+   restrictor and agrees with the row's bindings. *)
+let path_row ~bind_rel ~bind_path ~rel_single restr row s steps =
+  if not (Eval.restr_ok restr s steps) then None
+  else
+    let rel_value =
+      match rel_single, steps with
+      | true, [ (r, _) ] -> Value.Rel r
+      | _ -> Value.List (List.map (fun (r, _) -> Value.Rel r) steps)
+    in
+    Option.bind (bind_rel row rel_value) (fun row ->
+        bind_path row (Value.Path { path_start = s; path_steps = steps }))
+
+let eval_count cfg g what e =
   match Eval.eval_expr cfg g Record.empty e with
   | Value.Int n when n >= 0 -> n
   | Value.Int n ->
     eval_error "%s: expected a non-negative integer, got %d" what n
   | v -> eval_error "%s: expected an integer, got %s" what (Value.type_name v)
 
-let rows cfg g plan arg = pull None cfg g plan arg
+(* Compiles [plan] for driving rows over [input]: every variable gets a
+   slot, every operator is compiled against its input schema, and every
+   expression against the schema it is evaluated under. *)
+let compile ~input plan =
+  let input = List.sort_uniq String.compare input in
+  let slots = Hashtbl.create 16 and width = ref 0 in
+  let slot a =
+    match Hashtbl.find_opt slots a with
+    | Some i -> i
+    | None ->
+      let i = !width in
+      Hashtbl.replace slots a i;
+      incr width;
+      i
+  in
+  let in_scope =
+    List.fold_left (fun s a -> Smap.add a (slot a) s) Smap.empty input
+  in
+  let binder = binder ~slot in
+  let rec chain scope plan =
+    let ops, scope =
+      match Plan.input_of plan with
+      | None -> ([], scope)
+      | Some input -> chain scope input
+    in
+    let (stage, kind), scope = operator scope plan in
+    (ops @ [ { node = plan; stage; kind } ], scope)
+  (* the stage of one operator over [scope], and its output schema *)
+  and operator scope plan =
+    match plan with
+    | Plan.Argument -> (pipe (fun _ rows -> rows), scope)
+    | Plan.All_nodes_scan { var; _ } -> (
+      match Smap.find_opt var scope with
+      | Some i ->
+        ( pipe (fun ctx ->
+              let g = ctx.env.g in
+              Seq.filter (fun (row : row) ->
+                  match row.(i) with
+                  | Value.Node n -> Graph.mem_node g n
+                  | _ -> false)),
+          scope )
+      | None ->
+        let i = slot var in
+        ( pipe (fun ctx ->
+              let g = ctx.env.g in
+              (* the node list does not depend on the row: assemble it
+                 once per pull, not once per input row *)
+              scan_bind i node (fun () -> Graph.nodes g)),
+          Smap.add var i scope ))
+    | Plan.Node_by_label_scan { var; label; _ } -> (
+      match Smap.find_opt var scope with
+      | Some i ->
+        ( pipe (fun ctx ->
+              let g = ctx.env.g in
+              Seq.filter (fun (row : row) ->
+                  match row.(i) with
+                  | Value.Node n -> Graph.has_label g n label
+                  | _ -> false)),
+          scope )
+      | None ->
+        let i = slot var in
+        ( pipe (fun ctx ->
+              let g = ctx.env.g in
+              scan_bind i node (fun () -> Graph.nodes_with_label g label)),
+          Smap.add var i scope ))
+    | Plan.Node_index_seek { var; label; key; value; _ } ->
+      let value = Compile.expr scope value in
+      let bound = Smap.find_opt var scope in
+      let i = slot var in
+      ( pipe (fun ctx ->
+            let g = ctx.env.g and value = value ctx.env in
+            Seq.concat_map (fun (row : row) ->
+                let v = value row in
+                if Value.is_null v then Seq.empty
+                else
+                  let hits =
+                    try Graph.index_seek g ~label ~key v
+                    with Not_found ->
+                      (* index dropped between planning and execution:
+                         recover by scanning the label *)
+                      List.filter
+                        (fun n -> Value.equal_total (Graph.node_prop g n key) v)
+                        (Graph.nodes_with_label g label)
+                  in
+                  match bound with
+                  | Some _ -> (
+                    match row.(i) with
+                    | Value.Node n0 ->
+                      if List.exists (Ids.equal_node n0) hits then Seq.return row
+                      else Seq.empty
+                    | _ -> Seq.empty)
+                  | None -> fan_out row i node hits Seq.empty)),
+        Smap.add var i scope )
+    | Plan.Rel_type_scan { rel; types; from_; to_; dir; _ } ->
+      let bind_rel, scope = binder scope rel in
+      let bind_from, scope = binder scope from_ in
+      let bind_to, scope = binder scope to_ in
+      ( pipe (fun ctx ->
+            let g = ctx.env.g in
+            fun rows ->
+              (* orient the relationship set once per pull *)
+              let oriented =
+                lazy
+                  (let rels = List.concat_map (Graph.rels_with_type g) types in
+                   match dir with
+                   | Plan.Out ->
+                     List.map (fun r -> (r, Graph.src g r, Graph.tgt g r)) rels
+                   | Plan.In ->
+                     List.map (fun r -> (r, Graph.tgt g r, Graph.src g r)) rels
+                   | Plan.Both ->
+                     List.concat_map
+                       (fun r ->
+                         let s = Graph.src g r and t = Graph.tgt g r in
+                         if Ids.equal_node s t then [ (r, s, t) ]
+                         else [ (r, s, t); (r, t, s) ])
+                       rels)
+              in
+              Seq.concat_map
+                (fun row ->
+                  Seq.filter_map
+                    (fun (r, a, b) ->
+                      Option.bind (bind_rel row (Value.Rel r)) (fun row ->
+                          Option.bind (bind_from row (Value.Node a)) (fun row ->
+                              bind_to row (Value.Node b))))
+                    (List.to_seq (Lazy.force oriented)))
+                rows),
+        scope )
+    | Plan.Expand { from_; rel; types; dir; to_; scan_rels; _ } ->
+      let from_ = node_reader scope from_ in
+      let bind_rel, scope = binder scope rel in
+      let bind_to, scope = binder scope to_ in
+      ( pipe (fun ctx ->
+            let g = ctx.env.g in
+            Seq.concat_map (fun row ->
+                match from_ row with
+                | None -> Seq.empty
+                | Some n ->
+                  let candidates = expand_candidates g ~scan_rels ~dir n in
+                  Seq.filter_map
+                    (fun (d : Graph.rel_data) ->
+                      if types <> [] && not (List.mem d.rel_type types) then None
+                      else
+                        Option.bind (bind_rel row (Value.Rel d.rel_id)) (fun row ->
+                            bind_to row (Value.Node (Graph.far_end d n))))
+                    (List.to_seq candidates))),
+        scope )
+    | Plan.Var_expand { from_; rel; types; dir; min_len; max_len; to_; _ } ->
+      let from_ = node_reader scope from_ in
+      let bind_rel, scope = binder scope rel in
+      let bind_to, scope = binder scope to_ in
+      ( pipe
+          (walk_rows ~bind_rel ~bind_to ~from_ ~dir ~hop:(fun cfg g ->
+               Eval.type_filter_hop cfg g ~types ~min_len ~max_len)),
+        scope )
+    | Plan.Regex_expand { from_; rel; regex; dir; to_; _ } ->
+      let from_ = node_reader scope from_ in
+      let bind_rel, scope = binder scope rel in
+      let bind_to, scope = binder scope to_ in
+      ( pipe
+          (walk_rows ~bind_rel ~bind_to ~from_ ~dir ~hop:(fun cfg g ->
+               Eval.regex_hop cfg g regex)),
+        scope )
+    | Plan.Filter { pred; _ } ->
+      let pred = Compile.truth scope pred in
+      ( pipe (fun ctx ->
+            let pred = pred ctx.env in
+            Seq.filter (fun row -> Ternary.is_true (pred row))),
+        scope )
+    | Plan.Project { items; _ } ->
+      let out =
+        List.fold_left (fun s (name, _) -> Smap.add name (slot name) s) Smap.empty items
+      in
+      let items = List.map (fun (name, e) -> (slot name, Compile.expr scope e)) items in
+      ( pipe (fun ctx ->
+            let blank = Array.make ctx.width Value.Null in
+            let items = List.map (fun (i, c) -> (i, c ctx.env)) items in
+            Seq.map (fun row ->
+                let r = copy blank in
+                List.iter (fun (i, f) -> r.(i) <- f row) items;
+                r)),
+        out )
+    | Plan.Aggregate { keys; aggs; _ } ->
+      let compiled e = Compile.expr scope e in
+      let agg =
+        {
+          keys = List.map (fun (name, e) -> (slot name, compiled e)) keys;
+          aggs =
+            List.map
+              (fun (name, spec) ->
+                ( slot name,
+                  spec,
+                  Option.map compiled (Agg.arg_expr spec),
+                  Option.map compiled (Agg.percentile_expr spec) ))
+              aggs;
+        }
+      in
+      let out =
+        List.fold_left
+          (fun s name -> Smap.add name (slot name) s)
+          Smap.empty
+          (List.map fst keys @ List.map fst aggs)
+      in
+      ( ( (fun ctx rows ->
+            delayed (fun () ->
+                List.to_seq (finish_groups ctx agg (fold_groups ctx agg rows)))),
+          Aggregate agg ),
+        out )
+    | Plan.Distinct _ ->
+      let bound = Array.of_list (List.map snd (Smap.bindings scope)) in
+      let hash (row : row) =
+        Array.fold_left (fun acc i -> (acc * 31) + Value.hash row.(i)) 17 bound
+        land max_int
+      in
+      let equal (a : row) (b : row) =
+        Array.for_all (fun i -> Value.equal_total a.(i) b.(i)) bound
+      in
+      ( pipe (fun _ rows ->
+            let seen = Hashtbl.create 64 in
+            Seq.filter
+              (fun row ->
+                let h = hash row in
+                let bucket = try Hashtbl.find seen h with Not_found -> [] in
+                if List.exists (equal row) bucket then false
+                else (
+                  Hashtbl.replace seen h (row :: bucket);
+                  true))
+              rows),
+        scope )
+    | Plan.Sort { by; _ } ->
+      let order = { by = List.map (fun (e, d) -> (Compile.expr scope e, d)) by } in
+      ( ( (fun ctx rows ->
+            delayed (fun () ->
+                List.to_seq (List.map unkey (sort_keyed ctx order rows)))),
+          Sort order ),
+        scope )
+    | Plan.Skip_rows { count; _ } ->
+      ( pipe (fun ctx rows ->
+            Seq.drop (eval_count ctx.env.cfg ctx.env.g "SKIP" count) rows),
+        scope )
+    | Plan.Limit_rows { count; _ } ->
+      ( pipe (fun ctx rows ->
+            Seq.take (eval_count ctx.env.cfg ctx.env.g "LIMIT" count) rows),
+        scope )
+    | Plan.Unwind { expr; var; _ } ->
+      let expr = Compile.expr scope expr in
+      let i = slot var in
+      ( pipe (fun ctx ->
+            let expr = expr ctx.env in
+            Seq.concat_map (fun row ->
+                match expr row with
+                | Value.List vs -> Seq.map (fun v -> set row i v) (List.to_seq vs)
+                | Value.Null -> Seq.empty
+                | v -> Seq.return (set row i v))),
+        Smap.add var i scope )
+    | Plan.Optional { inner; introduced; _ } ->
+      let inner, inner_scope = chain scope inner in
+      (* Only the bindings of the introduced variables are taken from the
+         inner rows; inner-internal variables must not leak, so that the
+         output rows stay uniform with the null-padded ones. *)
+      let taken =
+        List.filter_map (fun a -> Smap.find_opt a inner_scope) introduced
+      in
+      let missing =
+        List.filter_map
+          (fun a -> if Smap.mem a scope then None else Some (slot a))
+          introduced
+      in
+      let out =
+        List.fold_left (fun s a -> Smap.add a (slot a) s) scope introduced
+      in
+      ( pipe (fun ctx ->
+            let inner = instantiate ctx inner in
+            Seq.concat_map (fun (row : row) ->
+                let produced =
+                  Seq.map
+                    (fun (inner_row : row) ->
+                      let r = copy row in
+                      List.iter (fun i -> r.(i) <- inner_row.(i)) taken;
+                      r)
+                    (inner (Seq.return row))
+                in
+                match produced () with
+                | Seq.Nil ->
+                  let r = copy row in
+                  List.iter (fun i -> r.(i) <- Value.Null) missing;
+                  Seq.return r
+                | Seq.Cons (first, rest) -> Seq.cons first rest)),
+        out )
+    | Plan.Rel_uniqueness { vars; _ } ->
+      let readers = List.map (rel_ids_reader scope) vars in
+      ( pipe (fun _ ->
+            Seq.filter (fun row ->
+                let ids = List.concat_map (fun read -> read row) readers in
+                let set = Ids.Rel_set.of_list ids in
+                Ids.Rel_set.cardinal set = List.length ids)),
+        scope )
+    | Plan.Path_restrict { restr; start_var; hops; _ } ->
+      let start = node_reader scope start_var in
+      let readers = List.map (rel_ids_reader scope) hops in
+      ( pipe (fun ctx ->
+            let g = ctx.env.g in
+            Seq.filter (fun row ->
+                match start row with
+                | None -> false
+                | Some s -> Eval.restr_ok restr s (bound_steps g row s readers))),
+        scope )
+    | Plan.Project_path { var; start_var; hops; _ } ->
+      let start = node_reader scope start_var in
+      let readers = List.map (rel_ids_reader scope) hops in
+      let bind, scope = binder scope var in
+      ( pipe (fun ctx ->
+            let g = ctx.env.g in
+            Seq.filter_map (fun row ->
+                match start row with
+                | None -> None
+                | Some s ->
+                  let steps = bound_steps g row s readers in
+                  bind row (Value.Path { path_start = s; path_steps = steps }))),
+        scope )
+    | Plan.Shortest_path
+        { from_; to_; rel; rel_single; types; dir; props; min_len; max_len; all;
+          restr; path; _ } ->
+      (* the search reads its relationship predicates under the row's
+         record: one conversion per search *)
+      let to_record = Compile.to_record scope in
+      let from_ = node_reader scope from_ and to_ = node_reader scope to_ in
+      let bind_rel, scope = binder scope rel in
+      let bind_path_var, scope = path_binder scope path in
+      ( pipe (fun ctx ->
+            let cfg = ctx.env.cfg and g = ctx.env.g in
+            fun rows ->
+              let kmax = Eval.max_hops cfg g max_len in
+              Seq.concat_map
+                (fun row ->
+                  match from_ row, to_ row with
+                  | Some s, Some e ->
+                    let fwd, bwd =
+                      Eval.search_neighbours cfg g (to_record row) ~types ~props
+                        ~cost:ignore (ast_dir dir)
+                    in
+                    let found = ref [] in
+                    Path_search.shortest ~bwd fwd s e ~kmin:min_len ~kmax ~all
+                      ~accept:(fun steps ->
+                        match
+                          path_row ~bind_rel ~bind_path:bind_path_var ~rel_single
+                            restr row s steps
+                        with
+                        | Some row' ->
+                          found := row' :: !found;
+                          true
+                        | None -> false);
+                    List.to_seq (List.rev !found)
+                  | _ -> Seq.empty)
+                rows),
+        scope )
+    | Plan.Cheapest_path
+        { from_; to_; rel; types; dir; props; cost_prop; restr; path; _ } ->
+      let to_record = Compile.to_record scope in
+      let from_ = node_reader scope from_ and to_ = node_reader scope to_ in
+      let bind_rel, scope = binder scope rel in
+      let bind_path_var, scope = path_binder scope path in
+      ( pipe (fun ctx ->
+            let cfg = ctx.env.cfg and g = ctx.env.g in
+            Seq.concat_map (fun row ->
+                match from_ row, to_ row with
+                | Some s, Some e ->
+                  let fwd, bwd =
+                    Eval.search_neighbours cfg g (to_record row) ~types ~props
+                      ~cost:(Eval.path_cost cost_prop) (ast_dir dir)
+                  in
+                  List.to_seq
+                    (List.filter_map
+                       (path_row ~bind_rel ~bind_path:bind_path_var
+                          ~rel_single:false restr row s)
+                       (Eval.cheapest_path cost_prop ~fwd ~bwd s e))
+                | _ -> Seq.empty)),
+        scope )
+  and path_binder scope = function
+    | None -> ((fun row _ -> Some row), scope)
+    | Some p -> binder scope p
+  in
+  let chain, out_scope = chain in_scope plan in
+  let width = !width and in_bindings = Smap.bindings in_scope in
+  let of_record record =
+    let r = Array.make width Value.Null in
+    List.iter (fun (a, i) -> r.(i) <- Record.find_or_null record a) in_bindings;
+    r
+  in
+  { plan; input; width; of_record; to_record = Compile.to_record out_scope; chain }
 
-let run cfg g ~fields plan table =
-  Table.of_seq ~fields (rows cfg g plan (Table.to_seq table))
+(* The program for a driving table whose fields differ from those it was
+   compiled for, which only a caller outside the engine can hand in. *)
+let for_fields prog fields =
+  if List.equal String.equal fields prog.input then prog
+  else compile ~input:fields prog.plan
 
-let run_profiled cfg g ~fields plan table =
+let make_ctx ?prof cfg g prog =
+  { env = { Compile.cfg; g }; width = prog.width; prof }
+
+let input_rows prog table = Seq.map prog.of_record (Table.to_seq table)
+
+let to_table prog ~fields rows =
+  Table.of_seq ~fields (Seq.map prog.to_record rows)
+
+let rows cfg g prog arg =
+  Seq.map prog.to_record
+    (instantiate (make_ctx cfg g prog) prog.chain (Seq.map prog.of_record arg))
+
+let run_with ?prof cfg g ~fields prog table =
+  let prog = for_fields prog (Table.fields table) in
+  to_table prog ~fields
+    (instantiate (make_ctx ?prof cfg g prog) prog.chain (input_rows prog table))
+
+let run cfg g ~fields prog table = run_with cfg g ~fields prog table
+
+let run_profiled cfg g ~fields prog table =
   let entries : (Plan.t * prof_entry) list ref = ref [] in
   let find node =
     match List.find_opt (fun (p, _) -> p == node) !entries with
@@ -474,7 +850,7 @@ let run_profiled cfg g ~fields plan table =
   in
   let result =
     Graph.with_db_hit_counting (fun () ->
-        Table.of_seq ~fields (pull (Some find) cfg g plan (Table.to_seq table)))
+        run_with ~prof:find cfg g ~fields prog table)
   in
   let stats node =
     match List.find_opt (fun (p, _) -> p == node) !entries with
@@ -502,3 +878,11 @@ let self_profile stats node =
     prof_hits = minus (fun p -> p.prof_hits);
     prof_ns = minus (fun p -> p.prof_ns);
   }
+
+(* --- the parallel executor's view ---------------------------------------- *)
+
+let ctx cfg g prog = make_ctx cfg g prog
+let ops prog = match prog.chain with _argument :: ops -> ops | [] -> []
+let op_node op = op.node
+let op_kind op = op.kind
+let pipeline ctx ops rows = instantiate ctx ops rows

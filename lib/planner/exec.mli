@@ -2,20 +2,40 @@
 
     Rows flow through the operator tree as a lazy sequence, so LIMIT
     stops producing work upstream — the "simple tuple-at-a-time
-    iterator-based execution model" of the paper's Section 2. *)
+    iterator-based execution model" of the paper's Section 2.
+
+    A plan runs as a {!program}: every operator's output schema is
+    static, so each variable gets a slot and a row is a [Value.t array]
+    rather than a name-keyed record.  Whether an operator binds a
+    variable or checks it against an existing binding, and which names
+    OPTIONAL pads with null, is decided when the program is compiled.
+    Every expression is compiled once ({!Compile}).  Rows become
+    {!Record.t}s only at the result boundary: {!rows}, {!run} and
+    {!run_profiled}. *)
 
 open Cypher_graph
 open Cypher_table
 open Cypher_semantics
 
+type program
+(** A plan compiled for driving rows over a given set of fields.
+    Immutable: one program may run on several domains at once. *)
+
+val compile : input:string list -> Plan.t -> program
+(** [compile ~input plan]: [plan] compiled for driving rows whose fields
+    are [input]. *)
+
 val rows :
-  Config.t -> Graph.t -> Plan.t -> Record.t Seq.t -> Record.t Seq.t
-(** Executes the plan with the given argument rows. *)
+  Config.t -> Graph.t -> program -> Record.t Seq.t -> Record.t Seq.t
+(** Executes the program with the given argument rows, which must have
+    the fields it was compiled for. *)
 
 val run :
-  Config.t -> Graph.t -> fields:string list -> Plan.t -> Table.t -> Table.t
-(** Runs a plan against a driving table and materialises the result with
-    the given output fields. *)
+  Config.t -> Graph.t -> fields:string list -> program -> Table.t -> Table.t
+(** Runs a program against a driving table and materialises the result
+    with the given output fields.  A table whose fields differ from
+    those the program was compiled for gets a program compiled for
+    them. *)
 
 type profile = { prof_rows : int; prof_hits : int; prof_ns : int }
 (** One operator's PROFILE measurements: rows produced, db hits (store
@@ -25,14 +45,79 @@ type profile = { prof_rows : int; prof_hits : int; prof_ns : int }
     {!self_profile} recovers per-operator self costs. *)
 
 val run_profiled :
-  Config.t -> Graph.t -> fields:string list -> Plan.t -> Table.t ->
+  Config.t -> Graph.t -> fields:string list -> program -> Table.t ->
   Table.t * (Plan.t -> profile)
 (** Like {!run}, additionally measuring every operator (PROFILE): rows
     produced, db hits and elapsed time.  Db-hit counting is enabled for
     the duration of the run.  The returned function maps each operator
-    of this plan (by physical identity) to its measurements. *)
+    of the program's plan (by physical identity) to its measurements. *)
 
 val self_profile : (Plan.t -> profile) -> Plan.t -> profile
 (** Converts {!run_profiled}'s inclusive measurements into the node's
     own share: hits and time minus those of its direct inputs (clamped
     at zero — per-pull clock reads make tiny negatives possible). *)
+
+(** {2 Pieces for the parallel executor}
+
+    {!Par_exec} splits a program's operator chain into morsel pipelines
+    and merges them at the first pipeline breaker, on the same slotted
+    rows and with the same grouping and ordering code as the sequential
+    run. *)
+
+type row = Compile.row
+
+type ctx
+(** One execution of a program on one domain. *)
+
+val ctx : Config.t -> Graph.t -> program -> ctx
+
+val for_fields : program -> string list -> program
+(** The program itself, or one compiled for a driving table with other
+    fields. *)
+
+type aggregate
+type order
+
+type op
+type kind = Pipe | Aggregate of aggregate | Sort of order
+
+val ops : program -> op list
+(** The operators above [Argument], bottom-up. *)
+
+val op_node : op -> Plan.t
+val op_kind : op -> kind
+
+val pipeline : ctx -> op list -> row Seq.t -> row Seq.t
+(** The operators, bottom-up, over an input stream. *)
+
+val input_rows : program -> Table.t -> row Seq.t
+(** A driving table's rows as slotted rows. *)
+
+val to_table : program -> fields:string list -> row Seq.t -> Table.t
+(** Result rows of the whole program as a table. *)
+
+type groups
+
+val fold_groups : ctx -> aggregate -> row Seq.t -> groups
+(** Folds rows into their groups as they arrive: key, first row, row
+    count and non-null argument values per aggregate.  A global
+    aggregate has its group even over no rows. *)
+
+val merge_groups : groups array -> groups
+(** Per-morsel groups combined in morsel order, so each group's first
+    row and value order are those of the sequential run. *)
+
+val finish_groups : ctx -> aggregate -> groups -> row list
+(** One output row per group, in order of first occurrence. *)
+
+type keyed
+(** A row decorated with its sort keys, each evaluated at most once and
+    only when a comparison reaches it. *)
+
+val sort_keyed : ctx -> order -> row Seq.t -> keyed list
+(** The rows, stably sorted. *)
+
+val compare_keyed : keyed -> keyed -> int
+(** The one ORDER BY comparator. *)
+
+val unkey : keyed -> row

@@ -19,15 +19,17 @@
      per-morsel outputs in morsel order reproduces the sequential
      output row-for-row, not merely as a bag.
    - Each morsel runs the pipeline segment through the ordinary
-     sequential executor on a worker domain (the plan, graph and config
-     are immutable and shared; every per-execution cache in [Exec] is
-     created inside the per-morsel call, so nothing is forced across
-     domains).
+     sequential executor on a worker domain, on the same slotted rows
+     (the program, graph and config are immutable and shared; every
+     per-execution state in [Exec] — instantiated expressions, a scan's
+     node list — is created inside the per-morsel call, so nothing is
+     forced across domains).
    - Merges at the first pipeline breaker:
-       Aggregate  — per-morsel grouping and argument-value evaluation
-                    (the expensive, parallelisable part), then a
-                    combine step that concatenates per-group value
-                    lists in morsel order and finalises sequentially.
+       Aggregate  — per-morsel folding of rows into groups (key and
+                    argument-value evaluation, the expensive,
+                    parallelisable part), then a combine step that
+                    concatenates per-group value lists in morsel order
+                    and finalises sequentially.
                     Concatenation order matters: float sums are not
                     associative, and replaying the exact sequential
                     fold order makes results bitwise-identical.
@@ -51,9 +53,7 @@
    directly, so the planner layer stays independent of the engine layer
    that owns the pool. *)
 
-open Cypher_values
 open Cypher_table
-open Cypher_semantics
 module Clock = Cypher_obs.Clock
 module Trace = Cypher_obs.Trace
 
@@ -68,23 +68,12 @@ type runner = {
 (* Operators that must see their whole input before emitting: the
    pipeline segment distributed to workers stops below the first of
    these. *)
-let is_breaker = function
+let is_breaker op =
+  match Exec.op_node op with
   | Plan.Aggregate _ | Plan.Distinct _ | Plan.Sort _ | Plan.Skip_rows _
   | Plan.Limit_rows _ ->
     true
   | _ -> false
-
-(* The operator chain from just above [Argument] up to the root.
-   Plans are linear chains ([Optional]'s inner plan hangs off the
-   operator itself and travels with it). *)
-let ops_bottom_up plan =
-  let rec go p acc =
-    match Plan.input_of p with None -> acc | Some input -> go input (p :: acc)
-  in
-  go plan []
-
-let rebuild ops =
-  List.fold_left (fun input op -> Plan.with_input op input) Plan.Argument ops
 
 let split_streaming ops =
   let rec go acc = function
@@ -123,82 +112,10 @@ let parallel_map runner n task =
       results,
     !worker_us )
 
-(* Same grouping as the sequential Aggregate: hash on the key vector,
-   groups in order of first occurrence, rows in input order. *)
-let group_rows cfg g keys rows =
-  let tbl = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iter
-    (fun row ->
-      let k = List.map (fun (_, e) -> Eval.eval_expr cfg g row e) keys in
-      let h = Hashtbl.hash (List.map Value.hash k) in
-      let bucket = try Hashtbl.find tbl h with Not_found -> [] in
-      match
-        List.find_opt (fun (k', _) -> List.equal Value.equal_total k k') bucket
-      with
-      | Some (_, cell) -> cell := row :: !cell
-      | None ->
-        let cell = ref [ row ] in
-        Hashtbl.replace tbl h ((k, cell) :: bucket);
-        order := (k, cell) :: !order)
-    rows;
-  List.rev_map (fun (k, cell) -> (k, List.rev !cell)) !order
-
-(* One group's contribution from one morsel. *)
-type partial_group = {
-  pg_key : Value.t list;
-  pg_first : Record.t option;  (* the group's first row in this morsel *)
-  pg_count : int;
-  pg_vals : Value.t list list;  (* per agg spec, values in row order *)
-}
-
-(* Combine accumulator for one group across morsels. *)
-type group_acc = {
-  mutable a_first : Record.t option;  (* from the lowest morsel *)
-  mutable a_count : int;
-  a_vals : Value.t list list array;  (* per spec, morsel lists, reversed *)
-}
-
-let combine_partials nspecs (partials : partial_group list array) =
-  let tbl = Hashtbl.create 16 in
-  let order = ref [] in
-  Array.iter
-    (List.iter (fun pg ->
-         let h = Hashtbl.hash (List.map Value.hash pg.pg_key) in
-         let bucket = try Hashtbl.find tbl h with Not_found -> [] in
-         let acc =
-           match
-             List.find_opt
-               (fun (k', _) -> List.equal Value.equal_total pg.pg_key k')
-               bucket
-           with
-           | Some (_, acc) -> acc
-           | None ->
-             let acc =
-               {
-                 a_first = None;
-                 a_count = 0;
-                 a_vals = Array.make nspecs [];
-               }
-             in
-             Hashtbl.replace tbl h ((pg.pg_key, acc) :: bucket);
-             order := (pg.pg_key, acc) :: !order;
-             acc
-         in
-         (match acc.a_first with
-         | None -> acc.a_first <- pg.pg_first
-         | Some _ -> ());
-         acc.a_count <- acc.a_count + pg.pg_count;
-         List.iteri
-           (fun j vals -> acc.a_vals.(j) <- vals :: acc.a_vals.(j))
-           pg.pg_vals))
-    partials;
-  List.rev !order
-
 (* K-way merge of per-morsel stably-sorted chunks.  Ties prefer the
    lower morsel index, so the result equals a stable sort of the
    morsel-ordered concatenation — i.e. the sequential Sort output. *)
-let merge_sorted compare_rows (chunks : Record.t list array) =
+let merge_sorted compare_rows (chunks : 'a list array) =
   let heads = Array.copy chunks in
   let total = Array.fold_left (fun n l -> n + List.length l) 0 heads in
   let out = ref [] in
@@ -219,11 +136,12 @@ let merge_sorted compare_rows (chunks : Record.t list array) =
   done;
   List.rev !out
 
-let run runner cfg g ~fields plan table =
-  let sequential () = Exec.run cfg g ~fields plan table in
+let run runner cfg g ~fields prog table =
+  let sequential () = Exec.run cfg g ~fields prog table in
   if runner.workers <= 1 then sequential ()
   else
-    let ops = ops_bottom_up plan in
+    let prog = Exec.for_fields prog (Table.fields table) in
+    let ops = Exec.ops prog in
     (* Pick the morsel source.  A driving table with several rows (a
        later part of a multi-part query) is already materialised — its
        rows are the morsels.  Otherwise the bottom operator (typically
@@ -242,12 +160,14 @@ let run runner cfg g ~fields plan table =
         match src with
         | `Windows ->
           (* the driving table is already materialised: morsels are
-             zero-copy windows over its shared row buffer *)
+             zero-copy windows over its shared row buffer, slotted on
+             the worker *)
           ( Table.row_count table,
-            fun lo len -> Table.to_seq (Table.sub table ~off:lo ~len) )
+            fun lo len -> Exec.input_rows prog (Table.sub table ~off:lo ~len) )
         | `Op op ->
           let rows_arr =
-            Array.of_seq (Exec.rows cfg g (rebuild [ op ]) (Table.to_seq table))
+            Array.of_seq
+              (Exec.pipeline (Exec.ctx cfg g prog) [ op ] (Exec.input_rows prog table))
           in
           ( Array.length rows_arr,
             fun lo len -> Seq.init len (fun j -> rows_arr.(lo + j)) )
@@ -268,7 +188,12 @@ let run runner cfg g ~fields plan table =
           let lo, len = bounds.(i) in
           slice lo len
         in
-        let pipe chunk_plan i = Exec.rows cfg g chunk_plan (morsel i) in
+        (* each morsel instantiates the pipeline for itself, on its own
+           domain *)
+        let on_morsel ops i f =
+          let ctx = Exec.ctx cfg g prog in
+          f ctx (Exec.pipeline ctx ops (morsel i))
+        in
         let note worker_us =
           Trace.note "parallel_workers" worker_us
             ~attrs:
@@ -278,121 +203,55 @@ let run runner cfg g ~fields plan table =
               ]
         in
         let finish_rows above rows_list =
-          Table.of_seq ~fields
-            (Exec.rows cfg g (rebuild above) (List.to_seq rows_list))
+          Exec.to_table prog ~fields
+            (Exec.pipeline (Exec.ctx cfg g prog) above (List.to_seq rows_list))
+        in
+        let concat_morsels ops =
+          let chunks, worker_us =
+            parallel_map runner morsel_count (fun i ->
+                on_morsel ops i (fun _ rows -> List.of_seq rows))
+          in
+          note worker_us;
+          List.concat (Array.to_list chunks)
         in
         match above_ops with
-        | Plan.Aggregate { keys; aggs; _ } :: rest_above ->
-          let chunk_plan = rebuild pipeline_ops in
-          let nspecs = List.length aggs in
-          let partials, worker_us =
-            parallel_map runner morsel_count (fun i ->
-                let rows = List.of_seq (pipe chunk_plan i) in
-                let groups =
-                  if keys = [] then [ ([], rows) ]
-                  else group_rows cfg g keys rows
-                in
-                List.map
-                  (fun (kvals, grows) ->
-                    {
-                      pg_key = kvals;
-                      pg_first =
-                        (match grows with r :: _ -> Some r | [] -> None);
-                      pg_count = List.length grows;
-                      pg_vals =
-                        List.map
-                          (fun (_, spec) -> Agg.arg_values cfg g grows spec)
-                          aggs;
-                    })
-                  groups)
-          in
-          note worker_us;
-          let combined = combine_partials nspecs partials in
-          let agg_rows =
-            List.map
-              (fun (kvals, acc) ->
-                let base =
-                  if keys = [] then Record.empty
-                  else
-                    Record.of_list
-                      (List.map2 (fun (name, _) v -> (name, v)) keys kvals)
-                in
-                let r = ref base in
-                List.iteri
-                  (fun j (name, spec) ->
-                    let values = List.concat (List.rev acc.a_vals.(j)) in
-                    r :=
-                      Record.add !r name
-                        (Agg.finalize cfg g ~first_row:acc.a_first
-                           ~row_count:acc.a_count values spec))
-                  aggs;
-                !r)
-              combined
-          in
-          finish_rows rest_above agg_rows
-        | Plan.Sort { by; _ } :: rest_above ->
-          let chunk_plan = rebuild pipeline_ops in
-          let compare_rows r1 r2 =
-            let rec go = function
-              | [] -> 0
-              | (e, d) :: rest ->
-                let c =
-                  Value.compare_total (Eval.eval_expr cfg g r1 e)
-                    (Eval.eval_expr cfg g r2 e)
-                in
-                let c = match d with Plan.Asc -> c | Plan.Desc -> -c in
-                if c <> 0 then c else go rest
-            in
-            go by
-          in
-          let chunks, worker_us =
-            parallel_map runner morsel_count (fun i ->
-                List.stable_sort compare_rows (List.of_seq (pipe chunk_plan i)))
-          in
-          note worker_us;
-          finish_rows rest_above (merge_sorted compare_rows chunks)
-        | (Plan.Limit_rows _ as lim) :: _ ->
-          (* push the limit into each morsel (bounds per-morsel work);
-             [above_ops] still starts with the Limit, which re-applies
-             it to the merged stream *)
-          let chunk_plan = rebuild (pipeline_ops @ [ lim ]) in
-          let chunks, worker_us =
-            parallel_map runner morsel_count (fun i ->
-                List.of_seq (pipe chunk_plan i))
-          in
-          note worker_us;
-          finish_rows above_ops (List.concat (Array.to_list chunks))
-        | (Plan.Distinct _ as d) :: _ ->
-          (* per-morsel dedup keeps each morsel's first occurrences —
-             idempotent, so the global Distinct in [above_ops] yields
-             exactly the sequential result while merging fewer rows *)
-          let chunk_plan = rebuild (pipeline_ops @ [ d ]) in
-          let chunks, worker_us =
-            parallel_map runner morsel_count (fun i ->
-                List.of_seq (pipe chunk_plan i))
-          in
-          note worker_us;
-          finish_rows above_ops (List.concat (Array.to_list chunks))
         | [] ->
           (* whole plan is one streaming pipeline: workers materialise
              their morsel outputs straight into tables, and the merge
              is an ordered bag-union blit *)
-          let chunk_plan = rebuild pipeline_ops in
           let chunks, worker_us =
             parallel_map runner morsel_count (fun i ->
-                Table.of_seq ~fields (pipe chunk_plan i))
+                on_morsel pipeline_ops i (fun _ rows -> Exec.to_table prog ~fields rows))
           in
           note worker_us;
           Table.concat ~fields (Array.to_list chunks)
-        | above ->
-          (* remaining breaker is Skip (or a breaker chain): ordered
-             concatenation of per-morsel streams is the sequential
-             stream; the remainder runs on it sequentially *)
-          let chunk_plan = rebuild pipeline_ops in
-          let chunks, worker_us =
-            parallel_map runner morsel_count (fun i ->
-                List.of_seq (pipe chunk_plan i))
-          in
-          note worker_us;
-          finish_rows above (List.concat (Array.to_list chunks))
+        | breaker :: rest_above -> (
+          match Exec.op_kind breaker, Exec.op_node breaker with
+          | Exec.Aggregate agg, _ ->
+            let parts, worker_us =
+              parallel_map runner morsel_count (fun i ->
+                  on_morsel pipeline_ops i (fun ctx rows -> Exec.fold_groups ctx agg rows))
+            in
+            note worker_us;
+            finish_rows rest_above
+              (Exec.finish_groups (Exec.ctx cfg g prog) agg (Exec.merge_groups parts))
+          | Exec.Sort order, _ ->
+            let chunks, worker_us =
+              parallel_map runner morsel_count (fun i ->
+                  on_morsel pipeline_ops i (fun ctx rows -> Exec.sort_keyed ctx order rows))
+            in
+            note worker_us;
+            finish_rows rest_above
+              (List.map Exec.unkey (merge_sorted Exec.compare_keyed chunks))
+          | _, (Plan.Limit_rows _ | Plan.Distinct _) ->
+            (* push the limit into each morsel (bounds per-morsel work),
+               or dedup per morsel (keeps each morsel's first
+               occurrences — idempotent); [above_ops] still starts with
+               the breaker, which re-applies it to the merged stream *)
+            finish_rows above_ops (concat_morsels (pipeline_ops @ [ breaker ]))
+          | _ ->
+            (* remaining breaker is Skip: ordered concatenation of
+               per-morsel streams is the sequential stream; the
+               remainder runs on it sequentially *)
+            finish_rows above_ops (concat_morsels pipeline_ops))
       end)

@@ -33,7 +33,8 @@ type runner = {
 }
 
 val run :
-  runner -> Config.t -> Graph.t -> fields:string list -> Plan.t -> Table.t -> Table.t
+  runner -> Config.t -> Graph.t -> fields:string list -> Exec.program -> Table.t ->
+  Table.t
 (** Drop-in parallel replacement for {!Exec.run}.  Falls back to the
     sequential executor when [workers <= 1], when the source has fewer
     than two rows, or when the plan's bottom operator is a pipeline

@@ -129,34 +129,6 @@ let input_of = function
   | Path_restrict { input; _ } ->
     Some input
 
-(* Rebuilds the operator over a different input — the parallel executor
-   uses this to re-root pipeline segments on [Argument] so they can be
-   driven per morsel.  [Argument] has no input and is returned as is. *)
-let with_input op input =
-  match op with
-  | Argument -> Argument
-  | All_nodes_scan r -> All_nodes_scan { r with input }
-  | Node_by_label_scan r -> Node_by_label_scan { r with input }
-  | Node_index_seek r -> Node_index_seek { r with input }
-  | Rel_type_scan r -> Rel_type_scan { r with input }
-  | Expand r -> Expand { r with input }
-  | Var_expand r -> Var_expand { r with input }
-  | Filter r -> Filter { r with input }
-  | Project r -> Project { r with input }
-  | Aggregate r -> Aggregate { r with input }
-  | Distinct _ -> Distinct { input }
-  | Sort r -> Sort { r with input }
-  | Skip_rows r -> Skip_rows { r with input }
-  | Limit_rows r -> Limit_rows { r with input }
-  | Unwind r -> Unwind { r with input }
-  | Optional r -> Optional { r with input }
-  | Rel_uniqueness r -> Rel_uniqueness { r with input }
-  | Project_path r -> Project_path { r with input }
-  | Regex_expand r -> Regex_expand { r with input }
-  | Shortest_path r -> Shortest_path { r with input }
-  | Cheapest_path r -> Cheapest_path { r with input }
-  | Path_restrict r -> Path_restrict { r with input }
-
 let dir_arrow = function Out -> "-->" | In -> "<--" | Both -> "--"
 
 let hop_name = function Single_rel r -> r | Rel_list r -> r ^ "*"

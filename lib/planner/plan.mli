@@ -144,12 +144,6 @@ type t =
 
 val input_of : t -> t option
 
-val with_input : t -> t -> t
-(** [with_input op input] is [op] rebuilt over a different input
-    operator ([Argument] stays [Argument]).  The parallel executor uses
-    it to re-root pipeline segments on [Argument] so each morsel can
-    drive them with its own row slice. *)
-
 val describe : t -> string
 (** One line describing the operator itself, without its input. *)
 

@@ -148,36 +148,31 @@ let dedup_values values =
         true))
     values
 
-(* The argument values an aggregate consumes: evaluated per row with
-   nulls dropped, in row order, *before* any DISTINCT dedup.  Exposed
-   separately from [finalize] so the parallel executor can evaluate
-   values per morsel on worker domains and combine by concatenating the
-   per-morsel lists in morsel order — that reproduces the sequential
-   row order exactly, so the non-associative float folds in [finalize]
-   (sum, avg, stddev) return bitwise-identical results either way. *)
-let arg_values cfg g rows spec =
-  match spec with
-  | `Count_star -> []
-  | `Percentile (_, _, value_expr, _) | `Agg (_, _, value_expr) ->
-    List.filter
-      (fun v -> not (Value.is_null v))
-      (List.map (fun row -> Eval.eval_expr cfg g row value_expr) rows)
+(* The expression whose non-null values an aggregate consumes, one per
+   input row in row order; none for [count( * )]. *)
+let arg_expr = function
+  | `Count_star -> None
+  | `Percentile (_, _, value_expr, _) | `Agg (_, _, value_expr) -> Some value_expr
 
-(* Folds pre-evaluated argument values down to the aggregate's result.
-   [first_row] is the group's first input row in sequential order (the
-   percentile expression is evaluated against it, as [compute] always
-   did); [row_count] is the group's total input row count ([count( * )]
-   counts rows, not non-null values). *)
-let finalize cfg g ~first_row ~row_count values spec =
+let percentile_expr = function
+  | `Percentile (_, _, _, pct_expr) -> Some pct_expr
+  | `Count_star | `Agg _ -> None
+
+(* Folds the argument values (nulls already dropped, in row order,
+   before any DISTINCT dedup) down to the aggregate's result.  Taking
+   values rather than rows lets every executor evaluate them its own way
+   — the reference per record, the planner per slotted row as rows
+   arrive, the parallel executor per morsel — and all fold in the same
+   row order, so the non-associative float folds (sum, avg, stddev)
+   agree bitwise.  [percentile] evaluates the percentile expression
+   against the group's first row ([None]: the group has no rows);
+   [row_count] is the group's row count, what [count( * )] reports. *)
+let finalize ~percentile ~row_count values spec =
   match spec with
   | `Count_star -> Value.Int row_count
-  | `Percentile (cont, distinct, _, pct_expr) -> (
+  | `Percentile (cont, distinct, _, _) -> (
     let values = if distinct then dedup_values values else values in
-    let pct =
-      match first_row with
-      | Some row -> Ops.to_float (Eval.eval_expr cfg g row pct_expr)
-      | None -> 0.
-    in
+    let pct = match percentile with Some f -> Ops.to_float (f ()) | None -> 0. in
     (* [not (>= && <=)] rather than [< || >]: NaN fails every comparison,
        so the old form let a NaN percentile through to [int_of_float]. *)
     if not (pct >= 0. && pct <= 1.) then
@@ -245,9 +240,17 @@ let finalize cfg g ~first_row ~row_count values spec =
         Value.Float (sqrt (ss /. divisor))))
 
 let compute cfg g rows spec =
-  finalize cfg g
-    ~first_row:(match rows with row :: _ -> Some row | [] -> None)
-    ~row_count:(List.length rows)
-    (arg_values cfg g rows spec)
-    spec
+  let eval row e = Eval.eval_expr cfg g row e in
+  let values =
+    match arg_expr spec with
+    | None -> []
+    | Some e ->
+      List.filter (fun v -> not (Value.is_null v)) (List.map (fun row -> eval row e) rows)
+  in
+  let percentile =
+    match rows, percentile_expr spec with
+    | row :: _, Some e -> Some (fun () -> eval row e)
+    | _ -> None
+  in
+  finalize ~percentile ~row_count:(List.length rows) values spec
 

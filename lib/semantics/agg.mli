@@ -36,25 +36,27 @@ val compute :
 
 (** {2 Split evaluation}
 
-    [compute] is [finalize] over [arg_values].  The parallel executor
-    evaluates {!arg_values} per morsel on worker domains, concatenates
-    the per-morsel lists in morsel order (which reproduces the
-    sequential row order exactly, so non-associative float folds agree
-    bitwise), and calls {!finalize} once per group. *)
+    [compute] is {!finalize} over the values of {!arg_expr}.  Other
+    executors evaluate the argument their own way — the planner per
+    slotted row as rows arrive, the parallel executor per morsel — and
+    fold with {!finalize} in row order, so non-associative float folds
+    agree bitwise with [compute]. *)
 
-val arg_values : Config.t -> Graph.t -> Record.t list -> spec -> Value.t list
-(** The aggregate's argument evaluated per row, nulls dropped, in row
-    order, before any DISTINCT dedup.  Empty for [`Count_star]. *)
+val arg_expr : spec -> Ast.expr option
+(** The expression whose non-null values the aggregate consumes, one per
+    input row; [None] for [`Count_star]. *)
+
+val percentile_expr : spec -> Ast.expr option
+(** A percentile aggregate's percentile expression. *)
 
 val finalize :
-  Config.t ->
-  Graph.t ->
-  first_row:Record.t option ->
+  percentile:(unit -> Value.t) option ->
   row_count:int ->
   Value.t list ->
   spec ->
   Value.t
-(** Folds pre-evaluated argument values to the aggregate's result.
-    [first_row] is the group's first input row (percentile evaluates its
-    percentile expression against it); [row_count] is the group's total
-    row count (what [count( * )] reports). *)
+(** Folds the argument values — nulls dropped, in row order, before any
+    DISTINCT dedup — to the aggregate's result.  [percentile] evaluates
+    {!percentile_expr} against the group's first row ([None] when the
+    group has no rows); [row_count] is the group's row count (what
+    [count( * )] reports). *)

@@ -107,6 +107,91 @@ let regex_hop cfg g re =
   }
 
 (* ------------------------------------------------------------------ *)
+(* Value-level steps of [eval_expr], shared with the planner's compiled *)
+(* expressions so that neither engine owns a second copy.              *)
+(* ------------------------------------------------------------------ *)
+
+(* ι(v, k): a property of a node, relationship or map, or a component
+   of a temporal value. *)
+let property g v k =
+  match v with
+  | Value.Null -> Value.Null
+  | Value.Node n -> Graph.node_prop g n k
+  | Value.Rel r -> Graph.rel_prop g r k
+  | Value.Map m -> (
+    match Value.Smap.find_opt k m with Some v -> v | None -> Value.Null)
+  | Value.Temporal t -> (
+    match Cypher_temporal.Temporal.component t k with
+    | Some v -> v
+    | None -> Value.type_error "unknown temporal component: %s" k)
+  | v ->
+    Value.type_error "property access .%s: expected a node, relationship or map, got %s"
+      k (Value.type_name v)
+
+let comparison = function
+  | Eq -> Value.equal_ternary
+  | Neq -> fun v1 v2 -> Ternary.not_ (Value.equal_ternary v1 v2)
+  | Lt -> Value.less_than
+  | Le -> Value.less_eq
+  | Gt -> Value.greater_than
+  | Ge -> Value.greater_eq
+
+(* Arithmetic, with the temporal cases before the numeric ones. *)
+let arith op v1 v2 =
+  match v1, v2 with
+  | Value.Temporal t1, Value.Temporal t2 -> (
+    match op with
+    | Add -> Cypher_temporal.Temporal.add t1 t2
+    | Sub -> Cypher_temporal.Temporal.sub t1 t2
+    | _ -> Value.type_error "unsupported temporal arithmetic")
+  | Value.Temporal t, (Value.Int _ | Value.Float _) when op = Mul ->
+    Cypher_temporal.Temporal.scale t (Ops.to_float v2)
+  | (Value.Int _ | Value.Float _), Value.Temporal t when op = Mul ->
+    Cypher_temporal.Temporal.scale t (Ops.to_float v1)
+  | _ -> (
+    match op with
+    | Add -> Ops.add v1 v2
+    | Sub -> Ops.sub v1 v2
+    | Mul -> Ops.mul v1 v2
+    | Div -> Ops.div v1 v2
+    | Mod -> Ops.modulo v1 v2
+    | Pow -> Ops.pow v1 v2)
+
+let has_labels g v labels =
+  match v with
+  | Value.Null -> Value.Null
+  | Value.Node n ->
+    Value.Bool (List.for_all (fun l -> Graph.has_label g n l) labels)
+  | v ->
+    Value.type_error "label predicate: expected a node, got %s"
+      (Value.type_name v)
+
+let truth_of_value = function
+  | Value.Bool b -> Ternary.of_bool b
+  | Value.Null -> Ternary.Unknown
+  | v ->
+    Value.type_error "expected a boolean predicate, got %s" (Value.type_name v)
+
+(* The whole-string matcher of a =~ pattern, PCRE dialect, as in Cypher.
+   An invalid pattern yields a matcher that raises the typed error when
+   applied, so building one never fails. *)
+let regex_matcher pat =
+  match Re.Pcre.re ("^(?:" ^ pat ^ ")$") with
+  | re ->
+    let re = Re.compile re in
+    fun s -> Value.Bool (Re.execp re s)
+  | exception _ -> fun _ -> eval_error "invalid regular expression: %s" pat
+
+(* [v1 =~ v2], with [matcher pat] the matcher of a pattern. *)
+let regex_match ~matcher v1 v2 =
+  match v1, v2 with
+  | Value.Null, _ | _, Value.Null -> Value.Null
+  | Value.String s, Value.String pat -> matcher pat s
+  | a, b ->
+    Value.type_error "=~: expected strings, got %s and %s" (Value.type_name a)
+      (Value.type_name b)
+
+(* ------------------------------------------------------------------ *)
 (* Expressions: [[expr]]_{G,u}  (Section 4.3)                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -139,17 +224,9 @@ let rec eval_expr cfg g u expr =
     value_of_ternary (Ops.ends_with (eval_expr cfg g u e1) (eval_expr cfg g u e2))
   | E_contains (e1, e2) ->
     value_of_ternary (Ops.contains (eval_expr cfg g u e1) (eval_expr cfg g u e2))
-  | E_regex_match (e1, e2) -> (
-    match eval_expr cfg g u e1, eval_expr cfg g u e2 with
-    | Value.Null, _ | _, Value.Null -> Value.Null
-    | Value.String s, Value.String pat -> (
-      (* whole-string match, PCRE dialect, as in Cypher *)
-      match Re.Pcre.re ("^(?:" ^ pat ^ ")$") with
-      | re -> Value.Bool (Re.execp (Re.compile re) s)
-      | exception _ -> eval_error "invalid regular expression: %s" pat)
-    | a, b ->
-      Value.type_error "=~: expected strings, got %s and %s"
-        (Value.type_name a) (Value.type_name b))
+  | E_regex_match (e1, e2) ->
+    regex_match ~matcher:regex_matcher (eval_expr cfg g u e1)
+      (eval_expr cfg g u e2)
   | E_or (e1, e2) ->
     value_of_ternary
       (Ternary.or_ (eval_truth cfg g u e1) (eval_truth cfg g u e2))
@@ -164,46 +241,15 @@ let rec eval_expr cfg g u expr =
   | E_is_not_null e -> Value.Bool (not (Value.is_null (eval_expr cfg g u e)))
   | E_cmp (op, e1, e2) ->
     let v1 = eval_expr cfg g u e1 and v2 = eval_expr cfg g u e2 in
-    value_of_ternary
-      (match op with
-      | Eq -> Value.equal_ternary v1 v2
-      | Neq -> Ternary.not_ (Value.equal_ternary v1 v2)
-      | Lt -> Value.less_than v1 v2
-      | Le -> Value.less_eq v1 v2
-      | Gt -> Value.greater_than v1 v2
-      | Ge -> Value.greater_eq v1 v2)
-  | E_arith (op, e1, e2) -> (
+    value_of_ternary (comparison op v1 v2)
+  | E_arith (op, e1, e2) ->
     let v1 = eval_expr cfg g u e1 and v2 = eval_expr cfg g u e2 in
-    match v1, v2 with
-    | Value.Temporal t1, Value.Temporal t2 -> (
-      match op with
-      | Add -> Cypher_temporal.Temporal.add t1 t2
-      | Sub -> Cypher_temporal.Temporal.sub t1 t2
-      | _ -> Value.type_error "unsupported temporal arithmetic")
-    | Value.Temporal t, (Value.Int _ | Value.Float _) when op = Mul ->
-      Cypher_temporal.Temporal.scale t (Ops.to_float v2)
-    | (Value.Int _ | Value.Float _), Value.Temporal t when op = Mul ->
-      Cypher_temporal.Temporal.scale t (Ops.to_float v1)
-    | _ -> (
-      match op with
-      | Add -> Ops.add v1 v2
-      | Sub -> Ops.sub v1 v2
-      | Mul -> Ops.mul v1 v2
-      | Div -> Ops.div v1 v2
-      | Mod -> Ops.modulo v1 v2
-      | Pow -> Ops.pow v1 v2))
+    arith op v1 v2
   | E_neg e -> Ops.neg (eval_expr cfg g u e)
   | E_fn (name, args) -> eval_fn cfg g u name args
   | E_count_star | E_agg _ | E_agg_percentile _ ->
     eval_error "aggregation is only allowed in RETURN and WITH items"
-  | E_has_labels (e, labels) -> (
-    match eval_expr cfg g u e with
-    | Value.Null -> Value.Null
-    | Value.Node n ->
-      Value.Bool (List.for_all (fun l -> Graph.has_label g n l) labels)
-    | v ->
-      Value.type_error "label predicate: expected a node, got %s"
-        (Value.type_name v))
+  | E_has_labels (e, labels) -> has_labels g (eval_expr cfg g u e) labels
   | E_case { case_subject; case_branches; case_default } -> (
     let matches (w, _) =
       match case_subject with
@@ -330,20 +376,7 @@ let rec eval_expr cfg g u expr =
     | v ->
       Value.type_error "quantifier: expected a list, got %s" (Value.type_name v))
 
-and eval_prop_access cfg g u e k =
-  match eval_expr cfg g u e with
-  | Value.Null -> Value.Null
-  | Value.Node n -> Graph.node_prop g n k
-  | Value.Rel r -> Graph.rel_prop g r k
-  | Value.Map m -> (
-    match Value.Smap.find_opt k m with Some v -> v | None -> Value.Null)
-  | Value.Temporal t -> (
-    match Cypher_temporal.Temporal.component t k with
-    | Some v -> v
-    | None -> Value.type_error "unknown temporal component: %s" k)
-  | v ->
-    Value.type_error "property access .%s: expected a node, relationship or map, got %s"
-      k (Value.type_name v)
+and eval_prop_access cfg g u e k = property g (eval_expr cfg g u e) k
 
 and eval_fn cfg g u name args =
   (* exists(n.prop) tests whether ι is defined on (n, prop): it must see
@@ -365,12 +398,7 @@ and eval_fn cfg g u name args =
     Value.Int (List.length (match_pattern_tuple cfg g u [ p ]))
   | _ -> Functions.apply g name (List.map (eval_expr cfg g u) args)
 
-and eval_truth cfg g u e =
-  match eval_expr cfg g u e with
-  | Value.Bool b -> Ternary.of_bool b
-  | Value.Null -> Ternary.Unknown
-  | v ->
-    Value.type_error "expected a boolean predicate, got %s" (Value.type_name v)
+and eval_truth cfg g u e = truth_of_value (eval_expr cfg g u e)
 
 (* ------------------------------------------------------------------ *)
 (* Pattern matching: match(π̄, G, u)  (Section 4.2)                     *)
@@ -685,6 +713,34 @@ and match_pattern_tuple cfg g u patterns =
       if List.for_all (fun check -> check st.bnd) st.deferred then
         results := Record.project st.bnd new_names :: !results
     | pp :: rest -> match_path st pp (fun st -> match_all st rest)
+  in
+  (* The assignment a tuple is checked under is one whole, u·u' (Equation
+     1), so a pattern may read a variable that a pattern written after
+     it binds.  Node and ordinary relationship properties defer such
+     reads; a path search cannot, because its relationship predicates
+     choose the path.  So a shortest-path pattern whose relationship
+     predicates read a variable another pattern of the tuple binds is
+     matched after the others — the order the planner runs it in. *)
+  let patterns =
+    let binds_elsewhere pp a =
+      List.exists
+        (fun q -> q != pp && List.mem a (Ast.free_path_pattern q))
+        patterns
+    in
+    let reads_later (pp : path_pattern) =
+      pp.pp_shortest <> No_shortest
+      && List.exists
+           (fun ((rp : rel_pattern), _) ->
+             List.exists
+               (fun (_, e) ->
+                 List.exists
+                   (fun a -> (not (Record.mem u a)) && binds_elsewhere pp a)
+                   (Ast.expr_free_vars e))
+               rp.rp_props)
+           pp.pp_rest
+    in
+    let later, now = List.partition reads_later patterns in
+    now @ later
   in
   match_all init patterns;
   List.rev !results

@@ -35,6 +35,45 @@ val eval_expr : Config.t -> Graph.t -> Record.t -> Ast.expr -> Value.t
 val eval_truth : Config.t -> Graph.t -> Record.t -> Ast.expr -> Ternary.t
 (** Evaluates a predicate to a truth value (booleans and null only). *)
 
+(** {2 Value-level steps}
+
+    The steps of {!eval_expr} that act on values already computed.  The
+    planner's compiled expressions call them too, so each operation has
+    one implementation for both engines. *)
+
+val property : Graph.t -> Value.t -> string -> Value.t
+(** [property g v k]: [v.k] — a property of a node, relationship or
+    map (null when absent), or a component of a temporal value; null
+    on null. *)
+
+val comparison : Ast.cmp_op -> Value.t -> Value.t -> Ternary.t
+(** A comparison under Cypher's ternary logic; applied to the operator
+    alone it is the comparison's function. *)
+
+val arith : Ast.arith_op -> Value.t -> Value.t -> Value.t
+(** Binary arithmetic, temporal operands included. *)
+
+val has_labels : Graph.t -> Value.t -> string list -> Value.t
+(** [n:L1:L2]: whether a node carries every label; null on null. *)
+
+val value_of_ternary : Ternary.t -> Value.t
+(** A truth value as a value: a boolean, or null for unknown. *)
+
+val truth_of_value : Value.t -> Ternary.t
+(** A predicate's value as a truth value; a type error unless boolean
+    or null. *)
+
+val regex_matcher : string -> string -> Value.t
+(** [regex_matcher pat] compiles the whole-string PCRE matcher of a
+    [=~] pattern once.  For an invalid pattern it returns a matcher
+    that raises {!Eval_error} when applied, so building one never
+    fails. *)
+
+val regex_match :
+  matcher:(string -> string -> Value.t) -> Value.t -> Value.t -> Value.t
+(** [regex_match ~matcher s pat]: [s =~ pat], null if either is null, a
+    type error unless both are strings; [matcher pat s] does the match. *)
+
 val restr_ok :
   Ast.path_restrictor -> Ids.node -> Cypher_algos.Path_search.step list -> bool
 (** [restr_ok restr start steps]: whether the path from [start] along

@@ -102,12 +102,12 @@ let cfg = Cypher_semantics.Config.default
 let total_hits g q =
   match Cypher_parser.Parser.parse_query_exn q with
   | Cypher_ast.Ast.Q_single { sq_clauses; sq_return } ->
-    let { Build.plan; fields } =
+    let { Build.plan; fields; prog } =
       Build.compile_clauses ~stats:(Stats.collect g) ~visible:[] sq_clauses
         sq_return
     in
     let _table, actual =
-      Exec.run_profiled cfg g ~fields plan Cypher_table.Table.unit
+      Exec.run_profiled cfg g ~fields prog Cypher_table.Table.unit
     in
     (actual plan).Exec.prof_hits
   | _ -> Alcotest.fail "expected a single query"
@@ -160,12 +160,12 @@ let db_hits_adjacency_not_neighbours () =
   let self_hits q is_op =
     match Cypher_parser.Parser.parse_query_exn q with
     | Cypher_ast.Ast.Q_single { sq_clauses; sq_return } -> (
-      let { Build.plan; fields } =
+      let { Build.plan; fields; prog } =
         Build.compile_clauses ~stats:(Stats.collect g) ~visible:[] sq_clauses
           sq_return
       in
       let _table, actual =
-        Exec.run_profiled cfg g ~fields plan Cypher_table.Table.unit
+        Exec.run_profiled cfg g ~fields prog Cypher_table.Table.unit
       in
       let rec find p =
         if is_op p then Some p else Option.bind (Plan.input_of p) find
@@ -233,20 +233,20 @@ let db_hits_profile_isolated () =
   done;
   let g = !g in
   let q = "MATCH (a:P)-[:F]->(b) WHERE b.k % 3 = 0 RETURN count(*) AS c" in
-  let plan, fields =
+  let plan, fields, prog =
     match Cypher_parser.Parser.parse_query_exn q with
     | Cypher_ast.Ast.Q_single { sq_clauses; sq_return } ->
-      let { Build.plan; fields } =
+      let { Build.plan; fields; prog } =
         Build.compile_clauses ~stats:(Stats.collect g) ~visible:[] sq_clauses
           sq_return
       in
-      (plan, fields)
+      (plan, fields, prog)
     | _ -> Alcotest.fail "expected a single query"
   in
   let rec chain p = p :: Option.fold ~none:[] ~some:chain (Plan.input_of p) in
   let per_operator () =
     let _table, actual =
-      Exec.run_profiled cfg g ~fields plan Cypher_table.Table.unit
+      Exec.run_profiled cfg g ~fields prog Cypher_table.Table.unit
     in
     List.map (fun op -> (actual op).Exec.prof_hits) (chain plan)
   in
@@ -258,7 +258,7 @@ let db_hits_profile_isolated () =
     Domain.spawn (fun () ->
         while not (Atomic.get stop) do
           ignore (per_operator ());
-          ignore (Exec.run cfg g ~fields plan Cypher_table.Table.unit);
+          ignore (Exec.run cfg g ~fields prog Cypher_table.Table.unit);
           Atomic.incr rounds
         done)
   in
@@ -480,6 +480,50 @@ let per_thread_values () =
       P.set v 0;
       Alcotest.(check int) "a reset reads the default" 0 (P.get v))
 
+(* PROFILE's totals — rows and db hits of the whole plan — for the
+   standing adhoc scan and hop2 shapes on a fixed graph.  Pinned at the
+   values the record-per-row executor gave, they show that slotted rows
+   and compiled expressions read the store exactly as before. *)
+let profile_totals_pinned () =
+  let g = Cypher_gen.Generate.social ~seed:11 ~people:2000 ~avg_friends:6 in
+  let first q =
+    match Cypher_table.Table.rows (Engine.run g q) with
+    | row :: _ -> (
+      match Cypher_table.Record.find row "v" with
+      | Some (Value.String s) -> s
+      | _ -> Alcotest.failf "%s: expected a string" q)
+    | [] -> Alcotest.failf "%s: no rows" q
+  in
+  let name = first "MATCH (p:Person) RETURN p.name AS v ORDER BY v LIMIT 1" in
+  let city = first "MATCH (p:Person) RETURN p.city AS v ORDER BY v LIMIT 1" in
+  let totals q =
+    match Engine.profile g q with
+    | Error e -> Alcotest.fail (Engine.error_message e)
+    | Ok text -> (
+      match
+        List.find_opt
+          (String.starts_with ~prefix:"total: ")
+          (String.split_on_char '\n' text)
+      with
+      | Some line -> Scanf.sscanf line "total: %d rows, %d db-hits" (fun r h -> (r, h))
+      | None -> Alcotest.failf "no totals in:\n%s" text)
+  in
+  let check what q expected =
+    Alcotest.(check (pair int int)) (what ^ ": rows, db hits") expected (totals q)
+  in
+  check "scan"
+    (Printf.sprintf
+       "MATCH (p:Person) WHERE p.city = '%s' AND p.name ENDS WITH '3' RETURN \
+        count(*) AS n"
+       city)
+    (1, 6001);
+  check "hop2"
+    (Printf.sprintf
+       "MATCH (p:Person {name: '%s'})-[:FRIEND]-()-[:FRIEND]-(q) RETURN \
+        count(DISTINCT q) AS n"
+       name)
+    (1, 4011)
+
 let suite =
   [
     tc "registry: concurrent writers lose no updates" registry_concurrency;
@@ -493,6 +537,8 @@ let suite =
     tc "db hits: a PROFILE counts only its own run" db_hits_profile_isolated;
     tc "db hits: a query counts its own, not nested queries'"
       db_hits_own_scope;
+    tc "db hits: PROFILE totals of the adhoc scan and hop2 shapes"
+      profile_totals_pinned;
     tc "per-thread values stay per thread past the slot array"
       per_thread_values;
     tc "slow-query log fires at or above its threshold only"

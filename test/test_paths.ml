@@ -277,12 +277,22 @@ let error_cases =
       ])
     [ Engine.Planned; Engine.Reference ]
   @ [
-      (* the planner binds [c] before the search; the reference evaluator
-         searches first, with [c] still unbound *)
-      ( "ref: an unbound variable in a path predicate is named",
-        expect_error ~contains:"unbound variable c" Engine.Reference g
+      (* A tuple's patterns are satisfied under one assignment, so a
+         search's predicate may read [k], which a pattern written after
+         it binds: one search per [k], on the relationships whose [w]
+         equals [k.w].  Both engines run the search after [k] is bound. *)
+      ( "a path predicate reads a variable a later pattern of the tuple \
+         binds",
+        let g =
+          (Engine.run_exn g "CREATE (:K {w: 1}), (:K {w: 5}), (:K {w: 7})")
+            .Engine.graph
+        in
+        expect g
           "MATCH (a:P {name:'a'}), (d:P {name:'d'}) MATCH p = \
-           shortestPath((a)-[:F* {w: c.w}]->(d)), (c) RETURN p" );
+           shortestPath((a)-[:F* {w: k.w}]->(d)), (k:K) RETURN k.w AS w, \
+           length(p) AS l"
+          [ "w"; "l" ]
+          [ [ ("w", vint 1); ("l", vint 2) ]; [ ("w", vint 5); ("l", vint 1) ] ] );
     ]
 
 (* --- planner integration ---------------------------------------------- *)

@@ -166,11 +166,11 @@ let scan_rels_baseline_equivalent () =
   let with_scan =
     match Cypher_parser.Parser.parse_query_exn q with
     | Cypher_ast.Ast.Q_single { sq_clauses; sq_return } ->
-      let { Build.plan; fields } =
+      let { Build.fields; prog; _ } =
         Build.compile_clauses ~stats:(Stats.collect g) ~scan_rels:true
           ~visible:[] sq_clauses sq_return
       in
-      Cypher_planner.Exec.run cfg g ~fields plan Cypher_table.Table.unit
+      Cypher_planner.Exec.run cfg g ~fields prog Cypher_table.Table.unit
     | _ -> Alcotest.fail "unexpected query shape"
   in
   check_table_bag "scan baseline agrees" (run g q) with_scan
@@ -261,13 +261,13 @@ let profile_and_run_agree () =
   let q = "MATCH (a)-[:CITES*]->(b) RETURN count(*) AS c" in
   match Cypher_parser.Parser.parse_query_exn q with
   | Cypher_ast.Ast.Q_single { sq_clauses; sq_return } ->
-    let { Build.plan; fields } =
+    let { Build.fields; prog; _ } =
       Build.compile_clauses ~stats:(Stats.collect g) ~visible:[] sq_clauses
         sq_return
     in
-    let plain = Cypher_planner.Exec.run cfg g ~fields plan Cypher_table.Table.unit in
+    let plain = Cypher_planner.Exec.run cfg g ~fields prog Cypher_table.Table.unit in
     let profiled, _counts =
-      Cypher_planner.Exec.run_profiled cfg g ~fields plan Cypher_table.Table.unit
+      Cypher_planner.Exec.run_profiled cfg g ~fields prog Cypher_table.Table.unit
     in
     check_table_bag "profiled result identical" plain profiled
   | _ -> Alcotest.fail "bad query"
@@ -279,12 +279,12 @@ let limit_short_circuits () =
   let g = Generate.chain ~n:500 ~rel_type:"T" in
   match Cypher_parser.Parser.parse_query_exn "MATCH (n) RETURN n LIMIT 1" with
   | Cypher_ast.Ast.Q_single { sq_clauses; sq_return } ->
-    let { Build.plan; fields } =
+    let { Build.plan; fields; prog } =
       Build.compile_clauses ~stats:(Stats.collect g) ~visible:[] sq_clauses
         sq_return
     in
     let _table, actual =
-      Cypher_planner.Exec.run_profiled cfg g ~fields plan
+      Cypher_planner.Exec.run_profiled cfg g ~fields prog
         Cypher_table.Table.unit
     in
     let rec find_scan p =

@@ -697,8 +697,9 @@ let graceful_stop_checkpoints () =
   Store.close again
 
 (* Request domains: a long read on one connection must not stall the
-   others.  A's cartesian count runs for a second or so on one domain;
-   B's connection, placed on another, answers 20 point reads meanwhile.
+   others.  A's cartesian count (36M rows) runs for a second or so on
+   one domain; B's connection, placed on another, answers 20 point reads
+   meanwhile.
    With every connection on one domain, B would wait for the runtime
    lock A's read holds at every request. *)
 let long_read_does_not_stall_others () =
@@ -721,7 +722,7 @@ let long_read_does_not_stall_others () =
           | Ok _ -> ()
           | Error e -> Alcotest.failf "parallel 1: %s" (Client.error_message e))
         [ a; b ];
-      ignore (ok_query a "UNWIND range(1, 2000) AS i CREATE (:N {v: i})");
+      ignore (ok_query a "UNWIND range(1, 6000) AS i CREATE (:N {v: i})");
       let a_done = ref 0. and a_elapsed = ref 0. and a_count = ref 0 in
       let long_read =
         Thread.create
@@ -743,7 +744,7 @@ let long_read_does_not_stall_others () =
       done;
       let b_done = Unix.gettimeofday () in
       Thread.join long_read;
-      Alcotest.(check int) "the long read answers" (2000 * 2000) !a_count;
+      Alcotest.(check int) "the long read answers" (6000 * 6000) !a_count;
       Alcotest.(check bool)
         (Printf.sprintf "B's 20 reads finish %.0f ms before A's answer"
            ((!a_done -. b_done) *. 1e3))
