@@ -57,34 +57,7 @@ let rec expr scope e : Value.t compiled =
     fun env ->
       let f1 = c1 env and g = env.g in
       fun row -> Eval.property g (f1 row) k
-  | E_map kvs ->
-    let cs = List.map (fun (k, e) -> (k, expr scope e)) kvs in
-    fun env ->
-      let fs = List.map (fun (k, c) -> (k, c env)) cs in
-      fun row -> Value.map_of_list (List.map (fun (k, f) -> (k, f row)) fs)
-  | E_list es ->
-    let cs = List.map (expr scope) es in
-    fun env ->
-      let fs = List.map (fun c -> c env) cs in
-      fun row -> Value.List (List.map (fun f -> f row) fs)
   | E_in (e1, e2) -> ternary2 Ops.in_list scope e1 e2
-  | E_index (e1, e2) ->
-    let c1 = expr scope e1 and c2 = expr scope e2 in
-    fun env ->
-      let f1 = c1 env and f2 = c2 env in
-      fun row -> Ops.index (f1 row) (f2 row)
-  | E_slice (e1, lo, hi) ->
-    let c1 = expr scope e1
-    and clo = Option.map (expr scope) lo
-    and chi = Option.map (expr scope) hi in
-    fun env ->
-      let f1 = c1 env
-      and flo = Option.map (fun c -> c env) clo
-      and fhi = Option.map (fun c -> c env) chi in
-      fun row ->
-        Ops.slice (f1 row)
-          (Option.map (fun f -> f row) flo)
-          (Option.map (fun f -> f row) fhi)
   | E_starts_with (e1, e2) -> ternary2 Ops.starts_with scope e1 e2
   | E_ends_with (e1, e2) -> ternary2 Ops.ends_with scope e1 e2
   | E_contains (e1, e2) -> ternary2 Ops.contains scope e1 e2
@@ -149,8 +122,8 @@ let rec expr scope e : Value.t compiled =
     fun env ->
       let fs = List.map (fun c -> c env) cs and g = env.g in
       fun row -> Functions.apply g name (List.map (fun f -> f row) fs)
-  | E_fn _ | E_count_star | E_agg _ | E_agg_percentile _ | E_case _
-  | E_list_comp _ | E_map_projection _ | E_pattern_pred _ | E_exists_pattern _
+  | E_fn _ | E_map _ | E_list _ | E_index _ | E_slice _ | E_count_star
+  | E_agg _ | E_agg_percentile _ | E_case _ | E_list_comp _ | E_map_projection _ | E_pattern_pred _ | E_exists_pattern _
   | E_reduce _ | E_pattern_comp _ | E_quantified _ ->
     fallback scope e
 

@@ -12,9 +12,9 @@
 
     Value semantics are not reimplemented: compiled code calls {!Ops},
     {!Functions}, {!Ternary}, {!Value} and the value-level steps that
-    {!Eval} shares with it.  Constructors not compiled natively —
-    CASE, comprehensions, reduce, quantifiers, map projections, pattern
-    predicates, [exists] — rebuild the record the reference evaluator
+    {!Eval} shares with it.  Constructors not compiled natively — list
+    and map literals, indexing, slicing, CASE, comprehensions, reduce,
+    quantifiers, map projections, pattern predicates, [exists] — rebuild the record the reference evaluator
     expects from the row's bound slots and call {!Eval.eval_expr}.  So
     does a variable the scope does not bind, and a missing parameter:
     their errors are the evaluator's own and raise only when the

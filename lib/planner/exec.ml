@@ -203,11 +203,16 @@ end
 
 (* Aggregation folds each row into its group as it arrives: the group's
    first row (a percentile is evaluated against it), its row count, and
-   per aggregate the non-null argument values, newest first. *)
+   per aggregate the non-null argument values, newest first, or the
+   first error its argument raised.  Errors follow the reference order —
+   every key first, then group by group, aggregate by aggregate — so a
+   key's error raises at once and an argument's waits for its group to
+   be finished. *)
 type group = {
   mutable first : row option;
   mutable count : int;
   vals : Value.t list array;
+  errs : exn option array;
 }
 
 type aggregate = {
@@ -220,7 +225,8 @@ type aggregate = {
 
 type groups = group Groups.t
 
-let new_group n () = { first = None; count = 0; vals = Array.make n [] }
+let new_group n () =
+  { first = None; count = 0; vals = Array.make n []; errs = Array.make n None }
 
 let fold_groups ctx agg rows =
   let env = ctx.env in
@@ -235,10 +241,11 @@ let fold_groups ctx agg rows =
     Array.iteri
       (fun j arg ->
         match arg with
-        | None -> ()
-        | Some f ->
-          let v = f row in
-          if not (Value.is_null v) then gr.vals.(j) <- v :: gr.vals.(j))
+        | Some f when Option.is_none gr.errs.(j) -> (
+          match f row with
+          | v -> if not (Value.is_null v) then gr.vals.(j) <- v :: gr.vals.(j)
+          | exception e -> gr.errs.(j) <- Some e)
+        | _ -> ())
       args
   in
   let groups = Groups.create () in
@@ -266,7 +273,10 @@ let merge_groups (parts : groups array) =
           let acc = Groups.find_or_add merged key (new_group (Array.length gr.vals)) in
           if Option.is_none acc.first then acc.first <- gr.first;
           acc.count <- acc.count + gr.count;
-          Array.iteri (fun j vs -> acc.vals.(j) <- vs @ acc.vals.(j)) gr.vals)
+          Array.iteri (fun j vs -> acc.vals.(j) <- vs @ acc.vals.(j)) gr.vals;
+          Array.iteri
+            (fun j e -> if Option.is_none acc.errs.(j) then acc.errs.(j) <- e)
+            gr.errs)
         (Groups.to_list part))
     parts;
   merged
@@ -281,6 +291,7 @@ let finish_groups ctx agg groups =
       List.iter2 (fun (i, _) v -> r.(i) <- v) agg.keys key;
       List.iteri
         (fun j ((i, spec, _, _), pct) ->
+          Option.iter raise gr.errs.(j);
           let percentile =
             match gr.first, pct with
             | Some first, Some f -> Some (fun () -> f first)
@@ -813,16 +824,16 @@ let compile ~input plan =
   in
   { plan; input; width; of_record; to_record = Compile.to_record out_scope; chain }
 
-(* The program for a driving table whose fields differ from those it was
-   compiled for, which only a caller outside the engine can hand in. *)
-let for_fields prog fields =
-  if List.equal String.equal fields prog.input then prog
-  else compile ~input:fields prog.plan
+let make_ctx cfg g prog =
+  { env = { Compile.cfg; g }; width = prog.width; prof = None }
 
-let make_ctx ?prof cfg g prog =
-  { env = { Compile.cfg; g }; width = prog.width; prof }
-
-let input_rows prog table = Seq.map prog.of_record (Table.to_seq table)
+(* One program per prepared plan: a driving table with other fields is a
+   caller's mistake, not a reason to compile again. *)
+let input_rows prog table =
+  let fields = List.sort_uniq String.compare (Table.fields table) in
+  if not (List.equal String.equal fields prog.input) then
+    invalid_arg "Exec: the driving table's fields are not the program's input";
+  Seq.map prog.of_record (Table.to_seq table)
 
 let to_table prog ~fields rows =
   Table.of_seq ~fields (Seq.map prog.to_record rows)
@@ -831,12 +842,9 @@ let rows cfg g prog arg =
   Seq.map prog.to_record
     (instantiate (make_ctx cfg g prog) prog.chain (Seq.map prog.of_record arg))
 
-let run_with ?prof cfg g ~fields prog table =
-  let prog = for_fields prog (Table.fields table) in
+let run cfg g ~fields prog table =
   to_table prog ~fields
-    (instantiate (make_ctx ?prof cfg g prog) prog.chain (input_rows prog table))
-
-let run cfg g ~fields prog table = run_with cfg g ~fields prog table
+    (instantiate (make_ctx cfg g prog) prog.chain (input_rows prog table))
 
 let run_profiled cfg g ~fields prog table =
   let entries : (Plan.t * prof_entry) list ref = ref [] in
@@ -848,9 +856,10 @@ let run_profiled cfg g ~fields prog table =
       entries := (node, e) :: !entries;
       e
   in
+  let ctx = { (make_ctx cfg g prog) with prof = Some find } in
   let result =
     Graph.with_db_hit_counting (fun () ->
-        run_with ~prof:find cfg g ~fields prog table)
+        to_table prog ~fields (instantiate ctx prog.chain (input_rows prog table)))
   in
   let stats node =
     match List.find_opt (fun (p, _) -> p == node) !entries with
@@ -881,8 +890,6 @@ let self_profile stats node =
 
 (* --- the parallel executor's view ---------------------------------------- *)
 
-let ctx cfg g prog = make_ctx cfg g prog
 let ops prog = match prog.chain with _argument :: ops -> ops | [] -> []
 let op_node op = op.node
 let op_kind op = op.kind
-let pipeline ctx ops rows = instantiate ctx ops rows

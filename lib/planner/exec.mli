@@ -33,9 +33,8 @@ val rows :
 val run :
   Config.t -> Graph.t -> fields:string list -> program -> Table.t -> Table.t
 (** Runs a program against a driving table and materialises the result
-    with the given output fields.  A table whose fields differ from
-    those the program was compiled for gets a program compiled for
-    them. *)
+    with the given output fields.  Raises [Invalid_argument] when the
+    table's fields are not those the program was compiled for. *)
 
 type profile = { prof_rows : int; prof_hits : int; prof_ns : int }
 (** One operator's PROFILE measurements: rows produced, db hits (store
@@ -69,11 +68,7 @@ type row = Compile.row
 type ctx
 (** One execution of a program on one domain. *)
 
-val ctx : Config.t -> Graph.t -> program -> ctx
-
-val for_fields : program -> string list -> program
-(** The program itself, or one compiled for a driving table with other
-    fields. *)
+val make_ctx : Config.t -> Graph.t -> program -> ctx
 
 type aggregate
 type order
@@ -87,11 +82,13 @@ val ops : program -> op list
 val op_node : op -> Plan.t
 val op_kind : op -> kind
 
-val pipeline : ctx -> op list -> row Seq.t -> row Seq.t
+val instantiate : ctx -> op list -> row Seq.t -> row Seq.t
 (** The operators, bottom-up, over an input stream. *)
 
 val input_rows : program -> Table.t -> row Seq.t
-(** A driving table's rows as slotted rows. *)
+(** A driving table's rows as slotted rows.  Raises [Invalid_argument]
+    when the table's fields are not those the program was compiled
+    for. *)
 
 val to_table : program -> fields:string list -> row Seq.t -> Table.t
 (** Result rows of the whole program as a table. *)

@@ -140,7 +140,6 @@ let run runner cfg g ~fields prog table =
   let sequential () = Exec.run cfg g ~fields prog table in
   if runner.workers <= 1 then sequential ()
   else
-    let prog = Exec.for_fields prog (Table.fields table) in
     let ops = Exec.ops prog in
     (* Pick the morsel source.  A driving table with several rows (a
        later part of a multi-part query) is already materialised — its
@@ -167,7 +166,7 @@ let run runner cfg g ~fields prog table =
         | `Op op ->
           let rows_arr =
             Array.of_seq
-              (Exec.pipeline (Exec.ctx cfg g prog) [ op ] (Exec.input_rows prog table))
+              (Exec.instantiate (Exec.make_ctx cfg g prog) [ op ] (Exec.input_rows prog table))
           in
           ( Array.length rows_arr,
             fun lo len -> Seq.init len (fun j -> rows_arr.(lo + j)) )
@@ -191,8 +190,8 @@ let run runner cfg g ~fields prog table =
         (* each morsel instantiates the pipeline for itself, on its own
            domain *)
         let on_morsel ops i f =
-          let ctx = Exec.ctx cfg g prog in
-          f ctx (Exec.pipeline ctx ops (morsel i))
+          let ctx = Exec.make_ctx cfg g prog in
+          f ctx (Exec.instantiate ctx ops (morsel i))
         in
         let note worker_us =
           Trace.note "parallel_workers" worker_us
@@ -204,7 +203,7 @@ let run runner cfg g ~fields prog table =
         in
         let finish_rows above rows_list =
           Exec.to_table prog ~fields
-            (Exec.pipeline (Exec.ctx cfg g prog) above (List.to_seq rows_list))
+            (Exec.instantiate (Exec.make_ctx cfg g prog) above (List.to_seq rows_list))
         in
         let concat_morsels ops =
           let chunks, worker_us =
@@ -234,7 +233,7 @@ let run runner cfg g ~fields prog table =
             in
             note worker_us;
             finish_rows rest_above
-              (Exec.finish_groups (Exec.ctx cfg g prog) agg (Exec.merge_groups parts))
+              (Exec.finish_groups (Exec.make_ctx cfg g prog) agg (Exec.merge_groups parts))
           | Exec.Sort order, _ ->
             let chunks, worker_us =
               parallel_map runner morsel_count (fun i ->

@@ -719,27 +719,35 @@ and match_pattern_tuple cfg g u patterns =
      it binds.  Node and ordinary relationship properties defer such
      reads; a path search cannot, because its relationship predicates
      choose the path.  So a shortest-path pattern whose relationship
-     predicates read a variable another pattern of the tuple binds is
-     matched after the others — the order the planner runs it in. *)
+     predicates read a variable that only a pattern written after it
+     binds is matched after the others — the order the planner runs it
+     in.  Every other pattern keeps its written place. *)
   let patterns =
-    let binds_elsewhere pp a =
-      List.exists
-        (fun q -> q != pp && List.mem a (Ast.free_path_pattern q))
-        patterns
-    in
-    let reads_later (pp : path_pattern) =
+    let reads_later ~before ~after (pp : path_pattern) =
       pp.pp_shortest <> No_shortest
       && List.exists
            (fun ((rp : rel_pattern), _) ->
              List.exists
                (fun (_, e) ->
                  List.exists
-                   (fun a -> (not (Record.mem u a)) && binds_elsewhere pp a)
+                   (fun a ->
+                     (not (Record.mem u a))
+                     && (not (List.mem a before))
+                     && List.exists
+                          (fun q -> List.mem a (Ast.free_path_pattern q))
+                          after)
                    (Ast.expr_free_vars e))
                rp.rp_props)
            pp.pp_rest
     in
-    let later, now = List.partition reads_later patterns in
+    let rec split before = function
+      | [] -> ([], [])
+      | pp :: after ->
+        let now, later = split (Ast.free_path_pattern pp @ before) after in
+        if reads_later ~before ~after pp then (now, pp :: later)
+        else (pp :: now, later)
+    in
+    let now, later = split [] patterns in
     now @ later
   in
   match_all init patterns;

@@ -320,6 +320,41 @@ let invalid_regex_is_lazy () =
       e
   | Ok _ -> Alcotest.fail "an invalid pattern must fail once evaluated"
 
+(* Aggregation streams, but its errors keep the reference order: every
+   grouping key first, then group by group in order of first
+   occurrence.  Row 6 (group k = 0, the last group) and row 20 (group
+   k = 2) raise in their arguments, so the reference reports row 20's
+   error; row 35's key raises, which comes before any argument.  The
+   sequential and the morsel-parallel planner must report the same. *)
+let aggregate_error_order () =
+  let module Engine = Cypher_engine.Engine in
+  let g =
+    (Engine.run_exn Cypher_graph.Graph.empty
+       "UNWIND range(1, 40) AS i CREATE (:R {k: CASE WHEN i = 35 THEN 'y' \
+        ELSE i % 3 END, a: CASE i WHEN 6 THEN 'x' WHEN 20 THEN true ELSE i \
+        END})")
+      .Engine.graph
+  in
+  let error ?(config = config) mode q =
+    match Engine.query ~config ~mode g q with
+    | Ok _ -> Alcotest.failf "%s must fail" q
+    | Error e -> Engine.error_message e
+  in
+  List.iter
+    (fun (q, expected) ->
+      Alcotest.(check string) ("reference: " ^ q) expected (error Engine.Reference q);
+      Alcotest.(check string) ("planned: " ^ q) expected (error Engine.Planned q);
+      Alcotest.(check string) ("parallel: " ^ q) expected
+        (error
+           ~config:(Cypher_semantics.Config.with_parallel 4 config)
+           Engine.Planned q))
+    [
+      ( "MATCH (r:R) WHERE r.k <> 'y' RETURN r.k AS k, sum(r.a - 1) AS s",
+        "type error: -: cannot apply to BOOLEAN and INTEGER" );
+      ( "MATCH (r:R) RETURN r.k * 2 AS k, sum(r.a - 1) AS s",
+        "type error: *: cannot apply to STRING and INTEGER" );
+    ]
+
 let suite =
   [
     tc "compiled and interpreted agree on 4000 random expressions" differential;
@@ -327,4 +362,5 @@ let suite =
     tc "type errors are the interpreter's" type_error_is_interpreters;
     tc "fallback constructors go through Eval.eval_expr" fallback_goes_through_eval;
     tc "an invalid regex fails only when evaluated" invalid_regex_is_lazy;
+    tc "aggregate errors keep the keys-then-groups order" aggregate_error_order;
   ]

@@ -270,6 +270,14 @@ let error_cases =
           expect_error ~contains:"unknown function: nosuchfn" mode g
             "MATCH p = cheapestPath((a:P {name:'a'})-[:F* {w: \
              nosuchfn(1)}]->(d:P {name:'d'}), 'w') RETURN p" );
+        (* each search reads the other's path: whichever runs first
+           finds its variable unbound *)
+        ( m ^ ": two searches reading each other's paths name the unbound \
+               variable",
+          expect_error ~contains:"references the unbound variable" mode g
+            "MATCH (a:P {name:'a'}), (d:P {name:'d'}) MATCH p = \
+             shortestPath((a)-[:F* {w: q.w}]->(d)), q = \
+             shortestPath((d)-[:G* {w: p.w}]->(a)) RETURN p" );
         ( m ^ ": shortestPath in CREATE is rejected",
           expect_error mode g "CREATE shortestPath((a)-[:R*]->(b))" );
         ( m ^ ": regex in CREATE is rejected",
@@ -293,6 +301,30 @@ let error_cases =
            length(p) AS l"
           [ "w"; "l" ]
           [ [ ("w", vint 1); ("l", vint 2) ]; [ ("w", vint 5); ("l", vint 1) ] ] );
+      (* [k] is bound by the pattern written before the search, so the
+         search keeps its written place: the reference evaluator nests
+         k, then p, then x. *)
+      ( "a path predicate reading an earlier pattern's variable keeps the \
+         tuple's order",
+        fun () ->
+          let g =
+            (Engine.run_exn g
+               "CREATE (:K {w: 1}), (:K {w: 5}), (:X {v: 1}), (:X {v: 2})")
+              .Engine.graph
+          in
+          let row w names v =
+            [ ("w", vint w); ("p", vlist (List.map vstr names)); ("v", vint v) ]
+          in
+          expect_ordered g
+            "MATCH (a:P {name:'a'}), (d:P {name:'d'}) MATCH (k:K), p = \
+             allShortestPaths((a)-[:F* {w: k.w}]->(d)), (x:X) RETURN k.w AS \
+             w, [n IN nodes(p) | n.name] AS p, x.v AS v"
+            [ "w"; "p"; "v" ]
+            [
+              row 1 [ "a"; "c"; "d" ] 1; row 1 [ "a"; "c"; "d" ] 2;
+              row 1 [ "a"; "b"; "d" ] 1; row 1 [ "a"; "b"; "d" ] 2;
+              row 5 [ "a"; "d" ] 1; row 5 [ "a"; "d" ] 2;
+            ] );
     ]
 
 (* --- planner integration ---------------------------------------------- *)
