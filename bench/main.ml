@@ -2246,9 +2246,10 @@ let b21 () =
    workload's curated-pair generator (the first 64 shortestPath pairs a
    run with seed 1 sends, then 16 cheapestPath pairs) on the same graph.  Per query: the kernel's time with the engine's neighbour
    function ([Eval.search_neighbours], FRIEND in both directions, cost
-   [since] for the cheapest search) and with a bare [Graph.adjacent] one,
-   the adjacency lists and relationships a search reads, and the time
-   the engine's neighbour function alone takes on those lists —
+   [since] for the cheapest search) and with a bare [Graph.iter_adjacent]
+   one (no type filter), the adjacency reads (one per node a side
+   expands) and relationships a search makes, and the time the engine's
+   neighbour function alone takes to enumerate those nodes —
    enumeration's share of the kernel.  Each figure is the median over
    11 runs of all pairs. *)
 let b22_paths d g =
@@ -2275,10 +2276,8 @@ let b22_paths d g =
     Eval.search_neighbours cfg g Cypher_table.Record.empty ~types:[ "FRIEND" ]
       ~props:[] ~cost Cypher_ast.Ast.Undirected
   in
-  let bare cost n =
-    List.map
-      (fun rd -> (rd.Graph.rel_id, Graph.far_end rd n, cost rd))
-      (Graph.adjacent g n `Both)
+  let bare cost n f =
+    Graph.iter_adjacent g n `Both Graph.any_type (fun r m d -> f r m (cost d))
   in
   let shortest (fwd, bwd) (s, e) =
     Path_search.shortest ~bwd fwd s e ~kmin:1 ~kmax ~all:false ~accept:(fun _ -> true)
@@ -2293,13 +2292,12 @@ let b22_paths d g =
   in
   let report name pairs search cost =
     let fwd, bwd = engine cost in
-    (* one untimed pass records the lists each search reads *)
+    (* one untimed pass records the nodes each search expands *)
     let reads = ref [] and rels = ref 0 in
-    let counted next n =
-      let l = next n in
+    let counted next n f =
       reads := (next, n) :: !reads;
-      rels := !rels + List.length (Graph.adjacent g n `Both);
-      l
+      rels := !rels + Graph.degree g n `Both;
+      next n f
     in
     List.iter (search (counted fwd, counted bwd)) pairs;
     let reads = List.rev !reads and q = float (List.length pairs) in
@@ -2307,12 +2305,13 @@ let b22_paths d g =
     let bare_us = us_per_query pairs (search (bare cost, bare cost)) in
     let enumeration =
       us_per_query [ () ] (fun () ->
-          List.iter (fun (next, n) -> ignore (Sys.opaque_identity (next n))) reads)
+          List.iter (fun (next, n) -> next n (fun _ _ w -> ignore (Sys.opaque_identity w)))
+            reads)
       /. q
     in
     Printf.printf
       "  %-9s kernel %7.1f us/query  bare adjacency %7.1f us  enumeration %6.1f us  \
-       %6.1f lists %7.1f rels read per query\n%!"
+       %6.1f adjacency reads %7.1f rels read per query\n%!"
       name kernel bare_us enumeration
       (float (List.length reads) /. q)
       (float !rels /. q)
@@ -2325,7 +2324,7 @@ let b22_paths d g =
 (* What finding a record costs, on the standing benchmark's social graph
    after a snapshot round trip (the store a loaded server reads): the two
    [node_data] reads a label scan makes per person, that scan through the
-   engine, and one outgoing adjacency read per node.  Each figure is the
+   engine, and one outgoing adjacency enumeration per node.  Each figure is the
    median of 51 timed runs. *)
 let b22 () =
   let people = 20_000 and reps = 51 in
@@ -2365,14 +2364,16 @@ let b22 () =
   let adjacent_ms =
     median_ms (fun () ->
         List.iter
-          (fun n -> ignore (Sys.opaque_identity (Graph.adjacent g n `Out)))
+          (fun n ->
+            Graph.iter_adjacent g n `Out Graph.any_type (fun _ m _ ->
+                ignore (Sys.opaque_identity m)))
           all)
   in
   Printf.printf
     "\nB22 store lookups, %d people, %d relationships (median of %d runs)\n\
     \  two node_data per Person   %8.3f ms  (%.1f ns per lookup)\n\
     \  label scan, Engine.run     %8.3f ms\n\
-    \  adjacent `Out, every node  %8.3f ms\n%!"
+    \  iter_adjacent `Out, all     %8.3f ms\n%!"
     people (Graph.rel_count g) reps lookups_ms
     (lookups_ms *. 1e6 /. float (2 * List.length persons))
     scan_ms adjacent_ms;

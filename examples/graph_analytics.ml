@@ -63,17 +63,17 @@ let () =
 
   (* weighted routing over a transport-style grid *)
   let grid = Generate.grid ~rows:6 ~cols:6 ~rel_type:"ROAD" in
-  let weight r =
+  let weight (d : Graph.rel_data) =
     (* pretend congestion: weight by target column *)
-    match Graph.node_prop grid (Graph.tgt grid r) "col" with
+    match Graph.node_prop grid d.tgt "col" with
     | Value.Int c -> 1. +. (0.2 *. float_of_int c)
     | _ -> 1.
   in
-  let along rels end_of n = List.map (fun r -> (r, end_of grid r, weight r)) (rels grid n) in
+  let along dir n f =
+    Graph.iter_adjacent grid n dir Graph.any_type (fun r m d -> f r m (weight d))
+  in
   match
-    Cypher_algos.Path_search.cheapest
-      ~fwd:(along Graph.out_rels Graph.tgt)
-      ~bwd:(along Graph.in_rels Graph.src)
+    Cypher_algos.Path_search.cheapest ~fwd:(along `Out) ~bwd:(along `In)
       (Ids.node_of_int 1) (Ids.node_of_int 36)
   with
   | Some (cost, path) ->

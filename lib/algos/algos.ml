@@ -3,8 +3,9 @@ open Cypher_graph
 module Nmap = Ids.Node_map
 module Nset = Ids.Node_set
 
-let neighbours g dir n =
-  List.map (fun d -> Graph.far_end d n) (Graph.adjacent g n dir)
+(* [f m] for the far end [m] of each relationship at [n], in adjacency
+   order. *)
+let neighbours g dir n f = Graph.iter_adjacent g n dir Graph.any_type (fun _ m _ -> f m)
 
 let pagerank ?(damping = 0.85) ?(iterations = 50) ?(tolerance = 1e-9) g =
   let nodes = Graph.nodes g in
@@ -14,7 +15,7 @@ let pagerank ?(damping = 0.85) ?(iterations = 50) ?(tolerance = 1e-9) g =
     let base = (1. -. damping) /. float_of_int n in
     let init = 1. /. float_of_int n in
     let scores = ref (List.fold_left (fun m v -> Nmap.add v init m) Nmap.empty nodes) in
-    let out_degree v = List.length (Graph.adjacent g v `Out) in
+    let out_degree v = Graph.degree g v `Out in
     let converged = ref false in
     let iter = ref 0 in
     while (not !converged) && !iter < iterations do
@@ -30,13 +31,11 @@ let pagerank ?(damping = 0.85) ?(iterations = 50) ?(tolerance = 1e-9) g =
       let next =
         List.fold_left
           (fun m v ->
-            let inflow =
-              List.fold_left
-                (fun acc (d : Graph.rel_data) ->
-                  let u = d.src in
-                  acc +. (Nmap.find u !scores /. float_of_int (out_degree u)))
-                0. (Graph.adjacent g v `In)
-            in
+            let inflow = ref 0. in
+            neighbours g `In v (fun u ->
+                inflow :=
+                  !inflow +. (Nmap.find u !scores /. float_of_int (out_degree u)));
+            let inflow = !inflow in
             Nmap.add v (base +. spread +. (damping *. inflow)) m)
           Nmap.empty nodes
       in
@@ -64,13 +63,11 @@ let weakly_connected_components g =
       Hashtbl.replace comp (Ids.node_to_int start) id;
       while not (Queue.is_empty queue) do
         let v = Queue.pop queue in
-        List.iter
-          (fun w ->
+        neighbours g `Both v (fun w ->
             if not (Hashtbl.mem comp (Ids.node_to_int w)) then begin
               Hashtbl.replace comp (Ids.node_to_int w) id;
               Queue.add w queue
             end)
-          (neighbours g `Both v)
       done
     end
   in
@@ -93,8 +90,7 @@ let strongly_connected_components g =
     incr counter;
     stack := v :: !stack;
     Hashtbl.replace on_stack (key v) true;
-    List.iter
-      (fun w ->
+    neighbours g `Out v (fun w ->
         if not (Hashtbl.mem index (key w)) then begin
           strongconnect w;
           Hashtbl.replace lowlink (key v)
@@ -103,8 +99,7 @@ let strongly_connected_components g =
         else if Hashtbl.mem on_stack (key w) && Hashtbl.find on_stack (key w)
         then
           Hashtbl.replace lowlink (key v)
-            (min (Hashtbl.find lowlink (key v)) (Hashtbl.find index (key w))))
-      (neighbours g `Out v);
+            (min (Hashtbl.find lowlink (key v)) (Hashtbl.find index (key w))));
     if Hashtbl.find lowlink (key v) = Hashtbl.find index (key v) then begin
       let id = !comp_count in
       incr comp_count;
@@ -133,13 +128,11 @@ let bfs_distances g ~from ?(direction = `Out) () =
   while not (Queue.is_empty queue) do
     let v = Queue.pop queue in
     let d = Hashtbl.find dist (Ids.node_to_int v) in
-    List.iter
-      (fun w ->
+    neighbours g direction v (fun w ->
         if not (Hashtbl.mem dist (Ids.node_to_int w)) then begin
           Hashtbl.replace dist (Ids.node_to_int w) (d + 1);
           Queue.add w queue
         end)
-      (neighbours g direction v)
   done;
   List.filter_map
     (fun v ->
@@ -149,8 +142,9 @@ let bfs_distances g ~from ?(direction = `Out) () =
     (Graph.nodes g)
 
 let undirected_neighbour_set g n =
-  List.fold_left (fun s w -> Nset.add w s) Nset.empty (neighbours g `Both n)
-  |> Nset.remove n
+  let s = ref Nset.empty in
+  neighbours g `Both n (fun w -> s := Nset.add w !s);
+  Nset.remove n !s
 
 let triangle_count g =
   (* each triangle {a,b,c} is counted once: a < b < c by id *)
@@ -178,7 +172,7 @@ let degree_histogram g =
   let tbl = Hashtbl.create 16 in
   List.iter
     (fun v ->
-      let d = Graph.degree g v in
+      let d = Graph.degree g v `Both in
       Hashtbl.replace tbl d (1 + try Hashtbl.find tbl d with Not_found -> 0))
     (Graph.nodes g);
   Hashtbl.fold (fun d c acc -> (d, c) :: acc) tbl []

@@ -1,7 +1,7 @@
 open Cypher_values
 
 type step = Ids.rel * Ids.node
-type 'w neighbours = Ids.node -> (Ids.rel * Ids.node * 'w) list
+type 'w neighbours = Ids.node -> (Ids.rel -> Ids.node -> 'w -> unit) -> unit
 
 exception Invalid_cost of float
 
@@ -211,20 +211,16 @@ let walks next ~accept ~kmax st s emit =
   let rec go st cur depth steps_rev =
     if accept depth st then emit cur (List.rev steps_rev) st;
     if depth < kmax then
-      List.iter
-        (fun (r, n, st') -> go st' n (depth + 1) ((r, n) :: steps_rev))
-        (next st cur)
+      next st cur (fun r n st' -> go st' n (depth + 1) ((r, n) :: steps_rev))
   in
   go st s 0 []
 
 (* Exhaustive iterative deepening: the relationship-distinct walks of
    the smallest length in [kmin, kmax] that has any. *)
 let deepening next s e ~kmin ~kmax ~all =
-  let unused used cur =
-    List.filter_map
-      (fun (r, n, _) ->
-        if Ids.Rel_set.mem r used then None else Some (r, n, Ids.Rel_set.add r used))
-      (next cur)
+  let unused used cur f =
+    next cur (fun r n _ ->
+        if not (Ids.Rel_set.mem r used) then f r n (Ids.Rel_set.add r used))
   in
   let found = ref [] in
   let l = ref (max 1 kmin) in
@@ -249,16 +245,14 @@ let level_bfs next s e ~kmax ~all =
   let rec level depth frontier =
     if depth >= kmax || frontier = [] then []
     else begin
-      let expansions =
-        List.concat_map
-          (fun (cur, steps_rev) ->
-            List.filter_map
-              (fun (r, n, _) ->
-                if find visited (key n) >= 0 then None
-                else Some (n, (r, n) :: steps_rev))
-              (next cur))
-          frontier
-      in
+      let expansions = ref [] in
+      List.iter
+        (fun (cur, steps_rev) ->
+          next cur (fun r n _ ->
+              if find visited (key n) < 0 then
+                expansions := (n, (r, n) :: steps_rev) :: !expansions))
+        frontier;
+      let expansions = List.rev !expansions in
       let completions =
         List.filter_map
           (fun (n, steps_rev) ->
@@ -334,8 +328,7 @@ let bidir_bfs ~fwd ~bwd s e ~kmax =
     let next = ref [] and size = ref 0 in
     List.iter
       (fun cur ->
-        List.iter
-          (fun (r, n, _) ->
+        side.next cur (fun r n _ ->
             let k = key n in
             let i = probe side.st k in
             if not (live side.st i) then begin
@@ -350,8 +343,7 @@ let bidir_bfs ~fwd ~bwd s e ~kmax =
                 match !best with
                 | Some (len, _) when len <= d + od -> ()
                 | _ -> best := Some (d + od, n)
-            end)
-          (side.next cur))
+            end))
       side.frontier;
     side.frontier <- List.rev !next;
     side.size <- !size;
@@ -445,8 +437,7 @@ let cheapest ~fwd ~bwd s e =
     let c = Float.Array.get st.hcost 0 and n = Ids.node_of_int st.hnode.(0) in
     drop st;
     st.mark.(find st (key n)) <- 1;
-    List.iter
-      (fun (r, m, w) ->
+    t.next n (fun r m w ->
         if not (w >= 0.0) then raise (Invalid_cost w);
         let c' = c +. w and km = key m in
         (let j = find other.st km in
@@ -462,7 +453,6 @@ let cheapest ~fwd ~bwd s e =
           set_parent st i r n;
           push st c' km
         end)
-      (t.next n)
   in
   let rec search () =
     if ready f.st && ready b.st then begin

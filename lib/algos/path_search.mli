@@ -27,25 +27,34 @@ open Cypher_values
 type step = Ids.rel * Ids.node
 (** One hop of a path: the relationship taken and the node it leads to. *)
 
-type 'w neighbours = Ids.node -> (Ids.rel * Ids.node * 'w) list
-(** The relationships a search may follow from a node, each with the
-    node at its other end and a payload ([unit] for the breadth-first
-    searches, the relationship's cost for {!cheapest}).  For a search
-    running backwards from the end node, "other end" is the node the
-    path comes from. *)
+type 'w neighbours = Ids.node -> (Ids.rel -> Ids.node -> 'w -> unit) -> unit
+(** [next n f] calls [f r m w] for each relationship [r] a search may
+    follow from [n], with [m] the node at its other end and [w] a payload
+    ([unit] for the breadth-first searches, the relationship's cost for
+    {!cheapest}).  For a search running backwards from the end node,
+    "other end" is the node the path comes from.
+
+    The order of the calls is the adjacency order the search sees:
+    returned paths and the tie-breaks among equal ones follow it, so a
+    neighbour function that keeps {!Cypher_graph.Graph.iter_adjacent}'s
+    order gives the same answers on every engine.  The search acts on
+    each neighbour as it is offered, before the next one; a neighbour
+    function may raise (a predicate or a cost that cannot evaluate), and
+    the exception ends the search with its state given back. *)
 
 exception Invalid_cost of float
 (** Raised by {!cheapest} when it relaxes a relationship whose cost is
     negative or NaN.  [+∞] is a valid cost. *)
 
 val walks :
-  ('s -> Ids.node -> (Ids.rel * Ids.node * 's) list) ->
+  ('s -> Ids.node -> (Ids.rel -> Ids.node -> 's -> unit) -> unit) ->
   accept:(int -> 's -> bool) -> kmax:int -> 's -> Ids.node ->
   (Ids.node -> step list -> 's -> unit) -> unit
 (** [walks next ~accept ~kmax st s emit] enumerates depth first the
     walks from [s] of at most [kmax] hops, threading a caller-owned
-    state: [next st n] lists the steps a walk in state [st] may take
-    from [n], each with the state after it.  Every walk of depth [d]
+    state: [next st n f] offers the steps a walk in state [st] may take
+    from [n], each with the state after it, as {!neighbours} does; the
+    walk descends into each step as it is offered.  Every walk of depth [d]
     whose state [st'] passes [accept d st'] is reported as
     [emit e steps st'], where [e] is its last node — before any of its
     extensions, and in adjacency order.

@@ -50,6 +50,17 @@ let quant_str = function
   | Q_none -> "none"
   | Q_single -> "single"
 
+(* Whether [text] begins with an identifier and then the IN keyword. *)
+let begins_var_in text =
+  let ident c =
+    (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+    || (c >= '0' && c <= '9')
+  in
+  let n = String.length text in
+  let i = ref 0 in
+  while !i < n && ident text.[!i] do incr i done;
+  !i > 0 && !i + 4 <= n && String.sub text !i 4 = " IN "
+
 (* Precedence levels, loosest to tightest, mirroring the parser:
    or < xor < and < not < comparison < add/sub < mul/div/mod < pow <
    unary minus < postfix (property access, index, slice) < atom. *)
@@ -115,12 +126,13 @@ let rec pp_prec level ppf e =
            pf ppf "%s: %a" k (pp_prec 0) v))
       kvs
   | E_list es ->
-    (* a singleton [x IN y] would re-parse as a comprehension binding x,
-       so the membership test is parenthesized *)
+    (* an element whose text begins [x IN ...] would re-parse as a
+       comprehension binding x — [x IN y], but also [x IN y AND z] — so
+       it is parenthesized *)
     let pp_elem ppf e =
-      match e with
-      | E_in (E_var _, _) -> pf ppf "(%a)" (pp_prec 0) e
-      | _ -> pp_prec 0 ppf e
+      let text = Format.asprintf "%a" (pp_prec 0) e in
+      if begins_var_in text then pf ppf "(%s)" text
+      else Format.pp_print_string ppf text
     in
     pf ppf "[%a]" (Format.pp_print_list ~pp_sep:comma pp_elem) es
   | E_fn (f, args) ->

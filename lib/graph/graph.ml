@@ -22,20 +22,41 @@ type rel_data = {
   rel_props : Value.t Smap.t;
 }
 
+(* One node's adjacency, packed: the "direct references from each node
+   via its edges to the related nodes" of Section 2.  Entries [0, n_out)
+   are the relationships the node is the source of, loops included, and
+   the rest those it is the target of, loops included; each part is
+   newest first.  Entry [i] holds the relationship's id at
+   [slots.(2i)], its far end and interned type at [slots.(2i + 1)]
+   (see {!pack}), and its record — physically the one [rel_map] holds —
+   at [recs.(i)], so a search reads the far end and filters the type
+   with no record dereference, and a consumer that needs properties
+   finds the record with no second lookup.  A block is never written
+   after a graph value holds it: every write builds a new one. *)
+type block = { n_out : int; slots : int array; recs : rel_data array }
+
+let empty_block = { n_out = 0; slots = [||]; recs = [||] }
+
+(* A type id takes the low [type_bits] bits of an entry's second slot
+   and the far end's id the rest, so node ids stay below 2^42. *)
+let type_bits = 20
+let type_mask = (1 lsl type_bits) - 1
+let max_node_id = max_int lsr type_bits
+
+let[@inline] pack far tid = (far lsl type_bits) lor tid
+
 (* The store maps are dense-id tries ({!Idmap}) keyed by the ids'
-   integers: a record or adjacency list is a few array reads away. *)
+   integers: a record or adjacency block is a few array reads away. *)
 type t = {
   node_map : node_data Idmap.t;
   rel_map : rel_data Idmap.t;
-  (* Adjacency lists: the relationship records themselves, in reverse
-     insertion order.  These are the "direct references from each node
-     via its edges to the related nodes" of Section 2: each entry is
-     physically the record [rel_map] holds under its [rel_id], so a
-     neighbour's other end, type and properties are read off the entry
-     with no second lookup.  Every update of a relationship rewrites its
-     record in all three places. *)
-  out_adj : rel_data list Idmap.t;
-  in_adj : rel_data list Idmap.t;
+  (* Every node's adjacency block, the shared [empty_block] for a node
+     with no relationships. *)
+  adj : block Idmap.t;
+  (* Relationship type ids, interned per lineage: a type keeps its id in
+     every graph value derived from the one that first filed it. *)
+  type_ids : int Smap.t;
+  n_type_ids : int;
   label_index : Ids.Node_set.t Smap.t;
   type_index : Ids.Rel_set.t Smap.t;
   (* (label, key) -> value -> nodes; maintained by every node update *)
@@ -80,10 +101,10 @@ type t = {
 
 (* PROFILE's cost unit: one "db hit" per store access — an entity-record
    fetch (node_data/rel_data, and everything routed through them:
-   property reads, labels, endpoints), an adjacency-list read, or an
-   index lookup.  An adjacency-list read hands out the relationship
-   records themselves, so reading a neighbour off it costs nothing
-   more.
+   property reads, labels, endpoints), an adjacency read (one per
+   direction: [`Both] reads two), or an index lookup.  An adjacency read
+   hands out each neighbour's far end, type and record, so reading a
+   neighbour off it costs nothing more.
 
    Counts are per thread ({!Cypher_obs.Per_thread}), so a profiled run
    reads only its own hits while other connections' threads — on its
@@ -141,8 +162,9 @@ let empty =
   {
     node_map = Idmap.empty;
     rel_map = Idmap.empty;
-    out_adj = Idmap.empty;
-    in_adj = Idmap.empty;
+    adj = Idmap.empty;
+    type_ids = Smap.empty;
+    n_type_ids = 0;
     label_index = Smap.empty;
     type_index = Smap.empty;
     prop_indexes = Pmap.empty;
@@ -291,8 +313,7 @@ let add_node ?(labels = []) ?(props = []) g =
     {
       g with
       node_map = Idmap.add (nkey id) data g.node_map;
-      out_adj = Idmap.add (nkey id) [] g.out_adj;
-      in_adj = Idmap.add (nkey id) [] g.in_adj;
+      adj = Idmap.add (nkey id) empty_block g.adj;
       label_index;
       label_counts;
       n_nodes = g.n_nodes + 1;
@@ -307,32 +328,88 @@ let mem_rel g r = Idmap.mem (rkey r) g.rel_map
 let rel_record rel_id ~src ~tgt ~rel_type rel_props =
   { rel_id; src; tgt; rel_type; rel_props }
 
-let adj_cons n d adj =
-  Idmap.update (nkey n)
-    (function None -> Some [ d ] | Some ds -> Some (d :: ds))
-    adj
+(* --- adjacency blocks -------------------------------------------------- *)
 
-let adj_remove n r adj =
-  Idmap.update (nkey n)
-    (function
-      | None -> None
-      | Some ds ->
-        Some (List.filter (fun d -> not (Ids.equal_rel r d.rel_id)) ds))
-    adj
+let block g n =
+  match Idmap.find (nkey n) g.adj with
+  | b -> b
+  | exception Not_found -> empty_block
 
-(* Swaps [old] for [d] in place, sharing the list's tail past it. *)
-let adj_replace n old d adj =
-  let rec swap = function
-    | [] -> []
-    | e :: tl -> if e == old then d :: tl else e :: swap tl
-  in
-  Idmap.update (nkey n) (Option.map swap) adj
+(* [g] with relationship type [t] interned, and its id. *)
+let intern_type g t =
+  match Smap.find_opt t g.type_ids with
+  | Some tid -> (g, tid)
+  | None ->
+    let tid = g.n_type_ids in
+    if tid > type_mask then invalid_arg "Graph: more than 2^20 relationship types";
+    ({ g with type_ids = Smap.add t tid g.type_ids; n_type_ids = tid + 1 }, tid)
+
+(* The second slot of [d]'s entry in the block of [n], one of its
+   endpoints: the other endpoint (for a loop, [n]) and the type id. *)
+let entry_end d n tid =
+  let far = if Ids.equal_node d.src n then d.tgt else d.src in
+  if nkey far > max_node_id then invalid_arg "Graph: node id beyond 2^42";
+  pack (nkey far) tid
+
+(* [b] with [d] filed first among its outgoing ([~out:true]) or its
+   incoming entries, [e] its second slot. *)
+let block_add ~out d e b =
+  let k = Array.length b.recs and at = if out then 0 else b.n_out in
+  let slots = Array.make (2 * (k + 1)) 0 and recs = Array.make (k + 1) d in
+  Array.blit b.slots 0 slots 0 (2 * at);
+  slots.(2 * at) <- rkey d.rel_id;
+  slots.((2 * at) + 1) <- e;
+  Array.blit b.slots (2 * at) slots (2 * (at + 1)) (2 * (k - at));
+  Array.blit b.recs 0 recs 0 at;
+  Array.blit b.recs at recs (at + 1) (k - at);
+  { n_out = (if out then b.n_out + 1 else b.n_out); slots; recs }
+
+(* [b] without the entries of relationship [r]: two for a loop. *)
+let block_remove r b =
+  let r = rkey r and k = Array.length b.recs in
+  let gone = ref 0 in
+  for i = 0 to k - 1 do
+    if b.slots.(2 * i) = r then incr gone
+  done;
+  if !gone = 0 then b
+  else if !gone = k then empty_block
+  else begin
+    let slots = Array.make (2 * (k - !gone)) 0
+    and recs = Array.make (k - !gone) b.recs.(0) in
+    let j = ref 0 and n_out = ref 0 in
+    for i = 0 to k - 1 do
+      if b.slots.(2 * i) <> r then begin
+        slots.(2 * !j) <- b.slots.(2 * i);
+        slots.((2 * !j) + 1) <- b.slots.((2 * i) + 1);
+        recs.(!j) <- b.recs.(i);
+        if i < b.n_out then incr n_out;
+        incr j
+      end
+    done;
+    { n_out = !n_out; slots; recs }
+  end
+
+(* [b] with [d] in place of its relationship's record: the int slots are
+   shared, the record array copied. *)
+let block_replace d b =
+  let r = rkey d.rel_id in
+  { b with recs = Array.mapi (fun i e -> if b.slots.(2 * i) = r then d else e) b.recs }
+
+let update_block n f adj = Idmap.update (nkey n) (Option.map f) adj
 
 let add_rel ~src ~tgt ~rel_type ?(props = []) g =
   if not (mem_node g src && mem_node g tgt) then
     invalid_arg "Graph.add_rel: endpoint not in graph";
   let id = Ids.rel_of_int g.next_rel in
   let data = rel_record id ~src ~tgt ~rel_type (props_of_list props) in
+  let g, tid = intern_type g rel_type in
+  let add_out = block_add ~out:true data (entry_end data src tid)
+  and add_in = block_add ~out:false data (entry_end data tgt tid) in
+  let adj =
+    if Ids.equal_node src tgt then
+      update_block src (fun b -> add_in (add_out b)) g.adj
+    else update_block tgt add_in (update_block src add_out g.adj)
+  in
   let type_index, type_counts =
     index_add_rel rel_type id (g.type_index, g.type_counts)
   in
@@ -341,8 +418,7 @@ let add_rel ~src ~tgt ~rel_type ?(props = []) g =
          {
            g with
            rel_map = Idmap.add (rkey id) data g.rel_map;
-           out_adj = adj_cons src data g.out_adj;
-           in_adj = adj_cons tgt data g.in_adj;
+           adj;
            type_index;
            type_counts;
            n_rels = g.n_rels + 1;
@@ -360,52 +436,96 @@ let rel_data g r =
 
 type direction = [ `Out | `In | `Both ]
 
-let adj_list adj n =
-  db_hit ();
-  try Idmap.find (nkey n) adj with Not_found -> []
+type type_filter = Any | Only of int list
 
-let adjacent g n (dir : [< direction ]) =
+let any_type = Any
+
+let type_filter g = function
+  | [] -> Any
+  | ts -> Only (List.filter_map (fun t -> Smap.find_opt t g.type_ids) ts)
+
+let rec admits tid = function [] -> false | t :: ts -> t = tid || admits tid ts
+
+(* Entries [lo, hi) of [b] that pass [types], minus those whose far end
+   is [skip]. *)
+let iter_range b lo hi ~skip types f =
+  for i = lo to hi - 1 do
+    let e = Array.unsafe_get b.slots ((2 * i) + 1) in
+    let far = e lsr type_bits in
+    if
+      far <> skip
+      && match types with Any -> true | Only ts -> admits (e land type_mask) ts
+    then
+      f
+        (Ids.rel_of_int (Array.unsafe_get b.slots (2 * i)))
+        (Ids.node_of_int far) (Array.unsafe_get b.recs i)
+  done
+
+let iter_adjacent g n (dir : [< direction ]) types f =
+  let b = block g n in
+  let k = Array.length b.recs in
   match dir with
-  | `Out -> adj_list g.out_adj n
-  | `In -> adj_list g.in_adj n
+  | `Out ->
+    db_hit ();
+    iter_range b 0 b.n_out ~skip:(-1) types f
+  | `In ->
+    db_hit ();
+    iter_range b b.n_out k ~skip:(-1) types f
   | `Both ->
-    (* loops already appear among the outgoing records *)
-    adj_list g.out_adj n
-    @ List.filter
-        (fun d -> not (Ids.equal_node d.src n))
-        (adj_list g.in_adj n)
+    (* a loop's incoming entry repeats its outgoing one *)
+    db_hit_n 2;
+    iter_range b 0 b.n_out ~skip:(-1) types f;
+    iter_range b b.n_out k ~skip:(nkey n) types f
 
-let far_end d n = if Ids.equal_node d.src n then d.tgt else d.src
+let degree g n (dir : [< direction ]) =
+  let b = block g n in
+  let k = Array.length b.recs in
+  match dir with
+  | `Out ->
+    db_hit ();
+    b.n_out
+  | `In ->
+    db_hit ();
+    k - b.n_out
+  | `Both ->
+    db_hit_n 2;
+    let c = ref b.n_out in
+    for i = b.n_out to k - 1 do
+      if b.slots.((2 * i) + 1) lsr type_bits <> nkey n then incr c
+    done;
+    !c
 
-let rel_ids ds = List.map (fun d -> d.rel_id) ds
-let out_rels g n = rel_ids (adjacent g n `Out)
-let in_rels g n = rel_ids (adjacent g n `In)
-(* [degree] and [delete_node] read the two lists as [`Both] does, at
-   the same two hits, without building the joined list. *)
-let degree g n =
-  let outs = adjacent g n `Out and ins = adjacent g n `In in
-  List.fold_left
-    (fun c d -> if Ids.equal_node d.src n then c else c + 1)
-    (List.length outs) ins
+(* [g] without relationship [data] — record, type index entry and the
+   entries in its endpoints' blocks, but for the block of [skip] —
+   journalled but not stamped. *)
+let unlink ?skip g data =
+  let r = data.rel_id in
+  let type_index, type_counts =
+    index_remove_rel data.rel_type r (g.type_index, g.type_counts)
+  in
+  let drop n adj =
+    match skip with
+    | Some s when Ids.equal_node s n -> adj
+    | _ -> update_block n (block_remove r) adj
+  in
+  let adj =
+    if Ids.equal_node data.src data.tgt then drop data.src g.adj
+    else drop data.tgt (drop data.src g.adj)
+  in
+  jrel r
+    {
+      g with
+      rel_map = Idmap.remove (rkey r) g.rel_map;
+      adj;
+      type_index;
+      type_counts;
+      n_rels = g.n_rels - 1;
+    }
 
 let delete_rel g r =
   match Idmap.find_opt (rkey r) g.rel_map with
   | None -> g
-  | Some data ->
-    let type_index, type_counts =
-      index_remove_rel data.rel_type r (g.type_index, g.type_counts)
-    in
-    stamp
-      (jrel r
-         {
-           g with
-           rel_map = Idmap.remove (rkey r) g.rel_map;
-           out_adj = adj_remove data.src r g.out_adj;
-           in_adj = adj_remove data.tgt r g.in_adj;
-           type_index;
-           type_counts;
-           n_rels = g.n_rels - 1;
-         })
+  | Some data -> stamp (unlink g data)
 
 let remove_node_raw g n =
   match Idmap.find_opt (nkey n) g.node_map with
@@ -423,32 +543,39 @@ let remove_node_raw g n =
          {
            g with
            node_map = Idmap.remove (nkey n) g.node_map;
-           out_adj = Idmap.remove (nkey n) g.out_adj;
-           in_adj = Idmap.remove (nkey n) g.in_adj;
+           adj = Idmap.remove (nkey n) g.adj;
            label_index;
            label_counts;
            n_nodes = g.n_nodes - 1;
          })
 
+(* Reads both parts of the node's block: two hits, as [`Both]. *)
 let delete_node g n =
   if not (mem_node g n) then Ok g
-  else if
-    match (adjacent g n `Out, adjacent g n `In) with
-    | [], [] -> false
-    | _ -> true
-  then
-    Error
-      (Format.asprintf
-         "cannot delete %a: it still has relationships (use DETACH DELETE)"
-         Ids.pp_node n)
-  else Ok (remove_node_raw g n)
+  else begin
+    db_hit_n 2;
+    if Array.length (block g n).recs > 0 then
+      Error
+        (Format.asprintf
+           "cannot delete %a: it still has relationships (use DETACH DELETE)"
+           Ids.pp_node n)
+    else Ok (remove_node_raw g n)
+  end
 
+(* Each incident relationship leaves its far end's block; the node's
+   own block goes with the node. *)
 let detach_delete_node g n =
   if not (mem_node g n) then g
-  else
-    let incident = adjacent g n `Both in
-    let g = List.fold_left (fun g d -> delete_rel g d.rel_id) g incident in
-    remove_node_raw g n
+  else begin
+    db_hit_n 2;
+    let b = block g n in
+    let g = ref g in
+    Array.iteri
+      (fun i d ->
+        if i < b.n_out || not (Ids.equal_node d.src n) then g := unlink ~skip:n !g d)
+      b.recs;
+    remove_node_raw !g n
+  end
 
 let update_node g n f =
   match Idmap.find_opt (nkey n) g.node_map with
@@ -459,22 +586,20 @@ let update_node g n f =
     let g = { g with node_map = Idmap.add (nkey n) new_data g.node_map } in
     stamp (jnode n (pidx_update ~add:true g n new_data))
 
-(* [f] keeps the id and endpoints; the new record replaces the old one
-   in [rel_map] and in both endpoint lists, while older graph values keep
-   the old record everywhere. *)
+(* [f] keeps the id, endpoints and type; the new record replaces the old
+   one in [rel_map] and in both endpoint blocks, while older graph values
+   keep the old record everywhere. *)
 let update_rel g r f =
   match Idmap.find_opt (rkey r) g.rel_map with
   | None -> g
   | Some old ->
     let d = f old in
-    stamp
-      (jrel r
-         {
-           g with
-           rel_map = Idmap.add (rkey r) d g.rel_map;
-           out_adj = adj_replace old.src old d g.out_adj;
-           in_adj = adj_replace old.tgt old d g.in_adj;
-         })
+    let adj = update_block old.src (block_replace d) g.adj in
+    let adj =
+      if Ids.equal_node old.src old.tgt then adj
+      else update_block old.tgt (block_replace d) adj
+    in
+    stamp (jrel r { g with rel_map = Idmap.add (rkey r) d g.rel_map; adj })
 
 let set_node_prop g n k v =
   update_node g n (fun d ->
@@ -514,15 +639,17 @@ let remove_label g n l =
 let labels g n = Sset.elements (node_data g n).labels
 let has_label g n l = Sset.mem l (node_data g n).labels
 
+(* Property reads allocate nothing: [Smap.find_opt] would box each value
+   found in an option. *)
 let node_prop g n k =
-  match Smap.find_opt k (node_data g n).node_props with
-  | Some v -> v
-  | None -> Value.Null
+  match Smap.find k (node_data g n).node_props with
+  | v -> v
+  | exception Not_found -> Value.Null
 
 let rel_prop g r k =
-  match Smap.find_opt k (rel_data g r).rel_props with
-  | Some v -> v
-  | None -> Value.Null
+  match Smap.find k (rel_data g r).rel_props with
+  | v -> v
+  | exception Not_found -> Value.Null
 
 let node_props g n = (node_data g n).node_props
 let rel_props g r = (rel_data g r).rel_props
@@ -542,7 +669,9 @@ let rels g =
 let node_count g = g.n_nodes
 let rel_count g = g.n_rels
 
-let other_end g r n = far_end (rel_data g r) n
+let other_end g r n =
+  let d = rel_data g r in
+  if Ids.equal_node d.src n then d.tgt else d.src
 
 (* Label and type scans, like whole-store scans, cost one hit per entity
    they surface (plus one for the index lookup itself). *)
@@ -591,13 +720,15 @@ let insert_node g n data =
   let label_index, label_counts =
     Sset.fold (fun l acc -> index_add_node l n acc) data.labels acc
   in
-  let adj m = if Idmap.mem (nkey n) m then m else Idmap.add (nkey n) [] m in
+  let adj =
+    if Idmap.mem (nkey n) g.adj then g.adj
+    else Idmap.add (nkey n) empty_block g.adj
+  in
   let g =
     {
       g with
       node_map = Idmap.add (nkey n) data g.node_map;
-      out_adj = adj g.out_adj;
-      in_adj = adj g.in_adj;
+      adj;
       label_index;
       label_counts;
       n_nodes = (if fresh then g.n_nodes + 1 else g.n_nodes);
@@ -605,6 +736,18 @@ let insert_node g n data =
     }
   in
   stamp (jnode n (pidx_update ~add:true g n data))
+
+(* A block [insert_rels] rebuilds: the node's old block, the entries
+   each part gains (counted up, then counted down as they are filled),
+   and the new block's outgoing count and arrays. *)
+type refill = {
+  old : block;
+  mutable n_new_out : int;
+  mutable n_new_in : int;
+  mutable n_out : int;
+  mutable slots : int array;
+  mutable recs : rel_data array;
+}
 
 (* The records of [ds] grouped by [key], each group newest first. *)
 let group_by key ds =
@@ -618,7 +761,7 @@ let group_by key ds =
   groups
 
 (* The same graph as inserting the records one by one, but each endpoint
-   list and type set is updated once per batch rather than once per
+   block and type set is updated once per batch rather than once per
    record: a snapshot load files every relationship through here. *)
 let insert_rels g ds =
   List.iter
@@ -637,13 +780,71 @@ let insert_rels g ds =
           m)
       g.rel_map ds
   in
-  let prepend key adj =
+  let g = List.fold_left (fun g d -> fst (intern_type g d.rel_type)) g ds in
+  (* Each endpoint's block is rebuilt once: counted, sized with its old
+     entries in place, then filled from the back of each part, so the
+     last record of the batch comes first. *)
+  let fresh = Hashtbl.create 64 in
+  let count n ~out =
+    let f =
+      match Hashtbl.find fresh (nkey n) with
+      | f -> f
+      | exception Not_found ->
+        let f =
+          { old = block g n; n_new_out = 0; n_new_in = 0; n_out = 0; slots = [||];
+            recs = [||] }
+        in
+        Hashtbl.add fresh (nkey n) f;
+        f
+    in
+    if out then f.n_new_out <- f.n_new_out + 1 else f.n_new_in <- f.n_new_in + 1
+  in
+  List.iter
+    (fun d ->
+      count d.src ~out:true;
+      count d.tgt ~out:false)
+    ds;
+  Hashtbl.iter
+    (fun _ f ->
+      let b = f.old and d = List.hd ds in
+      let k = Array.length b.recs in
+      let len = k + f.n_new_out + f.n_new_in in
+      f.n_out <- b.n_out + f.n_new_out;
+      let in_at = f.n_out + f.n_new_in in
+      f.slots <- Array.make (2 * len) 0;
+      f.recs <- Array.make len d;
+      Array.blit b.slots 0 f.slots (2 * f.n_new_out) (2 * b.n_out);
+      Array.blit b.recs 0 f.recs f.n_new_out b.n_out;
+      Array.blit b.slots (2 * b.n_out) f.slots (2 * in_at) (2 * (k - b.n_out));
+      Array.blit b.recs b.n_out f.recs in_at (k - b.n_out))
+    fresh;
+  let put d n ~out tid =
+    let f = Hashtbl.find fresh (nkey n) in
+    let i =
+      if out then begin
+        f.n_new_out <- f.n_new_out - 1;
+        f.n_new_out
+      end
+      else begin
+        f.n_new_in <- f.n_new_in - 1;
+        f.n_out + f.n_new_in
+      end
+    in
+    f.slots.(2 * i) <- rkey d.rel_id;
+    f.slots.((2 * i) + 1) <- entry_end d n tid;
+    f.recs.(i) <- d
+  in
+  List.iter
+    (fun d ->
+      let tid = Smap.find d.rel_type g.type_ids in
+      put d d.src ~out:true tid;
+      put d d.tgt ~out:false tid)
+    ds;
+  let adj =
     Hashtbl.fold
-      (fun n group adj ->
-        Idmap.update (nkey n)
-          (fun old -> Some (group @ Option.value ~default:[] old))
-          adj)
-      (group_by key ds) adj
+      (fun n f adj ->
+        Idmap.add n { n_out = f.n_out; slots = f.slots; recs = f.recs } adj)
+      fresh g.adj
   in
   let type_index, type_counts =
     Hashtbl.fold
@@ -665,8 +866,7 @@ let insert_rels g ds =
     {
       g with
       rel_map;
-      out_adj = prepend (fun d -> d.src) g.out_adj;
-      in_adj = prepend (fun d -> d.tgt) g.in_adj;
+      adj;
       type_index;
       type_counts;
       n_rels = g.n_rels + List.length ds;

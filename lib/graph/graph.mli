@@ -11,15 +11,19 @@
     relationships, which is the structural property the paper ascribes to
     Neo4j's store: the Expand operator "never needs to read any
     unnecessary data, or proceed via an indirection such as an index in
-    order to find related nodes" (Section 2).  An adjacency entry is the
-    relationship's own record, so the far end, type and properties of a
-    neighbour are read off the entry, not looked up by id.
+    order to find related nodes" (Section 2).  Each node has one packed
+    adjacency block: per incident relationship its id, far end, interned
+    type and record, in flat arrays, so a neighbour's far end and type
+    are read off the block with no record dereference and its
+    properties off the record with no lookup by id (see
+    {!iter_adjacent}).
 
-    Node records, relationship records and both adjacency lists are
-    filed in {!Idmap} tries keyed by the ids' integers: a lookup is one
-    array read per five bits of id, and an update copies only the arrays
-    on its key's path, so every published graph value can be read from
-    any domain with no lock. *)
+    Node records, relationship records and adjacency blocks are filed in
+    {!Idmap} tries keyed by the ids' integers: a lookup is one array read
+    per five bits of id, and an update copies only the arrays on its
+    key's path — and builds new blocks, never writing one a graph value
+    holds — so every published graph value can be read from any domain
+    with no lock. *)
 
 open Cypher_values
 
@@ -56,10 +60,11 @@ val version : t -> int
     access — an entity-record fetch ([node_data]/[rel_data] and every
     reader routed through them, e.g. property and label reads), one per
     entity surfaced by a scan ([nodes], [nodes_with_label], …), an
-    adjacency-list read, or an index lookup.  An adjacency-list read
-    ({!adjacent}) costs one hit per list, however many neighbours it
-    yields: its entries are the relationship records, so reading a
-    neighbour off them costs none.  Counting is on while any profiled run
+    adjacency read, or an index lookup.  An adjacency read
+    ({!iter_adjacent}, {!degree}) costs one hit per direction — two for
+    [`Both] — however many neighbours it yields: the block holds each
+    neighbour's far end, type and record, so reading a neighbour off it
+    costs none.  Counting is on while any profiled run
     is in flight and costs one atomic load per access when off.  Counts
     are kept per thread, so a profiled run reads exactly its own hits
     however many other threads, on any domain, touch the store meanwhile;
@@ -93,7 +98,9 @@ val add_rel :
   src:Ids.node -> tgt:Ids.node -> rel_type:string ->
   ?props:(string * Value.t) list -> t -> t * Ids.rel
 (** Allocates a fresh relationship.  Raises [Invalid_argument] if either
-    endpoint is not in the graph. *)
+    endpoint is not in the graph, if an endpoint's id is 2^42 or more, or
+    if the type would be the lineage's 2^20 + 1st (the limits of the
+    packed adjacency, see {!iter_adjacent}). *)
 
 val delete_node : t -> Ids.node -> (t, string) result
 (** Fails if the node still has incident relationships (Cypher's DELETE
@@ -108,7 +115,7 @@ val set_node_prop : t -> Ids.node -> string -> Value.t -> t
 val set_rel_prop : t -> Ids.rel -> string -> Value.t -> t
 (** Like {!set_node_prop}, an update of an id outside the graph returns
     the graph unchanged, version included.  Older graph values keep the
-    old record, in [rel_data] and in both adjacency lists alike. *)
+    old record, in [rel_data] and in both endpoints' adjacency alike. *)
 
 val remove_node_prop : t -> Ids.node -> string -> t
 val remove_rel_prop : t -> Ids.rel -> string -> t
@@ -147,30 +154,44 @@ val rels : t -> Ids.rel list
 val node_count : t -> int
 val rel_count : t -> int
 
-(** {1 Adjacency — the substrate of Expand} *)
+(** {1 Adjacency — the substrate of Expand}
+
+    A node's block holds its outgoing relationships, loops included,
+    then its incoming ones, loops included, each part newest first
+    (a relationship re-filed by {!insert_rels} counts as new).  Writes
+    build new blocks in time linear in the degree of the endpoints they
+    touch; {!set_rel_prop} shares a block's int arrays and copies only
+    its record array. *)
 
 type direction = [ `Out | `In | `Both ]
 
-val adjacent : t -> Ids.node -> [< direction ] -> rel_data list
-(** The records of the relationships incident to the node: those whose
-    source it is ([`Out]), whose target it is ([`In]), or either
-    ([`Both]: the outgoing, then the incoming that are not loops), each
-    list newest first.  Each is physically the record {!rel_data}
-    returns.  One db hit per list read — two for [`Both] — and none per
-    relationship. *)
+type type_filter
+(** A set of relationship types resolved against one graph's interned
+    type ids: a filter tests an entry's type with integer comparisons,
+    never a string one.  Type ids are stable along a lineage, so a
+    filter stays valid for the graph it was built from and every graph
+    derived from it, but admits a type only if that graph had it. *)
 
-val far_end : rel_data -> Ids.node -> Ids.node
-(** [far_end d n] is the endpoint of [d] that is not [n]; for a loop,
-    [n] itself. *)
+val any_type : type_filter
+val type_filter : t -> string list -> type_filter
+(** [type_filter g ts]: the types [ts] of [g]; [[]] admits every type. *)
 
-val out_rels : t -> Ids.node -> Ids.rel list
-(** The ids of [adjacent g n `Out]. *)
+val iter_adjacent :
+  t -> Ids.node -> [< direction ] -> type_filter ->
+  (Ids.rel -> Ids.node -> rel_data -> unit) -> unit
+(** [iter_adjacent g n dir types f] calls [f r m d] for every
+    relationship [r] incident to [n] whose type [types] admits, with [m]
+    its other end ([n] for a loop) and [d] its record, physically the
+    one {!rel_data} returns: those whose source [n] is ([`Out]), whose
+    target it is ([`In]), or either ([`Both]: the outgoing, then the
+    incoming that are not loops), each newest first.  Nothing is
+    allocated and no record is read.  One db hit per direction read —
+    two for [`Both] — and none per relationship.  A node outside the
+    graph has no relationships. *)
 
-val in_rels : t -> Ids.node -> Ids.rel list
-(** The ids of [adjacent g n `In]. *)
-
-val degree : t -> Ids.node -> int
-(** Incident relationships in either direction, loops counted once. *)
+val degree : t -> Ids.node -> [< direction ] -> int
+(** The number of relationships {!iter_adjacent} enumerates for the
+    direction with {!any_type}, at the same db hits. *)
 
 val other_end : t -> Ids.rel -> Ids.node -> Ids.node
 (** The endpoint of [r] that is not [n]; for a loop, [n] itself. *)
@@ -221,11 +242,11 @@ val rel_record :
 val insert_rels : t -> rel_data list -> t
 (** Inserts (or replaces) each relationship under its record's
     [rel_id], with the result of inserting them one by one in list
-    order, but with one update per endpoint list rather than one per
-    relationship.  Endpoints must exist and the ids must be distinct
-    ([Invalid_argument] otherwise).  The records themselves are filed,
-    so a record taken from another graph of the same universe is shared,
-    not copied. *)
+    order, but with one rebuild per endpoint block rather than one per
+    relationship.  Endpoints must exist and the ids must be distinct, and
+    the limits of {!add_rel} hold ([Invalid_argument] otherwise).  The
+    records themselves are filed, so a record taken from another graph
+    of the same universe is shared, not copied. *)
 
 (** {1 Identifier allocation}
 

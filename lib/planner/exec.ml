@@ -75,22 +75,27 @@ let rel_ids_reader scope binding =
 
 let graph_dir = function Plan.Out -> `Out | Plan.In -> `In | Plan.Both -> `Both
 
-(* The records of the relationships [n] expands along. *)
-let expand_candidates g ~scan_rels ~dir n =
-  if not scan_rels then Graph.adjacent g n (graph_dir dir)
+(* [f r m] for each relationship [r] of a type in [types] ([filter]
+   resolved) that [n] expands along, with [m] its far end. *)
+let expand_from g ~scan_rels ~dir ~types filter n f =
+  if not scan_rels then
+    Graph.iter_adjacent g n (graph_dir dir) filter (fun r m _ -> f r m)
   else
     (* Baseline without adjacency locality: scan every relationship in
        the graph and keep the incident ones. *)
-    List.filter_map
+    List.iter
       (fun r ->
         let (d : Graph.rel_data) = Graph.rel_data g r in
         let from_src = Ids.equal_node d.src n
         and to_tgt = Ids.equal_node d.tgt n in
-        match dir with
-        | Plan.Out when from_src -> Some d
-        | Plan.In when to_tgt -> Some d
-        | Plan.Both when from_src || to_tgt -> Some d
-        | _ -> None)
+        let incident =
+          match dir with
+          | Plan.Out -> from_src
+          | Plan.In -> to_tgt
+          | Plan.Both -> from_src || to_tgt
+        in
+        if incident && (types = [] || List.mem d.rel_type types) then
+          f r (if from_src then d.tgt else d.src))
       (Graph.rels g)
 
 (* [row] bound at slot [i] to each of [xs] in turn, then [rest]: one
@@ -385,16 +390,15 @@ let walk_rows ~bind_rel ~bind_to ~from_ ~dir ~hop ctx =
   fun input ->
     let (hop : Eval.hop) = hop cfg g in
     let adjacent, _ =
-      Eval.search_neighbours cfg g Record.empty ~types:[] ~props:[]
-        ~cost:(fun d -> d.Graph.rel_type) (ast_dir dir)
+      Eval.search_neighbours cfg g Record.empty ~types:hop.types ~props:[]
+        ~cost:Fun.id (ast_dir dir)
     in
-    let next (used, q) cur =
-      List.filter_map
-        (fun (r, n, t) ->
-          if Ids.Rel_set.mem r used then None
-          else
-            Option.map (fun q -> (r, n, (Ids.Rel_set.add r used, q))) (hop.step q t))
-        (adjacent cur)
+    let next (used, q) cur f =
+      adjacent cur (fun r n d ->
+          if not (Ids.Rel_set.mem r used) then
+            match hop.step q d with
+            | None -> ()
+            | Some q -> f r n (Ids.Rel_set.add r used, q))
     in
     Seq.concat_map
       (fun row ->
@@ -567,18 +571,22 @@ let compile ~input plan =
       let bind_to, scope = binder scope to_ in
       ( pipe (fun ctx ->
             let g = ctx.env.g in
+            let filter = Graph.type_filter g types in
             Seq.concat_map (fun row ->
                 match from_ row with
                 | None -> Seq.empty
                 | Some n ->
-                  let candidates = expand_candidates g ~scan_rels ~dir n in
-                  Seq.filter_map
-                    (fun (d : Graph.rel_data) ->
-                      if types <> [] && not (List.mem d.rel_type types) then None
-                      else
-                        Option.bind (bind_rel row (Value.Rel d.rel_id)) (fun row ->
-                            bind_to row (Value.Node (Graph.far_end d n))))
-                    (List.to_seq candidates))),
+                  (* one input row's expansions, built as its node's
+                     block is read *)
+                  let out = ref [] in
+                  expand_from g ~scan_rels ~dir ~types filter n (fun r m ->
+                      match bind_rel row (Value.Rel r) with
+                      | None -> ()
+                      | Some row -> (
+                        match bind_to row (Value.Node m) with
+                        | None -> ()
+                        | Some row -> out := row :: !out));
+                  List.to_seq (List.rev !out))),
         scope )
     | Plan.Var_expand { from_; rel; types; dir; min_len; max_len; to_; _ } ->
       let from_ = node_reader scope from_ in

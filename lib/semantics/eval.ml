@@ -22,20 +22,22 @@ let graph_direction = function
   | Right_to_left -> `In
   | Undirected -> `Both
 
-(* ι(r, k) read off a relationship record in hand. *)
+(* ι(r, k) read off a relationship record in hand, allocating nothing. *)
 let record_prop (d : Graph.rel_data) k =
-  Option.value ~default:Value.Null (Value.Smap.find_opt k d.rel_props)
+  match Value.Smap.find k d.rel_props with
+  | v -> v
+  | exception Not_found -> Value.Null
 
 (* The cost cheapestPath reads off one relationship's cost property:
    missing and non-numeric costs are typed errors here; negative and NaN
    costs are rejected by the search when it relaxes the relationship. *)
 let path_cost prop (d : Graph.rel_data) =
-  match Value.Smap.find_opt prop d.rel_props with
-  | Some (Value.Int i) -> float_of_int i
-  | Some (Value.Float f) -> f
-  | None | Some Value.Null ->
+  match record_prop d prop with
+  | Value.Int i -> float_of_int i
+  | Value.Float f -> f
+  | Value.Null ->
     eval_error "cheapestPath: relationship has no '%s' cost property" prop
-  | Some v ->
+  | v ->
     Value.type_error "cheapestPath: cost property '%s' is %s, expected a number"
       prop (Value.type_name v)
 
@@ -79,17 +81,20 @@ let max_hops cfg g = function
     | None -> Graph.rel_count g)
 
 type hop = {
+  types : string list;
   start : Type_regex.states;
-  step : Type_regex.states -> string -> Type_regex.states option;
+  step : Type_regex.states -> Graph.rel_data -> Type_regex.states option;
   ends : int -> Type_regex.states -> bool;
   kmax : int;
 }
 
-(* A plain hop reads no automaton: its state set stays empty. *)
+(* A plain hop's type filter is the adjacency's; it reads no automaton
+   and no record, and its state set stays empty. *)
 let type_filter_hop cfg g ~types ~min_len ~max_len =
   {
+    types;
     start = Type_regex.Int_set.empty;
-    step = (fun q t -> if types = [] || List.mem t types then Some q else None);
+    step = (fun q _ -> Some q);
     ends = (fun depth _ -> depth >= min_len);
     kmax = max_hops cfg g max_len;
   }
@@ -97,10 +102,11 @@ let type_filter_hop cfg g ~types ~min_len ~max_len =
 let regex_hop cfg g re =
   let nfa = Type_regex.compile re in
   {
+    types = [];
     start = Type_regex.start nfa;
     step =
-      (fun q t ->
-        let q' = Type_regex.step nfa q t in
+      (fun q (d : Graph.rel_data) ->
+        let q' = Type_regex.step nfa q d.rel_type in
         if Type_regex.is_empty q' then None else Some q');
     ends = (fun _ q -> Type_regex.accepting nfa q);
     kmax = max_hops cfg g None;
@@ -406,11 +412,13 @@ and eval_truth cfg g u e = truth_of_value (eval_expr cfg g u e)
 
 (* The filtered adjacency every path search runs on, forwards along
    [dir] and backwards against it: type filter and relationship property
-   predicates.  Each adjacency entry is the candidate's record and
-   supplies its type, other end, properties and [cost] with no further
-   store access (one db hit per list read); the predicate values depend
-   only on [u], so they are evaluated once per search, on the first
-   candidate that needs them.  A predicate that cannot evaluate is a
+   predicates.  The types are resolved once per search and tested on the
+   adjacency block itself; the candidate's record, in the block too,
+   supplies its properties and [cost] with no further store access (one
+   db hit per direction read), and is read only when there are
+   predicates or a cost to read.  The predicate values depend only on
+   [u], so they are evaluated once per search, on the first candidate
+   that needs them.  A predicate that cannot evaluate is a
    typed error — silently dropping every edge would turn a user mistake
    into an empty result — named as an unbound variable when it
    references one, and otherwise the evaluator's own error. *)
@@ -437,19 +445,16 @@ and search_neighbours :
              | None -> raise err))
          props)
   in
-  let step cur (d : Graph.rel_data) =
-    if
-      (types = [] || List.mem d.rel_type types)
-      && (props = []
-         || List.for_all
-              (fun (k, v) ->
-                Ternary.is_true (Value.equal_ternary (record_prop d k) v))
-              (Lazy.force expected))
-    then Some (d.rel_id, Graph.far_end d cur, cost d)
-    else None
-  in
-  let along dir cur =
-    List.filter_map (step cur) (Graph.adjacent g cur (graph_direction dir))
+  let types = Graph.type_filter g types in
+  let along dir cur f =
+    Graph.iter_adjacent g cur (graph_direction dir) types (fun r n d ->
+        if
+          props = []
+          || List.for_all
+               (fun (k, v) ->
+                 Ternary.is_true (Value.equal_ternary (record_prop d k) v))
+               (Lazy.force expected)
+        then f r n (cost d))
   in
   let against = function
     | Left_to_right -> Right_to_left
@@ -566,27 +571,27 @@ and match_pattern_tuple cfg g u patterns =
       else Some st
     in
     let adjacent, _ =
-      search_neighbours cfg g st.bnd ~types:[] ~props:[] ~cost:Fun.id rp.rp_dir
+      search_neighbours cfg g st.bnd ~types:hop.types ~props:[] ~cost:Fun.id
+        rp.rp_dir
     in
-    let next (st, q, inner) cur =
+    let next (st, q, inner) cur f =
       match visit st cur inner with
-      | None -> []
+      | None -> ()
       | Some st ->
-        List.filter_map
-          (fun (r, n, (d : Graph.rel_data)) ->
-            if track_rels && Ids.Rel_set.mem r st.used_rels then None
-            else
-              Option.bind (hop.step q d.rel_type) (fun q ->
-                  Option.map
-                    (fun st ->
-                      let st =
-                        if track_rels then
-                          { st with used_rels = Ids.Rel_set.add r st.used_rels }
-                        else st
-                      in
-                      (r, n, (st, q, true)))
-                    (check_props st (record_prop d) rp.rp_props)))
-          (adjacent cur)
+        adjacent cur (fun r n d ->
+            if not (track_rels && Ids.Rel_set.mem r st.used_rels) then
+              match hop.step q d with
+              | None -> ()
+              | Some q -> (
+                match check_props st (record_prop d) rp.rp_props with
+                | None -> ()
+                | Some st ->
+                  let st =
+                    if track_rels then
+                      { st with used_rels = Ids.Rel_set.add r st.used_rels }
+                    else st
+                  in
+                  f r n (st, q, true)))
     in
     Path_search.walks next
       ~accept:(fun depth (_, q, _) -> hop.ends depth q)
@@ -613,8 +618,8 @@ and match_pattern_tuple cfg g u patterns =
       search_neighbours cfg g st.bnd ~types:rp.rp_types ~props:rp.rp_props ~cost
         rp.rp_dir
     in
-    let unused next cur =
-      List.filter (fun (r, _, _) -> not (Ids.Rel_set.mem r st.used_rels)) (next cur)
+    let unused next cur f =
+      next cur (fun r n w -> if not (Ids.Rel_set.mem r st.used_rels) then f r n w)
     in
     if track_rels then (unused fwd, unused bwd) else (fwd, bwd)
   in

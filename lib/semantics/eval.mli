@@ -87,10 +87,13 @@ val max_hops : Config.t -> Graph.t -> int option -> int
     one, else [var_length_cap], else |R(G)|. *)
 
 type hop = {
+  types : string list;
+      (** the types the adjacency admits ([[]]: every type), filtered
+          before [step] sees a relationship *)
   start : Type_regex.states;
-  step : Type_regex.states -> string -> Type_regex.states option;
-      (** the state after reading one relationship type, or [None] when
-          the hop cannot read it *)
+  step : Type_regex.states -> Graph.rel_data -> Type_regex.states option;
+      (** the state after reading one relationship (its type), or [None]
+          when the hop cannot read it *)
   ends : int -> Type_regex.states -> bool;
       (** whether a walk of this many hops, in this state, may end *)
   kmax : int;
@@ -105,7 +108,7 @@ val type_filter_hop :
   max_len:int option -> hop
 (** A plain [[:A|B*min..max]] hop: a type filter ([[]] admits every
     type) that may end from [min_len] hops on, up to {!max_hops}.  No
-    automaton runs; the state set stays empty. *)
+    automaton runs and no record is read; the state set stays empty. *)
 
 val regex_hop : Config.t -> Graph.t -> Ast.type_regex -> hop
 (** A regex hop: the type regex's NFA, subset-simulated; a walk may end
@@ -119,9 +122,11 @@ val search_neighbours :
 (** [search_neighbours cfg g u ~types ~props ~cost dir]: the adjacency
     every path search and walk runs on, forwards along [dir] and
     backwards against it.  A relationship qualifies when its type is in
-    [types] (any, if empty) and each property in [props], evaluated
+    [types] (any, if empty; resolved once, and tested on the adjacency
+    block with no record read) and each property in [props], evaluated
     under [u], equals its own; its payload is [cost] of its record,
-    which is fetched once.  A predicate that cannot evaluate under [u]
+    which the adjacency block holds.  Neighbours are offered in
+    {!Graph.iter_adjacent}'s order.  A predicate that cannot evaluate under [u]
     raises {!Eval_error} when the search first needs it: naming the
     variable when it references one [u] does not bind, and otherwise
     the evaluator's own error (a missing parameter, an unknown

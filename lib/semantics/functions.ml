@@ -110,7 +110,7 @@ let fn_degree dir g = function
   | [ Value.Null ] -> Value.Null
   | [ v ] ->
     let n = as_node "degree" v in
-    Value.Int (List.length (Graph.adjacent g n dir))
+    Value.Int (Graph.degree g n dir)
   | _ -> assert false
 
 (* --- path functions ------------------------------------------------- *)

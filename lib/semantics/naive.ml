@@ -53,17 +53,25 @@ let rigid ~max_total (pp : path_pattern) =
 (* Path enumeration                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* The ids of the relationships [cur] is the source ([`Out]) or the
+   target ([`In]) of, in adjacency order; their endpoints are read back
+   from the records, not from the adjacency. *)
+let rels_at g cur dir =
+  let rs = ref [] in
+  Graph.iter_adjacent g cur dir Graph.any_type (fun r _ _ -> rs := r :: !rs);
+  List.rev !rs
+
 let step_candidates g cur =
   (* relationships incident to [cur] with the node on the far side; a
      relationship r may extend the path at cur when cur ∈ {src r, tgt r} *)
-  let out = List.map (fun r -> (r, Graph.tgt g r)) (Graph.out_rels g cur) in
+  let out = List.map (fun r -> (r, Graph.tgt g r)) (rels_at g cur `Out) in
   let inc =
     List.filter_map
       (fun r ->
         if Ids.equal_node (Graph.src g r) cur && Ids.equal_node (Graph.tgt g r) cur
         then None (* loop already covered by the out direction *)
         else Some (r, Graph.src g r))
-      (Graph.in_rels g cur)
+      (rels_at g cur `In)
   in
   out @ inc
 

@@ -89,10 +89,10 @@ let cheapest g s e =
     | Value.Float f -> f
     | _ -> 1.
   in
-  Path_search.cheapest
-    ~fwd:(fun n -> List.map (fun r -> (r, Graph.tgt g r, cost r)) (Graph.out_rels g n))
-    ~bwd:(fun n -> List.map (fun r -> (r, Graph.src g r, cost r)) (Graph.in_rels g n))
-    s e
+  let along dir n f =
+    Graph.iter_adjacent g n dir Graph.any_type (fun r m _ -> f r m (cost r))
+  in
+  Path_search.cheapest ~fwd:(along `Out) ~bwd:(along `In) s e
 
 let dijkstra () =
   (* a cheap long way and an expensive short way *)

@@ -160,6 +160,23 @@ let expr_roundtrip =
         Q.Test.fail_reportf "failed to re-parse %S: %s" printed
           (Printexc.to_string exn))
 
+(* A list whose first element's text begins [v IN ...] without being a
+   membership test at the top: the printer must parenthesize it, or the
+   parser reads a comprehension over [$v17 AND v12].  Shrunk from a
+   failing run of the property above. *)
+let list_of_in_and () =
+  let e =
+    E_arith
+      ( Sub,
+        E_not (E_index (E_list [], E_lit (L_string "xy"))),
+        E_list [ E_and (E_in (E_var "v16", E_param "v17"), E_var "v12") ] )
+  in
+  let printed = Cypher_ast.Pretty.expr_to_string e in
+  Alcotest.(check bool)
+    (Printf.sprintf "%S re-parses to the same AST" printed)
+    true
+    (Cypher_parser.Parser.parse_expr_exn printed = e)
+
 let pattern_roundtrip =
   Q.Test.make ~name:"pattern ASTs round-trip through print/parse" ~count:500
     (Q.make
@@ -176,4 +193,6 @@ let pattern_roundtrip =
           (Printexc.to_string exn))
 
 let suite =
-  List.map QCheck_alcotest.to_alcotest [ expr_roundtrip; pattern_roundtrip ]
+  Alcotest.test_case "a list's first element beginning v IN is parenthesized"
+    `Quick list_of_in_and
+  :: List.map QCheck_alcotest.to_alcotest [ expr_roundtrip; pattern_roundtrip ]

@@ -4,6 +4,15 @@ open Helpers
 open Cypher_values
 open Cypher_graph
 
+(* What [iter_adjacent] offers, in order: (relationship, far end, record). *)
+let entries g n dir =
+  let es = ref [] in
+  Graph.iter_adjacent g n dir Graph.any_type (fun r m d -> es := (r, m, d) :: !es);
+  List.rev !es
+
+let records g n dir = List.map (fun (_, _, d) -> d) (entries g n dir)
+let rel_ids g n dir = List.map (fun (r, _, _) -> r) (entries g n dir)
+
 let build_small () =
   let g = Graph.empty in
   let g, a = Graph.add_node ~labels:[ "A" ] ~props:[ ("v", vint 1) ] g in
@@ -26,9 +35,9 @@ let basics () =
 
 let adjacency () =
   let g, a, b, r = build_small () in
-  Alcotest.(check int) "out degree a" 1 (List.length (Graph.out_rels g a));
-  Alcotest.(check int) "in degree b" 1 (List.length (Graph.in_rels g b));
-  Alcotest.(check int) "in degree a" 0 (List.length (Graph.in_rels g a));
+  Alcotest.(check int) "out degree a" 1 (List.length (rel_ids g a `Out));
+  Alcotest.(check int) "in degree b" 1 (List.length (rel_ids g b `In));
+  Alcotest.(check int) "in degree a" 0 (List.length (rel_ids g a `In));
   Alcotest.(check bool) "other end" true
     (Ids.equal_node (Graph.other_end g r a) b);
   Alcotest.(check bool) "other end reversed" true
@@ -36,8 +45,7 @@ let adjacency () =
   (* loops appear once among the undirected entries *)
   let g, l = Graph.add_rel ~src:a ~tgt:a ~rel_type:"L" g in
   ignore l;
-  Alcotest.(check int) "loop counted once" 2
-    (List.length (Graph.adjacent g a `Both))
+  Alcotest.(check int) "loop counted once" 2 (List.length (entries g a `Both))
 
 let indexes () =
   let g, a, _b, r = build_small () in
@@ -60,7 +68,7 @@ let deletion () =
   | Error _ -> ());
   let g2 = Graph.delete_rel g r in
   Alcotest.(check int) "rel deleted" 0 (Graph.rel_count g2);
-  Alcotest.(check int) "adjacency updated" 0 (List.length (Graph.out_rels g2 a));
+  Alcotest.(check int) "adjacency updated" 0 (List.length (rel_ids g2 a `Out));
   (match Graph.delete_node g2 a with
   | Ok g3 -> Alcotest.(check int) "node deleted" 1 (Graph.node_count g3)
   | Error e -> Alcotest.fail e);
@@ -78,13 +86,13 @@ let persistence () =
   check_value "old version untouched" (vint 1) (Graph.node_prop g a "v")
 
 (* SET on a relationship replaces its record in [rel_data] and in both
-   adjacency lists of the new version; the old version keeps the old
-   record everywhere. *)
+   endpoints' adjacency of the new version; the old version keeps the
+   old record everywhere. *)
 let rel_update_persistence () =
   let g, a, b, r = build_small () in
   let g2 = Graph.set_rel_prop g r "w" (vint 9) in
   let entry g n dir =
-    match Graph.adjacent g n dir with
+    match records g n dir with
     | [ d ] -> d
     | ds -> Alcotest.failf "expected one entry, got %d" (List.length ds)
   in
@@ -190,7 +198,7 @@ let sparse_ids () =
       (Graph.equal_structure g g');
     Alcotest.(check (pair int int))
       "counters" (Graph.next_ids g) (Graph.next_ids g');
-    Alcotest.(check int) "far degree" 2 (Graph.degree g' (List.nth ns 2)));
+    Alcotest.(check int) "far degree" 2 (Graph.degree g' (List.nth ns 2) `Both));
   let base =
     Graph.reserve_ids Graph.empty ~next_node:(32768 - 3) ~next_rel:1023
   in
@@ -217,6 +225,20 @@ let sparse_ids () =
        (fun n ->
          match Graph.node_prop u n "i" with Value.Int i -> i | _ -> -1)
        (Graph.nodes_with_label u "B"))
+
+(* The packed adjacency keeps a far end's id in 42 bits: a relationship
+   reaching a node id beyond is refused, not filed under a wrong id. *)
+let node_id_limit () =
+  let g = Graph.reserve_ids Graph.empty ~next_node:((1 lsl 42) - 1) ~next_rel:1 in
+  let g, below = Graph.add_node g in
+  let g, beyond = Graph.add_node g in
+  let g, r = Graph.add_rel ~src:below ~tgt:below ~rel_type:"T" g in
+  Alcotest.(check (list int))
+    "a loop at 2^42 - 1" [ Ids.rel_to_int r ]
+    (List.map Ids.rel_to_int (rel_ids g below `Both));
+  Alcotest.check_raises "an endpoint at 2^42"
+    (Invalid_argument "Graph: node id beyond 2^42") (fun () ->
+      ignore (Graph.add_rel ~src:below ~tgt:beyond ~rel_type:"T" g))
 
 (* A deleted node's record and a deleted relationship's record are
    collectable once the graph that held them is gone, though the store
@@ -393,6 +415,22 @@ let gen_op =
 let pick xs i =
   match xs with [] -> None | _ -> Some (List.nth xs (i mod List.length xs))
 
+(* The records [Insert_foreign (h, i)] files into [g]: as Multigraph
+   copies relationships between graphs of one universe, the foreign
+   records themselves — a third of an earlier version's, some replacing
+   a relationship still in [g], some re-adding a deleted one. *)
+let foreign_records versions g h i =
+  let from_g = Option.get (pick versions h) in
+  List.filter_map
+    (fun r ->
+      let d = Graph.rel_data from_g r in
+      if
+        Ids.rel_to_int r mod 3 = i mod 3
+        && Graph.mem_node g d.src && Graph.mem_node g d.tgt
+      then Some d
+      else None)
+    (Graph.rels from_g)
+
 (* Applies [op] to the newest of [versions], keeping every version. *)
 let apply versions op =
   let g = List.hd versions in
@@ -420,22 +458,7 @@ let apply versions op =
       Option.fold ~none:g
         ~some:(fun n -> Result.value (Graph.delete_node g n) ~default:g)
         (pick (Graph.nodes g) i)
-    | Insert_foreign (h, i) ->
-      (* as Multigraph copies relationships between graphs of one
-         universe, the foreign records themselves are filed: a third of
-         an earlier version's, some replacing a relationship still in
-         [g], some re-adding a deleted one *)
-      let from_g = Option.get (pick versions h) in
-      Graph.insert_rels g
-        (List.filter_map
-           (fun r ->
-             let d = Graph.rel_data from_g r in
-             if
-               Ids.rel_to_int r mod 3 = i mod 3
-               && Graph.mem_node g d.src && Graph.mem_node g d.tgt
-             then Some d
-             else None)
-           (Graph.rels from_g))
+    | Insert_foreign (h, i) -> Graph.insert_rels g (foreign_records versions g h i)
     | Snapshot_round_trip -> (
       let module Snapshot = Cypher_storage.Snapshot in
       match Snapshot.decode (Snapshot.encode g) with
@@ -448,17 +471,17 @@ let rec ascending compare = function
   | a :: (b :: _ as tl) -> compare a b < 0 && ascending compare tl
   | _ -> true
 
-(* Every relationship's record sits exactly once in its source's out list
-   and once in its target's in list, physically the [rel_map] record and
-   filed under its own id, and the lists hold nothing else.  The id scans
-   ascend and agree with the maintained counts, and [degree] counts the
-   [`Both] list. *)
+(* Every relationship's record sits exactly once among its source's
+   outgoing entries and once among its target's incoming ones,
+   physically the [rel_map] record and filed under its own id, and the
+   adjacency holds nothing else.  The id scans ascend and agree with the
+   maintained counts, and [degree] counts the [`Both] entries. *)
 let adjacency_consistent g =
   let occurrences d ds = List.length (List.filter (fun e -> e == d) ds) in
   let nodes = Graph.nodes g and rels = Graph.rels g in
   let total dir =
     List.fold_left
-      (fun acc n -> acc + List.length (Graph.adjacent g n dir))
+      (fun acc n -> acc + List.length (records g n dir))
       0 nodes
   in
   ascending Ids.compare_node nodes
@@ -467,17 +490,17 @@ let adjacency_consistent g =
   && List.length rels = Graph.rel_count g
   && List.for_all
        (fun n ->
-         Graph.degree g n = List.length (Graph.adjacent g n `Both)
+         Graph.degree g n `Both = List.length (records g n `Both)
          && List.for_all
               (fun e -> e == Graph.rel_data g e.Graph.rel_id)
-              (Graph.adjacent g n `Out @ Graph.adjacent g n `In))
+              (records g n `Out @ records g n `In))
        nodes
   && List.for_all
     (fun r ->
       let d = Graph.rel_data g r in
       Ids.equal_rel d.rel_id r
-      && occurrences d (Graph.adjacent g d.src `Out) = 1
-      && occurrences d (Graph.adjacent g d.tgt `In) = 1)
+      && occurrences d (records g d.src `Out) = 1
+      && occurrences d (records g d.tgt `In) = 1)
     rels
   && total `Out = Graph.rel_count g
   && total `In = Graph.rel_count g
@@ -493,6 +516,92 @@ let t_adjacency_invariant =
       List.for_all adjacency_consistent
         (List.fold_left apply [ Graph.empty ] ops))
 
+(* --- adjacency against a model ------------------------------------- *)
+
+(* The relationship ids of [g'], newest filing first, after [op] took the
+   newest of [versions] (whose filing order was [order]) to [g']: a new
+   or re-filed relationship goes first, a snapshot load files them in id
+   order, and nothing else moves. *)
+let filing_order versions order op g' =
+  let g = List.hd versions in
+  match op with
+  | Add_rel _ -> List.filter (fun r -> not (Graph.mem_rel g r)) (Graph.rels g') @ order
+  | Insert_foreign (h, i) ->
+    let ids =
+      List.map (fun (d : Graph.rel_data) -> d.rel_id) (foreign_records versions g h i)
+    in
+    List.rev ids
+    @ List.filter (fun r -> not (List.exists (Ids.equal_rel r) ids)) order
+  | Snapshot_round_trip -> List.rev (Graph.rels g')
+  | _ -> List.filter (Graph.mem_rel g') order
+
+(* What [iter_adjacent] must offer at [n]: read off [rel_map] in filing
+   order, outgoing then incoming, a loop once in [`Both]. *)
+let model g order n dir types =
+  let pick end_ far =
+    List.filter_map
+      (fun r ->
+        let d = Graph.rel_data g r in
+        if Ids.equal_node (end_ d) n && (types = [] || List.mem d.rel_type types)
+        then Some (r, far d, d)
+        else None)
+      order
+  in
+  let out = pick (fun d -> d.src) (fun d -> d.tgt)
+  and inc = pick (fun d -> d.tgt) (fun d -> d.src) in
+  match dir with
+  | `Out -> out
+  | `In -> inc
+  | `Both -> out @ List.filter (fun (_, m, _) -> not (Ids.equal_node m n)) inc
+
+let matches_model (g, order) =
+  let next_node, _ = Graph.next_ids g in
+  let same (r, m, d) (r', m', d') =
+    Ids.equal_rel r r' && Ids.equal_node m m' && d == d'
+  in
+  List.for_all
+    (fun n ->
+      let n = Ids.node_of_int n in
+      List.for_all
+        (fun dir ->
+          Graph.degree g n dir = List.length (model g order n dir [])
+          && List.for_all
+               (fun types ->
+                 let got = ref [] in
+                 Graph.iter_adjacent g n dir (Graph.type_filter g types)
+                   (fun r m d -> got := (r, m, d) :: !got);
+                 List.equal same (List.rev !got) (model g order n dir types))
+               [ []; [ "A" ]; [ "B" ]; [ "B"; "A" ]; [ "Z" ] ])
+        [ `Out; `In; `Both ])
+    (List.init next_node Fun.id)
+
+let t_adjacency_model =
+  QCheck.Test.make ~count:200
+    ~name:"adjacency enumerates rel_map in filing order, in every version"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+       QCheck.Gen.(list_size (int_range 1 60) gen_op))
+    (fun ops ->
+      (* each version is checked when it is made and again at the end:
+         a write that reached back into an earlier version's blocks
+         fails the second check *)
+      let versions =
+        List.fold_left
+          (fun versions op ->
+            match versions with
+            | None -> None
+            | Some vs ->
+              let graphs = List.map fst vs in
+              let g' = List.hd (apply graphs op) in
+              let v = (g', filing_order graphs (snd (List.hd vs)) op g') in
+              if matches_model v then Some (v :: vs) else None)
+          (Some [ (Graph.empty, []) ])
+          ops
+      in
+      match versions with
+      | None -> false
+      | Some vs -> List.for_all matches_model vs)
+
 let suite =
   [
     tc "construction and access" basics;
@@ -506,9 +615,11 @@ let suite =
     tc "identity-preserving insertion" insert_preserves_identity;
     tc "union remaps identifiers" union_remaps;
     tc "sparse ids: snapshot and union across trie levels" sparse_ids;
+    tc "node ids beyond the packed adjacency's range are refused" node_id_limit;
     tc "deleted records are not retained" no_retention;
     tc "incremental cardinalities match enumeration" incremental_counts;
     tc "delta across a journal reset is refused" journal_reset_spanning_delta;
     tc "statistics" stats;
     QCheck_alcotest.to_alcotest t_adjacency_invariant;
+    QCheck_alcotest.to_alcotest t_adjacency_model;
   ]

@@ -861,13 +861,12 @@ module Ids = Cypher_values.Ids
 (* Forward and backward neighbour functions over [edges], given as
    (relationship, source, target, cost) on hand-picked ids. *)
 let adjacency edges =
-  let along from_ to_ n =
-    List.filter_map
+  let along from_ to_ n f =
+    List.iter
       (fun e ->
         if from_ e = Ids.node_to_int n then
           let r, _, _, w = e in
-          Some (Ids.rel_of_int r, Ids.node_of_int (to_ e), w)
-        else None)
+          f (Ids.rel_of_int r) (Ids.node_of_int (to_ e)) w)
       edges
   in
   ( along (fun (_, a, _, _) -> a) (fun (_, _, b, _) -> b),
@@ -950,7 +949,9 @@ let search_state_grows_past_initial_capacity () =
   let chain n = List.init n (fun i -> (1000 + i, i, i + 1, 1.)) in
   let both edges =
     let fwd, bwd = adjacency edges in
-    fun n -> fwd n @ bwd n
+    fun n f ->
+      fwd n f;
+      bwd n f
   in
   let small () =
     let g = both (chain 3) in
@@ -1122,6 +1123,82 @@ let sparse_ids_search () =
     Alcotest.failf "the major heap grew by %d KB during searches on sparse ids"
       (grown / 1024)
 
+(* --- answers pinned across an adjacency change --------------------------- *)
+
+(* Two relationship types, loops on a, d and e, and ties everywhere: which
+   of several equal paths a search returns follows the order it reads
+   each node's relationships in, so these answers — recorded before the
+   packed adjacency replaced the per-node lists — fail on any change of
+   enumeration order.  The single shortestPath differs between engines
+   on the undirected untyped pattern: the reference evaluator's level
+   BFS and the planner's bidirectional BFS pick different equal-length
+   paths. *)
+let pinned_graph () =
+  (Engine.run_exn Graph.empty
+     "CREATE (a:N {i:0}), (b:N {i:1}), (c:N {i:2}), (d:N {i:3}), (e:N {i:4}), \
+      (f:N {i:5}), (a)-[:A {w:1}]->(b), (b)-[:A {w:1}]->(d), (a)-[:B {w:1}]->(c), \
+      (c)-[:B {w:1}]->(d), (a)-[:A {w:5}]->(a), (d)-[:B {w:0}]->(d), \
+      (c)-[:A {w:2}]->(b), (d)-[:A {w:1}]->(e), (e)-[:B {w:1}]->(f), \
+      (b)-[:B {w:3}]->(e), (f)-[:A {w:1}]->(d), (b)-[:A {w:2}]->(a), \
+      (e)-[:A {w:1}]->(e), (f)-[:B {w:2}]->(a)")
+    .Engine.graph
+
+let pinned_answers () =
+  let g = pinned_graph () in
+  let both a = (a, a) and split ~ref ~plan = (ref, plan) in
+  let query pat = function
+    | `Shortest ->
+      Printf.sprintf "MATCH p = shortestPath((a)%s(b))" pat, ""
+    | `All -> Printf.sprintf "MATCH p = allShortestPaths((a)%s(b))" pat, ", rs"
+    | `Cheapest -> Printf.sprintf "MATCH p = cheapestPath((a)%s(b), 'w')" pat, ""
+  in
+  let answer mode q =
+    match Engine.query ~mode g q with
+    | Error e -> "error: " ^ Engine.error_message e
+    | Ok out ->
+      String.concat "; "
+        (List.map
+           (fun r ->
+             String.concat " "
+               (List.map
+                  (fun f -> Value.to_string (Cypher_table.Record.find_or_null r f))
+                  (Cypher_table.Table.fields out.Engine.table)))
+           (Cypher_table.Table.rows out.Engine.table))
+  in
+  List.iter
+    (fun (pat, kind, (ref, plan)) ->
+      let m, order = query pat kind in
+      let q =
+        Printf.sprintf
+          "MATCH (a:N {i:0}), (b:N) WHERE b.i > 0 %s RETURN b.i AS b, \
+           [n IN nodes(p) | n.i] AS ns, [r IN relationships(p) | id(r)] AS rs \
+           ORDER BY b%s"
+          m order
+      in
+      Alcotest.(check string) ("reference: " ^ q) ref (answer Engine.Reference q);
+      Alcotest.(check string) ("planner: " ^ q) plan (answer Engine.Planned q))
+    [
+      ("-[:A*]->", `Shortest, both "1 [0, 1] [1]; 3 [0, 1, 3] [1, 2]; 4 [0, 1, 3, 4] [1, 2, 8]");
+      ("-[:A*]->", `All, both "1 [0, 1] [1]; 3 [0, 1, 3] [1, 2]; 4 [0, 1, 3, 4] [1, 2, 8]");
+      ("-[:A*]->", `Cheapest, both "1 [0, 1] [1]; 3 [0, 1, 3] [1, 2]; 4 [0, 1, 3, 4] [1, 2, 8]");
+      ("-[*]->", `Shortest, both "1 [0, 1] [1]; 2 [0, 2] [3]; 3 [0, 2, 3] [3, 4]; 4 [0, 1, 4] [1, 10]; 5 [0, 1, 4, 5] [1, 10, 9]");
+      ("-[*]->", `All, both "1 [0, 1] [1]; 2 [0, 2] [3]; 3 [0, 1, 3] [1, 2]; 3 [0, 2, 3] [3, 4]; 4 [0, 1, 4] [1, 10]; 5 [0, 1, 4, 5] [1, 10, 9]");
+      ("-[*]->", `Cheapest, both "1 [0, 1] [1]; 2 [0, 2] [3]; 3 [0, 2, 3] [3, 4]; 4 [0, 2, 3, 4] [3, 4, 8]; 5 [0, 2, 3, 4, 5] [3, 4, 8, 9]");
+      ("<-[:A*]-", `Shortest, both "1 [0, 1] [12]; 2 [0, 1, 2] [12, 7]");
+      ("<-[:A*]-", `All, both "1 [0, 1] [12]; 2 [0, 1, 2] [12, 7]");
+      ("<-[:A*]-", `Cheapest, both "1 [0, 1] [12]; 2 [0, 1, 2] [12, 7]");
+      ("<-[*]-", `Shortest, both "1 [0, 1] [12]; 2 [0, 1, 2] [12, 7]; 3 [0, 5, 4, 3] [14, 9, 8]; 4 [0, 5, 4] [14, 9]; 5 [0, 5] [14]");
+      ("<-[*]-", `All, both "1 [0, 1] [12]; 2 [0, 1, 2] [12, 7]; 3 [0, 5, 4, 3] [14, 9, 8]; 4 [0, 5, 4] [14, 9]; 5 [0, 5] [14]");
+      ("<-[*]-", `Cheapest, both "1 [0, 1] [12]; 2 [0, 1, 2] [12, 7]; 3 [0, 5, 4, 3] [14, 9, 8]; 4 [0, 5, 4] [14, 9]; 5 [0, 5] [14]");
+      ("-[:A*]-", `Shortest, both "1 [0, 1] [1]; 2 [0, 1, 2] [1, 7]; 3 [0, 1, 3] [1, 2]; 4 [0, 1, 3, 4] [1, 2, 8]; 5 [0, 1, 3, 5] [1, 2, 11]");
+      ("-[:A*]-", `All, both "1 [0, 1] [1]; 1 [0, 1] [12]; 2 [0, 1, 2] [1, 7]; 2 [0, 1, 2] [12, 7]; 3 [0, 1, 3] [1, 2]; 3 [0, 1, 3] [12, 2]; 4 [0, 1, 3, 4] [1, 2, 8]; 4 [0, 1, 3, 4] [12, 2, 8]; 5 [0, 1, 3, 5] [1, 2, 11]; 5 [0, 1, 3, 5] [12, 2, 11]");
+      ("-[:A*]-", `Cheapest, both "1 [0, 1] [1]; 2 [0, 1, 2] [1, 7]; 3 [0, 1, 3] [1, 2]; 4 [0, 1, 3, 4] [1, 2, 8]; 5 [0, 1, 3, 5] [1, 2, 11]");
+      ("-[*]-", `Shortest, split ~ref:"1 [0, 1] [1]; 2 [0, 2] [3]; 3 [0, 2, 3] [3, 4]; 4 [0, 1, 4] [1, 10]; 5 [0, 5] [14]"
+         ~plan:"1 [0, 1] [1]; 2 [0, 2] [3]; 3 [0, 5, 3] [14, 11]; 4 [0, 5, 4] [14, 9]; 5 [0, 5] [14]");
+      ("-[*]-", `All, both "1 [0, 1] [1]; 1 [0, 1] [12]; 2 [0, 2] [3]; 3 [0, 1, 3] [1, 2]; 3 [0, 2, 3] [3, 4]; 3 [0, 1, 3] [12, 2]; 3 [0, 5, 3] [14, 11]; 4 [0, 1, 4] [1, 10]; 4 [0, 1, 4] [12, 10]; 4 [0, 5, 4] [14, 9]; 5 [0, 5] [14]");
+      ("-[*]-", `Cheapest, both "1 [0, 1] [1]; 2 [0, 2] [3]; 3 [0, 2, 3] [3, 4]; 4 [0, 5, 4] [14, 9]; 5 [0, 5] [14]");
+    ]
+
 let suite =
   List.map (fun (name, f) -> tc name f) (tck_cases @ error_cases)
   @ [
@@ -1146,4 +1223,6 @@ let suite =
         search_state_grows_past_initial_capacity;
       tc "concurrent searches on domains and threads agree" concurrent_searches_agree;
       tc "searches between sparse ids stay small" sparse_ids_search;
+      tc "typed and untyped searches in each direction keep their answers"
+        pinned_answers;
     ]
