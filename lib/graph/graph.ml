@@ -85,8 +85,10 @@ type t = {
      remaining tail is physically the older journal.  Rolled-back
      updates live only in discarded graph values, so their entries are
      unreachable from any surviving version.  The journal is capped:
-     appending past [journal_cap] starts a fresh epoch, after which
-     deltas spanning the reset report [None] (callers fall back to full
+     appending past [journal_cap] starts a fresh epoch and keeps the
+     epoch just closed in [chg_prev], dropping the one before it, so at
+     most two epochs stay reachable.  A delta spanning one reset walks
+     both; one spanning two reports [None] (callers fall back to full
      recomputation).  [chg_epoch] counts resets along the lineage:
      without it, a [since] with an empty journal (the pristine graph)
      would be physically indistinguishable from the [[]] tail reached
@@ -95,6 +97,8 @@ type t = {
   chg : int list;
   chg_len : int;
   chg_epoch : int;
+  chg_prev : int list;  (* epoch [chg_epoch - 1] as the reset left it *)
+  chg_prev_len : int;
 }
 
 (* --- db-hit accounting ----------------------------------------------- *)
@@ -178,6 +182,8 @@ let empty =
     chg = [];
     chg_len = 0;
     chg_epoch = 0;
+    chg_prev = [];
+    chg_prev_len = 0;
   }
 
 (* --- change journal --------------------------------------------------- *)
@@ -186,7 +192,14 @@ let journal_cap = 1 lsl 16
 
 let journal e g =
   if g.chg_len >= journal_cap then
-    { g with chg = [ e ]; chg_len = 1; chg_epoch = g.chg_epoch + 1 }
+    {
+      g with
+      chg = [ e ];
+      chg_len = 1;
+      chg_epoch = g.chg_epoch + 1;
+      chg_prev = g.chg;
+      chg_prev_len = g.chg_len;
+    }
   else { g with chg = e :: g.chg; chg_len = g.chg_len + 1 }
 
 let nkey = Ids.node_to_int
@@ -749,6 +762,16 @@ type refill = {
   mutable recs : rel_data array;
 }
 
+(* A table keyed by node ids, each its own hash: iterating it visits the
+   ids in nearly ascending order, so [insert_rels] files its blocks in
+   the trie leaf by leaf, and a leaf's path copies die young. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = k
+end)
+
 (* The records of [ds] grouped by [key], each group newest first. *)
 let group_by key ds =
   let groups = Hashtbl.create 64 in
@@ -784,17 +807,17 @@ let insert_rels g ds =
   (* Each endpoint's block is rebuilt once: counted, sized with its old
      entries in place, then filled from the back of each part, so the
      last record of the batch comes first. *)
-  let fresh = Hashtbl.create 64 in
+  let fresh = Itbl.create 64 in
   let count n ~out =
     let f =
-      match Hashtbl.find fresh (nkey n) with
+      match Itbl.find fresh (nkey n) with
       | f -> f
       | exception Not_found ->
         let f =
           { old = block g n; n_new_out = 0; n_new_in = 0; n_out = 0; slots = [||];
             recs = [||] }
         in
-        Hashtbl.add fresh (nkey n) f;
+        Itbl.add fresh (nkey n) f;
         f
     in
     if out then f.n_new_out <- f.n_new_out + 1 else f.n_new_in <- f.n_new_in + 1
@@ -804,7 +827,7 @@ let insert_rels g ds =
       count d.src ~out:true;
       count d.tgt ~out:false)
     ds;
-  Hashtbl.iter
+  Itbl.iter
     (fun _ f ->
       let b = f.old and d = List.hd ds in
       let k = Array.length b.recs in
@@ -819,7 +842,7 @@ let insert_rels g ds =
       Array.blit b.recs b.n_out f.recs in_at (k - b.n_out))
     fresh;
   let put d n ~out tid =
-    let f = Hashtbl.find fresh (nkey n) in
+    let f = Itbl.find fresh (nkey n) in
     let i =
       if out then begin
         f.n_new_out <- f.n_new_out - 1;
@@ -841,7 +864,7 @@ let insert_rels g ds =
       put d d.tgt ~out:false tid)
     ds;
   let adj =
-    Hashtbl.fold
+    Itbl.fold
       (fun n f adj ->
         Idmap.add n { n_out = f.n_out; slots = f.slots; recs = f.recs } adj)
       fresh g.adj
@@ -996,22 +1019,31 @@ let delta_size d =
   + List.length d.d_rels_changed + List.length d.d_rels_removed
 
 let delta_between ~since g =
-  if since == g then Some empty_delta
-  else if since.chg_epoch <> g.chg_epoch then
-    (* a journal reset lies between the two versions (or they are from
-       unrelated lineages that reset a different number of times) — the
-       walked tail could alias [[]] across the reset, so refuse rather
-       than report a delta missing every pre-reset entity *)
-    None
-  else
-    let steps = g.chg_len - since.chg_len in
+  (* [since]'s epoch as [g] holds it, and the entries [g] filed after a
+     reset: the current epoch alone, or across one reset the epoch kept
+     in [chg_prev] and the whole current one.  Two resets apart, or from
+     lineages that reset a different number of times, [g] holds no such
+     journal: the walked tail could alias [[]] across a dropped epoch,
+     so refuse rather than report a delta missing every entity it held. *)
+  let span =
+    if since.chg_epoch = g.chg_epoch then Some (g.chg, g.chg_len, [])
+    else if since.chg_epoch = g.chg_epoch - 1 then
+      Some (g.chg_prev, g.chg_prev_len, g.chg)
+    else None
+  in
+  match span with
+  | _ when since == g -> Some empty_delta
+  | None -> None
+  | Some (older, older_len, newer) ->
+    let steps = older_len - since.chg_len in
     if steps < 0 then None
     else
-      (* Collect the [steps] newest entries, deduplicated, and check that
-         what remains is physically the older journal — the only way the
-         two versions belong to the same journal epoch of the same
-         lineage. *)
+      (* Collect the entries past the reset and the [steps] newest of
+         [since]'s epoch, deduplicated, and check that what remains is
+         physically the older journal — the only way the two versions
+         belong to the same lineage. *)
       let touched = Hashtbl.create (min 64 (steps + 1)) in
+      List.iter (fun e -> Hashtbl.replace touched e ()) newer;
       let rec walk k l =
         if k = 0 then
           if l == since.chg then true
@@ -1023,7 +1055,7 @@ let delta_between ~since g =
             Hashtbl.replace touched e ();
             walk (k - 1) tl
       in
-      if not (walk steps g.chg) then None
+      if not (walk steps older) then None
       else begin
         let d = ref empty_delta in
         Hashtbl.iter

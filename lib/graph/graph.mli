@@ -295,9 +295,10 @@ val delta_between : since:t -> t -> delta option
     older version [since] and [g], classified by presence on each side
     (an entity created and deleted within the span appears on neither
     side and is omitted).  Returns [None] when the two versions are not
-    of the same lineage or the journal was truncated between them (the
-    journal is capped at 65536 entries); callers must then fall back to
-    full recomputation — never assume an empty delta. *)
+    of the same lineage or the journal was truncated between them: it is
+    capped at 65536 entries, and a graph keeps the epoch its last reset
+    closed, so a delta spans at most one reset.  Callers must then fall
+    back to full recomputation — never assume an empty delta. *)
 
 (** {1 Whole-graph operations} *)
 

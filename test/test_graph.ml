@@ -330,27 +330,48 @@ let incremental_counts () =
   Alcotest.(check int) "re-insert is not a new node" (Graph.node_count g)
     (Graph.node_count g2)
 
-(* Regression: a delta spanning a journal reset must be refused, even
-   when [since] is the pristine empty graph — whose empty journal is
-   physically equal to the [[]] tail left after walking a post-reset
-   journal.  Without the epoch counter this returned a delta holding
-   only the post-reset entities, silently dropping everything before
-   the cap (e.g. a bulk load after registering a view on a fresh
-   store). *)
+(* Regression: a delta across a journal reset must hold every entity
+   touched since [since], pre-reset ones included, even when [since] is
+   the pristine empty graph — whose empty journal is physically equal to
+   the [[]] tail left after walking a post-reset journal.  Without the
+   epoch counter this returned a delta holding only the post-reset
+   entities, silently dropping everything before the cap (e.g. a bulk
+   load after registering a view on a fresh store).  The graph keeps the
+   epoch a reset closed, so one reset is bridged; two are refused. *)
 let journal_reset_spanning_delta () =
   let cap = 1 lsl 16 in
-  let g = ref Graph.empty in
-  for _ = 1 to cap + 8 do
-    let g', _ = Graph.add_node ~labels:[ "N" ] !g in
-    g := g'
-  done;
-  (match Graph.delta_between ~since:Graph.empty !g with
+  let add_nodes g k =
+    let g = ref g in
+    for _ = 1 to k do
+      let g', _ = Graph.add_node ~labels:[ "N" ] !g in
+      g := g'
+    done;
+    !g
+  in
+  let one = add_nodes Graph.empty (cap + 8) in
+  (match Graph.delta_between ~since:Graph.empty one with
+  | Some d ->
+    Alcotest.(check int) "delta across one reset holds every node" (cap + 8)
+      (List.length d.Graph.d_nodes_added);
+    Alcotest.(check int) "and nothing else" (cap + 8) (Graph.delta_size d)
+  | None -> Alcotest.fail "delta across one journal reset refused");
+  let two = add_nodes one cap in
+  (match Graph.delta_between ~since:one two with
+  | Some d ->
+    Alcotest.(check int) "delta from the epoch before the reset" cap
+      (List.length d.Graph.d_nodes_added)
+  | None -> Alcotest.fail "delta from the closed epoch refused");
+  (match Graph.delta_between ~since:Graph.empty two with
   | None -> ()
   | Some d ->
-    Alcotest.failf "delta across the journal reset not refused (%d adds)"
+    Alcotest.failf "delta across two journal resets not refused (%d adds)"
       (List.length d.Graph.d_nodes_added));
+  (* a version off the lineage, in the closed epoch, is refused *)
+  (match Graph.delta_between ~since:(add_nodes one 1) two with
+  | None -> ()
+  | Some _ -> Alcotest.fail "delta from a discarded branch not refused");
   (* deltas within the post-reset epoch still work *)
-  let base = !g in
+  let base = one in
   let g2, n = Graph.add_node ~labels:[ "M" ] base in
   match Graph.delta_between ~since:base g2 with
   | Some d ->
@@ -618,7 +639,8 @@ let suite =
     tc "node ids beyond the packed adjacency's range are refused" node_id_limit;
     tc "deleted records are not retained" no_retention;
     tc "incremental cardinalities match enumeration" incremental_counts;
-    tc "delta across a journal reset is refused" journal_reset_spanning_delta;
+    tc "deltas across journal resets: one bridged, two refused"
+      journal_reset_spanning_delta;
     tc "statistics" stats;
     QCheck_alcotest.to_alcotest t_adjacency_invariant;
     QCheck_alcotest.to_alcotest t_adjacency_model;

@@ -218,6 +218,28 @@ let fuzz_differential () =
     (Ivm.view_infos mgr);
   Ivm.shutdown mgr
 
+(* A commit that crosses one journal reset is still a delta: the graph
+   keeps the epoch the reset closed, so the view refreshes
+   incrementally. *)
+let journal_reset_stays_incremental () =
+  let sess, mgr, committed = wired_session () in
+  ignore (run_ok sess "CREATE (:Person {k: 0, age: 1, city: 0, grp: 0})");
+  Ivm.quiesce mgr;
+  materialize_ok mgr "n" "MATCH (p:Person) RETURN count(*) AS n";
+  (* one statement creating 70k nodes crosses the 64k journal cap once *)
+  ignore
+    (run_ok sess
+       "UNWIND range(1, 70000) AS i CREATE (:Person {k: i, age: 1, city: 0, \
+        grp: 0})");
+  Ivm.quiesce mgr;
+  let expected = fresh_table !committed "MATCH (p:Person) RETURN count(*) AS n" in
+  check_table_bag "count across the reset" expected (read_ok mgr "n");
+  let info = List.hd (Ivm.view_infos mgr) in
+  Alcotest.(check int) "no fallback refresh" 0 info.Ivm.vi_fallbacks;
+  Alcotest.(check bool) "refreshed incrementally" true
+    (info.Ivm.vi_incrementals > 0);
+  Ivm.shutdown mgr
+
 (* A single commit touching more entities than the graph's change
    journal retains forces the no-delta path: views must rebuild, not
    lie. *)
@@ -226,10 +248,11 @@ let journal_overflow_falls_back () =
   ignore (run_ok sess "CREATE (:Person {k: 0, age: 1, city: 0, grp: 0})");
   Ivm.quiesce mgr;
   materialize_ok mgr "n" "MATCH (p:Person) RETURN count(*) AS n";
-  (* one statement creating 70k nodes overflows the 64k journal cap *)
+  (* one statement creating 140k nodes crosses the 64k journal cap twice,
+     past the two epochs the graph keeps *)
   ignore
     (run_ok sess
-       "UNWIND range(1, 70000) AS i CREATE (:Person {k: i, age: 1, city: 0, \
+       "UNWIND range(1, 140000) AS i CREATE (:Person {k: i, age: 1, city: 0, \
         grp: 0})");
   Ivm.quiesce mgr;
   let expected = fresh_table !committed "MATCH (p:Person) RETURN count(*) AS n" in
@@ -673,6 +696,8 @@ let suite =
   [
     Alcotest.test_case "differential fuzz: maintained == fresh" `Slow
       fuzz_differential;
+    Alcotest.test_case "a delta across one journal reset stays incremental"
+      `Slow journal_reset_stays_incremental;
     Alcotest.test_case "journal overflow falls back" `Slow
       journal_overflow_falls_back;
     Alcotest.test_case "unmaterialize evicts and frees the name" `Quick
