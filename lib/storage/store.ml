@@ -61,7 +61,6 @@ type t = {
   mutable leader : bool;
   mutable failed : (int * string) list;  (* per-ticket append failures *)
   mutable poisoned : string option;  (* a flush failed: stop accepting *)
-  mutable group_limit : int;  (* max commits per flush; for benchmarks *)
   (* monotonic anchor of the last checkpoint completed by this process;
      [None] until then (the snapshot may predate the process) *)
   mutable checkpoint_ns : int option;
@@ -125,11 +124,6 @@ let snapshot_age t =
     match Unix.stat (snapshot_file t.dir) with
     | st -> Some (Float.max 0. (Unix.gettimeofday () -. st.Unix.st_mtime))
     | exception Unix.Unix_error _ -> None)
-
-let set_group_commit t enabled =
-  Mutex.lock t.m;
-  t.group_limit <- (if enabled then max_int else 1);
-  Mutex.unlock t.m
 
 (* --- the single-writer lock ------------------------------------------- *)
 
@@ -272,24 +266,13 @@ let await_commit t ticket =
         Error e
       | None ->
         t.leader <- true;
-        let sorted =
+        let group =
           List.sort (fun a b -> compare a.p_ticket b.p_ticket) t.pending
         in
-        (* group_limit = 1 disables grouping (benchmark baseline): the
-           leader takes only the oldest pending commit per fsync *)
-        let rec take n = function
-          | [] -> ([], [])
-          | rest when n = 0 -> ([], rest)
-          | p :: rest ->
-            let g, r = take (n - 1) rest in
-            (p :: g, r)
-        in
-        let group, rest = take t.group_limit sorted in
-        t.pending <- rest;
+        t.pending <- [];
         Mutex.unlock t.m;
         flush_group t group;
-        (* m is held again; our ticket may or may not be in the flushed
-           range (a bounded group can leave it pending) *)
+        (* m is held again and our ticket is in the flushed range *)
         loop ()
     end
   in
@@ -385,7 +368,6 @@ let open_ ?schema ?mode dir =
       leader = false;
       failed = [];
       poisoned = None;
-      group_limit = max_int;
       checkpoint_ns = None;
       repl_tail = Queue.create ();
       repl_floor = next_seq;

@@ -153,11 +153,6 @@ val await_commit : t -> ticket -> (unit, string) result
     its version published to {!snapshot}; [Error _] means the append
     failed and nothing of the group was published. *)
 
-val set_group_commit : t -> bool -> unit
-(** Benchmarks only: [false] caps flush groups at one commit each, the
-    one-fsync-per-commit baseline; [true] (the default) restores
-    unbounded grouping. *)
-
 (** {1 Replication}
 
     A primary serves these to replicas; a replica applies through them.

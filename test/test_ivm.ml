@@ -531,7 +531,20 @@ let multi_client_subscribe_order () =
     (fun () ->
       let port = Server.port server in
       let writer = connect port in
-      ignore (ok_query writer "CREATE (:Person {k: 0, city: 0})");
+      let w0 = ok_query writer "CREATE (:Person {k: 0, city: 0})" in
+      (* A view is built from the manager's last refreshed version, which
+         trails the acknowledged commit until the refresh thread takes
+         it; wait for it, or the two subscribers could legitimately
+         attach on either side of the CREATE. *)
+      let views = Server.views server in
+      let deadline = Unix.gettimeofday () +. 10. in
+      while
+        Ivm.last_refreshed_seq views < w0.Client.seq
+        && Unix.gettimeofday () < deadline
+      do
+        Thread.delay 0.005
+      done;
+      Ivm.quiesce views;
       let query = "MATCH (p:Person) RETURN p.city AS city, count(*) AS c" in
       let c1 = connect port and c2 = connect port in
       let sub c =
@@ -551,6 +564,7 @@ let multi_client_subscribe_order () =
       let s2 = sub c2 in
       let i2 = next s2 in
       Alcotest.(check bool) "second client init" true i2.Client.d_init;
+      Alcotest.(check int) "init frames at one seq" i1.Client.d_seq i2.Client.d_seq;
       Alcotest.(check bool)
         "init frames agree" true
         (i1.Client.d_added = i2.Client.d_added);

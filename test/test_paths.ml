@@ -350,6 +350,15 @@ let explain_names_operator () =
     "MATCH p = cheapestPath((a:P {name:'a'})-[:F*]->(d:P {name:'d'}), 'w') \
      RETURN length(p)"
     "CheapestPath";
+  (* the undirected shapes the path benchmarks run *)
+  check
+    "MATCH p = shortestPath((a:P {name:'a'})-[:F*]-(d:P {name:'d'})) RETURN \
+     length(p)"
+    "ShortestPath";
+  check
+    "MATCH p = cheapestPath((a:P {name:'a'})-[:F*]-(d:P {name:'d'}), 'w') \
+     RETURN length(p)"
+    "CheapestPath";
   check "MATCH (x)-[r:(F G)]->(y) RETURN x" "RegexExpand";
   check "MATCH TRAIL (x)-[*1..2]->(y) RETURN x" "PathRestrict[trail]"
 
