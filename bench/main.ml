@@ -8,9 +8,8 @@
      Expand locality and cost-based planning, Section 4.2 complexity,
      configurable morphisms) on synthetic workloads;
 
-   - B13, B16, B18-B22: durable storage, morsel-parallel reads,
-     replication, view maintenance, the price of observability, path
-     finding and store lookups.
+   - B13, B18-B22: durable storage, replication, view maintenance, the
+     price of observability, path finding and store lookups.
 
    The paper itself reports no absolute performance numbers (its
    evaluation is the formal semantics); shapes, not absolute numbers,
@@ -574,110 +573,6 @@ let b13 () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* B16: multicore speedup of the morsel-parallel read executor        *)
-(* ------------------------------------------------------------------ *)
-
-(* Two read-heavy workloads — a grouped aggregation over a full label
-   scan, and a 1-hop expand + aggregate — run at 1/2/4/8 worker
-   domains.  The parallel path must (a) return exactly the sequential
-   table at every width, (b) cost within 5% of the sequential executor
-   at width 1 (it falls back to it, so this prices the dispatch check),
-   and (c) scale on hosts that have cores to offer.  The speedup curve
-   is measured honestly on whatever host runs this: with a single core
-   the curve is expected to be flat (domains time-share one core); the
-   JSON records [host_cores] so a reader can tell a scaling failure
-   from a one-core host. *)
-
-let b16_scan_agg =
-  "MATCH (p:Person) RETURN p.age % 10 AS bucket, count(p) AS n, \
-   sum(p.age) AS total, avg(p.age * 0.5) AS half"
-
-let b16_hop_agg =
-  "MATCH (p:Person)-[:FRIEND]->(q) RETURN count(q) AS hops, sum(q.age) AS \
-   total, min(q.age) AS young, max(q.age) AS old"
-
-let b16 () =
-  let g = Generate.social ~seed:29 ~people:2_000 ~avg_friends:8 in
-  let widths = [ 1; 2; 4; 8 ] in
-  let host_cores = Domain.recommended_domain_count () in
-  let table_of config q =
-    match Engine.query ~config g q with
-    | Ok outcome -> outcome.Engine.table
-    | Error e -> failwith ("B16: " ^ q ^ ": " ^ Engine.error_message e)
-  in
-  (* a warmed plan cache per configuration *)
-  let runner config q =
-    let cache = Engine.create_plan_cache () in
-    let run () = Engine.query_cached ~cache ~config g q in
-    ignore (time_ns ~runs:5 run);
-    run
-  in
-  let curve q =
-    let seq_table = table_of Config.default q in
-    let identical = ref true in
-    let points =
-      List.map
-        (fun workers ->
-          let config = Config.with_parallel workers Config.default in
-          if not (Table.equal_ordered seq_table (table_of config q)) then
-            identical := false;
-          let run = runner config q in
-          (workers, (best_of 5 [| (fun () -> time_ns ~runs:20 run) |]).(0)))
-        widths
-    in
-    (points, !identical)
-  in
-  Printf.printf "\nB16 morsel-parallel read execution (host cores: %d)\n"
-    host_cores;
-  let report label q =
-    let points, identical = curve q in
-    let base = List.assoc 1 points in
-    Printf.printf "  %s\n" label;
-    List.iter
-      (fun (w, ns) ->
-        Printf.printf "    %d worker%s %12.0f ns/query   speedup %.2fx\n" w
-          (if w = 1 then " " else "s")
-          ns (base /. ns))
-      points;
-    Printf.printf "    results identical to sequential: %b\n" identical;
-    Kit.Obj
-      [
-        ("query", Kit.Str q);
-        ("results_identical_to_sequential", Kit.Bool identical);
-        ( "ns_per_query",
-          Kit.Obj (List.map (fun (w, ns) -> (string_of_int w, Kit.Num ns)) points) );
-        ( "speedup",
-          Kit.Obj
-            (List.map (fun (w, ns) -> (string_of_int w, Kit.Num (base /. ns))) points)
-        );
-      ]
-  in
-  let scan = report "grouped aggregation over a label scan (2000 nodes)" b16_scan_agg in
-  let hop = report "1-hop expand + aggregate (~16000 expansions)" b16_hop_agg in
-  (* Width-1 dispatch overhead vs the plain sequential entry point,
-     interleaved: the difference is one integer comparison per read
-     segment. *)
-  let best =
-    best_of 7
-      (Array.map
-         (fun config ->
-           let run = runner config b16_scan_agg in
-           fun () -> time_ns ~runs:20 run)
-         [| Config.default; Config.with_parallel 1 Config.default |])
-  in
-  let par1_pct = (best.(1) -. best.(0)) /. best.(0) *. 100. in
-  Printf.printf "  parallel-1 vs sequential: %+.2f%% (budget: within 5%%)\n"
-    par1_pct;
-  emit "b16"
-    [
-      ("host_cores", Kit.Int host_cores);
-      ("scan_aggregation", scan);
-      ("hop_aggregation", hop);
-      ("parallel1_overhead_pct", Kit.Num par1_pct);
-      ("parallel1_within_budget", Kit.Bool (par1_pct < 5.));
-    ]
-
-(* ------------------------------------------------------------------ *)
 (* B18: replication at scale — 1 primary + 0/1/2 replicas             *)
 (* ------------------------------------------------------------------ *)
 
@@ -697,7 +592,7 @@ let b16 () =
    4), B18_SECONDS (per-topology duration, default 5).  CI runs a
    scaled-down shape; the defaults are the headline configuration.
 
-   Honesty note, as in B16: on a single-core host every server, replica
+   Honesty note: on a single-core host every server, replica
    applier and client worker time-shares one core, so adding replicas
    cannot add throughput — the curve is expected flat-to-slightly-down
    (replication itself costs cycles), and the JSON records [host_cores]
@@ -1479,7 +1374,7 @@ let groups =
     ("tables", tables);
     ("b1", b1); ("b2", b2); ("b3", b3); ("b4", b4); ("b5", b5); ("b6", b6);
     ("b7", b7); ("b8", b8); ("b9", b9); ("b10", b10); ("b11", b11);
-    ("b13", b13); ("b16", b16); ("b18", b18); ("b19", b19); ("b20", b20);
+    ("b13", b13); ("b18", b18); ("b19", b19); ("b20", b20);
     ("b21", b21); ("b22", b22);
   ]
 

@@ -18,9 +18,6 @@
      cypher_cli --connect HOST:PORT      REPL against a running server
      cypher_cli -q "MATCH (n) RETURN n"  run one query and exit
      cypher_cli --script file.cypher     run a ;-separated script
-     cypher_cli --parallel N ...         execute read-only queries on N
-                                         worker domains (with --connect the
-                                         budget is sent as a request option)
      cypher_cli --slow-query-ms N ...    log queries slower than N ms (with
                                          their per-phase span timings)
      cypher_cli --trace out.jsonl ...    write trace spans (parse, plan,
@@ -106,16 +103,11 @@ type state = {
   catalog : Mg.Catalog.t;
   store : Store.t option;  (** present when opened with [--db] *)
   client : Client.t option;  (** present when opened with [--connect] *)
-  parallel : int;  (** worker domains for read queries ([--parallel N]) *)
   ivm : (Ivm.t * int ref) option;
       (** lazily-created local view manager and its hand-driven seq
           counter (only ticked in pure in-memory mode; with [--db] the
           store's publish hook feeds the manager) *)
 }
-
-let cli_config st =
-  Cypher_semantics.Config.with_parallel st.parallel
-    Cypher_semantics.Config.default
 
 (* In durable mode the graph lives in the store's session; [st.graph] is
    only the in-memory fallback. *)
@@ -163,12 +155,8 @@ let print_rows columns rows =
   in
   Format.printf "%a@." Cypher_table.Table.pp table
 
-let run_remote_query ?(parallel = 1) client q =
-  let options =
-    if parallel > 1 then [ ("parallel", Cypher_values.Value.Int parallel) ]
-    else []
-  in
-  match Client.query ~options client q with
+let run_remote_query client q =
+  match Client.query client q with
   | Ok { Client.columns; rows; _ } -> print_rows columns rows
   | Error e -> Printf.printf "%s\n" (Client.error_message e)
 
@@ -218,7 +206,7 @@ let print_delta (d : Client.delta) =
 let run_query st q =
   match st.client with
   | Some client ->
-    run_remote_query ~parallel:st.parallel client q;
+    run_remote_query client q;
     st
   | None ->
   match st.store with
@@ -233,10 +221,8 @@ let run_query st q =
   | None -> (
     let result =
       if Schema.constraints st.schema = [] then
-        Engine.query ~config:(cli_config st) ~mode:st.mode st.graph q
-      else
-        Schema.guarded_query ~config:(cli_config st) ~schema:st.schema st.graph
-          q
+        Engine.query ~mode:st.mode st.graph q
+      else Schema.guarded_query ~schema:st.schema st.graph q
     in
     match result with
     | Ok outcome ->
@@ -788,17 +774,6 @@ let () =
       | Ok plan -> print_string plan
       | Error e -> Printf.printf "%s\n" (Engine.error_message e));
       parse st rest
-    | "--parallel" :: n :: rest -> (
-      match int_of_string_opt n with
-      | Some n when n >= 1 ->
-        (* a durable session carries its own config: keep it in sync *)
-        (match st.store with
-        | Some store -> Session.set_parallel (Store.session store) n
-        | None -> ());
-        parse { st with parallel = n } rest
-      | _ ->
-        Printf.eprintf "--parallel: expected a positive integer, got %s\n" n;
-        exit 1)
     | "--slow-query-ms" :: ms :: rest -> (
       match float_of_string_opt ms with
       | Some ms when ms >= 0. ->
@@ -854,8 +829,6 @@ let () =
            replayed)\n"
           path (Graph.node_count g) (Graph.rel_count g)
           (Store.wal_records store);
-        if st.parallel > 1 then
-          Session.set_parallel (Store.session store) st.parallel;
         parse { st with store = Some store } rest
       | Error e ->
         Printf.eprintf "cannot open database %s: %s\n" path e;
@@ -872,7 +845,6 @@ let () =
       catalog = Mg.Catalog.empty;
       store = None;
       client = None;
-      parallel = Cypher_semantics.Config.default.Cypher_semantics.Config.parallel;
       ivm = None;
     }
   in

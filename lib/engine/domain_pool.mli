@@ -1,26 +1,10 @@
 (** The process-wide domain pool: the only extra domains the process
-    runs, shared by morsel-parallel read execution ({!run}) and by the
-    server's request handling ({!spawn_thread}).
+    runs.  It hosts the server's request threads ({!spawn_thread}), so
+    connections run on as many cores as the host has.
 
     Domains are spawned lazily and kept for the life of the process (an
-    [at_exit] hook joins the idle ones).  Morsel scheduling is
-    work-stealing over an atomic task counter, and the caller of {!run}
-    always participates as one worker, which makes concurrent jobs
-    deadlock-free: a job never waits on pool capacity, it only speeds up
-    with it.
-
-    The pool exposes its state on {!Cypher_obs.Registry}:
-    [cypher_pool_domains], [cypher_pool_busy], [cypher_pool_tasks_total],
-    [cypher_pool_jobs_total] and [cypher_pool_task_errors_total]. *)
-
-val run : workers:int -> int -> (int -> unit) -> unit
-(** [run ~workers n f] executes [f 0 .. f (n-1)], each exactly once,
-    on up to [workers] domains (the calling one included; helper count
-    is clamped to the pool's hard ceiling).  Returns when all [n] have
-    completed.  [f] must not raise — exceptions are swallowed and
-    counted, so callers must capture outcomes themselves.  With
-    [workers <= 1] (or [n <= 1]) the tasks run inline on the caller in
-    index order, bypassing the pool entirely. *)
+    [at_exit] hook joins the idle ones).  The pool exposes its size on
+    {!Cypher_obs.Registry} as [cypher_pool_domains]. *)
 
 val spawn_thread : (unit -> unit) -> Thread.t
 (** [spawn_thread f] starts a systhread running [f] on the least-loaded
@@ -41,9 +25,9 @@ val size : unit -> int
 (** Pool domains currently alive. *)
 
 val shutdown : unit -> int
-(** Retires every pool domain (they finish their current task first)
-    and joins those hosting no live thread, returning how many it
-    joined; a domain still hosting one is left to end with its threads,
-    so an idle connection cannot make process exit hang.  Installed as
-    an [at_exit] hook; safe to call more than once, and the pool
-    re-grows on the next {!run} or {!spawn_thread}. *)
+(** Retires every pool domain and joins those hosting no live thread,
+    returning how many it joined; a domain still hosting one is left to
+    end with its threads, so an idle connection cannot make process exit
+    hang.  Installed as an [at_exit] hook; safe to call more than once,
+    and the pool re-grows on the next {!spawn_thread} or
+    {!request_domains}. *)

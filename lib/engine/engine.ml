@@ -93,21 +93,6 @@ let stats_of g =
     Mutex.unlock stats_lock;
     s
 
-(* The executor entry point for read segments: sequential by default,
-   morsel-parallel over the domain pool when the session's config asks
-   for more than one worker.  Only full-table runs are routed — PROFILE
-   and [stream] keep the sequential executor, whose per-pull
-   instrumentation and laziness do not decompose. *)
-let exec_run cfg g ~fields prog table =
-  let workers = cfg.Config.parallel in
-  if workers > 1 then
-    Cypher_planner.Par_exec.run
-      { Cypher_planner.Par_exec.workers;
-        run_tasks = (fun n f -> Domain_pool.run ~workers n f);
-      }
-      cfg g ~fields prog table
-  else Exec.run cfg g ~fields prog table
-
 (* --- the prepared form ------------------------------------------------- *)
 
 (* A query compiled once, before any clause runs: each single query is
@@ -164,7 +149,7 @@ let run_tree cfg g tree =
     | [] -> { graph = g; table }
     | Read { Build.prog; fields; _ } :: rest ->
       let table =
-        Trace.with_span "execute" (fun () -> exec_run cfg g ~fields prog table)
+        Trace.with_span "execute" (fun () -> Exec.run cfg g ~fields prog table)
       in
       steps g table rest
     | Update c :: rest ->

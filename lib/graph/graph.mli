@@ -67,9 +67,8 @@ val version : t -> int
     costs none.  Counting is on while any profiled run
     is in flight and costs one atomic load per access when off.  Counts
     are kept per thread, so a profiled run reads exactly its own hits
-    however many other threads, on any domain, touch the store meanwhile;
-    hits made on morsel-parallel worker domains count on those domains'
-    threads. *)
+    however many other threads, on any domain, touch the store meanwhile
+    (the server runs connections on several request domains). *)
 
 val with_db_hit_counting : (unit -> 'a) -> 'a
 (** [with_db_hit_counting f] runs [f] with counting on.  Nested and

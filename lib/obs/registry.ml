@@ -17,14 +17,14 @@
    [cypher_server_requests_total]).  The registry table itself is
    mutex-guarded.
 
-   CONCURRENCY MODEL.  Every metric field is an [Atomic.t]: since the
-   parallel executor's domain pool arrived, updates can race in true
-   parallel (worker domains bump the Graph db-hit counter and the pool
-   gauges while server threads bump request series), and plain int
-   writes would drop increments.  [Atomic.fetch_and_add] keeps counters
-   and sums exact; the histogram maximum is maintained with a CAS loop.
-   The cost is a lock-prefixed add instead of a plain store per update —
-   benchmark B15 still prices a counter bump in nanoseconds.
+   CONCURRENCY MODEL.  Every metric field is an [Atomic.t]: the server
+   runs connections on several request domains, so updates race in true
+   parallel (connection threads on different domains bump the same
+   request, plan-cache and store series), and plain int writes would
+   drop increments.  [Atomic.fetch_and_add] keeps counters and sums
+   exact; the histogram maximum is maintained with a CAS loop.  The cost
+   is a lock-prefixed add instead of a plain store per update —
+   benchmark B20 still prices a counter bump in nanoseconds.
 
    A histogram observation increments its bucket *before* the count, so
    a lock-free reader interleaved between the two sees at most one

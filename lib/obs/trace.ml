@@ -218,10 +218,10 @@ let add_total c name dur =
   in
   go c.totals
 
-(* An externally-timed span: the parallel executor times morsels on
-   worker domains (which have no per-thread span state) and reports the
-   aggregate from the coordinating thread, so collectors and sinks see
-   worker time attributed to the query that spent it. *)
+(* An externally-timed span: a marker or a duration measured elsewhere,
+   reported from the calling thread, or under [?ctx] on behalf of
+   another trace — the flush leader, the replica applier and view
+   refresh attribute their work to the request whose commit caused it. *)
 let note ?ctx ?(attrs = []) name dur_us =
   match Atomic.get sink with
   | None when not (collecting ()) -> ()

@@ -20,12 +20,11 @@ val note : ?ctx:ctx -> ?attrs:(string * string) list -> string -> int -> unit
 (** [note name dur_us] records a span that was timed externally: it is
     emitted to the sink and added to the calling thread's collector as
     if a [with_span] of that duration had just completed here.  The
-    parallel executor uses this to report time spent on worker domains
-    (which carry no per-thread span state) from the coordinating
-    thread.  [?ctx] emits the span under an explicit trace context
-    instead of the calling thread's — the group-commit flush leader and
-    the replica applier report lineage spans for commits that belong to
-    other requests' traces. *)
+    engine marks a reference fallback with it.  [?ctx] emits the span
+    under an explicit trace context instead of the calling thread's —
+    the group-commit flush leader, the replica applier and view refresh
+    report lineage spans for commits that belong to other requests'
+    traces. *)
 
 (** {1 Trace context}
 

@@ -181,7 +181,7 @@ let rec instrument entry (seq : 'a Seq.t) : 'a Seq.t =
    the profiler of a PROFILE run. *)
 type ctx = { env : Compile.env; width : int; prof : profiler option }
 
-(* --- grouping and ordering, shared with the parallel executor --------- *)
+(* --- grouping and ordering --------------------------------------------- *)
 
 (* Hash grouping on key vectors: groups in order of first occurrence. *)
 module Groups = struct
@@ -228,8 +228,6 @@ type aggregate = {
       (* output slot, spec, argument, percentile *)
 }
 
-type groups = group Groups.t
-
 let new_group n () =
   { first = None; count = 0; vals = Array.make n []; errs = Array.make n None }
 
@@ -265,26 +263,6 @@ let fold_groups ctx agg rows =
         add (Groups.find_or_add groups (List.map (fun f -> f row) keys) (new_group n)) row)
       rows);
   groups
-
-(* Combines per-morsel groups in morsel order: a group's first row comes
-   from the lowest morsel that has it, and its values follow morsel
-   order, so the folds see the sequential row order. *)
-let merge_groups (parts : groups array) =
-  let merged = Groups.create () in
-  Array.iter
-    (fun part ->
-      List.iter
-        (fun (key, (gr : group)) ->
-          let acc = Groups.find_or_add merged key (new_group (Array.length gr.vals)) in
-          if Option.is_none acc.first then acc.first <- gr.first;
-          acc.count <- acc.count + gr.count;
-          Array.iteri (fun j vs -> acc.vals.(j) <- vs @ acc.vals.(j)) gr.vals;
-          Array.iteri
-            (fun j e -> if Option.is_none acc.errs.(j) then acc.errs.(j) <- e)
-            gr.errs)
-        (Groups.to_list part))
-    parts;
-  merged
 
 let finish_groups ctx agg groups =
   let pcts =
@@ -356,13 +334,11 @@ let unkey k = k.row
 
 (* --- compiled operators -------------------------------------------------- *)
 
-type kind = Pipe | Aggregate of aggregate | Sort of order
-
 (* An operator compiled against its input schema.  [stage ctx] binds
    the execution once — parameters, compiled closures; the function it
    returns is one pull of the operator over an input stream, and holds
    that pull's own state (the lazily read node list of a scan, say). *)
-type op = { node : Plan.t; stage : ctx -> row Seq.t -> row Seq.t; kind : kind }
+type op = { node : Plan.t; stage : ctx -> row Seq.t -> row Seq.t }
 
 type program = {
   plan : Plan.t;
@@ -382,8 +358,6 @@ let instantiate ctx ops =
         let out = stage rows in
         match ctx.prof with None -> out | Some find -> instrument (find node) out)
       input stages
-
-let pipe (stage : ctx -> row Seq.t -> row Seq.t) = (stage, Pipe)
 
 let walk_rows ~bind_rel ~bind_to ~from_ ~dir ~hop ctx =
   let cfg = ctx.env.Compile.cfg and g = ctx.env.Compile.g in
@@ -463,16 +437,16 @@ let compile ~input plan =
       | None -> ([], scope)
       | Some input -> chain scope input
     in
-    let (stage, kind), scope = operator scope plan in
-    (ops @ [ { node = plan; stage; kind } ], scope)
+    let stage, scope = operator scope plan in
+    (ops @ [ { node = plan; stage } ], scope)
   (* the stage of one operator over [scope], and its output schema *)
   and operator scope plan =
     match plan with
-    | Plan.Argument -> (pipe (fun _ rows -> rows), scope)
+    | Plan.Argument -> ((fun _ rows -> rows), scope)
     | Plan.All_nodes_scan { var; _ } -> (
       match Smap.find_opt var scope with
       | Some i ->
-        ( pipe (fun ctx ->
+        ( (fun ctx ->
               let g = ctx.env.g in
               Seq.filter (fun (row : row) ->
                   match row.(i) with
@@ -481,7 +455,7 @@ let compile ~input plan =
           scope )
       | None ->
         let i = slot var in
-        ( pipe (fun ctx ->
+        ( (fun ctx ->
               let g = ctx.env.g in
               (* the node list does not depend on the row: assemble it
                  once per pull, not once per input row *)
@@ -490,7 +464,7 @@ let compile ~input plan =
     | Plan.Node_by_label_scan { var; label; _ } -> (
       match Smap.find_opt var scope with
       | Some i ->
-        ( pipe (fun ctx ->
+        ( (fun ctx ->
               let g = ctx.env.g in
               Seq.filter (fun (row : row) ->
                   match row.(i) with
@@ -499,7 +473,7 @@ let compile ~input plan =
           scope )
       | None ->
         let i = slot var in
-        ( pipe (fun ctx ->
+        ( (fun ctx ->
               let g = ctx.env.g in
               scan_bind i node (fun () -> Graph.nodes_with_label g label)),
           Smap.add var i scope ))
@@ -507,7 +481,7 @@ let compile ~input plan =
       let value = Compile.expr scope value in
       let bound = Smap.find_opt var scope in
       let i = slot var in
-      ( pipe (fun ctx ->
+      ( (fun ctx ->
             let g = ctx.env.g and value = value ctx.env in
             Seq.concat_map (fun (row : row) ->
                 let v = value row in
@@ -535,7 +509,7 @@ let compile ~input plan =
       let bind_rel, scope = binder scope rel in
       let bind_from, scope = binder scope from_ in
       let bind_to, scope = binder scope to_ in
-      ( pipe (fun ctx ->
+      ( (fun ctx ->
             let g = ctx.env.g in
             fun rows ->
               (* orient the relationship set once per pull *)
@@ -569,7 +543,7 @@ let compile ~input plan =
       let from_ = node_reader scope from_ in
       let bind_rel, scope = binder scope rel in
       let bind_to, scope = binder scope to_ in
-      ( pipe (fun ctx ->
+      ( (fun ctx ->
             let g = ctx.env.g in
             let filter = Graph.type_filter g types in
             Seq.concat_map (fun row ->
@@ -592,21 +566,19 @@ let compile ~input plan =
       let from_ = node_reader scope from_ in
       let bind_rel, scope = binder scope rel in
       let bind_to, scope = binder scope to_ in
-      ( pipe
-          (walk_rows ~bind_rel ~bind_to ~from_ ~dir ~hop:(fun cfg g ->
-               Eval.type_filter_hop cfg g ~types ~min_len ~max_len)),
+      ( walk_rows ~bind_rel ~bind_to ~from_ ~dir ~hop:(fun cfg g ->
+            Eval.type_filter_hop cfg g ~types ~min_len ~max_len),
         scope )
     | Plan.Regex_expand { from_; rel; regex; dir; to_; _ } ->
       let from_ = node_reader scope from_ in
       let bind_rel, scope = binder scope rel in
       let bind_to, scope = binder scope to_ in
-      ( pipe
-          (walk_rows ~bind_rel ~bind_to ~from_ ~dir ~hop:(fun cfg g ->
-               Eval.regex_hop cfg g regex)),
+      ( walk_rows ~bind_rel ~bind_to ~from_ ~dir ~hop:(fun cfg g ->
+            Eval.regex_hop cfg g regex),
         scope )
     | Plan.Filter { pred; _ } ->
       let pred = Compile.truth scope pred in
-      ( pipe (fun ctx ->
+      ( (fun ctx ->
             let pred = pred ctx.env in
             Seq.filter (fun row -> Ternary.is_true (pred row))),
         scope )
@@ -615,7 +587,7 @@ let compile ~input plan =
         List.fold_left (fun s (name, _) -> Smap.add name (slot name) s) Smap.empty items
       in
       let items = List.map (fun (name, e) -> (slot name, Compile.expr scope e)) items in
-      ( pipe (fun ctx ->
+      ( (fun ctx ->
             let blank = Array.make ctx.width Value.Null in
             let items = List.map (fun (i, c) -> (i, c ctx.env)) items in
             Seq.map (fun row ->
@@ -644,10 +616,9 @@ let compile ~input plan =
           Smap.empty
           (List.map fst keys @ List.map fst aggs)
       in
-      ( ( (fun ctx rows ->
-            delayed (fun () ->
-                List.to_seq (finish_groups ctx agg (fold_groups ctx agg rows)))),
-          Aggregate agg ),
+      ( (fun ctx rows ->
+          delayed (fun () ->
+              List.to_seq (finish_groups ctx agg (fold_groups ctx agg rows)))),
         out )
     | Plan.Distinct _ ->
       let bound = Array.of_list (List.map snd (Smap.bindings scope)) in
@@ -658,7 +629,7 @@ let compile ~input plan =
       let equal (a : row) (b : row) =
         Array.for_all (fun i -> Value.equal_total a.(i) b.(i)) bound
       in
-      ( pipe (fun _ rows ->
+      ( (fun _ rows ->
             let seen = Hashtbl.create 64 in
             Seq.filter
               (fun row ->
@@ -672,23 +643,22 @@ let compile ~input plan =
         scope )
     | Plan.Sort { by; _ } ->
       let order = { by = List.map (fun (e, d) -> (Compile.expr scope e, d)) by } in
-      ( ( (fun ctx rows ->
-            delayed (fun () ->
-                List.to_seq (List.map unkey (sort_keyed ctx order rows)))),
-          Sort order ),
+      ( (fun ctx rows ->
+          delayed (fun () ->
+              List.to_seq (List.map unkey (sort_keyed ctx order rows)))),
         scope )
     | Plan.Skip_rows { count; _ } ->
-      ( pipe (fun ctx rows ->
+      ( (fun ctx rows ->
             Seq.drop (eval_count ctx.env.cfg ctx.env.g "SKIP" count) rows),
         scope )
     | Plan.Limit_rows { count; _ } ->
-      ( pipe (fun ctx rows ->
+      ( (fun ctx rows ->
             Seq.take (eval_count ctx.env.cfg ctx.env.g "LIMIT" count) rows),
         scope )
     | Plan.Unwind { expr; var; _ } ->
       let expr = Compile.expr scope expr in
       let i = slot var in
-      ( pipe (fun ctx ->
+      ( (fun ctx ->
             let expr = expr ctx.env in
             Seq.concat_map (fun row ->
                 match expr row with
@@ -712,7 +682,7 @@ let compile ~input plan =
       let out =
         List.fold_left (fun s a -> Smap.add a (slot a) s) scope introduced
       in
-      ( pipe (fun ctx ->
+      ( (fun ctx ->
             let inner = instantiate ctx inner in
             Seq.concat_map (fun (row : row) ->
                 let produced =
@@ -732,7 +702,7 @@ let compile ~input plan =
         out )
     | Plan.Rel_uniqueness { vars; _ } ->
       let readers = List.map (rel_ids_reader scope) vars in
-      ( pipe (fun _ ->
+      ( (fun _ ->
             Seq.filter (fun row ->
                 let ids = List.concat_map (fun read -> read row) readers in
                 let set = Ids.Rel_set.of_list ids in
@@ -741,7 +711,7 @@ let compile ~input plan =
     | Plan.Path_restrict { restr; start_var; hops; _ } ->
       let start = node_reader scope start_var in
       let readers = List.map (rel_ids_reader scope) hops in
-      ( pipe (fun ctx ->
+      ( (fun ctx ->
             let g = ctx.env.g in
             Seq.filter (fun row ->
                 match start row with
@@ -752,7 +722,7 @@ let compile ~input plan =
       let start = node_reader scope start_var in
       let readers = List.map (rel_ids_reader scope) hops in
       let bind, scope = binder scope var in
-      ( pipe (fun ctx ->
+      ( (fun ctx ->
             let g = ctx.env.g in
             Seq.filter_map (fun row ->
                 match start row with
@@ -770,7 +740,7 @@ let compile ~input plan =
       let from_ = node_reader scope from_ and to_ = node_reader scope to_ in
       let bind_rel, scope = binder scope rel in
       let bind_path_var, scope = path_binder scope path in
-      ( pipe (fun ctx ->
+      ( (fun ctx ->
             let cfg = ctx.env.cfg and g = ctx.env.g in
             fun rows ->
               let kmax = Eval.max_hops cfg g max_len in
@@ -803,7 +773,7 @@ let compile ~input plan =
       let from_ = node_reader scope from_ and to_ = node_reader scope to_ in
       let bind_rel, scope = binder scope rel in
       let bind_path_var, scope = path_binder scope path in
-      ( pipe (fun ctx ->
+      ( (fun ctx ->
             let cfg = ctx.env.cfg and g = ctx.env.g in
             Seq.concat_map (fun row ->
                 match from_ row, to_ row with
@@ -895,9 +865,3 @@ let self_profile stats node =
     prof_hits = minus (fun p -> p.prof_hits);
     prof_ns = minus (fun p -> p.prof_ns);
   }
-
-(* --- the parallel executor's view ---------------------------------------- *)
-
-let ops prog = match prog.chain with _argument :: ops -> ops | [] -> []
-let op_node op = op.node
-let op_kind op = op.kind

@@ -55,66 +55,3 @@ val self_profile : (Plan.t -> profile) -> Plan.t -> profile
 (** Converts {!run_profiled}'s inclusive measurements into the node's
     own share: hits and time minus those of its direct inputs (clamped
     at zero — per-pull clock reads make tiny negatives possible). *)
-
-(** {2 Pieces for the parallel executor}
-
-    {!Par_exec} splits a program's operator chain into morsel pipelines
-    and merges them at the first pipeline breaker, on the same slotted
-    rows and with the same grouping and ordering code as the sequential
-    run. *)
-
-type row = Compile.row
-
-type ctx
-(** One execution of a program on one domain. *)
-
-val make_ctx : Config.t -> Graph.t -> program -> ctx
-
-type aggregate
-type order
-
-type op
-type kind = Pipe | Aggregate of aggregate | Sort of order
-
-val ops : program -> op list
-(** The operators above [Argument], bottom-up. *)
-
-val op_node : op -> Plan.t
-val op_kind : op -> kind
-
-val instantiate : ctx -> op list -> row Seq.t -> row Seq.t
-(** The operators, bottom-up, over an input stream. *)
-
-val input_rows : program -> Table.t -> row Seq.t
-(** A driving table's rows as slotted rows.  Raises [Invalid_argument]
-    when the table's fields are not those the program was compiled
-    for. *)
-
-val to_table : program -> fields:string list -> row Seq.t -> Table.t
-(** Result rows of the whole program as a table. *)
-
-type groups
-
-val fold_groups : ctx -> aggregate -> row Seq.t -> groups
-(** Folds rows into their groups as they arrive: key, first row, row
-    count and non-null argument values per aggregate.  A global
-    aggregate has its group even over no rows. *)
-
-val merge_groups : groups array -> groups
-(** Per-morsel groups combined in morsel order, so each group's first
-    row and value order are those of the sequential run. *)
-
-val finish_groups : ctx -> aggregate -> groups -> row list
-(** One output row per group, in order of first occurrence. *)
-
-type keyed
-(** A row decorated with its sort keys, each evaluated at most once and
-    only when a comparison reaches it. *)
-
-val sort_keyed : ctx -> order -> row Seq.t -> keyed list
-(** The rows, stably sorted. *)
-
-val compare_keyed : keyed -> keyed -> int
-(** The one ORDER BY comparator. *)
-
-val unkey : keyed -> row

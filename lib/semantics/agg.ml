@@ -160,12 +160,12 @@ let percentile_expr = function
 
 (* Folds the argument values (nulls already dropped, in row order,
    before any DISTINCT dedup) down to the aggregate's result.  Taking
-   values rather than rows lets every executor evaluate them its own way
+   values rather than rows lets each executor evaluate them its own way
    — the reference per record, the planner per slotted row as rows
-   arrive, the parallel executor per morsel — and all fold in the same
-   row order, so the non-associative float folds (sum, avg, stddev)
-   agree bitwise.  [percentile] evaluates the percentile expression
-   against the group's first row ([None]: the group has no rows);
+   arrive — and both fold in the same row order, so the
+   non-associative float folds (sum, avg, stddev) agree bitwise.
+   [percentile] evaluates the percentile expression against the
+   group's first row ([None]: the group has no rows);
    [row_count] is the group's row count, what [count( * )] reports. *)
 let finalize ~percentile ~row_count values spec =
   match spec with

@@ -36,11 +36,10 @@ val compute :
 
 (** {2 Split evaluation}
 
-    [compute] is {!finalize} over the values of {!arg_expr}.  Other
-    executors evaluate the argument their own way — the planner per
-    slotted row as rows arrive, the parallel executor per morsel — and
-    fold with {!finalize} in row order, so non-associative float folds
-    agree bitwise with [compute]. *)
+    [compute] is {!finalize} over the values of {!arg_expr}.  The
+    planner evaluates the argument its own way, per slotted row as rows
+    arrive, and folds with {!finalize} in row order, so non-associative
+    float folds agree bitwise with [compute]. *)
 
 val arg_expr : spec -> Ast.expr option
 (** The expression whose non-null values the aggregate consumes, one per

@@ -6,25 +6,13 @@ type t = {
   morphism : morphism;
   var_length_cap : int option;
   params : Value.t Value.Smap.t;
-  parallel : int;
 }
-
-(* CYPHER_PARALLEL=N makes parallel read execution the default for the
-   whole process without touching any call site — CI uses it to run the
-   entire test suite through the parallel executor. *)
-let default_parallel =
-  match Sys.getenv_opt "CYPHER_PARALLEL" with
-  | Some s -> ( match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> n
-    | _ -> 1)
-  | None -> 1
 
 let default =
   {
     morphism = Edge_isomorphism;
     var_length_cap = None;
     params = Value.Smap.empty;
-    parallel = default_parallel;
   }
 
 let with_params kvs t =
@@ -34,7 +22,6 @@ let with_params kvs t =
   }
 
 let with_morphism m t = { t with morphism = m }
-let with_parallel n t = { t with parallel = max 1 n }
 
 let morphism_name = function
   | Edge_isomorphism -> "edge-isomorphism"

@@ -30,22 +30,11 @@ type t = {
           cannot repeat a relationship).  Homomorphism always needs a cap;
           when [None] it also defaults to |R(G)|. *)
   params : Value.t Value.Smap.t;  (** bindings for [$param] references *)
-  parallel : int;
-      (** Worker-domain budget for read-only query execution: [1] (the
-          default) runs everything sequentially on the calling thread;
-          [n > 1] lets the executor split leaf scans into morsels and
-          run them on up to [n] domains (the caller included).  Writes
-          and transactions ignore this and stay single-writer. *)
 }
 
 val default : t
-(** [parallel] defaults to [$CYPHER_PARALLEL] when that is set to an
-    integer >= 1, else to 1. *)
 
 val with_params : (string * Value.t) list -> t -> t
 val with_morphism : morphism -> t -> t
-
-val with_parallel : int -> t -> t
-(** Clamped below at 1. *)
 
 val morphism_name : morphism -> string

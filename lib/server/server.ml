@@ -232,14 +232,8 @@ let await_freshness t ~min_seq ~wait_ms =
   wait ()
 
 (* Executes one Query request.  Caller handles metrics and framing.
-   [parallel] is the request's worker-domain budget for read execution;
-   it is sticky on the connection's session (like parameters), so a
-   client can set it once per connection.  [min_seq] is the read's
-   freshness floor (see {!await_freshness}). *)
-let execute t conn ~parallel ~min_seq text params =
-  (match parallel with
-  | Some n -> Session.set_parallel conn.session n
-  | None -> ());
+   [min_seq] is the read's freshness floor (see {!await_freshness}). *)
+let execute t conn ~min_seq text params =
   let replica = t.config.replica_of <> None in
   let fresh =
     match min_seq with
@@ -318,11 +312,7 @@ let execute t conn ~parallel ~min_seq text params =
          lock held — a writer can commit concurrently and a write burst
          cannot delay this request. *)
       let g = Store.snapshot t.store in
-      let config =
-        Config.with_parallel
-          (Session.parallel conn.session)
-          (Config.with_params params Config.default)
-      in
+      let config = Config.with_params params Config.default in
       match
         Engine.query_cached
           ~cache:(Session.plan_cache conn.session)
@@ -640,13 +630,6 @@ let rec handle_request t conn payload =
         else if flag "profile" then "PROFILE " ^ text
         else text
       in
-      (* "parallel" (Int n) sets the read-execution worker budget for
-         this connection's session; writes stay single-writer *)
-      let parallel =
-        match List.assoc_opt "parallel" options with
-        | Some (Value.Int n) when n >= 1 -> Some n
-        | _ -> None
-      in
       (* "min_seq" (Int) demands the store have applied at least that
          commit before the read runs; "min_seq_wait_ms" bounds the wait
          (default 100ms) before a typed Stale_replica answer *)
@@ -665,7 +648,7 @@ let rec handle_request t conn payload =
          trace context: installed on this connection thread for the
          request, so engine and storage spans (and the commit lineage
          they start) nest under the remote parent span *)
-      let run () = execute t conn ~parallel ~min_seq text params in
+      let run () = execute t conn ~min_seq text params in
       let traced () =
         match List.assoc_opt "trace_id" options with
         | Some (Value.Int tid) when tid <> 0 ->

@@ -54,8 +54,6 @@ let set_graph t g =
 
 let plan_cache t = t.cache
 let set_params t params = t.config <- Config.with_params params t.config
-let set_parallel t n = t.config <- Config.with_parallel n t.config
-let parallel t = t.config.Config.parallel
 let in_transaction t = t.snapshots <> []
 let depth t = List.length t.snapshots
 

@@ -83,14 +83,6 @@ val plan_cache : t -> Cypher_engine.Engine.plan_cache
 
 val set_params : t -> (string * Cypher_values.Value.t) list -> unit
 
-val set_parallel : t -> int -> unit
-(** Sets the worker-domain budget for read-only statements on this
-    session (clamped to at least 1; 1 = sequential, the default unless
-    [CYPHER_PARALLEL] is set).  Updates and transactions are unaffected
-    — they always run single-writer. *)
-
-val parallel : t -> int
-
 val run : t -> string -> (Table.t, Cypher_engine.Engine.error) result
 (** Executes one statement against the current state.  Updates are
     applied immediately (auto-commit when no transaction is open) and

@@ -157,28 +157,6 @@ let skip t n =
 
 let limit t n = { t with len = min t.len (max 0 n) }
 
-(* A morsel for the parallel executor: a [off, off+len) window narrowed
-   further, sharing the buffer.  O(1) and safe to read from several
-   domains at once — windows never write, and rows are immutable. *)
-let sub t ~off ~len =
-  if off < 0 || len < 0 || off + len > t.len then
-    invalid_arg "Table.sub: window out of range";
-  { t with off = t.off + off; len }
-
-let concat ~fields ts =
-  let fields = normalize_fields fields in
-  let total = List.fold_left (fun n t -> n + t.len) 0 ts in
-  let data = Array.make total Record.empty in
-  let pos = ref 0 in
-  List.iter
-    (fun t ->
-      if not (List.equal String.equal t.table_fields fields) then
-        invalid_arg "Table.concat: field mismatch";
-      Array.blit t.buf.data t.off data !pos t.len;
-      pos := !pos + t.len)
-    ts;
-  of_array ~fields data
-
 let group_by t ~key =
   let tbl = Hashtbl.create 16 in
   let order = ref [] in

@@ -69,18 +69,6 @@ val skip : t -> int -> t
 val limit : t -> int -> t
 (** Keeps the first [n] rows.  O(1). *)
 
-val sub : t -> off:int -> len:int -> t
-(** The window [off, off+len) of the table, sharing the underlying row
-    buffer — O(1).  The parallel executor slices its input into morsels
-    with this; reading the slices from several domains concurrently is
-    safe because windows never mutate the buffer.  Raises
-    [Invalid_argument] when the window exceeds the table. *)
-
-val concat : fields:string list -> t list -> t
-(** Ordered bag union of any number of tables (the merge of per-morsel
-    results): rows appear in list order, then row order.  All tables
-    must have exactly the given fields. *)
-
 val group_by : t -> key:(Record.t -> Value.t list) -> (Value.t list * Record.t list) list
 (** Groups rows by key (using {!Value.compare_total} on key vectors);
     groups appear in order of first occurrence, rows keep table order. *)

@@ -325,7 +325,7 @@ let invalid_regex_is_lazy () =
    occurrence.  Row 6 (group k = 0, the last group) and row 20 (group
    k = 2) raise in their arguments, so the reference reports row 20's
    error; row 35's key raises, which comes before any argument.  The
-   sequential and the morsel-parallel planner must report the same. *)
+   planner must report the same. *)
 let aggregate_error_order () =
   let module Engine = Cypher_engine.Engine in
   let g =
@@ -335,7 +335,7 @@ let aggregate_error_order () =
         END})")
       .Engine.graph
   in
-  let error ?(config = config) mode q =
+  let error mode q =
     match Engine.query ~config ~mode g q with
     | Ok _ -> Alcotest.failf "%s must fail" q
     | Error e -> Engine.error_message e
@@ -343,11 +343,7 @@ let aggregate_error_order () =
   List.iter
     (fun (q, expected) ->
       Alcotest.(check string) ("reference: " ^ q) expected (error Engine.Reference q);
-      Alcotest.(check string) ("planned: " ^ q) expected (error Engine.Planned q);
-      Alcotest.(check string) ("parallel: " ^ q) expected
-        (error
-           ~config:(Cypher_semantics.Config.with_parallel 4 config)
-           Engine.Planned q))
+      Alcotest.(check string) ("planned: " ^ q) expected (error Engine.Planned q))
     [
       ( "MATCH (r:R) WHERE r.k <> 'y' RETURN r.k AS k, sum(r.a - 1) AS s",
         "type error: -: cannot apply to BOOLEAN and INTEGER" );

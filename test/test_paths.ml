@@ -407,45 +407,6 @@ let fallback_is_observable () =
     if not (contains_s text "not planned") then
       Alcotest.failf "EXPLAIN does not surface the planner refusal:\n%s" text
 
-let parallel_agrees () =
-  (* the planner's path operators are streaming, so the morsel-parallel
-     executor must produce the same bags *)
-  let g = Generate.social ~seed:7 ~people:60 ~avg_friends:4 in
-  let name i =
-    match
-      Graph.node_prop g
-        (List.nth (Graph.nodes_with_label g "Person") i)
-        "name"
-    with
-    | Value.String s -> s
-    | _ -> Alcotest.fail "social node without a name"
-  in
-  let par = { cfg with Cypher_semantics.Config.parallel = 4 } in
-  List.iter
-    (fun q ->
-      match
-        ( Engine.query ~config:cfg ~mode:Engine.Planned g q,
-          Engine.query ~config:par ~mode:Engine.Planned g q )
-      with
-      | Ok seq, Ok par ->
-        check_table_bag q seq.Engine.table par.Engine.table
-      | Error e, _ | _, Error e -> Alcotest.failf "%S: %s" q
-          (Engine.error_message e))
-    [
-      "MATCH (a:Person), (b:Person) WHERE a.name < b.name MATCH p = \
-       shortestPath((a)-[:FRIEND*]->(b)) RETURN length(p) AS l, count(*) AS \
-       c ORDER BY l";
-      Printf.sprintf
-        "MATCH (a:Person {name: '%s'}) MATCH p = \
-         allShortestPaths((a)-[:FRIEND*]->(b:Person)) RETURN b.name, \
-         length(p)"
-        (name 0);
-      Printf.sprintf
-        "MATCH (a:Person {name: '%s'}), (b:Person {name: '%s'}) MATCH p = \
-         cheapestPath((a)-[:FRIEND*]->(b), 'since') RETURN length(p)"
-        (name 1) (name 17);
-    ]
-
 (* --- differential fuzz: planner vs reference -------------------------- *)
 
 let fuzz_differential () =
@@ -1214,7 +1175,6 @@ let suite =
       tc "EXPLAIN names the path operators" explain_names_operator;
       tc "PROFILE names the path operators" profile_names_operator;
       tc "reference fallback is counted and surfaced" fallback_is_observable;
-      tc "parallel executor agrees on path operators" parallel_agrees;
       tc "fuzz: planner and reference agree on path queries" fuzz_differential;
       tc "fuzz: cheapest-path costs agree" fuzz_cheapest_differential;
       tc "oracle: shortest lengths match naive enumeration"

@@ -210,6 +210,73 @@ let morphisms_on_variable_length_hops () =
       ("-[:(A+)]-", 6, 4, 14);
     ]
 
+(* --- float → integer conversion guards -------------------------------- *)
+
+let to_integer_edges () =
+  let module Engine = Cypher_engine.Engine in
+  let g = Cypher_graph.Graph.empty in
+  expect_bag g "RETURN toInteger(2.9) AS i" [ "i" ] [ [ ("i", vint 2) ] ];
+  expect_bag g "RETURN toInteger(-2.9) AS i" [ "i" ] [ [ ("i", vint (-2)) ] ];
+  expect_bag g "RETURN toInteger('1e3') AS i" [ "i" ] [ [ ("i", vint 1000) ] ];
+  expect_bag g "RETURN toInteger(4.0e18) AS i" [ "i" ]
+    [ [ ("i", vint 4_000_000_000_000_000_000) ] ];
+  (* beyond the 63-bit range, NaN, infinities: deterministic errors, not
+     hardware truncation garbage *)
+  List.iter
+    (fun q ->
+      match Engine.query g q with
+      | Error (Engine.Runtime_error _) -> ()
+      | Error e ->
+        Alcotest.failf "%S: expected a runtime error, got %S" q
+          (Engine.error_message e)
+      | Ok _ -> Alcotest.failf "%S: expected an error" q)
+    [
+      "RETURN toInteger(1e300)";
+      "RETURN toInteger(-1e300)";
+      "RETURN toInteger(1.0/0.0)";
+      "RETURN toInteger(-1.0/0.0)";
+      "RETURN toInteger(0.0/0.0)";
+      "RETURN toInteger('1e300')";
+      "RETURN toInteger(9.3e18)";
+    ];
+  (* the float below the 2^62 boundary still converts *)
+  expect_bag g "RETURN toInteger(-4.611686018427387904e18) AS i" [ "i" ]
+    [ [ ("i", vint (-4611686018427387904)) ] ]
+
+(* --- percentile argument guard ---------------------------------------- *)
+
+let percentile_non_finite () =
+  let module Engine = Cypher_engine.Engine in
+  let g = Cypher_graph.Graph.empty in
+  List.iter
+    (fun q ->
+      List.iter
+        (fun mode ->
+          match Engine.query ~mode g q with
+          | Error (Engine.Type_error "percentile must be between 0.0 and 1.0")
+            ->
+            ()
+          | Error e ->
+            Alcotest.failf "%S: expected the percentile range error, got %S" q
+              (Engine.error_message e)
+          | Ok _ -> Alcotest.failf "%S: expected an error" q)
+        [ Engine.Reference; Engine.Planned ])
+    [
+      (* NaN slips through a [pct < 0 || pct > 1] check — the guard must
+         reject every non-finite percentile in both variants *)
+      "UNWIND [1,2,3] AS x RETURN percentileCont(x, 0.0/0.0)";
+      "UNWIND [1,2,3] AS x RETURN percentileDisc(x, 0.0/0.0)";
+      "UNWIND [1,2,3] AS x RETURN percentileCont(x, 1.0/0.0)";
+      "UNWIND [1,2,3] AS x RETURN percentileDisc(x, -1.0/0.0)";
+    ];
+  (* the boundaries themselves remain valid *)
+  expect_bag g "UNWIND [1,2,3] AS x RETURN percentileCont(x, 0.0) AS p"
+    [ "p" ]
+    [ [ ("p", Value.Float 1.) ] ];
+  expect_bag g "UNWIND [1,2,3] AS x RETURN percentileDisc(x, 1.0) AS p"
+    [ "p" ]
+    [ [ ("p", vint 3) ] ]
+
 let suite =
   [
     tc "match() returns only new bindings" match_api_returns_new_bindings_only;
@@ -228,4 +295,6 @@ let suite =
     tc "zero-length hop with labels on both ends" zero_length_with_labels;
     tc "variable-length and regex hops under each morphism"
       morphisms_on_variable_length_hops;
+    tc "toInteger edge values" to_integer_edges;
+    tc "non-finite percentiles are rejected" percentile_non_finite;
   ]

@@ -2,8 +2,8 @@
    format's size guard, full value-domain transport, typed errors,
    transactions over the wire, a 16-client concurrency run checked
    against a single-threaded oracle, crash recovery from a
-   server-produced WAL with a torn tail, timeouts, metrics, and graceful
-   shutdown. *)
+   server-produced WAL with a torn tail, timeouts, metrics, graceful
+   shutdown, and the domain pool that hosts connection threads. *)
 
 open Helpers
 open Cypher_values
@@ -16,6 +16,7 @@ module Server = Cypher_server.Server
 module Client = Cypher_server.Client
 module Metrics = Cypher_server.Metrics
 module Registry = Cypher_obs.Registry
+module Domain_pool = Cypher_engine.Domain_pool
 
 let fresh_dir =
   let counter = ref 0 in
@@ -711,17 +712,6 @@ let long_read_does_not_stall_others () =
   with_server (fun ~dir:_ ~server:_ ~connect ~stop:_ ->
       let a = connect () in
       let b = connect () in
-      (* one worker per read (sticky on the session), so A's read holds
-         one domain even where CYPHER_PARALLEL would spread its morsels
-         over every domain, B's included *)
-      List.iter
-        (fun c ->
-          match
-            Client.query ~options:[ ("parallel", Value.Int 1) ] c "RETURN 1"
-          with
-          | Ok _ -> ()
-          | Error e -> Alcotest.failf "parallel 1: %s" (Client.error_message e))
-        [ a; b ];
       ignore (ok_query a "UNWIND range(1, 6000) AS i CREATE (:N {v: i})");
       let a_done = ref 0. and a_elapsed = ref 0. and a_count = ref 0 in
       let long_read =
@@ -782,6 +772,108 @@ let stop_with_idle_connection () =
       (Cypher_engine.Domain_pool.shutdown ());
     Client.close client
 
+(* A thread spawned on the pool that reports its domain and then parks
+   until released. *)
+let parked_thread () =
+  let where = ref None and release = ref false in
+  let m = Mutex.create () and c = Condition.create () in
+  let th =
+    Domain_pool.spawn_thread (fun () ->
+        Mutex.lock m;
+        where := Some (Domain.self ());
+        Condition.broadcast c;
+        while not !release do Condition.wait c m done;
+        Mutex.unlock m)
+  in
+  Mutex.lock m;
+  while !where = None do Condition.wait c m done;
+  let d = Option.get !where in
+  Mutex.unlock m;
+  let finish () =
+    Mutex.lock m;
+    release := true;
+    Condition.broadcast c;
+    Mutex.unlock m;
+    Thread.join th
+  in
+  (d, finish)
+
+(* Runs after the test above has emptied the pool and every connection
+   thread has ended, so placement starts from no live threads. *)
+let pool_placement () =
+  if Domain.recommended_domain_count () < 2 then begin
+    print_endline "skipped: one recommended domain, so every thread runs on \
+                   the caller's";
+    Alcotest.skip ()
+  end;
+  let d1, finish1 = parked_thread () in
+  let d2, finish2 = parked_thread () in
+  Alcotest.(check bool) "two consecutive spawns land on different domains"
+    true (d1 <> d2);
+  finish1 ();
+  let d3, finish3 = parked_thread () in
+  Alcotest.(check bool) "once the first ends, the next spawn reuses its domain"
+    true (d3 = d1);
+  finish2 ();
+  finish3 ()
+
+let pool_shutdown_leaves_busy_domains () =
+  (* a thread parked on a pool domain keeps that domain alive: shutdown
+     must return without joining it, or an idle connection would hang
+     process exit *)
+  let parked_on, finish = parked_thread () in
+  let hosting = if parked_on = Domain.self () then 0 else 1 in
+  let domains = Domain_pool.size () in
+  let returned = Atomic.make false and joined = ref 0 in
+  let shutter =
+    Thread.create
+      (fun () ->
+        joined := Domain_pool.shutdown ();
+        Atomic.set returned true)
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. 10. in
+  while (not (Atomic.get returned)) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  let ok = Atomic.get returned in
+  finish ();
+  Thread.join shutter;
+  Alcotest.(check bool) "shutdown returns while a hosted thread lives" true ok;
+  Alcotest.(check int) "every domain but the hosting one joined"
+    (domains - hosting) !joined;
+  (* the pool re-grows on demand *)
+  let ran = Atomic.make false in
+  Thread.join (Domain_pool.spawn_thread (fun () -> Atomic.set ran true));
+  Alcotest.(check bool) "a thread spawned after shutdown still runs" true
+    (Atomic.get ran);
+  Alcotest.(check int) "the pool re-grew to one domain per core"
+    (min 8 (Domain.recommended_domain_count () - 1))
+    (Domain_pool.size ())
+
+(* A client built when the server still read a "parallel" option sends
+   it with every query ([cypher_cli --parallel 4 --connect]).  The server
+   ignores options it does not read, so the answer is the one the same
+   query gets without options. *)
+let unread_option_is_ignored () =
+  with_server (fun ~dir:_ ~server:_ ~connect ~stop:_ ->
+      let c = connect () in
+      ignore (ok_query c "UNWIND range(1, 5) AS i CREATE (:N {v: i})");
+      let q = "MATCH (n:N) RETURN n.v AS v ORDER BY v" in
+      let plain = ok_query c q in
+      let optioned =
+        match Client.query ~options:[ ("parallel", Value.Int 4) ] c q with
+        | Ok r -> r
+        | Error e -> Alcotest.failf "%S with an unread option: %s" q
+                       (Client.error_message e)
+      in
+      Alcotest.(check (list string)) "same columns" plain.Client.columns
+        optioned.Client.columns;
+      Alcotest.(check (list (list value_testable))) "same rows"
+        plain.Client.rows optioned.Client.rows;
+      Alcotest.(check int) "every row answered" 5 (List.length plain.Client.rows);
+      Client.close c)
+
 let suite =
   [
     tc "protocol round-trips requests, responses and malformed input"
@@ -810,4 +902,8 @@ let suite =
       long_read_does_not_stall_others;
     tc "stop and pool shutdown return with a connection idle"
       stop_with_idle_connection;
+    tc "domain pool places threads on the least-loaded domain" pool_placement;
+    tc "domain pool shutdown leaves domains hosting live threads"
+      pool_shutdown_leaves_busy_domains;
+    tc "an option the server does not read is ignored" unread_option_is_ignored;
   ]
