@@ -101,6 +101,40 @@ let updating_queries =
     "MERGE (n:Single {k: 1}) ON CREATE SET n.created = true RETURN n.created";
   ]
 
+(* One query per plan shape on a generated social graph, larger than the
+   paper's: streaming pipelines, grouped and global aggregates (float
+   sums included), DISTINCT, ORDER BY with SKIP and LIMIT, UNWIND, a WITH
+   continuation, OPTIONAL MATCH, variable-length paths and an error
+   raised mid-stream.  People carry a unique [name] and a [city];
+   FRIEND relationships a [since] year.  LIMIT only follows a total
+   order, so the bags are defined. *)
+let social_shape_queries =
+  [
+    "MATCH (a:Person)-[r:FRIEND]->(b) WHERE r.since > 2005 RETURN a.name, \
+     b.name";
+    "MATCH (a:Person)-[:FRIEND]->(b) RETURN count(b)";
+    "MATCH (a:Person)-[r:FRIEND]->(b) RETURN a.name, count(b), sum(r.since), \
+     avg(r.since)";
+    "MATCH (a:Person) RETURN a.city AS city, count(*) AS n, collect(a.name)";
+    "MATCH ()-[r:FRIEND]->() RETURN sum(r.since * 0.1), avg(r.since * 0.3)";
+    "MATCH (a:Person)-[r:FRIEND]->(b) RETURN a.name, min(r.since), \
+     max(r.since), count(DISTINCT b.city)";
+    "MATCH ()-[r:FRIEND]->() RETURN percentileCont(r.since, 0.5), \
+     percentileDisc(r.since, 0.9)";
+    "MATCH (a:Person)-[:FRIEND]->(b) RETURN DISTINCT b.city";
+    "MATCH (a:Person)-[r:FRIEND]->(b) RETURN a.name, b.name ORDER BY \
+     r.since, a.name, b.name SKIP 5 LIMIT 20";
+    "MATCH (a:Person) RETURN a.name ORDER BY a.city DESC, a.name LIMIT 7";
+    "MATCH (a:Person) UNWIND [1,2] AS i RETURN a.name, i";
+    "MATCH (a:Person)-[:FRIEND]->(b) WITH a, count(b) AS friends WHERE \
+     friends > 2 MATCH (a)-[:FRIEND]->(c) RETURN a.name, friends, count(c)";
+    "MATCH (a:Person) OPTIONAL MATCH (a)-[r:FRIEND]->(b) WHERE r.since > \
+     2015 RETURN a.name, b.name";
+    "MATCH p = (a:Person)-[:FRIEND*1..2]->(c) RETURN a.name, length(p), \
+     c.name ORDER BY a.name, length(p), c.name LIMIT 25";
+    "MATCH (a:Person) RETURN a.name / 2";
+  ]
+
 let make_suite name g queries =
   List.mapi
     (fun i q ->
@@ -115,3 +149,6 @@ let suite =
        g)
       self_loop_queries
   @ make_suite "update" Cypher_graph.Graph.empty updating_queries
+  @ make_suite "social"
+      (Generate.social ~seed:7 ~people:60 ~avg_friends:5)
+      social_shape_queries

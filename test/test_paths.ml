@@ -407,6 +407,39 @@ let fallback_is_observable () =
     if not (contains_s text "not planned") then
       Alcotest.failf "EXPLAIN does not surface the planner refusal:\n%s" text
 
+let social_agrees () =
+  (* both engines on a social graph larger than the fuzz's random ones:
+     many sources, long searches, one cheapest-path cost property *)
+  let g = Generate.social ~seed:7 ~people:60 ~avg_friends:4 in
+  let name i =
+    match
+      Graph.node_prop g
+        (List.nth (Graph.nodes_with_label g "Person") i)
+        "name"
+    with
+    | Value.String s -> s
+    | _ -> Alcotest.fail "social node without a name"
+  in
+  List.iter
+    (fun q ->
+      let t = run_both g q in
+      if Cypher_table.Table.rows t = [] then
+        Alcotest.failf "%S: no rows, so nothing was compared" q)
+    [
+      "MATCH (a:Person), (b:Person) WHERE a.name < b.name MATCH p = \
+       shortestPath((a)-[:FRIEND*]->(b)) RETURN length(p) AS l, count(*) AS \
+       c ORDER BY l";
+      Printf.sprintf
+        "MATCH (a:Person {name: '%s'}) MATCH p = \
+         allShortestPaths((a)-[:FRIEND*]-(b:Person)) RETURN b.name, \
+         length(p)"
+        (name 0);
+      Printf.sprintf
+        "MATCH (a:Person {name: '%s'}), (b:Person {name: '%s'}) MATCH p = \
+         cheapestPath((a)-[:FRIEND*]-(b), 'since') RETURN length(p)"
+        (name 1) (name 17);
+    ]
+
 (* --- differential fuzz: planner vs reference -------------------------- *)
 
 let fuzz_differential () =
@@ -1175,6 +1208,8 @@ let suite =
       tc "EXPLAIN names the path operators" explain_names_operator;
       tc "PROFILE names the path operators" profile_names_operator;
       tc "reference fallback is counted and surfaced" fallback_is_observable;
+      tc "planner and reference agree on path operators over a social graph"
+        social_agrees;
       tc "fuzz: planner and reference agree on path queries" fuzz_differential;
       tc "fuzz: cheapest-path costs agree" fuzz_cheapest_differential;
       tc "oracle: shortest lengths match naive enumeration"

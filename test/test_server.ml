@@ -851,6 +851,37 @@ let pool_shutdown_leaves_busy_domains () =
     (min 8 (Domain.recommended_domain_count () - 1))
     (Domain_pool.size ())
 
+let pool_runs_every_thread_once () =
+  let n = 64 in
+  let hits = Array.init n (fun _ -> Atomic.make 0) in
+  let threads =
+    List.init n (fun i -> Domain_pool.spawn_thread (fun () -> Atomic.incr hits.(i)))
+  in
+  List.iter Thread.join threads;
+  Array.iteri
+    (fun i c ->
+      Alcotest.(check int) (Printf.sprintf "thread %d ran exactly once" i) 1
+        (Atomic.get c))
+    hits;
+  Alcotest.(check bool) "pool stays within one domain per core" true
+    (Domain_pool.size () <= min 8 (Domain.recommended_domain_count () - 1))
+
+let pool_concurrent_spawners () =
+  (* spawners racing on the pool lock and on the shared hand-back
+     condition must each get their own thread back *)
+  let total = Atomic.make 0 in
+  let spawners =
+    List.init 6 (fun _ ->
+        Thread.create
+          (fun () ->
+            List.init 5 (fun _ ->
+                Domain_pool.spawn_thread (fun () -> Atomic.incr total))
+            |> List.iter Thread.join)
+          ())
+  in
+  List.iter Thread.join spawners;
+  Alcotest.(check int) "every spawned thread ran" (6 * 5) (Atomic.get total)
+
 (* A client built when the server still read a "parallel" option sends
    it with every query ([cypher_cli --parallel 4 --connect]).  The server
    ignores options it does not read, so the answer is the one the same
@@ -905,5 +936,8 @@ let suite =
     tc "domain pool places threads on the least-loaded domain" pool_placement;
     tc "domain pool shutdown leaves domains hosting live threads"
       pool_shutdown_leaves_busy_domains;
+    tc "domain pool runs every spawned thread exactly once"
+      pool_runs_every_thread_once;
+    tc "domain pool serves concurrent spawners" pool_concurrent_spawners;
     tc "an option the server does not read is ignored" unread_option_is_ignored;
   ]
