@@ -4,7 +4,7 @@
      cypher_cli                          start a REPL on an empty graph
      cypher_cli --graph academic         start on a built-in graph
      cypher_cli --db path/to/db          open (or create) a durable database:
-                                         statements are committed to a
+                                         each commit's changes go to a
                                          write-ahead log and survive restarts
      cypher_cli --serve HOST:PORT --db PATH
                                          serve the database to concurrent
@@ -825,8 +825,8 @@ let () =
       | Ok store ->
         let g = Store.graph store in
         Printf.printf
-          "opened database %s (%d nodes, %d relationships, %d WAL records \
-           replayed)\n"
+          "opened database %s (%d nodes, %d relationships, %d WAL change \
+           records applied)\n"
           path (Graph.node_count g) (Graph.rel_count g)
           (Store.wal_records store);
         parse { st with store = Some store } rest

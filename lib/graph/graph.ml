@@ -614,6 +614,14 @@ let update_rel g r f =
     in
     stamp (jrel r { g with rel_map = Idmap.add (rkey r) d g.rel_map; adj })
 
+let replace_rel g d =
+  match Idmap.find_opt (rkey d.rel_id) g.rel_map with
+  | Some old
+    when Ids.equal_node old.src d.src && Ids.equal_node old.tgt d.tgt
+         && String.equal old.rel_type d.rel_type ->
+    update_rel g d.rel_id (fun _ -> d)
+  | _ -> invalid_arg "Graph.replace_rel: no such relationship"
+
 let set_node_prop g n k v =
   update_node g n (fun d ->
       {

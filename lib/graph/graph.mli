@@ -247,6 +247,11 @@ val insert_rels : t -> rel_data list -> t
     records themselves are filed, so a record taken from another graph
     of the same universe is shared, not copied. *)
 
+val replace_rel : t -> rel_data -> t
+(** Replaces a relationship's record in place, keeping its adjacency
+    position as a property update does.  Raises [Invalid_argument] if
+    the graph has no relationship with its id, endpoints and type. *)
+
 (** {1 Identifier allocation}
 
     Fresh ids come from two monotonic per-graph counters; these are the

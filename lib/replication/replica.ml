@@ -5,8 +5,9 @@
    long-polls the primary for framed WAL records ('F'), verifies each
    frame with the same CRC and contiguity checks file recovery uses,
    and applies batches through {!Store.apply_replicated} — the
-   recovery replay path — so the replica's MVCC store publishes the
-   same versions the primary's did, under the same sequence numbers.
+   recovery path, which applies each record's change without running
+   a query — so the replica's MVCC store publishes the same versions
+   the primary's did, under the same sequence numbers.
 
    Bootstrap and resync both go through the snapshot transfer ('B'):
    the replica persists the primary's snapshot bytes verbatim as its
@@ -165,16 +166,9 @@ let apply_batch t frames =
       Registry.observe_us m_apply dur;
       Registry.incr m_batches;
       Registry.add m_records (List.length records);
-      (* Commit lineage: each applied record that carries a trace id
-         gets a span on that trace, keyed by (trace_id, seq) — the
-         same key the primary stamped on its "commit_durable" span. *)
+      (* commit lineage, keyed as the primary's "commit_durable" notes *)
       List.iter
-        (fun r ->
-          if r.Wal.trace <> 0 then
-            Cypher_obs.Trace.note
-              ~ctx:{ Cypher_obs.Trace.trace_id = r.Wal.trace; parent_span = 0 }
-              ~attrs:[ ("seq", string_of_int r.Wal.seq) ]
-              "replica_apply" dur)
+        (fun r -> Wal.note_lineage "replica_apply" dur ~seq:r.Wal.seq r.Wal.traces)
         records;
       Ok ()
     | Error _ as e -> e)

@@ -8,7 +8,8 @@
       watermark — the replica's sequence numbers are the primary's;
     - {e tailing}: long-poll ('F') for framed WAL records and apply
       each batch through {!Cypher_storage.Store.apply_replicated} (the
-      recovery replay path) as one local group commit;
+      recovery path: changes applied, no query run) as one local group
+      commit;
     - {e integrity}: every frame is CRC-checked and the batch must be
       gap-free from [last applied + 1]; any violation triggers a full
       resync instead of a partial apply;

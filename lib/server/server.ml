@@ -142,9 +142,9 @@ type conn = {
   fd : Unix.file_descr;
   conn_id : int;  (* process-unique; labels slowlog lines and spans *)
   session : Session.t;
-  (* the batch captured by the session's [on_commit] hook, handed to the
-     store's group commit once the writer lock can be released *)
-  pending : Session.logged list ref;
+  (* the commit captured by the session's [on_commit] hook, handed to
+     the store's group commit once the writer lock can be released *)
+  pending : Session.commit option ref;
   mutable tx_depth : int;  (* > 0 iff this connection holds the writer lock *)
   (* the snapshot image pinned by a bootstrap ('B' at offset 0), so
      every later chunk comes from the same committed version even while
@@ -169,24 +169,22 @@ let store_health t conn =
     ("plan_cache_evictions", Value.Int stats.Engine.cache_evictions);
   ]
 
-(* Hands the batch captured by the connection's [on_commit] hook to the
+(* Hands the commit captured by the connection's [on_commit] hook to the
    store's group commit and releases the writer lock.  The lock is
    dropped *before* the fsync wait: the next writer executes while this
    group syncs, which is what lets concurrent commits share one fsync.
    Called with the writer lock held; always releases it. *)
 let finish_commit t conn =
-  let batch = !(conn.pending) in
-  conn.pending := [];
-  match batch with
-  | [] ->
+  let commit = !(conn.pending) in
+  conn.pending := None;
+  match commit with
+  | None ->
     (* write-classified but effect-free (or read-only in a tx): nothing
        to log, nothing to publish *)
     Store.writer_unlock t.store;
     Ok ()
-  | batch ->
-    let ticket =
-      Store.enqueue_commit t.store ~graph:(Session.graph conn.session) batch
-    in
+  | Some commit ->
+    let ticket = Store.enqueue_commit t.store commit in
     Store.writer_unlock t.store;
     Trace.with_span "group_commit" (fun () ->
         Store.await_commit t.store ticket)
@@ -276,7 +274,7 @@ let execute t conn ~min_seq text params =
         (* an outermost commit that fails validation has rolled the
            whole transaction back: nothing was published or logged *)
         conn.tx_depth <- 0;
-        conn.pending := [];
+        conn.pending := None;
         Store.writer_unlock t.store;
         engine_error e
   end
@@ -287,7 +285,7 @@ let execute t conn ~min_seq text params =
       | Ok () ->
         conn.tx_depth <- conn.tx_depth - 1;
         if conn.tx_depth = 0 then begin
-          conn.pending := [];
+          conn.pending := None;
           Store.writer_unlock t.store
         end;
         Protocol.Result { columns = []; rows = []; seq = 0 }
@@ -323,15 +321,15 @@ let execute t conn ~min_seq text params =
     | Engine.Update when replica -> read_only_rejection t
     | Engine.Update -> (
       (* Single-writer path: rebase the session on the latest committed
-         version, execute once (validation + capture of the logged
-         batch), then group-commit.  The lock acquisition is spanned so
+         version, execute once (validation + capture of the commit),
+         then group-commit.  The lock acquisition is spanned so
          the slow-query log can tell waiting from work. *)
       Trace.with_span "writer_lock" (fun () -> Store.writer_lock t.store);
       let result =
         match
           Session.set_graph conn.session (Store.head t.store);
           Session.set_params conn.session params;
-          conn.pending := [];
+          conn.pending := None;
           Session.run conn.session text
         with
         | r -> r
@@ -596,7 +594,11 @@ let rec handle_request t conn payload =
         Cypher_obs.Clock.now_ns () + (wait_ms * 1_000_000)
       in
       let rec poll () =
-        let f = Store.fetch_since t.store ~from_seq ~max_records in
+        (* half a frame leaves room for the batch's own framing *)
+        let f =
+          Store.fetch_since t.store ~from_seq ~max_records
+            ~max_bytes:(Protocol.default_max_frame / 2)
+        in
         if
           f.Store.fr_records <> [] || f.Store.fr_resync || Atomic.get t.stopping
           || Cypher_obs.Clock.now_ns () >= deadline
@@ -743,17 +745,17 @@ let next_conn_id = Atomic.make 1
 
 let serve_connection t fd =
   Metrics.connection_opened t.metrics;
-  (* the commit hook only captures the batch: the connection decides
+  (* the commit hook only captures the commit: the connection decides
      when to hand it to the group commit, because the writer lock must
      be released first *)
-  let pending = ref [] in
+  let pending = ref None in
   let conn =
     {
       fd;
       conn_id = Atomic.fetch_and_add next_conn_id 1;
       session =
         Session.create ~schema:t.schema ~mode:t.mode
-          ~on_commit:(fun c -> pending := c.Session.c_batch)
+          ~on_commit:(fun c -> pending := Some c)
           (Store.snapshot t.store);
       pending;
       tx_depth = 0;
@@ -771,7 +773,7 @@ let serve_connection t fd =
          so dropping them is exactly a rollback *)
       if conn.tx_depth > 0 then begin
         conn.tx_depth <- 0;
-        conn.pending := [];
+        conn.pending := None;
         Store.writer_unlock t.store
       end;
       (try Unix.close fd with Unix.Unix_error _ -> ());

@@ -2,25 +2,21 @@ open Cypher_graph
 module Schema = Cypher_schema.Schema
 module Config = Cypher_semantics.Config
 
-type logged = {
-  lg_text : string;
-  lg_params : (string * Cypher_values.Value.t) list;
-  lg_trace : int;
-}
-
 type commit = {
-  c_batch : logged list;
   c_base : Graph.t;
   c_graph : Graph.t;
   c_delta : Graph.delta option;
+  c_traces : int list;
 }
 
 type t = {
   mutable current : Graph.t;
-  mutable snapshots : Graph.t list; (* innermost first *)
-  (* update statements of each open transaction, one frame per snapshot,
-     newest statement first within a frame *)
-  mutable pending : logged list list;
+  (* open transactions, innermost first: the graph and the traces each
+     one began with, restored by its rollback *)
+  mutable snapshots : (Graph.t * int list) list;
+  (* trace ids of the updates since the outermost transaction began,
+     newest first, each once *)
+  mutable traces : int list;
   mutable config : Config.t;
   schema : Schema.t;
   mode : Cypher_engine.Engine.mode;
@@ -33,7 +29,7 @@ let create ?(schema = Schema.empty) ?(params = [])
   {
     current = g;
     snapshots = [];
-    pending = [];
+    traces = [];
     config = Config.with_params params Config.default;
     schema;
     mode;
@@ -68,20 +64,22 @@ let validate t g ~outcome =
 
 let cache_stats t = Cypher_engine.Engine.cache_stats t.cache
 
-(* One call per durable commit: the batch in execution order, plus the
-   graph span it covers.  The delta is computed here — once, over the
-   whole span — so nested transactions merged into the outer frame yield
+(* One call per durable commit: the graph span it covers and the traces
+   of its updates.  The delta is computed here — once, over the whole
+   span — so nested transactions merged into the outer frame yield
    exactly one coalesced delta set, and rolled-back inner effects (which
-   exist only in discarded graph values) never surface. *)
-let emit t ~base batch =
+   exist only in discarded graph values) never surface.  An update
+   always stamps a fresh version (the counter is global and monotonic),
+   so an unchanged version means nothing was updated. *)
+let emit t ~base traces =
   match t.on_commit with
-  | Some f when batch <> [] ->
+  | Some f when Graph.version t.current <> Graph.version base ->
     f
       {
-        c_batch = batch;
         c_base = base;
         c_graph = t.current;
         c_delta = Graph.delta_between ~since:base t.current;
+        c_traces = List.rev traces;
       }
   | _ -> ()
 
@@ -93,27 +91,19 @@ let run t text =
   | Error e -> Error e
   | Ok outcome ->
     let g = outcome.Cypher_engine.Engine.graph in
-    (* An update always stamps a fresh version (the counter is global and
-       monotonic), so version equality means the statement was read-only
-       and need not reach the write-ahead log. *)
-    let updated = Graph.version g <> Graph.version t.current in
-    let logged () =
-      {
-        lg_text = text;
-        lg_params = Cypher_values.Value.Smap.bindings t.config.Config.params;
-        (* captured on the executing thread, where a server installs the
-           remote caller's context — commit lineage starts here *)
-        lg_trace = Cypher_obs.Trace.current_trace_id ();
-      }
+    (* captured on the executing thread, where a server installs the
+       remote caller's context — commit lineage starts here *)
+    let traces =
+      let trace = Cypher_obs.Trace.current_trace_id () in
+      if trace = 0 || Graph.version g = Graph.version t.current
+         || List.mem trace t.traces
+      then t.traces
+      else trace :: t.traces
     in
     if in_transaction t then begin
       (* deferred validation: the schema is checked at commit *)
       t.current <- g;
-      if updated then
-        t.pending <-
-          (match t.pending with
-          | frame :: rest -> (logged () :: frame) :: rest
-          | [] -> assert false);
+      t.traces <- traces;
       Ok outcome.Cypher_engine.Engine.table
     end
     else begin
@@ -121,49 +111,41 @@ let run t text =
       | Ok () ->
         let base = t.current in
         t.current <- g;
-        if updated then emit t ~base [ logged () ];
+        emit t ~base traces;
         Ok outcome.Cypher_engine.Engine.table
       | Error _ as e -> e
     end
 
-let begin_tx t =
-  t.snapshots <- t.current :: t.snapshots;
-  t.pending <- [] :: t.pending
+let begin_tx t = t.snapshots <- (t.current, t.traces) :: t.snapshots
 
 let no_transaction =
   Error (Cypher_engine.Engine.Runtime_error "no open transaction")
 
 let commit t =
-  match (t.snapshots, t.pending) with
-  | [], _ -> no_transaction
-  | [ outermost ], frames -> (
-    let batch = match frames with f :: _ -> f | [] -> [] in
+  match t.snapshots with
+  | [] -> no_transaction
+  | [ (outermost, _) ] -> (
+    let traces = t.traces in
+    t.snapshots <- [];
+    t.traces <- [];
     match validate t t.current ~outcome:"transaction rolled back" with
     | Ok () ->
-      t.snapshots <- [];
-      t.pending <- [];
-      emit t ~base:outermost (List.rev batch);
+      emit t ~base:outermost traces;
       Ok ()
     | Error _ as e ->
       t.current <- outermost;
-      t.snapshots <- [];
-      t.pending <- [];
       e)
-  | _ :: rest, inner :: outer :: frames ->
-    (* inner commit: effects — and their log records — become part of the
-       enclosing transaction *)
-    t.snapshots <- rest;
-    t.pending <- (inner @ outer) :: frames;
-    Ok ()
-  | _ :: rest, _ ->
+  | _ :: rest ->
+    (* inner commit: its effects and traces become the enclosing
+       transaction's *)
     t.snapshots <- rest;
     Ok ()
 
 let rollback t =
   match t.snapshots with
   | [] -> no_transaction
-  | snapshot :: rest ->
+  | (snapshot, traces) :: rest ->
     t.current <- snapshot;
+    t.traces <- traces;
     t.snapshots <- rest;
-    t.pending <- (match t.pending with _ :: frames -> frames | [] -> []);
     Ok ()

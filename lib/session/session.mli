@@ -15,33 +15,23 @@ open Cypher_table
 
 type t
 
-type logged = {
-  lg_text : string;  (** the statement, verbatim *)
-  lg_params : (string * Cypher_values.Value.t) list;
-      (** the parameter bindings in force when it ran *)
-  lg_trace : int;
-      (** trace id of the request that ran the statement (0 untraced) *)
-}
-(** One committed update statement, as reported to {!create}'s
-    [on_commit] hook — the bridge to the durable storage layer's
-    write-ahead log. *)
-
 type commit = {
-  c_batch : logged list;
-      (** the batch's update statements, in execution order *)
-  c_base : Graph.t;  (** the committed state the batch started from *)
-  c_graph : Graph.t;  (** the committed state the batch produced *)
+  c_base : Graph.t;  (** the committed state the commit started from *)
+  c_graph : Graph.t;  (** the committed state the commit produced *)
   c_delta : Graph.delta option;
-      (** the structured entity delta between [c_base] and [c_graph]
-          (created/deleted nodes and rels, property and label changes),
-          computed once per durable commit so nested transactions merged
-          into their enclosing frame yield exactly one coalesced delta
-          set; [None] when the graph journal was truncated across the
-          span (consumers fall back to full recomputation) *)
+      (** the entity delta between [c_base] and [c_graph], computed once
+          per durable commit so nested transactions merged into their
+          enclosing frame yield one coalesced delta; [None] when the
+          graph journal was truncated across the span (consumers fall
+          back to the whole of [c_graph]) *)
+  c_traces : int list;
+      (** trace ids of the requests whose statements updated the graph,
+          in execution order, each once; empty when none was traced *)
 }
-(** What one durable commit carries: the logged statements for the
-    write-ahead log, and the graph span (with its delta) for incremental
-    consumers such as view maintenance. *)
+(** What one durable commit carries: the graph span and its delta — the
+    write-ahead log records the change, incremental consumers such as
+    view maintenance read it — and the traces that commit lineage
+    follows. *)
 
 val create :
   ?schema:Cypher_schema.Schema.t ->
@@ -56,16 +46,16 @@ val create :
     cached statement prepares it again against fresh statistics.
 
     [on_commit] makes the session durable: it is called with a {!commit}
-    record exactly when a batch's effects become permanent — at the
-    outermost {!commit} (statements in execution order), or immediately
-    for an auto-committed update outside any transaction.  Statements of
-    a rolled-back (or schema-rejected) transaction are never reported
-    and leave no trace in the delta; read-only statements are never
-    reported.  It is not called with an empty batch.
+    record exactly when effects become permanent — at the outermost
+    {!commit}, or immediately for an auto-committed update outside any
+    transaction.  Statements of a rolled-back (or schema-rejected)
+    transaction are never reported and leave no trace in the delta; a
+    commit that updated nothing (read-only statements, or everything
+    rolled back) is not reported.
 
     The hook decides the durability story, not the session: the store's
     local session appends and fsyncs inside the hook, while the network
-    server's hook only {e captures} the batch — the connection hands it
+    server's hook only {e captures} the commit — the connection hands it
     to the store's WAL group commit after releasing the writer lock, so
     concurrent commits can share one fsync. *)
 

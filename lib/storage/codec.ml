@@ -1,7 +1,5 @@
 open Cypher_values
 
-let format_version = 1
-
 exception Corrupt of string
 
 let corrupt fmt = Format.kasprintf (fun s -> raise (Corrupt s)) fmt

@@ -21,9 +21,6 @@
 
 open Cypher_values
 
-val format_version : int
-(** Bumped on any incompatible change to the encoding. *)
-
 exception Corrupt of string
 (** Raised by all [read_*] functions on malformed input (truncated
     buffer, unknown tag, overlong varint). *)
@@ -42,16 +39,6 @@ val write_uvarint : Buffer.t -> int -> unit
 
 val read_uvarint : reader -> int
 
-val write_int : Buffer.t -> int -> unit
-(** Zig-zag varint: any native int, negative included. *)
-
-val read_int : reader -> int
-val write_int64 : Buffer.t -> int64 -> unit
-(** Fixed eight bytes, little-endian. *)
-
-val read_int64 : reader -> int64
-val write_float : Buffer.t -> float -> unit
-val read_float : reader -> float
 val write_string : Buffer.t -> string -> unit
 val read_string : reader -> string
 val write_bool : Buffer.t -> bool -> unit

@@ -1,6 +1,5 @@
 open Cypher_graph
 module Session = Cypher_session.Session
-module Engine = Cypher_engine.Engine
 module Registry = Cypher_obs.Registry
 module Trace = Cypher_obs.Trace
 module Clock = Cypher_obs.Clock
@@ -13,6 +12,10 @@ let m_recoveries =
   Registry.counter ~help:"store opens that replayed a non-empty WAL tail"
     "cypher_storage_recoveries_total"
 
+let m_replayed =
+  Registry.counter ~help:"WAL records applied during recovery"
+    "cypher_storage_recovery_replayed_total"
+
 let m_group_flushes =
   Registry.counter ~help:"group-commit flushes (one WAL append + fsync each)"
     "cypher_storage_group_flushes_total"
@@ -21,10 +24,13 @@ let m_group_members =
   Registry.counter ~help:"commits made durable by group-commit flushes"
     "cypher_storage_group_members_total"
 
-(* One commit waiting in (or flushed from) the group-commit queue. *)
+(* One commit waiting in (or flushed from) the group-commit queue, with
+   its records as (traces, change) pairs: a local commit's change is
+   encoded when the flush leader asks, outside the writer lock; a
+   replica's records come encoded. *)
 type pending = {
   p_ticket : int;
-  p_batch : Session.logged list;
+  p_records : unit -> (int list * string) list;
   p_graph : Graph.t;
 }
 
@@ -33,7 +39,6 @@ type ticket = int
 type t = {
   dir : string;
   writer : Wal.writer;
-  mode : Engine.mode option;  (* execution mode, for replicated replay *)
   session : Session.t;  (* the local (CLI / recovery) session *)
   (* Writers — statement execution and version production — serialise on
      [writer_m].  Readers never touch it: they pin [committed] below. *)
@@ -50,7 +55,7 @@ type t = {
      [committed], or it would silently drop the queued commits' effects;
      once the queue drains the two pointers coincide. *)
   mutable head : Graph.t;
-  (* statements logged since the last checkpoint; mirrors the WAL tail *)
+  (* records logged since the last checkpoint; mirrors the WAL tail *)
   mutable tail_records : int;
   mutable last_seq : int;
   (* group commit: tickets are issued under [writer_m] in version order;
@@ -135,78 +140,70 @@ let writer_unlock t = Mutex.unlock t.writer_m
 (* Caller holds [writer_m], so tickets are issued in the order versions
    were produced; that order is the WAL append order and the publication
    order. *)
-let enqueue_commit t ~graph batch =
+let enqueue t ~graph records =
   Mutex.lock t.m;
   let ticket = t.next_ticket in
   t.next_ticket <- ticket + 1;
   t.head <- graph;
-  t.pending <- { p_ticket = ticket; p_batch = batch; p_graph = graph } :: t.pending;
+  t.pending <-
+    { p_ticket = ticket; p_records = records; p_graph = graph } :: t.pending;
   Mutex.unlock t.m;
   ticket
+
+let enqueue_commit t (c : Session.commit) =
+  let change () = Snapshot.encode_change ~base:c.c_base c.c_graph c.c_delta in
+  enqueue t ~graph:c.c_graph (fun () -> [ (c.c_traces, change ()) ])
 
 (* Flushes [group] (sorted by ticket): one [Wal.append] + fsync for every
    member, then publication of the newest version.  Runs without [m]
    held; returns with it re-taken. *)
 let flush_group t group =
   let published = ref None in
-  let stmts =
-    List.concat_map
-      (fun p ->
-        List.map
-          (fun l -> (l.Session.lg_text, l.Session.lg_params, l.Session.lg_trace))
-          p.p_batch)
-      group
-  in
+  let members = List.map (fun p -> p.p_records ()) group in
+  let records = List.concat members in
   let result =
-    match Wal.append_encoded t.writer stmts with
-    | encoded -> Ok encoded
+    match Wal.append t.writer records with
+    | framed -> Ok framed
     | exception e -> Error (Printexc.to_string e)
   in
-  (* Commit-lineage spans: each record that belongs to a trace gets a
-     durability marker keyed by (trace_id, seq), emitted on the flush
-     leader's thread on behalf of the request's trace.  [Trace.note]
-     no-ops without a sink or collector. *)
+  (* Commit lineage: a durability marker per trace, emitted on the flush
+     leader's thread on behalf of the request's trace. *)
   (match result with
-  | Ok encoded ->
+  | Ok framed ->
     List.iter2
-      (fun (seq, _) (_, _, tr) ->
-        if tr <> 0 then
-          Trace.note
-            ~ctx:{ Trace.trace_id = tr; parent_span = 0 }
-            ~attrs:[ ("seq", string_of_int seq) ]
-            "commit_durable" 0)
-      encoded stmts
+      (fun (seq, _) (trs, _) -> Wal.note_lineage "commit_durable" 0 ~seq trs)
+      framed records
   | Error _ -> ());
   Mutex.lock t.m;
   (match result with
-  | Ok encoded ->
-    t.tail_records <- t.tail_records + List.length stmts;
+  | Ok framed ->
+    t.tail_records <- t.tail_records + List.length framed;
     List.iter
-      (fun (seq, framed) ->
+      (fun (seq, bytes) ->
         if seq > t.last_seq then t.last_seq <- seq;
         (* the record is durable here (the fsync above succeeded), so it
            is safe to hand to replicas *)
-        Queue.add (seq, framed) t.repl_tail)
-      encoded;
+        Queue.add (seq, bytes) t.repl_tail)
+      framed;
     while Queue.length t.repl_tail > t.repl_retention do
       let dropped_seq, _ = Queue.pop t.repl_tail in
       t.repl_floor <- dropped_seq + 1
     done;
     (* versions are linear, so the group's newest graph carries every
        member's effects; publishing it publishes them all in order *)
-    (match List.rev group with
-    | newest :: _ ->
+    (match (List.rev group, List.rev members) with
+    | newest :: _, newest_records :: _ ->
       (* the trace the publication is attributed to: the newest member's
-         last traced statement (coalesced members' traces are carried by
-         their own per-record lineage spans above) *)
+         last trace (coalesced members' traces are carried by their own
+         per-record lineage spans above) *)
       let trace =
-        List.fold_left
-          (fun acc l -> if l.Session.lg_trace <> 0 then l.Session.lg_trace else acc)
-          0 newest.p_batch
+        match List.rev (List.concat_map fst newest_records) with
+        | tr :: _ -> tr
+        | [] -> 0
       in
       t.committed <- newest.p_graph;
       published := Some (newest.p_graph, trace)
-    | [] -> ());
+    | _ -> ());
     Registry.incr m_group_flushes;
     Registry.add m_group_members (List.length group)
   | Error e ->
@@ -283,9 +280,9 @@ let await_commit t ticket =
    session's commit hook; the network server drives [writer_lock] /
    [enqueue_commit] / [await_commit] itself so statement execution and
    the fsync wait are decoupled. *)
-let local_commit t batch =
+let local_commit t commit =
   writer_lock t;
-  let ticket = enqueue_commit t ~graph:(Session.graph t.session) batch in
+  let ticket = enqueue_commit t commit in
   writer_unlock t;
   match await_commit t ticket with
   | Ok () -> ()
@@ -309,6 +306,17 @@ let ensure_dir dir =
 
 let ( let* ) = Result.bind
 
+(* Logged changes applied in order with ids preserved; failing means the
+   log and the state it is applied to disagree, so no record is skipped. *)
+let apply_records g records =
+  List.fold_left
+    (fun g r ->
+      let* g = g in
+      Result.map_error
+        (Printf.sprintf "WAL record %d does not apply: %s" r.Wal.seq)
+        (Snapshot.apply_change g r.Wal.change))
+    (Ok g) records
+
 let open_ ?schema ?mode dir =
   let* () = ensure_dir dir in
   let snap = snapshot_file dir in
@@ -324,7 +332,7 @@ let open_ ?schema ?mode dir =
     if not (Sys.file_exists wal) then Ok ([], snap_seq + 1)
     else
       let* scan = Wal.scan wal in
-      if scan.Wal.torn then Wal.truncate_file wal scan.Wal.valid_len;
+      if scan.Wal.torn then Unix.truncate wal scan.Wal.valid_len;
       let last_seq =
         List.fold_left (fun acc r -> max acc r.Wal.seq) snap_seq
           scan.Wal.records
@@ -337,23 +345,21 @@ let open_ ?schema ?mode dir =
   let* g =
     Trace.with_span "recovery_replay" (fun () ->
         if records <> [] then Registry.incr m_recoveries;
-        Wal.replay ?mode base records)
+        Registry.add m_replayed (List.length records);
+        apply_records base records)
   in
-  (* 3. wire the durable session: committed batches go through the group
-     commit queue (append + fsync + publish) *)
+  (* 3. wire the durable session: commits go through the group commit
+     queue (append + fsync + publish) *)
   let writer = Wal.open_writer ~next_seq wal in
   let store = ref None in
   let on_commit commit =
-    match !store with
-    | Some t -> local_commit t commit.Session.c_batch
-    | None -> ()
+    match !store with Some t -> local_commit t commit | None -> ()
   in
   let session = Session.create ?schema ?mode ~on_commit g in
   let t =
     {
       dir;
       writer;
-      mode;
       session;
       writer_m = Mutex.create ();
       m = Mutex.create ();
@@ -450,8 +456,12 @@ type fetch = {
    (records already dropped, or a primary restart that emptied the
    buffer) cannot be served incrementally and flags a resync: the
    replica must re-bootstrap from a snapshot.  [from_seq] past the
-   frontier returns an empty, non-resync batch — the caller long-polls. *)
-let fetch_since t ~from_seq ~max_records =
+   frontier returns an empty, non-resync batch — the caller long-polls.
+   The batch stops before the record that would take it past
+   [max_bytes]; a first record that alone exceeds it (a bulk commit's
+   change) flags a resync too, since only the chunked snapshot transfer
+   can carry it. *)
+let fetch_since ?(max_bytes = max_int) t ~from_seq ~max_records =
   Mutex.lock t.m;
   let res =
     if from_seq > t.last_seq then
@@ -459,18 +469,22 @@ let fetch_since t ~from_seq ~max_records =
     else if from_seq < t.repl_floor then
       { fr_records = []; fr_resync = true; fr_last_seq = t.last_seq }
     else begin
-      let taken = ref 0 in
+      let taken = ref 0 and bytes = ref 0 in
       let acc = ref [] in
       Queue.iter
         (fun (seq, framed) ->
           if seq >= from_seq && !taken < max_records then begin
-            acc := (seq, framed) :: !acc;
-            incr taken
+            bytes := !bytes + String.length framed;
+            if !bytes <= max_bytes then begin
+              acc := (seq, framed) :: !acc;
+              incr taken
+            end
+            else taken := max_records
           end)
         t.repl_tail;
       {
         fr_records = List.rev !acc;
-        fr_resync = false;
+        fr_resync = !acc = [] && !bytes > 0;
         fr_last_seq = t.last_seq;
       }
     end
@@ -478,9 +492,9 @@ let fetch_since t ~from_seq ~max_records =
   Mutex.unlock t.m;
   res
 
-(* Applies a fetched batch of primary WAL records on a replica: replay
-   through the engine (the recovery path), then commit the whole batch
-   as one group — one local WAL append + fsync per fetched batch.  The
+(* Applies a fetched batch of primary WAL records on a replica, then
+   commits the whole batch as one group — one local WAL append + fsync
+   per fetched batch, of the very change bytes the primary logged.  The
    replica's writer assigns sequence numbers starting at its own
    [last_seq + 1]; because the batch is required to start exactly
    there, the records land in the replica's log under the {e same}
@@ -493,37 +507,29 @@ let apply_replicated t records =
   | first :: _ ->
     writer_lock t;
     let expect = t.last_seq + 1 in
-    if first.Wal.seq <> expect then begin
+    let applied =
+      if first.Wal.seq <> expect then
+        Error
+          (Printf.sprintf
+             "replicated batch starts at seq %d, replica expects %d"
+             first.Wal.seq expect)
+      else apply_records (head t) records
+    in
+    match applied with
+    | Error e ->
       writer_unlock t;
-      Error
-        (Printf.sprintf
-           "replicated batch starts at seq %d, replica expects %d"
-           first.Wal.seq expect)
-    end
-    else begin
-      match Wal.replay ?mode:t.mode (head t) records with
-      | Error e ->
-        writer_unlock t;
-        Error e
-      | Ok g ->
-        let batch =
-          List.map
-            (fun r ->
-              {
-                Session.lg_text = r.Wal.text;
-                lg_params = r.Wal.params;
-                lg_trace = r.Wal.trace;
-              })
-            records
-        in
-        let ticket = enqueue_commit t ~graph:g batch in
-        writer_unlock t;
-        let res = await_commit t ticket in
-        (match res with
-        | Ok () -> Session.set_graph t.session (snapshot t)
-        | Error _ -> ());
-        res
-    end
+      Error e
+    | Ok g ->
+      let ticket =
+        enqueue t ~graph:g (fun () ->
+            List.map (fun r -> (r.Wal.traces, r.Wal.change)) records)
+      in
+      writer_unlock t;
+      let res = await_commit t ticket in
+      (match res with
+      | Ok () -> Session.set_graph t.session (snapshot t)
+      | Error _ -> ());
+      res
 
 (* In-place resync from wire snapshot bytes: quiesce writers, drain the
    commit queue, persist the bytes as the local snapshot, drop the

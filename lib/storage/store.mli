@@ -3,15 +3,15 @@
 
     {v
     <dir>/snapshot.bin   latest checkpointed image ({!Snapshot})
-    <dir>/wal.log        committed statements since that image ({!Wal})
+    <dir>/wal.log        committed changes since that image ({!Wal})
     v}
 
     Opening recovers the database: load the snapshot (if any), scan the
     WAL, drop a torn tail left by a crash, skip records already covered
-    by the snapshot's [last_seq] watermark, and re-execute the rest
-    through the engine.  A log whose {e interior} is corrupt (CRC
-    mismatch on a complete record) refuses to open with a clear error
-    rather than silently dropping acknowledged commits.
+    by the snapshot's [last_seq] watermark, and apply the rest's changes
+    ({!Snapshot.apply_change}; no query runs).  A corrupt log interior
+    (CRC mismatch on a complete record) or a record that does not apply
+    refuses to open rather than silently dropping acknowledged commits.
 
     {2 Version lifecycle}
 
@@ -28,8 +28,8 @@
 
     + take {!writer_lock} and build the next version from the latest
       committed one;
-    + {!enqueue_commit} the logged batch and the new version — this
-      issues a ticket in version order;
+    + {!enqueue_commit} the session's commit (its new version and
+      delta) — this issues a ticket in version order;
     + release {!writer_lock} (the next writer proceeds immediately,
       pipelined ahead of durability);
     + {!await_commit} the ticket: once its group's single fsync
@@ -38,9 +38,10 @@
 
     {2 Group leader protocol}
 
-    Concurrent committers park their batches in a queue.  The first
+    Concurrent committers park their commits in a queue.  The first
     awaiting thread becomes the {e leader}: it drains every pending
-    ticket (in order), performs {e one} [Wal.append] + fsync for the
+    ticket (in order), encodes their changes, performs {e one}
+    [Wal.append] + fsync for the
     whole group, publishes the group's newest version (versions are
     linear, so it carries all members' effects), wakes the members, and
     steps down; a member whose ticket is still pending leads the next
@@ -76,12 +77,12 @@ val open_ :
   (t, string) result
 (** [open_ dir] opens (creating the directory and files if needed) and
     recovers the database.  The error case reports an unreadable or
-    corrupt snapshot, a corrupt WAL interior, or a replay failure. *)
+    corrupt snapshot, a corrupt or old WAL, or a record that does not
+    apply.  [mode] is the local session's. *)
 
 val session : t -> Session.t
-(** The local session (the CLI shell and recovery commit through it);
-    its committed batches go through the same group-commit queue as
-    everyone else's. *)
+(** The local session (the CLI shell commits through it); its commits go
+    through the same group-commit queue as everyone else's. *)
 
 val snapshot : t -> Graph.t
 (** The latest committed durable version — a pointer read behind a
@@ -104,13 +105,13 @@ val checkpoint : t -> (unit, string) result
     state.  Blocks while a wire transaction holds the writer lock. *)
 
 val wal_records : t -> int
-(** Number of committed statements currently in the WAL tail (i.e. not
-    yet absorbed by a checkpoint) — observability for tests, the CLI
-    and monitoring. *)
+(** Number of records (one per durable commit) currently in the WAL
+    tail (i.e. not yet absorbed by a checkpoint) — observability for
+    tests, the CLI and monitoring. *)
 
 val last_seq : t -> int
-(** Sequence number of the most recently logged statement (0 for a
-    fresh, never-written store). *)
+(** Sequence number of the most recently logged commit (0 for a fresh,
+    never-written store). *)
 
 val snapshot_age : t -> float option
 (** Seconds since the last checkpoint, or [None] if no checkpoint has
@@ -141,15 +142,15 @@ val head : t -> Graph.t
 type ticket
 (** A commit parked in the group-commit queue. *)
 
-val enqueue_commit : t -> graph:Graph.t -> Session.logged list -> ticket
-(** Parks a committed batch and the version it produced.  Must be
-    called while holding {!writer_lock}, so tickets are issued in
-    version order — the WAL append order and the publication order. *)
+val enqueue_commit : t -> Session.commit -> ticket
+(** Parks a session's commit; its [c_graph] is the version it produced.
+    Must be called while holding {!writer_lock}, so tickets are issued
+    in version order — the WAL append order and the publication order. *)
 
 val await_commit : t -> ticket -> (unit, string) result
 (** Blocks until the ticket's group is flushed (leading the flush if no
     leader is active) and returns its outcome.  Call {e after}
-    releasing {!writer_lock}.  [Ok ()] means the batch is fsync'd and
+    releasing {!writer_lock}.  [Ok ()] means the commit is fsync'd and
     its version published to {!snapshot}; [Error _] means the append
     failed and nothing of the group was published. *)
 
@@ -187,10 +188,13 @@ type fetch = {
   fr_last_seq : int;  (** the primary's current frontier *)
 }
 
-val fetch_since : t -> from_seq:int -> max_records:int -> fetch
-(** Buffered records with seq >= [from_seq], at most [max_records].  A
-    request past the frontier returns an empty non-resync batch (the
-    caller long-polls); a request below the floor flags [fr_resync].
+val fetch_since :
+  ?max_bytes:int -> t -> from_seq:int -> max_records:int -> fetch
+(** Buffered records with seq >= [from_seq], at most [max_records] and
+    [max_bytes] (default unbounded).  A request past the frontier returns
+    an empty non-resync batch (the caller long-polls); one below the
+    floor, or whose first record alone exceeds [max_bytes], flags
+    [fr_resync].
     The buffer survives checkpoints (the WAL file is truncated, the
     buffer is not), so a brief replica stall does not force a resync. *)
 
@@ -200,9 +204,9 @@ val set_repl_retention : t -> int -> unit
     to exercise the resync path. *)
 
 val apply_replicated : t -> Wal.record list -> (unit, string) result
-(** Replica side: re-executes a fetched batch through the engine (the
-    recovery replay path) and commits it as {e one} group — one local
-    WAL append + fsync per batch.  The batch must start exactly at this
+(** Replica side: applies a fetched batch's changes (the recovery path)
+    and commits it as {e one} group — one local WAL append + fsync of
+    the change bytes as received.  The batch must start exactly at this
     store's [last_seq + 1] (decoded, gap-free records are the caller's
     contract); on success the records are durable locally under their
     primary sequence numbers and the new version is published. *)

@@ -1,6 +1,3 @@
-open Cypher_values
-module Engine = Cypher_engine.Engine
-module Config = Cypher_semantics.Config
 module Registry = Cypher_obs.Registry
 module Trace = Cypher_obs.Trace
 
@@ -9,42 +6,38 @@ let m_appends =
     "cypher_storage_wal_appends_total"
 
 let m_records =
-  Registry.counter ~help:"statements appended to the WAL"
+  Registry.counter ~help:"change records appended to the WAL (one per commit)"
     "cypher_storage_wal_records_total"
 
 let m_fsync =
   Registry.histogram ~help:"WAL fsync latency (microsecond buckets)"
     "cypher_storage_wal_fsync_latency"
 
-let m_replayed =
-  Registry.counter ~help:"WAL records re-executed during recovery"
-    "cypher_storage_recovery_replayed_total"
-
 let magic = "CYWAL"
 
-(* Version 2 appends the originating request's trace id to each record
-   payload (a trailing uvarint).  Version-1 files — no trailing bytes —
-   are still readable: the decoder treats an exhausted payload as trace
-   0, so recovery from a pre-upgrade log just works. *)
-let version = 2
+(* Version 3 logs changes; versions 1 and 2 logged statement texts. *)
+let version = 3
 let header_len = String.length magic + 2
 
-let header_for v =
-  let buf = Buffer.create header_len in
-  Buffer.add_string buf magic;
-  Buffer.add_char buf (Char.chr (v land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
-  Buffer.contents buf
+let header_for v = Printf.sprintf "%s%c\000" magic (Char.chr v) (* u16-LE *)
 
 let header = header_for version
-let header_v1 = header_for 1
 
-type record = {
-  seq : int;
-  text : string;
-  params : (string * Value.t) list;
-  trace : int;
-}
+(* What a file's first bytes are: this version's header, an older
+   version's, or no WAL header at all. *)
+let classify head =
+  if head = header then `Current
+  else if head = header_for 1 || head = header_for 2 then `Old
+  else `Bad
+
+let not_a_wal path = path ^ ": not a WAL file (bad or unsupported header)"
+
+let old_log path =
+  path
+  ^ ": a statement log of an earlier version that still holds records; open \
+     it once with the previous binary and checkpoint"
+
+type record = { seq : int; traces : int list; change : string }
 
 (* --- appending ------------------------------------------------------- *)
 
@@ -57,45 +50,43 @@ let write_all fd data =
     written := !written + Unix.write_substring fd data !written (len - !written)
   done
 
+(* A missing or empty file, or an older version's log that holds only
+   its header, is (re)written with this version's header. *)
 let open_writer ?(next_seq = 1) path =
-  let exists = Sys.file_exists path && (Unix.stat path).Unix.st_size > 0 in
-  if exists then begin
+  let size = if Sys.file_exists path then (Unix.stat path).Unix.st_size else 0 in
+  let fresh =
+    size = 0
+    ||
     let head =
       In_channel.with_open_bin path (fun ic ->
-          really_input_string ic (min header_len (Int64.to_int (In_channel.length ic))))
+          really_input_string ic (min header_len size))
     in
-    if head <> header && head <> header_v1 then
-      failwith (path ^ ": not a WAL file (bad or unsupported header)")
-  end;
-  let fd =
-    Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644
+    match classify head with
+    | `Current -> false
+    | `Old when size = header_len -> true
+    | `Old -> failwith (old_log path)
+    | `Bad -> failwith (not_a_wal path)
   in
-  if not exists then begin
+  let flags = [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] in
+  let fd =
+    Unix.openfile path (if fresh then Unix.O_TRUNC :: flags else flags) 0o644
+  in
+  if fresh then begin
     write_all fd header;
     Unix.fsync fd
   end;
   { fd; next_seq }
 
-let encode_record ~seq (text, params, trace) =
-  let payload = Buffer.create (64 + String.length text) in
+let frame ~seq (traces, change) =
+  let payload = Buffer.create (16 + String.length change) in
   Codec.write_uvarint payload seq;
-  Codec.write_string payload text;
-  Codec.write_uvarint payload (List.length params);
-  List.iter
-    (fun (k, v) ->
-      Codec.write_string payload k;
-      Codec.write_value payload v)
-    params;
-  Codec.write_uvarint payload trace;
+  Codec.write_uvarint payload (List.length traces);
+  List.iter (Codec.write_uvarint payload) traces;
+  Buffer.add_string payload change;
   let payload = Buffer.contents payload in
   let framed = Buffer.create (String.length payload + 8) in
-  let u32 n =
-    for i = 0 to 3 do
-      Buffer.add_char framed (Char.chr ((n lsr (8 * i)) land 0xFF))
-    done
-  in
-  u32 (String.length payload);
-  u32 (Crc32.digest payload);
+  Buffer.add_int32_le framed (Int32.of_int (String.length payload));
+  Buffer.add_int32_le framed (Int32.of_int (Crc32.digest payload));
   Buffer.add_string framed payload;
   Buffer.contents framed
 
@@ -103,34 +94,29 @@ let encode_record ~seq (text, params, trace) =
    form is exactly what lands in the file, so a primary can ship the
    same CRC-guarded bytes to replicas and a replica can re-verify them
    with the file-recovery checks. *)
-let append_encoded w stmts =
-  match stmts with
+let append w records =
+  match records with
   | [] -> []
   | _ ->
     Trace.with_span "wal_append" @@ fun () ->
     let buf = Buffer.create 256 in
-    let encoded =
+    let framed =
       List.map
-        (fun stmt ->
+        (fun record ->
           let seq = w.next_seq in
-          let framed = encode_record ~seq stmt in
-          Buffer.add_string buf framed;
+          let f = frame ~seq record in
+          Buffer.add_string buf f;
           w.next_seq <- w.next_seq + 1;
-          (seq, framed))
-        stmts
+          (seq, f))
+        records
     in
     write_all w.fd (Buffer.contents buf);
     let t0 = Trace.now_us () in
     Trace.with_span "fsync" (fun () -> Unix.fsync w.fd);
     Registry.observe_us m_fsync (Trace.now_us () - t0);
     Registry.incr m_appends;
-    Registry.add m_records (List.length stmts);
-    encoded
-
-let append w stmts =
-  match append_encoded w stmts with
-  | [] -> 0
-  | encoded -> fst (List.nth encoded (List.length encoded - 1))
+    Registry.add m_records (List.length records);
+    framed
 
 let truncate w =
   Unix.ftruncate w.fd header_len;
@@ -144,114 +130,81 @@ let reset w ~next_seq =
 
 let close_writer w = Unix.close w.fd
 
+let note_lineage name dur ~seq traces =
+  List.iter
+    (fun trace_id ->
+      Trace.note
+        ~ctx:{ Trace.trace_id; parent_span = 0 }
+        ~attrs:[ ("seq", string_of_int seq) ]
+        name dur)
+    traces
+
 (* --- recovery -------------------------------------------------------- *)
 
 type scan = { records : record list; valid_len : int; torn : bool }
 
-let truncate_file path len = Unix.truncate path len
 
-let decode_payload payload =
-  let r = Codec.reader payload in
+(* The payload at [pos, pos + len) of [data]: seq, traces, change. *)
+let decode_payload data ~pos ~len =
+  let r = Codec.reader ~pos data in
   let seq = Codec.read_uvarint r in
-  let text = Codec.read_string r in
-  let nparams = Codec.read_uvarint r in
-  let params =
-    List.init nparams (fun _ ->
-        let k = Codec.read_string r in
-        (k, Codec.read_value r))
-  in
-  (* version-1 records end here; version 2 carries the trace id *)
-  let trace = if Codec.remaining r > 0 then Codec.read_uvarint r else 0 in
-  if Codec.remaining r <> 0 then
-    raise (Codec.Corrupt "trailing bytes in WAL record payload");
-  { seq; text; params; trace }
+  let ntraces = Codec.read_uvarint r in
+  let traces = List.init ntraces (fun _ -> Codec.read_uvarint r) in
+  let at = Codec.pos r in
+  if at > pos + len then raise (Codec.Corrupt "WAL record payload overrun");
+  { seq; traces; change = String.sub data at (pos + len - at) }
 
-(* One framed record (len · crc · payload) as shipped over the
-   replication stream, verified with the same checks the file scan
-   applies: a short, oversized or checksum-failing frame is an error,
-   never a silently skipped record. *)
-let decode_framed data =
-  let len = String.length data in
-  if len < 8 then Error "framed WAL record shorter than its prologue"
-  else begin
-    let u32 pos =
-      let b i = Char.code data.[pos + i] in
-      b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
-    in
-    let payload_len = u32 0 in
-    let crc = u32 4 in
-    if len - 8 <> payload_len then
-      Error
-        (Printf.sprintf
-           "framed WAL record length mismatch (prologue says %d, frame \
-            carries %d)"
-           payload_len (len - 8))
-    else if Crc32.digest_sub data ~pos:8 ~len:payload_len <> crc then
-      Error "framed WAL record checksum mismatch"
+let u32 data pos = Int32.to_int (String.get_int32_le data pos) land 0xFFFFFFFF
+
+(* The record framed (len · crc · payload) at [pos] of [data] and the
+   offset past it, [`Torn] if the bytes end inside it. *)
+let record_at data pos =
+  let avail = String.length data - pos - 8 in
+  if avail < 0 || avail < u32 data pos then `Torn
+  else
+    let len = u32 data pos in
+    if Crc32.digest_sub data ~pos:(pos + 8) ~len <> u32 data (pos + 4) then
+      `Corrupt "checksum mismatch on a complete record"
     else
-      match decode_payload (String.sub data 8 payload_len) with
-      | record -> Ok record
-      | exception Codec.Corrupt msg -> Error ("framed WAL record: " ^ msg)
-  end
+      match decode_payload data ~pos:(pos + 8) ~len with
+      | record -> `Record (record, pos + 8 + len)
+      | exception Codec.Corrupt msg -> `Corrupt msg
+
+(* One framed record as shipped over the replication stream, verified
+   with the file scan's checks: a short, oversized or checksum-failing
+   frame is an error, never a silently skipped record. *)
+let decode_framed data =
+  match record_at data 0 with
+  | `Record (record, len) when len = String.length data -> Ok record
+  | `Record _ -> Error "framed WAL record: trailing bytes after the record"
+  | `Torn -> Error "framed WAL record: truncated"
+  | `Corrupt msg -> Error ("framed WAL record: " ^ msg)
 
 let scan path =
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error e -> Error e
-  | data ->
+  | data -> (
     let len = String.length data in
-    if
-      len < header_len
-      || (String.sub data 0 header_len <> header
-         && String.sub data 0 header_len <> header_v1)
-    then Error (path ^ ": not a WAL file (bad or unsupported header)")
-    else begin
-      let u32 pos =
-        let b i = Char.code data.[pos + i] in
-        b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
-      in
-      let rec go pos acc =
-        if pos = len then Ok { records = List.rev acc; valid_len = pos; torn = false }
-        else if len - pos < 8 then
-          (* crash cut the length/crc prologue short *)
-          Ok { records = List.rev acc; valid_len = pos; torn = true }
-        else begin
-          let payload_len = u32 pos in
-          let crc = u32 (pos + 4) in
-          if len - pos - 8 < payload_len then
-            (* crash cut the payload short *)
-            Ok { records = List.rev acc; valid_len = pos; torn = true }
-          else if Crc32.digest_sub data ~pos:(pos + 8) ~len:payload_len <> crc
-          then
-            Error
-              (Printf.sprintf
-                 "%s: corrupt WAL record at offset %d (checksum mismatch on a \
-                  complete record); refusing to recover past committed data"
-                 path pos)
-          else
-            match decode_payload (String.sub data (pos + 8) payload_len) with
-            | record -> go (pos + 8 + payload_len) (record :: acc)
-            | exception Codec.Corrupt msg ->
-              Error
-                (Printf.sprintf "%s: corrupt WAL record at offset %d: %s" path
-                   pos msg)
-        end
-      in
-      go header_len []
-    end
-
-let replay ?(mode = Engine.Planned) g records =
-  List.fold_left
-    (fun acc record ->
-      match acc with
-      | Error _ as e -> e
-      | Ok g -> (
-        let config = Config.with_params record.params Config.default in
-        match Engine.query ~config ~mode g record.text with
-        | Ok outcome ->
-          Registry.incr m_replayed;
-          Ok outcome.Engine.graph
-        | Error e ->
+    let rec go pos acc =
+      let stop torn = Ok { records = List.rev acc; valid_len = pos; torn } in
+      if pos = len then stop false
+      else
+        match record_at data pos with
+        | `Record (record, next) -> go next (record :: acc)
+        | `Torn -> stop true (* a crash cut the last record short *)
+        | `Corrupt msg ->
           Error
-            (Printf.sprintf "WAL replay failed at record %d (%s): %s"
-               record.seq record.text (Engine.error_message e))))
-    (Ok g) records
+            (Printf.sprintf
+               "%s: corrupt WAL record at offset %d (%s); refusing to recover \
+                past committed data"
+               path pos msg)
+    in
+    (* empty: an upgrade was cut between truncation and the new header *)
+    if len = 0 then Ok { records = []; valid_len = 0; torn = false }
+    else if len < header_len then Error (not_a_wal path)
+    else
+      match classify (String.sub data 0 header_len) with
+      | `Bad -> Error (not_a_wal path)
+      | `Old when len > header_len -> Error (old_log path)
+      | `Old -> Ok { records = []; valid_len = len; torn = false }
+      | `Current -> go header_len [])

@@ -1,26 +1,29 @@
-(** The write-ahead statement log.
+(** The write-ahead change log.
 
-    The WAL is an append-only file of committed update statements; it
-    is what makes a commit durable before the next checkpoint rewrites
-    the snapshot.  Each record carries the statement text and the
-    parameter bindings it ran with (encoded with {!Codec}), plus a
-    monotonically increasing sequence number that ties the log to the
-    snapshot's [last_seq] watermark.
+    The WAL is an append-only file with one record per durable commit;
+    it is what makes a commit durable before the next checkpoint
+    rewrites the snapshot.  A record holds the commit's {e effect}, not
+    its statements: a {!Snapshot} change record (removed ids, the
+    after-state of the touched entities, the id watermarks and the index
+    set), the trace ids of the requests whose statements it covers, and
+    a monotonically increasing sequence number that ties the log to the
+    snapshot's [last_seq] watermark.  Replaying a log applies changes
+    through {!Cypher_graph.Graph}; it never runs a query, so an old log
+    replays to the same graph whatever the engine answers today.
 
     File layout:
 
     {v
-    "CYWAL" · version u16-LE                    7-byte header
+    "CYWAL" · version u16-LE                    7-byte header, version 3
     record*                                     append-only
     record := len u32-LE · crc32(payload) u32-LE · payload
-    payload := seq uvarint · text string · nparams uvarint
-               · (key string · value)* · trace uvarint
+    payload := seq uvarint · ntraces uvarint · trace uvarint* · change
     v}
 
-    The trailing [trace] uvarint (the originating request's trace id, 0
-    when untraced) is new in version 2; version-1 files, whose payloads
-    end at the last parameter, are still readable — an exhausted payload
-    decodes as trace 0.
+    Upgrading: versions 1 and 2 logged statement texts.  An older log
+    holding only its header (what a clean, checkpointing stop leaves) is
+    rewritten with the version-3 header; one that holds records is
+    refused: open it once with the previous binary and checkpoint.
 
     Recovery semantics of {!scan}:
 
@@ -34,15 +37,12 @@
       silently dropping acknowledged commits is worse than failing
       loudly. *)
 
-open Cypher_values
-
 type record = {
   seq : int;  (** strictly increasing, 1-based across the store's life *)
-  text : string;  (** the committed update statement, verbatim *)
-  params : (string * Value.t) list;  (** the [$param] bindings it ran with *)
-  trace : int;
-      (** trace id of the request that committed the statement; 0 when
-          the commit was untraced or the record predates version 2 *)
+  traces : int list;
+      (** trace ids of the requests whose statements the commit covers,
+          in execution order; empty when none was traced *)
+  change : string;  (** the commit's effect, {!Snapshot.encode_change} *)
 }
 
 (** {1 Appending} *)
@@ -50,30 +50,24 @@ type record = {
 type writer
 
 val open_writer : ?next_seq:int -> string -> writer
-(** Opens (creating if necessary) the log for appending.  [next_seq]
-    (default 1) is the sequence number the next record will get; pass
-    [last valid seq + 1] when reopening an existing log.  Raises
-    [Failure] if the file exists but does not start with a WAL header. *)
+(** Opens (creating if necessary, upgrading as above) the log for
+    appending.  [next_seq] (default 1) is the sequence number the next
+    record will get; pass [last valid seq + 1] when reopening an existing
+    log.  Raises [Failure] if the file exists but does not start with a
+    WAL header, or is an older log that still holds records. *)
 
-val append : writer -> (string * (string * Value.t) list * int) list -> int
-(** Appends one record per statement — a single [write] followed by a
-    single [fsync], so a multi-statement transaction reaches the disk
-    as one batch.  Returns the sequence number of the last record
-    written (0 if the batch was empty, which performs no I/O). *)
-
-val append_encoded :
-  writer ->
-  (string * (string * Value.t) list * int) list ->
-  (int * string) list
-(** Like {!append}, but returns each record's [(seq, framed bytes)] —
-    the framed form is byte-identical to what was written to the file
-    (len · crc · payload), so a primary can ship the very same
-    CRC-guarded bytes to replicas. *)
+val append : writer -> (int list * string) list -> (int * string) list
+(** Appends one record per [(traces, change)] — a single [write]
+    followed by a single [fsync], so a group of commits reaches the disk
+    as one batch — and returns each record's [(seq, framed bytes)].  The
+    framed form is byte-identical to what was written to the file (len ·
+    crc · payload), so a primary can ship the very same CRC-guarded
+    bytes to replicas.  An empty list performs no I/O. *)
 
 val truncate : writer -> unit
 (** Cuts the log back to the bare header (checkpoint), with an fsync.
     Sequence numbers keep increasing: the snapshot's [last_seq]
-    watermark, not file position, decides what replay skips. *)
+    watermark, not file position, decides what recovery skips. *)
 
 val reset : writer -> next_seq:int -> unit
 (** {!truncate} and restart the sequence at [next_seq] — a replica that
@@ -81,6 +75,10 @@ val reset : writer -> next_seq:int -> unit
     from the snapshot's watermark. *)
 
 val close_writer : writer -> unit
+
+val note_lineage : string -> int -> seq:int -> int list -> unit
+(** [note_lineage name dur ~seq traces]: commit lineage, one [name] note
+    of [dur] µs per trace, keyed by (trace id, [seq]). *)
 
 (** {1 Recovery} *)
 
@@ -91,25 +89,11 @@ type scan = {
 }
 
 val scan : string -> (scan, string) result
-(** Reads the valid prefix of the log (see recovery semantics above). *)
+(** Reads the valid prefix of the log (see recovery semantics above); an
+    older log scans as empty if it holds only its header, else fails. *)
 
 val decode_framed : string -> (record, string) result
 (** Decodes one framed record (len · crc · payload) as shipped over the
     replication stream, applying the same integrity checks as the file
     scan: a truncated, oversized or checksum-failing frame is an
     [Error], never a silently skipped record. *)
-
-val truncate_file : string -> int -> unit
-(** Truncates the file to [len] bytes — used to drop a torn tail before
-    reopening the log for appending. *)
-
-val replay :
-  ?mode:Cypher_engine.Engine.mode ->
-  Cypher_graph.Graph.t ->
-  record list ->
-  (Cypher_graph.Graph.t, string) result
-(** Re-executes each record through the engine with its original
-    parameter bindings, threading the graph.  A record that fails to
-    execute stops the replay with a diagnostic naming the sequence
-    number — records were committed once, so failure here means the
-    log and snapshot disagree. *)

@@ -144,16 +144,16 @@ let group_commit_shares_one_fsync () =
   let seq0 = Store.last_seq store in
   Store.writer_lock store;
   let tickets =
-    List.mapi
-      (fun i g ->
-        Store.enqueue_commit store ~graph:g
-          [
-            {
-              Session.lg_text = Printf.sprintf "CREATE (:G {i: %d})" (i + 1);
-              lg_params = [];
-              lg_trace = 0;
-            };
-          ])
+    List.map2
+      (fun base g ->
+        Store.enqueue_commit store
+          {
+            Session.c_base = base;
+            c_graph = g;
+            c_delta = Graph.delta_between ~since:base g;
+            c_traces = [];
+          })
+      (Store.snapshot store :: List.filteri (fun i _ -> i < n - 1) graphs)
       graphs
   in
   Store.writer_unlock store;
@@ -165,7 +165,7 @@ let group_commit_shares_one_fsync () =
     tickets;
   Alcotest.(check int) "five commits shared one fsync" 1
     (Registry.value appends - appends0);
-  Alcotest.(check int) "all five statements logged"
+  Alcotest.(check int) "all five commits logged"
     (records0 + n) (Store.wal_records store);
   Alcotest.(check int) "sequence advanced by five" (seq0 + n)
     (Store.last_seq store);

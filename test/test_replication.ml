@@ -259,6 +259,12 @@ let fetch_since_semantics () =
   (* max_records bounds the batch *)
   let f = Store.fetch_since store ~from_seq:1 ~max_records:2 in
   Alcotest.(check int) "bounded batch" 2 (List.length f.Store.fr_records);
+  (* and so does max_bytes; a first record past it needs a snapshot *)
+  let first = String.length (snd (List.hd f.Store.fr_records)) in
+  let f = Store.fetch_since ~max_bytes:(first + 1) store ~from_seq:1 ~max_records:100 in
+  Alcotest.(check int) "byte-bounded batch" 1 (List.length f.Store.fr_records);
+  let f = Store.fetch_since ~max_bytes:(first - 1) store ~from_seq:1 ~max_records:100 in
+  Alcotest.(check bool) "an oversized record flags resync" true f.Store.fr_resync;
   (* shrinking retention raises the floor: early seqs now need a resync *)
   Store.set_repl_retention store 2;
   let f = Store.fetch_since store ~from_seq:1 ~max_records:100 in
@@ -425,6 +431,52 @@ let randomized_differential () =
           Alcotest.(check int) "no ghosts from rolled-back transactions" 0
             (int_cell (ok_query pc "MATCH (g:Ghost) RETURN count(g)"))))
 
+(* The recovery workload of the storage tests, over the wire: the
+   replica's graph is the primary's, adjacency order and id watermarks
+   included, and its log holds the very bytes the primary's does. *)
+let replica_equals_primary () =
+  let pdir = fresh_dir () in
+  let pstore = open_store pdir in
+  let primary = start_server pstore in
+  let pport = Server.port primary in
+  let rdir = fresh_dir () in
+  let rstore = open_store rdir in
+  let replica = start_replica ~port:pport rstore in
+  Fun.protect
+    ~finally:(fun () ->
+      Replica.stop replica;
+      ignore (Server.stop primary))
+    (fun () ->
+      let pc = connect pport in
+      Fun.protect
+        ~finally:(fun () -> Client.close pc)
+        (fun () ->
+          let last = ref 0 in
+          let run q = last := max !last (ok_query pc q).Client.seq in
+          List.iter run
+            [
+              "CREATE (a:P {k: 1})-[:R {w: 1}]->(b:P {k: 2})-[:R {w: 2}]->(c:P \
+               {k: 3}), (c)-[:R {w: 3}]->(a), (a)-[:R {w: 4}]->(c), (b)-[:S]->(b)";
+              "MATCH (:P {k: 1})-[r:R {w: 1}]->() SET r.w = 10";
+              "MATCH (n:P {k: 2}) REMOVE n:P SET n:Q";
+              "CREATE INDEX ON :P(k)";
+              "MATCH (a:P {k: 1}), (c:P {k: 3}) CREATE (c)-[:R {w: 5}]->(a), \
+               (a)-[:T]->(a)";
+              "MATCH (n:P {k: 3}) DETACH DELETE n";
+              "CREATE (:P {k: 4})-[:R]->(:P {k: 5})";
+              "DROP INDEX ON :P(k)";
+              "BEGIN";
+              "CREATE (:Gap)";
+              "MATCH (g:Gap) DELETE g";
+              "COMMIT";
+            ];
+          await_seq replica ~seq:!last;
+          Test_storage.check_same_graph "replica" (Store.snapshot pstore)
+            (Store.snapshot rstore);
+          Alcotest.(check string) "the replica logged the primary's bytes"
+            (Test_storage.read_file (Store.wal_file pdir))
+            (Test_storage.read_file (Store.wal_file rdir))))
+
 (* --- session consistency ----------------------------------------------- *)
 
 (* a client must never read staler than its own last write, even when
@@ -584,6 +636,7 @@ let suite =
     tc "replica past retention resyncs from a snapshot" resync_after_falling_behind;
     tc "primary crash: torn WAL, restart, replica reconverges"
       primary_crash_and_reconnect;
+    tc "a replica's graph and log equal the primary's" replica_equals_primary;
     tc "randomized mixed workload: replica is value-identical"
       randomized_differential;
     tc "read-your-writes through the router under lag" session_consistency;

@@ -103,23 +103,27 @@ let coalesced_commit_delta () =
   ignore (run_ok sess "CREATE (:P {k: 1, v: 0})");
   Alcotest.(check int) "auto-commit reported" 1 (List.length !commits);
   commits := [];
-  (* inner commit + outer commit: one report, three statements, the same
-     node touched in both frames classified once *)
+  (* inner commit + outer commit: one report, four statements from two
+     traced requests, the same node touched in both frames classified
+     once *)
+  let traced id q =
+    Cypher_obs.Trace.with_context
+      { Cypher_obs.Trace.trace_id = id; parent_span = 0 }
+      (fun () -> ignore (run_ok sess q))
+  in
   Session.begin_tx sess;
-  ignore (run_ok sess "CREATE (:P {k: 2, v: 0})");
+  traced 7 "CREATE (:P {k: 2, v: 0})";
   Session.begin_tx sess;
-  ignore (run_ok sess "MATCH (p:P {k: 1}) SET p.v = 1");
-  ignore (run_ok sess "MATCH (p:P {k: 2}) SET p.v = 1");
+  traced 5 "MATCH (p:P {k: 1}) SET p.v = 1";
+  traced 7 "MATCH (p:P {k: 2}) SET p.v = 1";
+  traced 9 "MATCH (p:P {k: 2}) RETURN p.v";
   ok_or_fail (Session.commit sess);
   ignore (run_ok sess "MATCH (p:P {k: 1}) SET p.v = 2");
   ok_or_fail (Session.commit sess);
   (match !commits with
   | [ c ] ->
-    Alcotest.(check int) "merged batch in order" 4
-      (List.length c.Session.c_batch);
-    Alcotest.(check string) "first statement first"
-      "CREATE (:P {k: 2, v: 0})"
-      (List.nth c.Session.c_batch 0).Session.lg_text;
+    Alcotest.(check (list int)) "updating traces in order, each once"
+      [ 7; 5 ] c.Session.c_traces;
     (match c.Session.c_delta with
     | None -> Alcotest.fail "expected a delta"
     | Some d ->
@@ -139,16 +143,16 @@ let coalesced_commit_delta () =
   commits := [];
   (* a rolled-back inner frame leaves no trace in the outer delta *)
   Session.begin_tx sess;
-  ignore (run_ok sess "CREATE (:P {k: 3, v: 0})");
+  traced 3 "CREATE (:P {k: 3, v: 0})";
   Session.begin_tx sess;
-  ignore (run_ok sess "CREATE (:P {k: 99, v: 0})");
+  traced 4 "CREATE (:P {k: 99, v: 0})";
   ignore (run_ok sess "MATCH (p:P {k: 1}) SET p.v = 9");
   ok_or_fail (Session.rollback sess);
   ok_or_fail (Session.commit sess);
   (match !commits with
   | [ c ] ->
-    Alcotest.(check int) "only the surviving statement" 1
-      (List.length c.Session.c_batch);
+    Alcotest.(check (list int)) "only the surviving statement's trace" [ 3 ]
+      c.Session.c_traces;
     (match c.Session.c_delta with
     | None -> Alcotest.fail "expected a delta"
     | Some d ->

@@ -277,60 +277,171 @@ let snapshot_rejects_corruption () =
   | Error _ -> ());
   Sys.remove path
 
-(* --- the WAL ----------------------------------------------------------- *)
+(* --- change records and the WAL ----------------------------------------- *)
 
-let sample_stmts =
-  [
-    ("CREATE (:Person {name: $name})", [ ("name", vstr "Ada") ], 0x1a2b3c);
-    ("MATCH (n:Person) SET n.seen = true", [], 0);
-    ( "CREATE (:Event {at: $at, tags: $tags})",
-      [
-        ("at", Value.Temporal (Value.Date 20000));
-        ("tags", vlist [ vstr ""; vint 3; Value.Float Float.nan ]);
-      ],
-      max_int );
-  ]
+let step g q =
+  match Engine.query g q with
+  | Ok o -> o.Engine.graph
+  | Error e -> Alcotest.failf "%s failed: %s" q (Engine.error_message e)
+
+let change base g =
+  Snapshot.encode_change ~base g (Graph.delta_between ~since:base g)
+
+(* Three commits' records: (traces, change), one traced twice. *)
+let sample_records () =
+  let g1 = step Graph.empty "CREATE (:Person {name: 'Ada'})" in
+  let g2 = step g1 "MATCH (n:Person) SET n.seen = true" in
+  let g3 = step g2 "CREATE (:Event {tags: ['', 3, 0.5]})" in
+  [ ([ 0x1a2b3c ], change Graph.empty g1); ([], change g1 g2);
+    ([ 7; max_int ], change g2 g3) ]
+
+(* Every node's relationships in enumeration order: equal lists mean
+   equal shortestPath tie-breaks and row orders. *)
+let adjacency g =
+  List.map
+    (fun n ->
+      let acc = ref [] in
+      Graph.iter_adjacent g n `Both Graph.any_type (fun r m _ ->
+          acc := (Ids.rel_to_int r, Ids.node_to_int m) :: !acc);
+      (Ids.node_to_int n, List.rev !acc))
+    (Graph.nodes g)
+
+let check_same_graph msg expected actual =
+  if not (Graph.equal_structure expected actual) then
+    Alcotest.failf "%s: the graphs differ" msg;
+  Alcotest.(check (list (pair int (list (pair int int)))))
+    (msg ^ ": adjacency order") (adjacency expected) (adjacency actual);
+  Alcotest.(check (pair int int))
+    (msg ^ ": id watermarks") (Graph.next_ids expected) (Graph.next_ids actual);
+  Alcotest.(check (list (pair string string)))
+    (msg ^ ": indexes") (Graph.indexes expected) (Graph.indexes actual)
 
 let wal_roundtrip () =
   let path = fresh_path ".wal" in
+  let records = sample_records () in
   let w = Wal.open_writer path in
-  let last = Wal.append w sample_stmts in
-  Alcotest.(check int) "last seq" 3 last;
+  let framed = Wal.append w records in
+  Alcotest.(check (list int)) "seqs" [ 1; 2; 3 ] (List.map fst framed);
   Wal.close_writer w;
   (* reopen for append, continuing the sequence *)
-  let w = Wal.open_writer ~next_seq:(last + 1) path in
-  let last = Wal.append w [ ("MATCH (n) DETACH DELETE n", [], 0) ] in
-  Alcotest.(check int) "seq continues" 4 last;
+  let w = Wal.open_writer ~next_seq:4 path in
+  let more = Wal.append w [ ([], change Graph.empty Graph.empty) ] in
+  Alcotest.(check (list int)) "seq continues" [ 4 ] (List.map fst more);
   Wal.close_writer w;
   match Wal.scan path with
   | Error e -> Alcotest.failf "scan failed: %s" e
   | Ok scan ->
     Alcotest.(check bool) "not torn" false scan.Wal.torn;
-    Alcotest.(check int) "4 records" 4 (List.length scan.Wal.records);
     Alcotest.(check (list int))
       "sequence numbers" [ 1; 2; 3; 4 ]
       (List.map (fun r -> r.Wal.seq) scan.Wal.records);
     List.iteri
-      (fun i (text, params, trace) ->
+      (fun i (traces, change) ->
         let r = List.nth scan.Wal.records i in
-        Alcotest.(check string) "text" text r.Wal.text;
-        Alcotest.(check int) "trace id" trace r.Wal.trace;
-        Alcotest.(check int) "params arity" (List.length params)
-          (List.length r.Wal.params);
-        List.iter2
-          (fun (k, v) (k', v') ->
-            Alcotest.(check string) "param key" k k';
-            if not (bit_equal v v') then
-              Alcotest.failf "param %s round-tripped to %s" (Value.to_string v)
-                (Value.to_string v'))
-          params r.Wal.params)
-      sample_stmts;
+        Alcotest.(check (list int)) "traces" traces r.Wal.traces;
+        Alcotest.(check string) "change bytes" change r.Wal.change)
+      records;
+    (* the framed bytes a primary ships decode to the same records *)
+    List.iter2
+      (fun (_, bytes) r ->
+        match Wal.decode_framed bytes with
+        | Ok r' -> Alcotest.(check bool) "framed record" true (r = r')
+        | Error e -> Alcotest.failf "framed decode: %s" e)
+      (framed @ more) scan.Wal.records;
     Sys.remove path
+
+(* A base graph, and one commit from it that touches every delta field:
+   nodes added, changed (label and property) and removed, relationships
+   added (a loop among them), changed and removed, an index created and
+   one dropped, and a node created and deleted, which leaves an id
+   gap. *)
+let delta_base () =
+  List.fold_left step Graph.empty
+    [
+      "CREATE (a:P {v: 1})-[:R {w: 1}]->(b:P {v: 2})-[:R {w: 2}]->(c:Q {v: 3}), \
+       (a)-[:S]->(c), (c)-[:R]->(c), (c)-[:R {w: 4}]->(a)";
+      "CREATE (:Gone {v: 4})-[:R]->(:Kept {v: 5})";
+      "CREATE INDEX ON :P(v)";
+    ]
+
+let delta_commit base =
+  List.fold_left step base
+    [
+      "MATCH (n:P {v: 1}) SET n.x = 'changed' REMOVE n:P SET n:Q";
+      "MATCH (:P {v: 2})-[r:R]->() SET r.w = 20";
+      "MATCH (n:Gone) DETACH DELETE n";
+      "MATCH ()-[r:S]->() DELETE r";
+      "MATCH (c:Q {v: 3}) CREATE (c)-[:R {w: 6}]->(t:New {v: 6})-[:R]->(t), \
+       (t)-[:R]->(c)";
+      "CREATE (g:Gap) DELETE g";
+      "CREATE INDEX ON :Q(v)";
+      "DROP INDEX ON :P(v)";
+    ]
+
+let change_records_cover_every_field () =
+  let base = delta_base () in
+  let target = delta_commit base in
+  let delta =
+    match Graph.delta_between ~since:base target with
+    | Some d -> d
+    | None -> Alcotest.fail "no delta across one commit"
+  in
+  List.iter
+    (fun (field, ids) ->
+      if ids = 0 then Alcotest.failf "the commit leaves %s empty" field)
+    [
+      ("nodes added", List.length delta.Graph.d_nodes_added);
+      ("nodes changed", List.length delta.Graph.d_nodes_changed);
+      ("nodes removed", List.length delta.Graph.d_nodes_removed);
+      ("rels added", List.length delta.Graph.d_rels_added);
+      ("rels changed", List.length delta.Graph.d_rels_changed);
+      ("rels removed", List.length delta.Graph.d_rels_removed);
+    ];
+  (* through the log: appended, fsync'd and scanned back *)
+  let path = fresh_path ".wal" in
+  let w = Wal.open_writer path in
+  ignore
+    (Wal.append w
+       [
+         ([ 1 ], Snapshot.encode_change ~base target (Some delta));
+         ([], Snapshot.encode_change ~base target None);
+       ]);
+  Wal.close_writer w;
+  let delta_record, whole_record =
+    match Wal.scan path with
+    | Ok { Wal.records = [ a; b ]; _ } -> (a.Wal.change, b.Wal.change)
+    | Ok _ -> Alcotest.fail "expected two records"
+    | Error e -> Alcotest.failf "scan failed: %s" e
+  in
+  Sys.remove path;
+  let applied what base change =
+    match Snapshot.apply_change base change with
+    | Ok g -> g
+    | Error e -> Alcotest.failf "%s does not apply: %s" what e
+  in
+  check_same_graph "delta record" target (applied "delta record" base delta_record);
+  (* a whole-graph record starts from the empty graph, whatever it is
+     applied to *)
+  check_same_graph "whole-graph record" target
+    (applied "whole-graph record" base whole_record);
+  check_same_graph "whole-graph record on empty" target
+    (applied "whole-graph record" Graph.empty whole_record);
+  (* the id gap survives: the next node gets the primary's next id *)
+  Alcotest.(check int) "next node id"
+    (Ids.node_to_int (snd (Graph.add_node target)))
+    (Ids.node_to_int
+       (snd (Graph.add_node (applied "delta record" base delta_record))));
+  (* a change applied to a state it does not belong to is refused *)
+  match Snapshot.apply_change Graph.empty delta_record with
+  | Ok _ -> Alcotest.fail "a change applied to a graph missing its ids"
+  | Error e ->
+    Alcotest.(check bool) "names the absent id" true
+      (Re.execp (Re.compile (Re.str "is absent")) e)
 
 let wal_torn_tail () =
   let path = fresh_path ".wal" in
   let w = Wal.open_writer path in
-  ignore (Wal.append w sample_stmts);
+  ignore (Wal.append w (sample_records ()));
   Wal.close_writer w;
   let data = read_file path in
   (* record boundaries, to know where record 2 ends *)
@@ -370,7 +481,7 @@ let wal_torn_tail () =
 let wal_corrupt_interior () =
   let path = fresh_path ".wal" in
   let w = Wal.open_writer path in
-  ignore (Wal.append w sample_stmts);
+  ignore (Wal.append w (sample_records ()));
   Wal.close_writer w;
   let data = read_file path in
   (* flip a byte inside the first record's payload: a complete record
@@ -383,27 +494,6 @@ let wal_corrupt_interior () =
   | Error e ->
     if not (String.length e > 0) then Alcotest.fail "empty error");
   Sys.remove path
-
-let wal_replay_executes () =
-  let path = fresh_path ".wal" in
-  let w = Wal.open_writer path in
-  ignore
-    (Wal.append w
-       [
-         ("CREATE (:L {v: $v})", [ ("v", vint 1) ], 0);
-         ("CREATE (:L {v: $v})", [ ("v", vint 2) ], 0);
-         ("MATCH (n:L) SET n.v = n.v * 10", [], 0);
-       ]);
-  Wal.close_writer w;
-  match Wal.scan path with
-  | Error e -> Alcotest.failf "scan failed: %s" e
-  | Ok scan -> (
-    match Wal.replay Graph.empty scan.Wal.records with
-    | Error e -> Alcotest.failf "replay failed: %s" e
-    | Ok g ->
-      Sys.remove path;
-      expect_bag g "MATCH (n:L) RETURN n.v AS v ORDER BY v" [ "v" ]
-        [ [ ("v", vint 10) ]; [ ("v", vint 20) ] ])
 
 (* --- the store: kill-and-recover --------------------------------------- *)
 
@@ -487,7 +577,7 @@ let store_transactions () =
   (match Session.rollback s with
   | Ok () -> ()
   | Error e -> Alcotest.failf "rollback failed: %s" (Engine.error_message e));
-  Alcotest.(check int) "only the committed batch reaches the WAL" 2
+  Alcotest.(check int) "only the committed transaction reaches the WAL, as one record" 1
     (Store.wal_records st);
   let recovered = must_open dir in
   expect_bag (Store.graph recovered)
@@ -512,7 +602,7 @@ let store_nested_transactions () =
   Alcotest.(check int) "no WAL records before outermost commit" 0
     (Store.wal_records st);
   ok_or_fail (Session.commit s);
-  Alcotest.(check int) "outer + inner-committed statements" 2
+  Alcotest.(check int) "one record for outer + inner-committed statements" 1
     (Store.wal_records st);
   let recovered = must_open dir in
   expect_bag (Store.graph recovered)
@@ -639,6 +729,129 @@ let store_index_ddl_durable () =
     Alcotest.fail "index lost through the snapshot";
   Store.close again
 
+(* --- recovery applies changes ------------------------------------------- *)
+
+let old_wal_header version = "CYWAL" ^ String.make 1 (Char.chr version) ^ "\000"
+
+let wal_upgrade () =
+  List.iter
+    (fun version ->
+      (* a header-only log of an older version — what a clean shutdown,
+         which checkpoints, leaves — is rewritten with the new header *)
+      let dir = fresh_dir () in
+      write_file (Store.wal_file dir) (old_wal_header version);
+      let st = must_open dir in
+      Alcotest.(check string) "rewritten header" (old_wal_header 3)
+        (read_file (Store.wal_file dir));
+      must_run st "CREATE (:After)";
+      Store.close st;
+      let again = must_open dir in
+      expect_bag (Store.graph again) "MATCH (n:After) RETURN count(n) AS c"
+        [ "c" ] [ [ ("c", vint 1) ] ];
+      Store.close again;
+      (* an older log that still holds records is refused, untouched *)
+      let dir = fresh_dir () in
+      let old_log =
+        old_wal_header version ^ "\x09\x00\x00\x00\x00\x00\x00\x00CREATE ()"
+      in
+      write_file (Store.wal_file dir) old_log;
+      (match Store.open_ dir with
+      | Ok _ -> Alcotest.failf "opened a version-%d log with records" version
+      | Error e ->
+        Alcotest.(check bool) "says how to upgrade" true
+          (Re.execp (Re.compile (Re.str "previous binary and checkpoint")) e));
+      Alcotest.(check string) "the old log is left as it was" old_log
+        (read_file (Store.wal_file dir)))
+    [ 1; 2 ]
+
+(* A workload with a relationship property SET, a label REMOVE, DETACH
+   DELETE, index DDL, and a transaction that creates and deletes a node:
+   the recovered graph is the primary's, adjacency order and the next
+   allocated id included. *)
+let recovery_equals_primary () =
+  let dir = fresh_dir () in
+  let st = must_open dir in
+  List.iter (must_run st)
+    [
+      "CREATE (a:P {k: 1})-[:R {w: 1}]->(b:P {k: 2})-[:R {w: 2}]->(c:P {k: 3}), \
+       (c)-[:R {w: 3}]->(a), (a)-[:R {w: 4}]->(c), (b)-[:S]->(b)";
+      "MATCH (:P {k: 1})-[r:R {w: 1}]->() SET r.w = 10";
+      "MATCH (n:P {k: 2}) REMOVE n:P SET n:Q";
+      "CREATE INDEX ON :P(k)";
+      "MATCH (a:P {k: 1}), (c:P {k: 3}) CREATE (c)-[:R {w: 5}]->(a), (a)-[:T]->(a)";
+      "MATCH (n:P {k: 3}) DETACH DELETE n";
+      "CREATE (:P {k: 4})-[:R]->(:P {k: 5})";
+      "DROP INDEX ON :P(k)";
+      "CREATE INDEX ON :Q(k)";
+    ];
+  let s = Store.session st in
+  Session.begin_tx s;
+  must_run st "CREATE (:Gap)";
+  must_run st "MATCH (g:Gap) DELETE g";
+  ok_or_fail (Session.commit s);
+  let primary = Store.graph st in
+  Store.close st;
+  let recovered = must_open dir in
+  check_same_graph "recovered" primary (Store.graph recovered);
+  (* the next CREATE gets the id the primary would allocate *)
+  must_run recovered "CREATE (:Next)";
+  expect_bag (Store.graph recovered) "MATCH (n:Next) RETURN id(n) AS id" [ "id" ]
+    [ [ ("id", vint (Ids.node_to_int (snd (Graph.add_node primary)))) ] ];
+  Store.close recovered
+
+(* A commit past two journal resets has no delta: its record is the
+   whole graph, applied from the empty graph, between delta records. *)
+let recovery_of_a_whole_graph_record () =
+  let dir = fresh_dir () in
+  let st = must_open dir in
+  must_run st
+    "CREATE (a:Before {k: 1})-[:R]->(b:Before {k: 2}), (b)-[:R]->(a), (a)-[:R]->(a)";
+  must_run st "UNWIND range(1, 140000) AS i CREATE (:Bulk {i: i})";
+  must_run st "MATCH (a:Before {k: 1}), (b:Bulk {i: 1}) CREATE (a)-[:R]->(b)";
+  must_run st "MATCH (b:Before {k: 2}) DETACH DELETE b";
+  let primary = Store.graph st in
+  Store.close st;
+  (match Wal.scan (Store.wal_file dir) with
+  | Ok { Wal.records = [ _; bulk; _; _ ]; _ } ->
+    (* the change's first byte says whether it applies to the empty graph *)
+    Alcotest.(check char) "the bulk commit logs the whole graph" '\001'
+      bulk.Wal.change.[0]
+  | Ok _ -> Alcotest.fail "expected four records"
+  | Error e -> Alcotest.failf "scan failed: %s" e);
+  let recovered = must_open dir in
+  check_same_graph "recovered" primary (Store.graph recovered);
+  Store.close recovered
+
+(* Replay costs O(changes): the same update logs the same bytes, and
+   encoding and applying them reads the store as often, on a 1k and a
+   20k node graph; recovery gives the primary's graph. *)
+let replay_costs_o_changes () =
+  let logged nodes =
+    let dir = fresh_dir () in
+    let st = must_open dir in
+    must_run st (Printf.sprintf "UNWIND range(1, %d) AS i CREATE (:P {v: i})" nodes);
+    let base = Store.graph st in
+    must_run st "MATCH (n:P) WHERE n.v = 7 SET n.w = 1";
+    let primary = Store.graph st in
+    Store.close st;
+    let _, hits =
+      Graph.with_db_hit_counting (fun () ->
+          Graph.own_db_hits (fun () ->
+              Snapshot.apply_change base (change base primary)))
+    in
+    let recovered = must_open dir in
+    check_same_graph (Printf.sprintf "%d nodes" nodes) primary
+      (Store.graph recovered);
+    Store.close recovered;
+    match Wal.scan (Store.wal_file dir) with
+    | Ok { Wal.records = [ _; update ]; _ } -> (String.length update.Wal.change, hits)
+    | Ok _ -> Alcotest.fail "expected two records"
+    | Error e -> Alcotest.failf "scan failed: %s" e
+  in
+  Alcotest.(check (pair int int))
+    "record bytes and store reads on 1k and 20k nodes" (logged 1_000)
+    (logged 20_000)
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -654,11 +867,11 @@ let suite =
       snapshot_preserves_indexes_and_gaps;
     tc "snapshots reject corruption, truncation and bad magic"
       snapshot_rejects_corruption;
-    tc "WAL records round-trip with parameters" wal_roundtrip;
+    tc "WAL records round-trip traces and changes" wal_roundtrip;
     tc "WAL recovery stops at the last valid record (torn tail)" wal_torn_tail;
     tc "WAL refuses a corrupt interior" wal_corrupt_interior;
-    tc "WAL replay re-executes statements through the engine"
-      wal_replay_executes;
+    tc "change records round-trip every delta field"
+      change_records_cover_every_field;
     tc "store recovers committed statements after a kill"
       store_recovers_after_kill;
     tc "recovered graph equals an uninterrupted session"
@@ -673,4 +886,9 @@ let suite =
     tc "store drops a torn WAL tail and stays appendable" store_drops_torn_tail;
     tc "parameters are durable alongside their statements" store_durable_params;
     tc "index DDL is durable through WAL and snapshot" store_index_ddl_durable;
+    tc "an old log is upgraded when empty, refused when not" wal_upgrade;
+    tc "a recovered graph equals the primary's" recovery_equals_primary;
+    tc "a commit past two journal resets recovers from a whole-graph record"
+      recovery_of_a_whole_graph_record;
+    tc "replay costs O(changes)" replay_costs_o_changes;
   ]

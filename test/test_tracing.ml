@@ -387,6 +387,32 @@ let write_lineage_end_to_end () =
       in
       check_delta psub;
       check_delta rsub;
+      (* 5: a transaction whose statements come from two traced requests
+         is one record: both traces are stamped with its one seq, on the
+         primary and on the replica *)
+      let ctx_a = { Trace.trace_id = Trace.new_id (); parent_span = 0 } in
+      let ctx_b = { Trace.trace_id = Trace.new_id (); parent_span = 0 } in
+      Trace.with_context ctx_a (fun () ->
+          ignore (ok_query pc "BEGIN");
+          ignore (ok_query pc "CREATE (:City {name: 'a', pop: 3})"));
+      let c =
+        Trace.with_context ctx_b (fun () ->
+            ignore (ok_query pc "CREATE (:City {name: 'b', pop: 4})");
+            ok_query pc "COMMIT")
+      in
+      Alcotest.(check int) "the transaction is one record" (w.Client.seq + 1)
+        c.Client.seq;
+      let seq_attr = Printf.sprintf "\"seq\":\"%d\"" c.Client.seq in
+      List.iter
+        (fun ctx ->
+          let trace = "\"trace_id\":\"" ^ Trace.id_to_hex ctx.Trace.trace_id ^ "\"" in
+          List.iter
+            (fun span ->
+              Alcotest.(check bool) (span ^ " for both traces") true
+                (wait_captured cap
+                   [ "\"name\":\"" ^ span ^ "\""; trace; seq_attr ]))
+            [ "commit_durable"; "replica_apply" ])
+        [ ctx_a; ctx_b ];
       Client.close pc;
       Client.close psub_conn;
       Client.close rsub_conn)
