@@ -11,8 +11,13 @@
    aggregate arguments memoized.  A committed graph delta (from the
    {!Graph} change journal) refreshes the set in O(changes): every
    tuple containing a touched entity is retracted, and new tuples are
-   re-derived by seeding the reference matcher at each pattern position
-   a touched entity can occupy.  Aggregates maintain per-group value
+   found by the same planned MATCH ... WHERE with one input replaced by
+   the change — one seed program per pattern position, compiled by the
+   planner at registration, started from that position bound and run
+   once over the touched entities as its Argument rows.  The rows a run
+   produces for an assignment are the engine's own multiplicity.  The
+   initial build and every full rebuild run the unseeded match, planned
+   against the graph they read.  Aggregates maintain per-group value
    multisets so group rows are re-finalized — with the engine's own
    {!Agg.finalize} — without rescanning the group.
 
@@ -39,6 +44,9 @@ module Pretty = Cypher_ast.Pretty
 module Config = Cypher_semantics.Config
 module Eval = Cypher_semantics.Eval
 module Agg = Cypher_semantics.Agg
+module Build = Cypher_planner.Build
+module Exec = Cypher_planner.Exec
+module Stats = Cypher_graph.Stats
 module Engine = Cypher_engine.Engine
 module Store = Cypher_storage.Store
 module Registry = Cypher_obs.Registry
@@ -107,14 +115,24 @@ end)
 (* row -> positive multiplicity *)
 type bag = int Vlmap.t
 
-let bag_of_events events =
+(* [bag] with the (row, multiplicity change) [events] applied *)
+let apply_events bag events =
   List.fold_left
     (fun m (row, d) ->
       Vlmap.update row
         (fun o ->
           match Option.value o ~default:0 + d with 0 -> None | v -> Some v)
         m)
-    Vlmap.empty events
+    bag events
+
+let bag_of_events = apply_events Vlmap.empty
+
+(* an engine result's rows, in its (sorted) field order *)
+let bag_of_table tbl =
+  bag_of_events
+    (Table.fold_left
+       (fun acc r -> (List.map snd (Record.to_list r), 1) :: acc)
+       [] tbl)
 
 (* (new - old) as events *)
 let bag_diff ~old_bag ~new_bag =
@@ -202,9 +220,13 @@ let rec check_expr (e : Ast.expr) =
 type item = Key of Ast.expr | Agg_item of Agg.spec
 
 type plan = {
-  p_pattern : Ast.path_pattern;  (* every element named *)
+  p_match : Ast.clause list;  (* the MATCH ... WHERE, every element named *)
   p_names : string array;  (* position -> name; even = node, odd = rel *)
-  p_where : Ast.expr option;
+  p_dirs : Ast.direction array;  (* per relationship, as written *)
+  p_seeds : Exec.program array;
+      (* per position, the match with that position bound: a node
+         position binds its node, a relationship position the
+         relationship and its left node *)
   p_items : (string * item) array;  (* sorted by column name *)
   p_specs : Agg.spec array;  (* the Agg_items, in p_items order *)
   p_distinct : bool;  (* DISTINCT over a non-aggregating projection *)
@@ -358,10 +380,27 @@ let compile (q : Ast.query) : plan =
         (function _, Agg_item s -> Some s | _, Key _ -> None)
         sorted
     in
+    let p_match = [ Ast.C_match { opt = false; pattern = [ pp ]; where } ] in
+    (* a seeded program starts at its bound node, so the estimates the
+       planner is given never choose its plan *)
+    let seed pos =
+      let bound =
+        if pos mod 2 = 0 then [ names.(pos) ]
+        else [ names.(pos); names.(pos - 1) ]
+      in
+      (Build.compile_clauses ~stats:(Stats.collect Graph.empty) ~visible:bound
+         p_match None)
+        .Build.prog
+    in
     {
-      p_pattern = pp;
+      p_match;
       p_names = names;
-      p_where = where;
+      p_dirs =
+        Array.of_list
+          (List.map
+             (fun ((rp : Ast.rel_pattern), _) -> rp.Ast.rp_dir)
+             pp.Ast.pp_rest);
+      p_seeds = Array.init (Array.length names) seed;
       p_items = Array.of_list sorted;
       p_specs = Array.of_list specs;
       p_distinct = proj.Ast.pj_distinct && not grouping;
@@ -375,12 +414,10 @@ let compile (q : Ast.query) : plan =
 
 let columns_of plan = Array.to_list (Array.map fst plan.p_items)
 
-(* --- tuple keys and seeded matching ------------------------------------ *)
+(* --- tuple keys ----------------------------------------------------------- *)
 
 let tag_node n = Ids.node_to_int n lsl 1
 let tag_rel r = (Ids.rel_to_int r lsl 1) lor 1
-
-exception Not_entity
 
 let key_of plan bnd =
   Array.map
@@ -388,51 +425,8 @@ let key_of plan bnd =
       match Record.find bnd name with
       | Some (Value.Node n) -> tag_node n
       | Some (Value.Rel r) -> tag_rel r
-      | _ -> raise Not_entity)
+      | _ -> failwith "ivm: a pattern position bound no entity")
     plan.p_names
-
-let flip_dir = function
-  | Ast.Left_to_right -> Ast.Right_to_left
-  | Ast.Right_to_left -> Ast.Left_to_right
-  | Ast.Undirected -> Ast.Undirected
-
-(* The pattern split at node index [j] (element position [2j]): a tuple
-   of two paths both starting at that node — the reversed prefix and
-   the suffix.  An assignment satisfies the split tuple iff it
-   satisfies the original path (the matcher threads its
-   relationship-uniqueness state across the tuple's paths), so seeding
-   the bound node at position [2j] discovers exactly the assignments
-   that place it there. *)
-let split_at plan j =
-  let pp = plan.p_pattern in
-  let rest = Array.of_list pp.Ast.pp_rest in
-  let k = Array.length rest in
-  let node_at i = if i = 0 then pp.Ast.pp_first else snd rest.(i - 1) in
-  let suffix =
-    {
-      Ast.pp_name = None;
-      pp_first = node_at j;
-      pp_rest = Array.to_list (Array.sub rest j (k - j));
-      pp_shortest = Ast.No_shortest;
-      pp_restr = Ast.Walk;
-    }
-  in
-  let prefix_rest =
-    List.init j (fun t ->
-        let i = j - t in
-        let rp, _ = rest.(i - 1) in
-        ({ rp with Ast.rp_dir = flip_dir rp.Ast.rp_dir }, node_at (i - 1)))
-  in
-  let prefix =
-    {
-      Ast.pp_name = None;
-      pp_first = node_at j;
-      pp_rest = prefix_rest;
-      pp_shortest = Ast.No_shortest;
-      pp_restr = Ast.Walk;
-    }
-  in
-  [ prefix; suffix ]
 
 (* --- maintained state --------------------------------------------------- *)
 
@@ -645,63 +639,78 @@ let finalize_groups st dirty events =
         | None -> ()))
     dirty
 
-(* Adds every satisfying assignment found in [results] (the matcher's
-   output seeded with [seed]) to the candidate table, keyed, with its
-   occurrence count. *)
-let collect_candidates plan seed results cand =
-  List.iter
+(* Runs [prog] over the Argument rows [args] and adds every assignment
+   it finds to the candidate table, keyed, with the number of rows this
+   run produced for it: the engine's own multiplicity.  A key an earlier
+   run already found keeps that run's count. *)
+let collect_candidates cfg g plan prog args cand =
+  let run = Hashtbl.create 64 in
+  Seq.iter
     (fun bnd ->
-      let full = Record.overlay seed bnd in
-      match key_of plan full with
-      | key ->
-        (match Hashtbl.find_opt cand key with
-        | Some (m, _) -> Hashtbl.replace cand key (m + 1, full)
-        | None -> Hashtbl.replace cand key (1, full))
-      | exception Not_entity -> ())
-    results
+      let key = key_of plan bnd in
+      let m =
+        match Hashtbl.find_opt run key with Some (m, _) -> m | None -> 0
+      in
+      Hashtbl.replace run key (m + 1, bnd))
+    (Exec.rows cfg g prog args);
+  Hashtbl.iter
+    (fun key v -> if not (Hashtbl.mem cand key) then Hashtbl.replace cand key v)
+    run
 
-(* Full (unseeded) enumeration of the pattern: candidate table of every
-   assignment with the engine-identical multiplicity. *)
-let enumerate_all cfg g plan =
-  let cand = Hashtbl.create 1024 in
-  let results = Eval.match_pattern_tuple cfg g Record.empty [ plan.p_pattern ] in
-  collect_candidates plan Record.empty results cand;
-  cand
-
-let where_passes cfg g plan bnd =
-  match plan.p_where with
-  | None -> true
-  | Some e -> Eval.eval_truth cfg g bnd e = Cypher_values.Ternary.True
-
-(* Applies a candidate table: every candidate key not already present,
-   passing WHERE, becomes a tuple. *)
+(* Applies a candidate table: every candidate key not already present
+   becomes a tuple. *)
 let admit_candidates cfg g st dirty events cand =
   Hashtbl.iter
     (fun key (mult, bnd) ->
       if not (Hashtbl.mem st.tuples key) then
-        if where_passes cfg g st.plan bnd then
-          add_tuple cfg g st dirty events key mult bnd)
+        add_tuple cfg g st dirty events key mult bnd)
     cand
 
+(* The full build: the match planned against the graph it runs on. *)
 let init_istate cfg g plan =
   let st = new_istate plan in
   let dirty = ref Vlmap.empty in
   let events = ref [] in
-  admit_candidates cfg g st dirty events (enumerate_all cfg g plan);
+  let { Build.prog; _ } =
+    Build.compile_clauses ~stats:(Stats.collect g) ~visible:[] plan.p_match None
+  in
+  let cand = Hashtbl.create 1024 in
+  collect_candidates cfg g plan prog (Seq.return Record.empty) cand;
+  admit_candidates cfg g st dirty events cand;
   if plan.p_grouping then finalize_groups st !dirty events;
   (st, !events)
 
-(* The incremental step.  Retract every tuple binding a touched entity;
-   re-derive candidates by seeding the matcher at every position each
-   surviving touched entity can occupy; recount candidate
-   multiplicities canonically (anchored at the pattern's first node, so
-   they are exactly the multiplicities the full enumeration would
-   produce); admit the survivors. *)
+(* The Argument rows of seed position [pos] for the touched nodes and
+   relationships: a node position binds each node; a relationship
+   position binds each relationship with its left node, at every end the
+   written direction allows. *)
+let seed_rows plan g pos ~nodes ~rels =
+  let name = plan.p_names.(pos) in
+  if pos mod 2 = 0 then
+    List.map (fun n -> Record.of_list [ (name, Value.Node n) ]) nodes
+  else
+    let left = plan.p_names.(pos - 1) in
+    List.concat_map
+      (fun r ->
+        let s = Graph.src g r and t = Graph.tgt g r in
+        let anchors =
+          match plan.p_dirs.(pos / 2) with
+          | Ast.Left_to_right -> [ s ]
+          | Ast.Right_to_left -> [ t ]
+          | Ast.Undirected -> if Ids.equal_node s t then [ s ] else [ s; t ]
+        in
+        List.map
+          (fun a -> Record.of_list [ (name, Value.Rel r); (left, Value.Node a) ])
+          anchors)
+      rels
+
+(* The incremental step.  Retract every tuple binding a touched entity,
+   then run each position's seeded program once over the added and
+   changed entities that can occupy it, and admit what it finds. *)
 let apply_delta cfg new_g st (d : Graph.delta) =
   let plan = st.plan in
   let dirty = ref Vlmap.empty in
   let events = ref [] in
-  (* 1. retraction: anything touching a removed or changed entity *)
   let retract tag =
     List.iter (fun key -> remove_tuple st dirty events key) (keys_containing st tag)
   in
@@ -709,85 +718,21 @@ let apply_delta cfg new_g st (d : Graph.delta) =
   List.iter (fun n -> retract (tag_node n)) d.Graph.d_nodes_changed;
   List.iter (fun r -> retract (tag_rel r)) d.Graph.d_rels_removed;
   List.iter (fun r -> retract (tag_rel r)) d.Graph.d_rels_changed;
-  (* 2. discovery: seed each added/changed entity at each compatible
-     position.  Multiplicities from these runs are layout-dependent, so
-     they are recounted canonically below; here only the key matters. *)
-  let discovered = Hashtbl.create 64 in
-  let n_elems = Array.length plan.p_names in
-  let seed_node n =
-    let v = Value.Node n in
-    for j = 0 to (n_elems - 1) / 2 do
-      let name = plan.p_names.(2 * j) in
-      let seed = Record.add Record.empty name v in
-      match Eval.match_pattern_tuple cfg new_g seed (split_at plan j) with
-      | results -> collect_candidates plan seed results discovered
-      | exception _ -> ()
-    done
+  (* distinct: a repeated Argument row would count its assignments twice *)
+  let nodes =
+    List.sort_uniq Ids.compare_node
+      (d.Graph.d_nodes_added @ d.Graph.d_nodes_changed)
+  and rels =
+    List.sort_uniq Ids.compare_rel
+      (d.Graph.d_rels_added @ d.Graph.d_rels_changed)
   in
-  let seed_rel r =
-    (* anchor at the rel's source node position: pre-bind both the rel
-       variable and the adjacent node, in every orientation the pattern
-       direction allows *)
-    let rest = Array.of_list plan.p_pattern.Ast.pp_rest in
-    let sn = Graph.src new_g r and tn = Graph.tgt new_g r in
-    Array.iteri
-      (fun i ((rp : Ast.rel_pattern), _) ->
-        let rel_name = plan.p_names.((2 * i) + 1) in
-        let left_name = plan.p_names.(2 * i) in
-        let anchors =
-          match rp.Ast.rp_dir with
-          | Ast.Left_to_right -> [ sn ]
-          | Ast.Right_to_left -> [ tn ]
-          | Ast.Undirected ->
-            if Ids.equal_node sn tn then [ sn ] else [ sn; tn ]
-        in
-        List.iter
-          (fun a ->
-            let seed =
-              Record.add
-                (Record.add Record.empty rel_name (Value.Rel r))
-                left_name (Value.Node a)
-            in
-            match
-              Eval.match_pattern_tuple cfg new_g seed (split_at plan i)
-            with
-            | results -> collect_candidates plan seed results discovered
-            | exception _ -> ())
-          anchors)
-      rest
-  in
-  List.iter seed_node d.Graph.d_nodes_added;
-  List.iter seed_node d.Graph.d_nodes_changed;
-  List.iter seed_rel d.Graph.d_rels_added;
-  List.iter seed_rel d.Graph.d_rels_changed;
-  (* 3. canonical recount: group the discovered keys by their first-node
-     id and re-enumerate from that node with the original pattern — the
-     full enumeration restricted to one starting node, so the counts
-     (and orientation-duplicate collapsing) are exactly the engine's. *)
-  let by_first = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun key _ ->
-      if not (Hashtbl.mem st.tuples key) then
-        Hashtbl.replace by_first key.(0) ())
-    discovered;
   let cand = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun first () ->
-      let n = Ids.node_of_int (first lsr 1) in
-      if Graph.mem_node new_g n then begin
-        let name0 = plan.p_names.(0) in
-        let seed = Record.add Record.empty name0 (Value.Node n) in
-        let results =
-          Eval.match_pattern_tuple cfg new_g seed [ plan.p_pattern ]
-        in
-        let local = Hashtbl.create 32 in
-        collect_candidates plan seed results local;
-        Hashtbl.iter
-          (fun key v ->
-            if Hashtbl.mem discovered key then Hashtbl.replace cand key v)
-          local
-      end)
-    by_first;
+  Array.iteri
+    (fun pos prog ->
+      match seed_rows plan new_g pos ~nodes ~rels with
+      | [] -> ()
+      | args -> collect_candidates cfg new_g plan prog (List.to_seq args) cand)
+    plan.p_seeds;
   admit_candidates cfg new_g st dirty events cand;
   if plan.p_grouping then finalize_groups st !dirty events;
   !events
@@ -853,6 +798,13 @@ type view_info = {
 let row_record columns row =
   Record.of_list (List.combine columns row)
 
+(* A DISTINCT view keeps raw multiplicities internally; what it shows
+   is the collapsed bag. *)
+let distinct view =
+  match view.v_state with
+  | Incremental st -> st.plan.p_distinct
+  | Fallback _ -> false
+
 let build_table view =
   match view.v_table with
   | Some tbl -> tbl
@@ -861,12 +813,7 @@ let build_table view =
       Vlmap.fold
         (fun row m acc ->
           let r = row_record view.v_columns row in
-          let distinct =
-            match view.v_state with
-            | Incremental st -> st.plan.p_distinct
-            | Fallback _ -> false
-          in
-          let n = if distinct then 1 else m in
+          let n = if distinct view then 1 else m in
           let rec rep k acc = if k = 0 then acc else rep (k - 1) (r :: acc) in
           rep n acc)
         view.v_out []
@@ -888,11 +835,7 @@ type refresh_result = {
 
 let visible_deltas view net =
   let added = ref [] and removed = ref [] in
-  let distinct =
-    match view.v_state with
-    | Incremental st -> st.plan.p_distinct
-    | Fallback _ -> false
-  in
+  let distinct = distinct view in
   List.iter
     (fun (row, d) ->
       let old_m = Option.value (Vlmap.find_opt row view.v_out) ~default:0 in
@@ -907,21 +850,38 @@ let visible_deltas view net =
     net;
   (!added, !removed)
 
-let rerun_engine t g view =
+(* Degrades a view to engine re-execution for good.  A DISTINCT view's
+   internal bag holds raw multiplicities: collapse it first, so the
+   frames of the next re-execution diff against what subscribers saw. *)
+let degrade view reason =
+  if distinct view then view.v_out <- Vlmap.map (fun _ -> 1) view.v_out;
+  view.v_state <- Fallback reason
+
+let reexecute t g view =
   match Engine.query ~config:t.cfg ~mode:t.mode g view.v_query with
   | Ok outcome ->
     let tbl = outcome.Engine.table in
-    let out =
-      Table.fold_left
-        (fun m r ->
-          let row = List.map snd (Record.to_list r) in
-          Vlmap.update row
-            (fun o -> Some (Option.value o ~default:0 + 1))
-            m)
-        Vlmap.empty tbl
+    let out = bag_of_table tbl in
+    let added, removed =
+      visible_deltas view (bag_diff ~old_bag:view.v_out ~new_bag:out)
     in
-    Ok (out, tbl)
-  | Error e -> Error (Engine.error_message e)
+    {
+      r_out = out;
+      r_table = Some tbl;
+      r_added = added;
+      r_removed = removed;
+      r_incremental = false;
+      r_error = None;
+    }
+  | Error e ->
+    {
+      r_out = view.v_out;
+      r_table = None;
+      r_added = [];
+      r_removed = [];
+      r_incremental = false;
+      r_error = Some (Engine.error_message e);
+    }
 
 let full_rebuild t g view =
   match view.v_state with
@@ -941,55 +901,10 @@ let full_rebuild t g view =
         r_error = None;
       }
     | exception e ->
-      (* the incremental machinery failed wholesale: degrade the view to
-         engine re-execution permanently.  A DISTINCT view's internal bag
-         holds raw multiplicities — collapse it first so the delta frames
-         emitted below diff against what subscribers actually saw. *)
-      if st.plan.p_distinct then view.v_out <- Vlmap.map (fun _ -> 1) view.v_out;
-      view.v_state <- Fallback (Printexc.to_string e);
-      (match rerun_engine t g view with
-      | Ok (out, tbl) ->
-        let net = bag_diff ~old_bag:view.v_out ~new_bag:out in
-        let added, removed = visible_deltas view net in
-        {
-          r_out = out;
-          r_table = Some tbl;
-          r_added = added;
-          r_removed = removed;
-          r_incremental = false;
-          r_error = None;
-        }
-      | Error msg ->
-        {
-          r_out = view.v_out;
-          r_table = None;
-          r_added = [];
-          r_removed = [];
-          r_incremental = false;
-          r_error = Some msg;
-        }))
-  | Fallback _ -> (
-    match rerun_engine t g view with
-    | Ok (out, tbl) ->
-      let net = bag_diff ~old_bag:view.v_out ~new_bag:out in
-      let added, removed = visible_deltas view net in
-      {
-        r_out = out;
-        r_table = Some tbl;
-        r_added = added;
-        r_removed = removed;
-        r_incremental = false;
-        r_error = None;
-      }
-    | Error msg ->
-      {
-        r_out = view.v_out;
-        r_table = None;
-        r_added = [];
-        r_removed = [];
-        r_incremental = false;
-        r_error = Some msg;
-      })
+      (* the incremental machinery failed wholesale *)
+      degrade view (Printexc.to_string e);
+      reexecute t g view)
+  | Fallback _ -> reexecute t g view
 
 let compute_refresh t ~old_g ~new_g view =
   match view.v_state with
@@ -1017,19 +932,8 @@ let compute_refresh t ~old_g ~new_g view =
               (bag_of_events events) []
           in
           let added, removed = visible_deltas view net in
-          let out =
-            List.fold_left
-              (fun m (row, d) ->
-                Vlmap.update row
-                  (fun o ->
-                    match Option.value o ~default:0 + d with
-                    | 0 -> None
-                    | v -> Some v)
-                  m)
-              view.v_out net
-          in
           {
-            r_out = out;
+            r_out = apply_events view.v_out net;
             r_table = None;
             r_added = added;
             r_removed = removed;
@@ -1099,13 +1003,7 @@ let refresh_one t ~old_g ~new_g ~seq ?(trace = 0) view =
     | r -> r
     | exception e ->
       let msg = Printexc.to_string e in
-      (* a DISTINCT view's internal bag holds raw multiplicities;
-         collapse it so the fallback diffs against what subscribers saw *)
-      (match view.v_state with
-      | Incremental st when st.plan.p_distinct ->
-        view.v_out <- Vlmap.map (fun _ -> 1) view.v_out
-      | _ -> ());
-      view.v_state <- Fallback msg;
+      degrade view msg;
       {
         r_out = view.v_out;
         r_table = None;
@@ -1281,15 +1179,7 @@ let create_view t ~name ~query ~auto =
           | Ok outcome ->
             let tbl = outcome.Engine.table in
             let columns = Table.fields tbl in
-            let engine_out =
-              Table.fold_left
-                (fun m r ->
-                  let row = List.map snd (Record.to_list r) in
-                  Vlmap.update row
-                    (fun o -> Some (Option.value o ~default:0 + 1))
-                    m)
-                Vlmap.empty tbl
-            in
+            let engine_out = bag_of_table tbl in
             let state, out, table =
               match compile ast with
               | exception Unsupported reason ->
@@ -1411,10 +1301,7 @@ let view_infos t =
           vi_seq = v.v_seq;
           vi_rows =
             Vlmap.fold
-              (fun _ m acc ->
-                match v.v_state with
-                | Incremental st when st.plan.p_distinct -> acc + 1
-                | _ -> acc + m)
+              (fun _ m acc -> acc + if distinct v then 1 else m)
               v.v_out 0;
           vi_incremental =
             (match v.v_state with Incremental _ -> true | Fallback _ -> false);
@@ -1429,16 +1316,6 @@ let view_infos t =
   in
   Mutex.unlock t.mm;
   List.sort (fun a b -> String.compare a.vi_name b.vi_name) infos
-
-let fallback_reason t name =
-  Mutex.lock t.mm;
-  let r =
-    match Hashtbl.find_opt t.views name with
-    | Some { v_state = Fallback reason; _ } -> Some reason
-    | _ -> None
-  in
-  Mutex.unlock t.mm;
-  r
 
 (* --- reads -------------------------------------------------------------- *)
 
@@ -1535,14 +1412,9 @@ let subscribe t ~query =
       let sub =
         { s_id = id; s_view = name; s_frames = Queue.create (); s_closed = false }
       in
-      let distinct =
-        match v.v_state with
-        | Incremental st -> st.plan.p_distinct
-        | Fallback _ -> false
-      in
       let initial =
         Vlmap.fold
-          (fun row m acc -> (row, if distinct then 1 else m) :: acc)
+          (fun row m acc -> (row, if distinct v then 1 else m) :: acc)
           v.v_out []
       in
       Queue.add
@@ -1609,7 +1481,6 @@ let next_frame t sub ~timeout_s =
   go ()
 
 let subscription_view sub = sub.s_view
-let subscription_closed sub = sub.s_closed
 
 let view_count t =
   Mutex.lock t.mm;

@@ -86,11 +86,13 @@ let start_cost stats bound (np : node_pattern) =
     let cost = Float.max 1. (base *. sel) in
     if indexed then Float.max 1. (cost *. 0.1) else cost)
 
-(* Cheapest starting position of a path pattern: its left or right end. *)
+(* Cheapest starting position of a path pattern, as a node index: its
+   left or right end. *)
 let orientation_cost stats bound (nps : node_pattern array) =
+  let k = Array.length nps - 1 in
   let left = start_cost stats bound nps.(0) in
-  let right = start_cost stats bound nps.(Array.length nps - 1) in
-  if left <= right then (`Left, left) else (`Right, right)
+  let right = start_cost stats bound nps.(k) in
+  if left <= right then (0, left) else (k, right)
 
 (* ------------------------------------------------------------------ *)
 (* Predicates for node/relationship pattern constraints                *)
@@ -148,29 +150,23 @@ let plan_dir = function
   | Undirected -> Plan.Both
 
 (* Produces the sequence (start node pattern, hops) in traversal order
-   for the chosen orientation, where each hop is
-   (rel pattern, rel var, target node pattern, target node var). *)
-let traversal named = function
-  | `Left ->
-    let nps = node_patterns named.orig in
-    let hops =
-      List.mapi
-        (fun i (rp, rv) -> (rp, rv, nps.(i + 1), named.node_vars.(i + 1)))
-        (Array.to_list named.rel_hops)
-    in
-    ((nps.(0), named.node_vars.(0)), hops)
-  | `Right ->
-    let nps = node_patterns named.orig in
-    let k = Array.length named.rel_hops in
-    let hops =
-      List.rev
-        (List.mapi
-           (fun i (rp, rv) ->
-             ({ rp with rp_dir = flip_dir rp.rp_dir }, rv, nps.(i),
-              named.node_vars.(i)))
-           (Array.to_list named.rel_hops))
-    in
-    ((nps.(k), named.node_vars.(k)), hops)
+   from node [j]: the hops left of it reversed, their directions flipped,
+   then the hops right of it.  Each hop is (source node var, rel pattern,
+   rel var, target node pattern, target node var, whether it runs
+   against the written order). *)
+let traversal named j =
+  let nps = node_patterns named.orig and vars = named.node_vars in
+  let hop i reversed =
+    let rp, rv = named.rel_hops.(i) in
+    if reversed then
+      let rp = { rp with rp_dir = flip_dir rp.rp_dir } in
+      (vars.(i + 1), rp, rv, nps.(i), vars.(i), true)
+    else (vars.(i), rp, rv, nps.(i + 1), vars.(i + 1), false)
+  in
+  let k = Array.length named.rel_hops in
+  ( (nps.(j), vars.(j)),
+    List.init j (fun t -> hop (j - 1 - t) true)
+    @ List.init (k - j) (fun t -> hop (j + t) false) )
 
 let compile_start ~stats bound (np, var) input =
   if Sset.mem var bound then
@@ -216,7 +212,7 @@ let compile_start ~stats bound (np, var) input =
         let scan = Plan.All_nodes_scan { var; input } in
         add_filters scan (node_constraints ~skip_labels:false var np))
 
-let compile_hop ~scan_rels from_var (rp, rel_var, np, node_var) input =
+let compile_hop ~scan_rels (from_var, rp, rel_var, np, node_var, reversed) input =
   let dir = plan_dir rp.rp_dir in
   match rp.rp_regex with
   | Some regex ->
@@ -261,6 +257,7 @@ let compile_hop ~scan_rels from_var (rp, rel_var, np, node_var) input =
           min_len;
           max_len;
           to_ = node_var;
+          reversed;
           input;
         }
   in
@@ -268,25 +265,24 @@ let compile_hop ~scan_rels from_var (rp, rel_var, np, node_var) input =
     (node_constraints ~skip_labels:false node_var np @ rel_constraints rp rel_var)
 
 let compile_path ~stats ~scan_rels bound named input =
-  let orient, _cost = orientation_cost stats bound (node_patterns named.orig) in
-  (* prefer a bound endpoint over the estimate when one exists *)
-  let orient =
-    let nps = node_patterns named.orig in
-    let left_bound = Sset.mem named.node_vars.(0) bound in
-    let right_bound =
-      Sset.mem named.node_vars.(Array.length nps - 1) bound
-    in
-    if left_bound then `Left else if right_bound then `Right else orient
+  let k = Array.length named.rel_hops in
+  let start =
+    (* a regex hop reads its labels left to right; traversing it from the
+       right would need the reversed automaton, so keep the written
+       orientation.  Otherwise a bound node is the start, an end before
+       an interior node, and the estimate picks an end only when none is
+       bound. *)
+    if Array.exists (fun (rp, _) -> rp.rp_regex <> None) named.rel_hops then 0
+    else
+      match
+        List.find_opt
+          (fun i -> Sset.mem named.node_vars.(i) bound)
+          (0 :: k :: List.init (max 0 (k - 1)) succ)
+      with
+      | Some j -> j
+      | None -> fst (orientation_cost stats bound (node_patterns named.orig))
   in
-  (* a regex hop reads its labels left to right; traversing it from the
-     right would need the reversed automaton, so keep the written
-     orientation *)
-  let orient =
-    if Array.exists (fun (rp, _) -> rp.rp_regex <> None) named.rel_hops then
-      `Left
-    else orient
-  in
-  let (start_np, start_var), hops = traversal named orient in
+  let (start_np, start_var), hops = traversal named start in
   (* if the pattern has no anchor at all but the first hop has a typed
      rigid relationship, a relationship-type scan is the cheapest leaf *)
   let type_total types =
@@ -294,9 +290,9 @@ let compile_path ~stats ~scan_rels bound named input =
       (fun acc t -> acc +. (Stats.rel_count stats *. Stats.type_selectivity stats t))
       0. types
   in
-  let plan, chain_start, remaining_hops =
+  let plan, remaining_hops =
     match hops with
-    | (rp, rel_var, np, node_var) :: rest
+    | (_, rp, rel_var, np, node_var, _) :: rest
       when (not scan_rels)
            && (not (Sset.mem start_var bound))
            && start_np.np_labels = [] && start_np.np_props = []
@@ -316,15 +312,13 @@ let compile_path ~stats ~scan_rels bound named input =
       ( add_filters scan
           (node_constraints ~skip_labels:false node_var np
           @ rel_constraints rp rel_var),
-        node_var,
         rest )
-    | _ -> (compile_start ~stats bound (start_np, start_var) input, start_var, hops)
+    | _ -> (compile_start ~stats bound (start_np, start_var) input, hops)
   in
-  let plan, _ =
+  let plan =
     List.fold_left
-      (fun (plan, from_var) (rp, rel_var, np, node_var) ->
-        (compile_hop ~scan_rels from_var (rp, rel_var, np, node_var) plan, node_var))
-      (plan, chain_start) remaining_hops
+      (fun plan hop -> compile_hop ~scan_rels hop plan)
+      plan remaining_hops
   in
   (* GQL restrictor: filter on the reconstructed steps, in the original
      left-to-right orientation *)

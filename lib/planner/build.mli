@@ -10,6 +10,11 @@
     targets, IDP's dynamic programming degenerates to this greedy chain
     construction.
 
+    A path with a bound node starts there: at a bound end if it has one,
+    else at a bound interior node, expanding the hops to its left
+    reversed and then those to its right.  A path with a type-regex hop
+    always runs as written.
+
     Relationship isomorphism is enforced the way real plan runtimes do
     it: anonymous relationships receive internal names and a
     [Rel_uniqueness] operator checks pairwise disjointness per MATCH. *)
@@ -18,9 +23,11 @@ open Cypher_graph
 open Cypher_ast
 
 exception Unsupported of string
-(** Raised for constructs the planner does not compile (update clauses,
-    non-default morphisms); the engine falls back to the reference
-    semantics for those. *)
+(** Raised for constructs the planner does not compile (update and CALL
+    clauses, some shortest-path shapes); the engine falls back to the
+    reference semantics for those.  The planner never reads the
+    morphism: the engine sends queries under a non-default morphism to
+    the reference semantics without planning them. *)
 
 type compiled = { plan : Plan.t; fields : string list; prog : Exec.program }
 (** A plan together with the user-visible output fields, and the plan

@@ -359,7 +359,7 @@ let instantiate ctx ops =
         match ctx.prof with None -> out | Some find -> instrument (find node) out)
       input stages
 
-let walk_rows ~bind_rel ~bind_to ~from_ ~dir ~hop ctx =
+let walk_rows ~bind_rel ~bind_to ~from_ ~dir ~reversed ~hop ctx =
   let cfg = ctx.env.Compile.cfg and g = ctx.env.Compile.g in
   fun input ->
     let (hop : Eval.hop) = hop cfg g in
@@ -384,7 +384,10 @@ let walk_rows ~bind_rel ~bind_to ~from_ ~dir ~hop ctx =
             ~accept:(fun depth (_, q) -> hop.ends depth q)
             ~kmax:hop.kmax (Ids.Rel_set.empty, hop.start) n0
             (fun last steps _ ->
-              let rels = Value.List (List.map (fun (r, _) -> Value.Rel r) steps) in
+              let rel (r, _) = Value.Rel r in
+              let rels =
+                Value.List ((if reversed then List.rev_map else List.map) rel steps)
+              in
               Option.iter
                 (fun row -> results := row :: !results)
                 (Option.bind (bind_rel row rels) (fun row ->
@@ -562,18 +565,19 @@ let compile ~input plan =
                         | Some row -> out := row :: !out));
                   List.to_seq (List.rev !out))),
         scope )
-    | Plan.Var_expand { from_; rel; types; dir; min_len; max_len; to_; _ } ->
+    | Plan.Var_expand
+        { from_; rel; types; dir; min_len; max_len; to_; reversed; _ } ->
       let from_ = node_reader scope from_ in
       let bind_rel, scope = binder scope rel in
       let bind_to, scope = binder scope to_ in
-      ( walk_rows ~bind_rel ~bind_to ~from_ ~dir ~hop:(fun cfg g ->
+      ( walk_rows ~bind_rel ~bind_to ~from_ ~dir ~reversed ~hop:(fun cfg g ->
             Eval.type_filter_hop cfg g ~types ~min_len ~max_len),
         scope )
     | Plan.Regex_expand { from_; rel; regex; dir; to_; _ } ->
       let from_ = node_reader scope from_ in
       let bind_rel, scope = binder scope rel in
       let bind_to, scope = binder scope to_ in
-      ( walk_rows ~bind_rel ~bind_to ~from_ ~dir ~hop:(fun cfg g ->
+      ( walk_rows ~bind_rel ~bind_to ~from_ ~dir ~reversed:false ~hop:(fun cfg g ->
             Eval.regex_hop cfg g regex),
         scope )
     | Plan.Filter { pred; _ } ->

@@ -40,6 +40,7 @@ type t =
       min_len : int;
       max_len : int option;
       to_ : string;
+      reversed : bool; (* traversed against the written order *)
       input : t;
     }
   | Filter of { pred : Cypher_ast.Ast.expr; input : t }

@@ -65,6 +65,9 @@ type t =
       min_len : int;
       max_len : int option;
       to_ : string;
+      reversed : bool;
+          (** traversed against the written order: [rel] binds the list
+              reversed, so it reads left to right as written *)
       input : t;
     }
   | Filter of { pred : Cypher_ast.Ast.expr; input : t }

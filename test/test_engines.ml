@@ -76,6 +76,8 @@ let queries_teachers =
     "MATCH (x)-[r]->(y) WHERE x:Teacher AND y:Teacher RETURN x, y";
     "MATCH p = (x)-[:KNOWS*]->(y:Teacher) RETURN length(p) AS l, count(*) AS c \
      ORDER BY l";
+    "MATCH p = (x)-[r:KNOWS*2]->(y:Teacher) RETURN [n IN nodes(p) | id(n)] AS \
+     ns, [q IN r | id(q)] AS rs";
   ]
 
 let self_loop_queries =
@@ -135,6 +137,38 @@ let social_shape_queries =
     "MATCH (a:Person) RETURN a.name / 2";
   ]
 
+(* Paths whose only bound node is interior, [x] (k = 3): the planner
+   starts there, expanding the prefix reversed and then the suffix.  The
+   graph is a small [F] mesh with a self-loop at [x]; a variable-length
+   hop left of [x] is traversed reversed, so its list, the named path and
+   the restrictors must still read left to right. *)
+let interior_graph () =
+  (Cypher_engine.Engine.run_exn Cypher_graph.Graph.empty
+     "UNWIND range(1, 7) AS i CREATE (:P {k: i}) WITH count(*) AS c \
+      MATCH (a:P), (b:P) WHERE b.k = a.k + 1 OR b.k = a.k + 3 OR \
+      (a.k = 3 AND b.k = 3) CREATE (a)-[:F]->(b)")
+    .Cypher_engine.Engine.graph
+
+let interior_queries =
+  List.map
+    (fun body -> "MATCH (x:P {k: 3}) MATCH " ^ body)
+    [
+      "(a)-[:F]->(x)-[:F]->(b) RETURN a.k, b.k";
+      "(a)<-[:F]-(x)<-[:F]-(b) RETURN a.k, b.k";
+      "(a)-[:F]-(x)-[:F]-(b) RETURN a.k, b.k";
+      "(a)-[r:F]->(x)-[s:F]-(b) WHERE a = x OR b = x RETURN a.k, id(r), \
+       id(s), b.k";
+      "(a)-[:F]->(c)-[:F]->(x)-[:F]->(b) RETURN a.k, c.k, b.k";
+      "(a)-[r:F*1..2]->(x)-[:F]->(b) RETURN a.k, [q IN r | id(q)] AS r, b.k";
+      "(a)-[:F]->(x)-[r:F*1..2]-(b) RETURN a.k, [q IN r | id(q)] AS r, b.k";
+      "p = (a)-[:F*1..2]->(x)-[:F]-(b) RETURN [n IN nodes(p) | n.k] AS ns, \
+       [q IN relationships(p) | id(q)] AS rs";
+      "TRAIL (a)-[r:F*1..3]-(x)-[:F*1..2]-(b) RETURN a.k, [q IN r | id(q)] \
+       AS r, b.k";
+      "p = ACYCLIC (a)-[:F*1..3]-(x)-[:F]-(b) RETURN [n IN nodes(p) | n.k] \
+       AS ns";
+    ]
+
 let make_suite name g queries =
   List.mapi
     (fun i q ->
@@ -152,3 +186,4 @@ let suite =
   @ make_suite "social"
       (Generate.social ~seed:7 ~people:60 ~avg_friends:5)
       social_shape_queries
+  @ make_suite "interior" (interior_graph ()) interior_queries

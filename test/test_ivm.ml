@@ -1,8 +1,8 @@
 (* Tests for incremental view maintenance (lib/ivm).
 
    The centerpiece is a differential fuzz: a randomized update workload
-   (creates, property updates, label flips, deletes, transactions with
-   rollbacks) runs against a session whose commits feed a view manager,
+   (creates, node and relationship property updates, label flips,
+   deletes, transactions with rollbacks) runs against a session whose commits feed a view manager,
    and after every commit each maintained view must be bag-equal to a
    fresh re-execution of its query on the committed graph.  View shapes
    cover the incremental fragment (paths, WHERE, bag/DISTINCT
@@ -92,6 +92,9 @@ let shapes =
     ("grp1", "MATCH (p:Person {grp: 1}) RETURN p.age AS age", true);
     ("rev", "MATCH (a)<-[:FRIEND]-(b) RETURN count(*) AS c", true);
     ("vips", "MATCH (v:Vip) RETURN v.age AS age, count(*) AS c", true);
+    ( "heavy",
+      "MATCH (a:Person)-[f:FRIEND]->(b) WHERE f.w > 4 RETURN count(*) AS c",
+      true );
     (* outside the fragment: must fall back, stay correct *)
     ("ordered", "MATCH (p:Person) RETURN p.age AS age ORDER BY age", false);
     ( "piped",
@@ -158,7 +161,7 @@ let fuzz_differential () =
     shapes;
   check_views mgr !committed "after registration";
   let op () =
-    match rint 10 with
+    match rint 11 with
     | 0 | 1 ->
       let k = fresh_k () in
       Printf.sprintf "CREATE (:Person {k: %d, age: %d, city: %d, grp: %d})" k
@@ -174,6 +177,9 @@ let fuzz_differential () =
     | 7 -> Printf.sprintf "MATCH (p {k: %d}) REMOVE p:Vip" (pick ())
     | 8 ->
       Printf.sprintf "MATCH (a:Person {k: %d})-[r:FRIEND]->() DELETE r" (pick ())
+    | 9 ->
+      Printf.sprintf "MATCH (:Person {k: %d})-[r:FRIEND]->() SET r.w = %d"
+        (pick ()) (rint 10)
     | _ ->
       let k = pick () in
       live := List.filter (fun x -> x <> k) !live;
@@ -207,14 +213,66 @@ let fuzz_differential () =
       check_views mgr !committed (Printf.sprintf "after op %d" i)
   done;
   check_views mgr !committed "final";
-  (* every incremental view must have actually refreshed incrementally *)
+  (* every incremental view must have actually refreshed incrementally,
+     and never through a full rebuild: no commit here outruns the
+     journal, so a rebuild would mean a delta run failed *)
   List.iter
     (fun info ->
-      if info.Ivm.vi_incremental then
+      if info.Ivm.vi_incremental then begin
         Alcotest.(check bool)
           (Printf.sprintf "%s refreshed incrementally" info.Ivm.vi_name)
           true
-          (info.Ivm.vi_incrementals > 0))
+          (info.Ivm.vi_incrementals > 0);
+        Alcotest.(check int)
+          (Printf.sprintf "%s never rebuilt" info.Ivm.vi_name)
+          0 info.Ivm.vi_fallbacks
+      end)
+    (Ivm.view_infos mgr);
+  Ivm.shutdown mgr
+
+(* A self-loop at one person, created and then deleted: an undirected
+   pattern matches it once, with both ends at that person, and a
+   two-hop path may walk it at either hop.  After each commit every view
+   must equal fresh execution. *)
+let self_loop_views () =
+  let sess, mgr, committed =
+    wired_session
+      ~seed:
+        [
+          "UNWIND range(1, 4) AS i CREATE (:Person {k: i})";
+          "MATCH (a:Person), (b:Person) WHERE b.k = a.k + 1 CREATE \
+           (a)-[:FRIEND]->(b)";
+        ]
+      ()
+  in
+  let views =
+    [
+      ( "und",
+        "MATCH (a:Person)-[r:FRIEND]-(b:Person) RETURN a.k AS x, b.k AS y" );
+      ("hops", "MATCH (a)-[:FRIEND]->(b)-[:FRIEND]->(c) RETURN count(*) AS n");
+    ]
+  in
+  List.iter (fun (name, query) -> materialize_ok mgr name query) views;
+  let check ctx =
+    Ivm.quiesce mgr;
+    List.iter
+      (fun (name, query) ->
+        check_table_bag
+          (Printf.sprintf "%s %s" name ctx)
+          (fresh_table !committed query) (read_ok mgr name))
+      views
+  in
+  check "before the loop";
+  ignore (run_ok sess "MATCH (p:Person {k: 2}) CREATE (p)-[:FRIEND]->(p)");
+  check "with the loop";
+  ignore (run_ok sess "MATCH (p:Person {k: 2})-[r:FRIEND]->(p) DELETE r");
+  check "after the loop";
+  List.iter
+    (fun info ->
+      Alcotest.(check bool) (info.Ivm.vi_name ^ " incremental") true
+        info.Ivm.vi_incremental;
+      Alcotest.(check int) (info.Ivm.vi_name ^ " never rebuilt") 0
+        info.Ivm.vi_fallbacks)
     (Ivm.view_infos mgr);
   Ivm.shutdown mgr
 
@@ -710,6 +768,7 @@ let suite =
   [
     Alcotest.test_case "differential fuzz: maintained == fresh" `Slow
       fuzz_differential;
+    Alcotest.test_case "a self-loop created and deleted" `Quick self_loop_views;
     Alcotest.test_case "a delta across one journal reset stays incremental"
       `Slow journal_reset_stays_incremental;
     Alcotest.test_case "journal overflow falls back" `Slow

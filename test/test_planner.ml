@@ -379,6 +379,74 @@ let annotate_order () =
     Alcotest.(check bool) "argument estimates one row" true (e.Cypher_planner.Cost.rows = 1.)
   | _ -> Alcotest.fail "expected Argument as the leaf")
 
+(* A path whose only bound node is interior starts there: the prefix is
+   expanded reversed from it, then the suffix.  On a chain of [F]
+   relationships the plan has one leaf, for [x], and its expansions read
+   [x]'s adjacency only, so their db hits stay at [x]'s degree while a
+   relationship-type scan would read every [F]. *)
+let interior_bound_start () =
+  let g =
+    (Engine.run_exn Cypher_graph.Graph.empty
+       "UNWIND range(1, 50) AS i CREATE (:P {k: i}) WITH count(*) AS c \
+        MATCH (a:P), (b:P) WHERE b.k = a.k + 1 CREATE (a)-[:F]->(b)")
+      .Engine.graph
+  in
+  let q = "MATCH (x:P {k: 5}) MATCH (a)-[:F]->(x)-[:F]->(b) RETURN a.k, b.k" in
+  (match Engine.explain g q with
+  | Ok text ->
+    Alcotest.(check bool) "no RelationshipTypeScan" false
+      (contains_substring ~needle:"RelationshipTypeScan" text)
+  | Error e -> Alcotest.fail (Engine.error_message e));
+  let { Build.plan; fields; prog } =
+    match Cypher_parser.Parser.parse_query_exn q with
+    | Cypher_ast.Ast.Q_single { sq_clauses; sq_return } ->
+      Build.compile_clauses ~stats:(Stats.collect g) ~visible:[] sq_clauses
+        sq_return
+    | _ -> Alcotest.fail "expected a single query"
+  in
+  let leaves =
+    List.filter_map
+      (function
+        | Plan.All_nodes_scan { var; _ }
+        | Plan.Node_by_label_scan { var; _ }
+        | Plan.Node_index_seek { var; _ } ->
+          Some var
+        | Plan.Rel_type_scan { rel; _ } -> Some rel
+        | _ -> None)
+      (plan_nodes_deep plan)
+  in
+  Alcotest.(check (list string)) "one leaf, for x" [ "x" ] leaves;
+  let result, prof =
+    Cypher_planner.Exec.run_profiled cfg g ~fields prog Cypher_table.Table.unit
+  in
+  check_table_bag "the neighbours of x"
+    (table [ "a.k"; "b.k" ] [ [ ("a.k", vint 4); ("b.k", vint 6) ] ])
+    result;
+  let expand_hits =
+    List.fold_left
+      (fun acc node ->
+        match node with
+        | Plan.Expand _ ->
+          acc + (Cypher_planner.Exec.self_profile prof node).Cypher_planner.Exec.prof_hits
+        | _ -> acc)
+      0 (plan_nodes_deep plan)
+  in
+  let degree =
+    Cypher_graph.Graph.degree g
+      (List.find
+         (fun n ->
+           Cypher_values.Value.equal_total
+             (Cypher_graph.Graph.node_prop g n "k")
+             (vint 5))
+         (Cypher_graph.Graph.nodes g))
+      `Both
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "expansions read x's adjacency only (%d hits, degree %d)"
+       expand_hits degree)
+    true
+    (expand_hits > 0 && expand_hits <= 2 * degree)
+
 let suite =
   [
     tc "cost estimates are sane" cost_estimates_sane;
@@ -397,6 +465,7 @@ let suite =
     tc "label scan chosen over all-nodes scan" label_scan_chosen;
     tc "orientation starts from the smaller side" orientation_prefers_smaller_side;
     tc "expand direction" expand_direction;
+    tc "a bound interior node starts the path" interior_bound_start;
     tc "relationship uniqueness placement" uniqueness_only_with_multiple_rels;
     tc "OPTIONAL MATCH compiles to OptionalApply" optional_becomes_apply;
     tc "aggregation compiles to EagerAggregation" aggregation_plan;
