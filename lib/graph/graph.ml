@@ -32,10 +32,33 @@ type rel_data = {
    at [recs.(i)], so a search reads the far end and filters the type
    with no record dereference, and a consumer that needs properties
    finds the record with no second lookup.  A block is never written
-   after a graph value holds it: every write builds a new one. *)
-type block = { n_out : int; slots : int array; recs : rel_data array }
+   after a graph value holds it — every write builds a new one — but for
+   its cost column, a memo written through [costs]. *)
+type block = {
+  n_out : int;
+  slots : int array;
+  recs : rel_data array;
+  costs : cost_column Atomic.t;
+}
 
-let empty_block = { n_out = 0; slots = [||]; recs = [||] }
+(* Entry [i]'s property [key] as a float at [column.(i)], for
+   cheapestPath: NaN where the property is missing, is not a number, or
+   is NaN.  A block's column is built the first time a cost search
+   expands the block for [key], and replaced when one expands it for
+   another key.  It is built whole before the [Atomic.set] that
+   publishes it, so a domain reading the block sees no column or a full
+   one.  Every write builds new blocks, each with no column, so a column
+   never outlives the records it was read from. *)
+and cost_column = { key : string; column : Float.Array.t }
+
+let no_column = { key = ""; column = Float.Array.create 0 }
+
+let make_block n_out slots recs =
+  { n_out; slots; recs; costs = Atomic.make no_column }
+
+(* No cost search fills the shared empty block's column: it has no
+   entries to read. *)
+let empty_block = make_block 0 [||] [||]
 
 (* A type id takes the low [type_bits] bits of an entry's second slot
    and the far end's id the rest, so node ids stay below 2^42. *)
@@ -375,7 +398,7 @@ let block_add ~out d e b =
   Array.blit b.slots (2 * at) slots (2 * (at + 1)) (2 * (k - at));
   Array.blit b.recs 0 recs 0 at;
   Array.blit b.recs at recs (at + 1) (k - at);
-  { n_out = (if out then b.n_out + 1 else b.n_out); slots; recs }
+  make_block (if out then b.n_out + 1 else b.n_out) slots recs
 
 (* [b] without the entries of relationship [r]: two for a loop. *)
 let block_remove r b =
@@ -399,14 +422,15 @@ let block_remove r b =
         incr j
       end
     done;
-    { n_out = !n_out; slots; recs }
+    make_block !n_out slots recs
   end
 
 (* [b] with [d] in place of its relationship's record: the int slots are
-   shared, the record array copied. *)
+   shared, the record array copied, and the cost column left behind. *)
 let block_replace d b =
   let r = rkey d.rel_id in
-  { b with recs = Array.mapi (fun i e -> if b.slots.(2 * i) = r then d else e) b.recs }
+  make_block b.n_out b.slots
+    (Array.mapi (fun i e -> if b.slots.(2 * i) = r then d else e) b.recs)
 
 let update_block n f adj = Idmap.update (nkey n) (Option.map f) adj
 
@@ -459,36 +483,74 @@ let type_filter g = function
 
 let rec admits tid = function [] -> false | t :: ts -> t = tid || admits tid ts
 
+(* What an enumeration hands on for each entry: the relationship, its
+   far end and record, and for a cost search the entry's cost off the
+   block's cost column. *)
+type visit =
+  | Records of (Ids.rel -> Ids.node -> rel_data -> unit)
+  | Costs of Float.Array.t * (Ids.rel -> Ids.node -> float -> rel_data -> unit)
+
 (* Entries [lo, hi) of [b] that pass [types], minus those whose far end
    is [skip]. *)
-let iter_range b lo hi ~skip types f =
+let[@inline] iter_range b lo hi ~skip types visit =
   for i = lo to hi - 1 do
     let e = Array.unsafe_get b.slots ((2 * i) + 1) in
     let far = e lsr type_bits in
     if
       far <> skip
       && match types with Any -> true | Only ts -> admits (e land type_mask) ts
-    then
-      f
-        (Ids.rel_of_int (Array.unsafe_get b.slots (2 * i)))
-        (Ids.node_of_int far) (Array.unsafe_get b.recs i)
+    then begin
+      let r = Ids.rel_of_int (Array.unsafe_get b.slots (2 * i))
+      and m = Ids.node_of_int far
+      and d = Array.unsafe_get b.recs i in
+      match visit with
+      | Records f -> f r m d
+      | Costs (column, f) -> f r m (Float.Array.unsafe_get column i) d
+    end
   done
 
-let iter_adjacent g n (dir : [< direction ]) types f =
-  let b = block g n in
+(* Visits the entries a read of [n]'s block [b] in [dir] enumerates. *)
+let[@inline] iter_entries b n (dir : [< direction ]) types visit =
   let k = Array.length b.recs in
   match dir with
   | `Out ->
     db_hit ();
-    iter_range b 0 b.n_out ~skip:(-1) types f
+    iter_range b 0 b.n_out ~skip:(-1) types visit
   | `In ->
     db_hit ();
-    iter_range b b.n_out k ~skip:(-1) types f
+    iter_range b b.n_out k ~skip:(-1) types visit
   | `Both ->
     (* a loop's incoming entry repeats its outgoing one *)
     db_hit_n 2;
-    iter_range b 0 b.n_out ~skip:(-1) types f;
-    iter_range b b.n_out k ~skip:(nkey n) types f
+    iter_range b 0 b.n_out ~skip:(-1) types visit;
+    iter_range b b.n_out k ~skip:(nkey n) types visit
+
+let iter_adjacent g n dir types f = iter_entries (block g n) n dir types (Records f)
+
+(* [b]'s cost column for [key], built and published if [b] has none for
+   it.  Two domains may build the same column at once: each reads the
+   one it built, and the last to publish wins. *)
+let cost_column b key =
+  let c = Atomic.get b.costs in
+  if c != no_column && String.equal c.key key then c.column
+  else begin
+    let column =
+      Float.Array.init (Array.length b.recs) (fun i ->
+          match Smap.find key (Array.unsafe_get b.recs i).rel_props with
+          | Value.Int c -> float_of_int c
+          | Value.Float f -> f
+          | _ | exception Not_found -> Float.nan)
+    in
+    Atomic.set b.costs { key; column };
+    column
+  end
+
+let iter_adjacent_costs g n dir types key f =
+  let b = block g n in
+  let column =
+    if Array.length b.recs = 0 then no_column.column else cost_column b key
+  in
+  iter_entries b n dir types (Costs (column, f))
 
 let degree g n (dir : [< direction ]) =
   let b = block g n in
@@ -874,7 +936,7 @@ let insert_rels g ds =
   let adj =
     Itbl.fold
       (fun n f adj ->
-        Idmap.add n { n_out = f.n_out; slots = f.slots; recs = f.recs } adj)
+        Idmap.add n (make_block f.n_out f.slots f.recs) adj)
       fresh g.adj
   in
   let type_index, type_counts =

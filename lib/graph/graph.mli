@@ -23,7 +23,10 @@
     per five bits of id, and an update copies only the arrays on its
     key's path — and builds new blocks, never writing one a graph value
     holds — so every published graph value can be read from any domain
-    with no lock. *)
+    with no lock.  The one exception is a block's cost column (see
+    {!iter_adjacent_costs}): a memo built whole on first use and
+    published through an [Atomic.t], so a reader sees no column or a
+    complete one. *)
 
 open Cypher_values
 
@@ -187,6 +190,22 @@ val iter_adjacent :
     allocated and no record is read.  One db hit per direction read —
     two for [`Both] — and none per relationship.  A node outside the
     graph has no relationships. *)
+
+val iter_adjacent_costs :
+  t -> Ids.node -> [< direction ] -> type_filter -> string ->
+  (Ids.rel -> Ids.node -> float -> rel_data -> unit) -> unit
+(** [iter_adjacent_costs g n dir types key f] calls [f r m w d] for the
+    relationships {!iter_adjacent} enumerates, in its order and at its
+    db hits, with [w] the property [key] of [r] as a float: an integer
+    converted, a float as it is, and NaN when the property is missing,
+    is not a number, or is NaN — the caller tells those apart from [d].
+    The costs come from a column of [n]'s block, built from the records
+    the first time the block is read for [key] (it then holds [key]
+    until it is read for another) and published atomically, so later
+    reads — on any domain — are a float array read.  A block lives as
+    long as no write touches its node's relationships; every such write
+    ({!set_rel_prop}, {!replace_rel}, {!delete_rel}, {!add_rel},
+    {!insert_rels}) builds a new block with no column. *)
 
 val degree : t -> Ids.node -> [< direction ] -> int
 (** The number of relationships {!iter_adjacent} enumerates for the

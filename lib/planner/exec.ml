@@ -365,7 +365,7 @@ let walk_rows ~bind_rel ~bind_to ~from_ ~dir ~reversed ~hop ctx =
     let (hop : Eval.hop) = hop cfg g in
     let adjacent, _ =
       Eval.search_neighbours cfg g Record.empty ~types:hop.types ~props:[]
-        ~cost:Fun.id (ast_dir dir)
+        ~payload:(Of_record Fun.id) (ast_dir dir)
     in
     let next (used, q) cur f =
       adjacent cur (fun r n d ->
@@ -754,7 +754,7 @@ let compile ~input plan =
                   | Some s, Some e ->
                     let fwd, bwd =
                       Eval.search_neighbours cfg g (to_record row) ~types ~props
-                        ~cost:ignore (ast_dir dir)
+                        ~payload:(Of_record ignore) (ast_dir dir)
                     in
                     let found = ref [] in
                     Path_search.shortest ~bwd fwd s e ~kmin:min_len ~kmax ~all
@@ -784,7 +784,7 @@ let compile ~input plan =
                 | Some s, Some e ->
                   let fwd, bwd =
                     Eval.search_neighbours cfg g (to_record row) ~types ~props
-                      ~cost:(Eval.path_cost cost_prop) (ast_dir dir)
+                      ~payload:(Cost cost_prop) (ast_dir dir)
                   in
                   List.to_seq
                     (List.filter_map

@@ -41,6 +41,11 @@ let path_cost prop (d : Graph.rel_data) =
     Value.type_error "cheapestPath: cost property '%s' is %s, expected a number"
       prop (Value.type_name v)
 
+(* What a search's neighbour function hands over per relationship. *)
+type _ payload =
+  | Of_record : (Graph.rel_data -> 'w) -> 'w payload
+  | Cost : string -> float payload
+
 let cheapest_path prop ~fwd ~bwd s e =
   if Ids.equal_node s e then
     eval_error "cheapestPath between identical endpoints is not supported";
@@ -414,19 +419,24 @@ and eval_truth cfg g u e = truth_of_value (eval_expr cfg g u e)
    [dir] and backwards against it: type filter and relationship property
    predicates.  The types are resolved once per search and tested on the
    adjacency block itself; the candidate's record, in the block too,
-   supplies its properties and [cost] with no further store access (one
-   db hit per direction read), and is read only when there are
-   predicates or a cost to read.  The predicate values depend only on
+   supplies its properties and an [Of_record] payload with no further
+   store access (one db hit per direction read), and is read only when
+   there are predicates or such a payload.  A [Cost] payload comes off
+   the block's cost column; the record is read again only where the
+   column holds NaN, through [path_cost], so a missing or non-numeric
+   cost raises its typed error there and a NaN one reaches the search
+   as NaN.  The predicate values depend only on
    [u], so they are evaluated once per search, on the first candidate
    that needs them.  A predicate that cannot evaluate is a
    typed error — silently dropping every edge would turn a user mistake
    into an empty result — named as an unbound variable when it
    references one, and otherwise the evaluator's own error. *)
 and search_neighbours :
-      'w. Config.t -> Graph.t -> Record.t -> types:string list ->
-      props:(string * expr) list -> cost:(Graph.rel_data -> 'w) -> direction ->
-      'w Path_search.neighbours * 'w Path_search.neighbours =
- fun cfg g u ~types ~props ~cost dir ->
+    type w.
+    Config.t -> Graph.t -> Record.t -> types:string list ->
+    props:(string * expr) list -> payload:w payload -> direction ->
+    w Path_search.neighbours * w Path_search.neighbours =
+ fun cfg g u ~types ~props ~payload dir ->
   let expected =
     lazy
       (List.map
@@ -445,16 +455,24 @@ and search_neighbours :
              | None -> raise err))
          props)
   in
+  let passes d =
+    List.for_all
+      (fun (k, v) -> Ternary.is_true (Value.equal_ternary (record_prop d k) v))
+      (Lazy.force expected)
+  in
   let types = Graph.type_filter g types in
-  let along dir cur f =
-    Graph.iter_adjacent g cur (graph_direction dir) types (fun r n d ->
-        if
-          props = []
-          || List.for_all
-               (fun (k, v) ->
-                 Ternary.is_true (Value.equal_ternary (record_prop d k) v))
-               (Lazy.force expected)
-        then f r n (cost d))
+  let along dir : w Path_search.neighbours =
+    let dir = graph_direction dir in
+    match payload with
+    | Of_record pay ->
+      fun cur f ->
+        Graph.iter_adjacent g cur dir types (fun r n d ->
+            if props = [] || passes d then f r n (pay d))
+    | Cost prop ->
+      fun cur f ->
+        Graph.iter_adjacent_costs g cur dir types prop (fun r n w d ->
+            if props = [] || passes d then
+              f r n (if Float.is_nan w then path_cost prop d else w))
   in
   let against = function
     | Left_to_right -> Right_to_left
@@ -571,8 +589,8 @@ and match_pattern_tuple cfg g u patterns =
       else Some st
     in
     let adjacent, _ =
-      search_neighbours cfg g st.bnd ~types:hop.types ~props:[] ~cost:Fun.id
-        rp.rp_dir
+      search_neighbours cfg g st.bnd ~types:hop.types ~props:[]
+        ~payload:(Of_record Fun.id) rp.rp_dir
     in
     let next (st, q, inner) cur f =
       match visit st cur inner with
@@ -613,10 +631,10 @@ and match_pattern_tuple cfg g u patterns =
   in
   (* The search adjacency, minus the relationships the rest of the
      pattern tuple already uses. *)
-  let unused_neighbours st (rp : rel_pattern) ~cost =
+  let unused_neighbours st (rp : rel_pattern) payload =
     let fwd, bwd =
-      search_neighbours cfg g st.bnd ~types:rp.rp_types ~props:rp.rp_props ~cost
-        rp.rp_dir
+      search_neighbours cfg g st.bnd ~types:rp.rp_types ~props:rp.rp_props
+        ~payload rp.rp_dir
     in
     let unused next cur f =
       next cur (fun r n w -> if not (Ids.Rel_set.mem r st.used_rels) then f r n w)
@@ -669,11 +687,11 @@ and match_pattern_tuple cfg g u patterns =
                       in
                       match mode with
                       | `Cheapest prop ->
-                        let fwd, bwd = unused_neighbours st rp ~cost:(path_cost prop) in
+                        let fwd, bwd = unused_neighbours st rp (Cost prop) in
                         List.iter try_candidate (cheapest_path prop ~fwd ~bwd s e)
                       | (`Single | `All) as mode ->
                         Path_search.shortest
-                          (fst (unused_neighbours st rp ~cost:ignore))
+                          (fst (unused_neighbours st rp (Of_record ignore)))
                           s e ~kmin ~kmax:(max_hops cfg g kmax) ~all:(mode = `All)
                           ~accept:(fun steps ->
                             let before = !results in

@@ -114,18 +114,31 @@ val regex_hop : Config.t -> Graph.t -> Ast.type_regex -> hop
 (** A regex hop: the type regex's NFA, subset-simulated; a walk may end
     wherever the state set accepts, up to {!max_hops} [None]. *)
 
+type _ payload =
+  | Of_record : (Graph.rel_data -> 'w) -> 'w payload
+      (** the payload computed from the relationship's record *)
+  | Cost : string -> float payload
+      (** the relationship's cost for cheapestPath, read from the
+          property it names *)
+(** What {!search_neighbours} hands a search with each relationship. *)
+
 val search_neighbours :
   Config.t -> Graph.t -> Record.t -> types:string list ->
-  props:(string * Ast.expr) list -> cost:(Graph.rel_data -> 'w) ->
-  Ast.direction ->
+  props:(string * Ast.expr) list -> payload:'w payload -> Ast.direction ->
   'w Cypher_algos.Path_search.neighbours * 'w Cypher_algos.Path_search.neighbours
-(** [search_neighbours cfg g u ~types ~props ~cost dir]: the adjacency
+(** [search_neighbours cfg g u ~types ~props ~payload dir]: the adjacency
     every path search and walk runs on, forwards along [dir] and
     backwards against it.  A relationship qualifies when its type is in
     [types] (any, if empty; resolved once, and tested on the adjacency
     block with no record read) and each property in [props], evaluated
-    under [u], equals its own; its payload is [cost] of its record,
-    which the adjacency block holds.  Neighbours are offered in
+    under [u], equals its own.  Its payload is [f] of its record, which
+    the adjacency block holds, for [Of_record f]; for [Cost prop] it is
+    the value of [prop] read off the block's cost column
+    ({!Graph.iter_adjacent_costs}), or, where the column holds NaN,
+    {!path_cost} of the record — so a missing or non-numeric cost raises
+    its typed error when its relationship qualifies, never when the
+    type filter or a predicate excludes it, and a NaN cost reaches the
+    search as NaN.  Neighbours are offered in
     {!Graph.iter_adjacent}'s order.  A predicate that cannot evaluate under [u]
     raises {!Eval_error} when the search first needs it: naming the
     variable when it references one [u] does not bind, and otherwise
@@ -136,7 +149,8 @@ val path_cost : string -> Graph.rel_data -> float
 (** [path_cost prop d]: the cost of a relationship with record [d] for
     cheapestPath, read from its property [prop].  Raises {!Eval_error}
     when the property is missing and {!Value.Type_error} when it is not
-    a number. *)
+    a number.  A search reads costs off the cost column and calls this
+    only where the column holds NaN, to raise those errors. *)
 
 val cheapest_path :
   string -> fwd:float Cypher_algos.Path_search.neighbours ->

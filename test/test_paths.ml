@@ -541,55 +541,193 @@ let oracle_costs g ~directed =
     (Cypher_semantics.Naive.paths g ~max_len:(Graph.rel_count g));
   List.sort compare (Hashtbl.fold (fun b c acc -> (b, c) :: acc) best [])
 
-(* Both engines' cheapestPath costs against the oracle, directed and
-   undirected, under every restrictor: a cheapest path is node-simple,
-   so TRAIL and ACYCLIC must accept it, zero-cost cycles included.  The
-   engines share the search and its tie-break, so their full rows (path
-   length included) must also agree. *)
+(* Both engines' cheapestPath costs from [V {id: 0}] on [g] against the
+   oracle, directed and undirected, under every restrictor: a cheapest
+   path is node-simple, so TRAIL and ACYCLIC must accept it, zero-cost
+   cycles included.  The engines share the search and its tie-break, so
+   their full rows (path length included) must also agree. *)
+let check_cheapest_costs what g =
+  List.iter
+    (fun (arrow, directed) ->
+      let expected = oracle_costs g ~directed in
+      List.iter
+        (fun restr ->
+          let q =
+            Printf.sprintf
+              "MATCH (a:V {id: 0}), (b:V) WHERE b.id <> 0 MATCH p = %s \
+               cheapestPath((a)%s(b), 'w') RETURN b.id AS b, length(p) AS \
+               l, reduce(c = 0, r IN relationships(p) | c + r.w) AS cost"
+              restr arrow
+          in
+          let run mode =
+            match Engine.query ~mode g q with
+            | Ok out -> out.Engine.table
+            | Error e -> Alcotest.failf "%s, %s: %s" what q (Engine.error_message e)
+          in
+          let reference = run Engine.Reference and planned = run Engine.Planned in
+          if not (Cypher_table.Table.bag_equal reference planned) then
+            Alcotest.failf "%s, %s: engines disagree" what q;
+          let costs =
+            List.sort compare
+              (List.map
+                 (fun row ->
+                   match
+                     ( Cypher_table.Record.find_or_null row "b",
+                       Cypher_table.Record.find_or_null row "cost" )
+                   with
+                   | Value.Int b, Value.Int c -> (b, c)
+                   | _ -> Alcotest.failf "%s: non-integer row" what)
+                 (Cypher_table.Table.rows reference))
+          in
+          if costs <> expected then
+            Alcotest.failf "%s, %s: costs %s, oracle %s" what q
+              (String.concat " " (List.map (fun (b, c) -> Printf.sprintf "%d:%d" b c) costs))
+              (String.concat " " (List.map (fun (b, c) -> Printf.sprintf "%d:%d" b c) expected)))
+        [ ""; "TRAIL"; "ACYCLIC" ])
+    [ ("-[:E*]->", true); ("-[:E*]-", false) ]
+
 let fuzz_cheapest_differential () =
   let rng = Prng.create 4242 in
   for round = 1 to 60 do
-    let g = weighted_graph rng in
-    List.iter
-      (fun (arrow, directed) ->
-        let expected = oracle_costs g ~directed in
-        List.iter
-          (fun restr ->
-            let q =
-              Printf.sprintf
-                "MATCH (a:V {id: 0}), (b:V) WHERE b.id <> 0 MATCH p = %s \
-                 cheapestPath((a)%s(b), 'w') RETURN b.id AS b, length(p) AS \
-                 l, reduce(c = 0, r IN relationships(p) | c + r.w) AS cost"
-                restr arrow
-            in
-            let run mode =
-              match Engine.query ~mode g q with
-              | Ok out -> out.Engine.table
-              | Error e -> Alcotest.failf "round %d, %s: %s" round q
-                  (Engine.error_message e)
-            in
-            let reference = run Engine.Reference and planned = run Engine.Planned in
-            if not (Cypher_table.Table.bag_equal reference planned) then
-              Alcotest.failf "round %d, %s: engines disagree" round q;
-            let costs =
-              List.sort compare
-                (List.map
-                   (fun row ->
-                     match
-                       ( Cypher_table.Record.find_or_null row "b",
-                         Cypher_table.Record.find_or_null row "cost" )
-                     with
-                     | Value.Int b, Value.Int c -> (b, c)
-                     | _ -> Alcotest.failf "round %d: non-integer row" round)
-                   (Cypher_table.Table.rows reference))
-            in
-            if costs <> expected then
-              Alcotest.failf "round %d, %s: costs %s, oracle %s" round q
-                (String.concat " " (List.map (fun (b, c) -> Printf.sprintf "%d:%d" b c) costs))
-                (String.concat " " (List.map (fun (b, c) -> Printf.sprintf "%d:%d" b c) expected)))
-          [ ""; "TRAIL"; "ACYCLIC" ])
-      [ ("-[:E*]->", true); ("-[:E*]-", false) ]
+    check_cheapest_costs (Printf.sprintf "round %d" round) (weighted_graph rng)
   done
+
+(* The search reads costs off cost columns that a first search fills and
+   that live as long as their blocks.  Every write that rebuilds a block
+   must leave its column behind: after a search has filled the columns
+   of a graph, a SET on the relationships it relaxed, a DELETE and a
+   CREATE each give the oracle's answer, as does the same write shipped
+   as a change record (WAL recovery and replicas apply those, through
+   [Graph.replace_rel] for a SET) onto a snapshot-loaded copy whose
+   columns are filled too; the graph taken before the writes keeps its
+   own answer. *)
+let cheapest_sees_every_rebuild () =
+  let module Snapshot = Cypher_storage.Snapshot in
+  let rng = Prng.create 515 in
+  for round = 1 to 8 do
+    let what = Printf.sprintf "round %d" round in
+    let g = weighted_graph rng in
+    check_cheapest_costs (what ^ ", fresh") g;
+    let loaded =
+      match Snapshot.decode (Snapshot.encode g) with
+      | Ok (l, _) -> l
+      | Error e -> Alcotest.failf "%s: %s" what e
+    in
+    check_cheapest_costs (what ^ ", snapshot reload") loaded;
+    List.iter
+      (fun (write, q) ->
+        let g' = (Engine.run_exn g q).Engine.graph in
+        check_cheapest_costs (Printf.sprintf "%s, %s" what write) g';
+        match
+          Snapshot.apply_change loaded
+            (Snapshot.encode_change ~base:g g' (Graph.delta_between ~since:g g'))
+        with
+        | Ok applied ->
+          check_cheapest_costs (Printf.sprintf "%s, %s as a change record" what write)
+            applied
+        | Error e -> Alcotest.failf "%s, %s: %s" what write e)
+      [
+        ("SET", "MATCH (:V {id: 0})-[r:E]-() SET r.w = (r.w + 3) % 4");
+        ( "DELETE",
+          "MATCH (:V {id: 0})-[r:E]-() WITH r ORDER BY id(r) DESC LIMIT 1 DELETE r" );
+        ( "CREATE",
+          "MATCH (a:V {id: 0}), (b:V) WHERE b.id <> 0 WITH a, b ORDER BY b.id \
+           DESC LIMIT 1 CREATE (a)-[:E {w: 0}]->(b)" );
+      ];
+    check_cheapest_costs (what ^ ", the graph before the writes") g
+  done
+
+(* One hub's block holds Int, Float, +∞ and one or more bad costs, each
+   read twice (the second time off a filled column).  Both engines raise
+   the typed error of the first bad relationship the search relaxes —
+   the newest of the hub's — with the message the record-read search
+   gave; the relationships that the type filter or a property predicate
+   excludes never raise, costs or not. *)
+let cheapest_mixed_costs_in_one_block () =
+  let base =
+    "CREATE (h:H {name:'h'})-[:F {w: 1, ok: true}]->(:M {name:'a'})-[:F {w: \
+     1, ok: true}]->(t:T {name:'t'}), (h)-[:F {w: 0.5, ok: true}]->(:M \
+     {name:'b'})-[:F {w: 2.5, ok: true}]->(t), (h)-[:F {w: 1.0/0.0, ok: \
+     true}]->(t)"
+  in
+  let missing = "(h)-[:F]->(t)" and string = "(h)-[:F {w: 'x'}]->(t)"
+  and negative = "(h)-[:F {w: -1}]->(t)" and nan = "(h)-[:F {w: 0.0/0.0}]->(t)" in
+  let no_cost = Engine.Runtime_error "cheapestPath: relationship has no 'w' cost property"
+  and not_number =
+    Engine.Type_error "cheapestPath: cost property 'w' is STRING, expected a number"
+  and below_zero = Engine.Runtime_error "cheapestPath: negative 'w' cost on a relationship"
+  and not_a_cost = Engine.Runtime_error "cheapestPath: NaN 'w' cost on a relationship" in
+  let query arrow pred =
+    Printf.sprintf
+      "MATCH p = cheapestPath((h:H)%s(t:T), 'w') RETURN [n IN nodes(p) | n.name] AS p"
+      (Printf.sprintf arrow pred)
+  in
+  List.iter
+    (fun (extra, want) ->
+      let g = (Engine.run_exn Graph.empty (String.concat ", " (base :: extra))).Engine.graph in
+      List.iter
+        (fun q ->
+          List.iter
+            (fun mode ->
+              for _ = 1 to 2 do
+                match Engine.query ~mode g q with
+                | Error e when e = want -> ()
+                | Error e -> Alcotest.failf "%s: %s" q (Engine.error_message e)
+                | Ok _ -> Alcotest.failf "%s: expected %s" q (Engine.error_message want)
+              done)
+            [ Engine.Reference; Engine.Planned ])
+        [ query "-[:F*%s]->" ""; query "-[:F*%s]-" "" ];
+      (* the predicate and the type filter exclude every bad one *)
+      let g =
+        (Engine.run_exn g "MATCH (h:H), (t:T) CREATE (h)-[:X]->(t), (h)-[:X {w: 'y'}]->(t)")
+          .Engine.graph
+      in
+      List.iter
+        (fun q ->
+          expect g q [ "p" ] [ [ ("p", Value.List [ vstr "h"; vstr "a"; vstr "t" ]) ] ] ();
+          expect g q [ "p" ] [ [ ("p", Value.List [ vstr "h"; vstr "a"; vstr "t" ]) ] ] ())
+        [ query "-[:F* %s]->" "{ok: true}"; query "-[:F* %s]-" "{ok: true}" ])
+    [
+      ([ missing ], no_cost);
+      ([ string ], not_number);
+      ([ negative ], below_zero);
+      ([ nan ], not_a_cost);
+      ([ negative; missing ], no_cost);
+      ([ missing; nan; string ], not_number);
+      ([ string; negative ], below_zero);
+      ([ nan; "(h)-[:F {w: -1.5}]->(t)" ], below_zero);
+      ([ missing; string; negative; nan ], not_a_cost);
+    ]
+
+(* Searches on one graph value alternate their cost key, so the blocks
+   they expand swap columns; each answer is the one for its key. *)
+let cheapest_alternating_cost_keys () =
+  let g =
+    (Engine.run_exn Graph.empty
+       "CREATE (a:K {name:'a'})-[:F {since: 1, w: 10}]->(b:K {name:'b'})-[:F \
+        {since: 1, w: 10}]->(d:K {name:'d'}), (a)-[:F {since: 5, w: 1}]->(d), \
+        (d)-[:F {since: 1}]->(:K {name:'e'})")
+      .Engine.graph
+  in
+  let q key =
+    Printf.sprintf
+      "MATCH p = cheapestPath((a:K {name:'a'})-[:F*]-(d:K {name:'d'}), '%s') \
+       RETURN [n IN nodes(p) | n.name] AS p"
+      key
+  in
+  let path names = [ [ ("p", Value.List (List.map vstr names)) ] ] in
+  List.iter
+    (fun key ->
+      expect g (q key) [ "p" ]
+        (if key = "since" then path [ "a"; "b"; "d" ] else path [ "a"; "d" ])
+        ())
+    [ "since"; "w"; "since"; "w"; "since" ];
+  expect_error ~contains:"no 'w' cost property" Engine.Planned g
+    "MATCH p = cheapestPath((a:K {name:'a'})-[:F*]-(e:K {name:'e'}), 'w') RETURN p" ();
+  expect g
+    "MATCH p = cheapestPath((a:K {name:'a'})-[:F*]-(e:K {name:'e'}), 'since') \
+     RETURN [n IN nodes(p) | n.name] AS p"
+    [ "p" ] (path [ "a"; "b"; "d"; "e" ]) ()
 
 (* [var_length_cap] bounds an unbounded hop in both engines, plain and
    regex alike, on the chain 0 -> 1 -> 2 -> 3. *)
@@ -1071,6 +1209,68 @@ let concurrent_searches_agree () =
     Alcotest.failf "%d concurrent answers differ from the sequential run; one: %s"
       (List.length l) q
 
+(* Three domains race to fill the first cost columns of one graph value,
+   under two cost keys, so a column is published while another domain
+   reads or replaces it; every answer must be the one a sequential run
+   on an identical graph gives. *)
+let racing_domains_fill_cost_columns () =
+  let build () =
+    (Engine.run_exn
+       (Generate.social ~seed:33 ~people:150 ~avg_friends:4)
+       "MATCH ()-[r:FRIEND]->() SET r.w = (r.since * 7) % 13")
+      .Engine.graph
+  in
+  let sequential = build () and raced = build () in
+  let name i =
+    match Graph.node_prop sequential (Cypher_values.Ids.node_of_int i) "name" with
+    | Value.String s -> s
+    | _ -> Alcotest.failf "person %d has no name" i
+  in
+  let queries =
+    List.concat_map
+      (fun (i, j) ->
+        List.concat_map
+          (fun key ->
+            List.map
+              (fun mode ->
+                ( mode,
+                  Printf.sprintf
+                    "MATCH (a:Person {name: '%s'}), (b:Person {name: '%s'}) \
+                     MATCH p = cheapestPath((a)-[:FRIEND*]-(b), '%s') RETURN \
+                     [n IN nodes(p) | id(n)] AS p"
+                    (name i) (name j) key ))
+              [ Engine.Planned; Engine.Reference ])
+          [ "since"; "w" ])
+      [ (1, 150); (7, 90); (33, 34); (120, 2) ]
+  in
+  let run g (mode, q) =
+    match Engine.query ~mode g q with
+    | Ok out -> out.Engine.table
+    | Error e -> Alcotest.failf "%S: %s" q (Engine.error_message e)
+  in
+  let expected = Array.of_list (List.map (fun q -> (q, run sequential q)) queries) in
+  Array.iter
+    (fun ((_, q), t) ->
+      if Cypher_table.Table.rows t = [] then Alcotest.failf "%S: no path" q)
+    expected;
+  let n = Array.length expected and domains = 3 in
+  let ready = Atomic.make 0 and failures = Atomic.make 0 in
+  let worker d () =
+    Atomic.incr ready;
+    while Atomic.get ready < domains do
+      Domain.cpu_relax ()
+    done;
+    for k = 0 to (8 * n) - 1 do
+      (* domain [d] starts on the other key from [d + 1] *)
+      let q, want = expected.((k + (d * 2)) mod n) in
+      if not (Cypher_table.Table.equal_ordered want (run raced q)) then
+        Atomic.incr failures
+    done
+  in
+  List.iter Domain.join (List.init domains (fun d -> Domain.spawn (worker d)));
+  Alcotest.(check int) "answers differing from the sequential run" 0
+    (Atomic.get failures)
+
 (* Node ids up to 2^30 are legal; a search between such ids and a low one
    must be sized by the nodes it touches, not by the ids. *)
 let sparse_ids_search () =
@@ -1212,6 +1412,12 @@ let suite =
         social_agrees;
       tc "fuzz: planner and reference agree on path queries" fuzz_differential;
       tc "fuzz: cheapest-path costs agree" fuzz_cheapest_differential;
+      tc "cheapest: every block rebuild leaves the cost column behind"
+        cheapest_sees_every_rebuild;
+      tc "cheapest: mixed costs in one block keep their typed errors"
+        cheapest_mixed_costs_in_one_block;
+      tc "cheapest: alternating cost keys on one graph" cheapest_alternating_cost_keys;
+      tc "cheapest: racing domains fill cost columns" racing_domains_fill_cost_columns;
       tc "oracle: shortest lengths match naive enumeration"
         oracle_shortest_lengths;
       tc "var_length_cap bounds both engines" var_length_cap_bounds_both_engines;
