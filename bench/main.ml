@@ -854,9 +854,21 @@ let b19_scale ~rounds ~batch nodes =
   let build_s = us_since t0 /. 1e6 in
   let ids = Array.of_list (Graph.nodes_with_label g "Person") in
   let mgr = Ivm.create g 0 in
+  (* the view's state: the live words [materialize] adds, with the graph
+     and the manager alive on both sides *)
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let live0 = live_words () in
+  let t0 = Kit.now_ns () in
   (match Ivm.materialize mgr ~name:"cities" ~query:b19_query with
   | Ok _ -> ()
   | Error e -> failwith ("B19 materialize: " ^ Engine.error_message e));
+  let materialize_ms = us_since t0 /. 1e3 in
+  let view_heap_kb =
+    float ((live_words () - live0) * (Sys.word_size / 8)) /. 1024.
+  in
   let sub =
     match Ivm.subscribe mgr ~query:b19_query with
     | Ok s -> s
@@ -924,18 +936,20 @@ let b19_scale ~rounds ~batch nodes =
   let refresh_p50 = p50 refresh_us and refresh_p95 = Kit.quantile refresh_us 0.95 in
   let speedup = reexec_us /. Float.max 1. refresh_p50 in
   Printf.printf
-    "  %8d nodes  refresh p50 %6.0f us  p95 %6s us   push p50 %6.0f us   \
-     re-exec %8.0f us   speedup %5.1fx   (%d incremental, %d fallback \
-     refreshes)\n\
+    "  %8d nodes  materialize %5.0f ms (%.0f KB live)  refresh p50 %6.0f us  \
+     p95 %6s us   push p50 %6.0f us   re-exec %8.0f us   speedup %5.1fx   \
+     (%d incremental, %d fallback refreshes)\n\
      %!"
-    nodes refresh_p50 (show refresh_p95) (p50 push_us) reexec_us speedup
-    incrementals fallbacks;
+    nodes materialize_ms view_heap_kb refresh_p50 (show refresh_p95)
+    (p50 push_us) reexec_us speedup incrementals fallbacks;
   ( incrementals,
     ( string_of_int nodes,
       Kit.Obj
         [
           ("rels", Kit.Int (Graph.rel_count g));
           ("build_s", Kit.Num build_s);
+          ("materialize_ms", Kit.Num materialize_ms);
+          ("view_heap_kb", Kit.Num view_heap_kb);
           ("refresh_p50_us", Kit.Num refresh_p50);
           ("refresh_p95_us", num refresh_p95);
           ("refresh_max_us", Kit.Num refresh_us.(rounds - 1));

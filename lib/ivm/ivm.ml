@@ -5,21 +5,24 @@
 
    A query inside the supported fragment — a single non-optional MATCH
    of one rigid path, an optional WHERE, and a RETURN of scalar
-   expressions and/or count/sum/avg/min/max aggregates — is compiled to
-   a maintained match-set: the bag of pattern assignments, keyed by the
-   bound entity-id vector, with the per-assignment group key and
-   aggregate arguments memoized.  A committed graph delta (from the
-   {!Graph} change journal) refreshes the set in O(changes): every
-   tuple containing a touched entity is retracted, and new tuples are
-   found by the same planned MATCH ... WHERE with one input replaced by
-   the change — one seed program per pattern position, compiled by the
-   planner at registration, started from that position bound and run
-   once over the touched entities as its Argument rows.  The rows a run
-   produces for an assignment are the engine's own multiplicity.  The
-   initial build and every full rebuild run the unseeded match, planned
-   against the graph they read.  Aggregates maintain per-group value
-   multisets so group rows are re-finalized — with the engine's own
-   {!Agg.finalize} — without rescanning the group.
+   expressions and/or count/sum/avg/min/max aggregates — keeps only
+   what it shows: its output bag, or for an aggregate its groups' row
+   counts and value multisets, so group rows are re-finalized — with
+   the engine's own {!Agg.finalize} — without rescanning the group.
+   The view is Q(G), and the fragment's expressions read only the
+   entities a pattern assignment binds, so a commit from G to G'
+   changes only the assignments that bind a touched entity (from the
+   {!Graph} change journal): the refresh is Q_T(G') - Q_T(G), read from
+   the two published versions in O(changes).  The same planned
+   MATCH ... WHERE finds them with one input replaced by the change —
+   one seed program per pattern position, compiled by the planner at
+   registration, started from that position bound and run over the
+   touched entities as its Argument rows: in G from the removed and
+   changed ones, whose assignments are taken away, and in G' from the
+   added and changed ones, whose assignments are contributed.  The rows
+   a run produces for an assignment are the engine's own multiplicity.
+   The initial build and every full rebuild stream the unseeded match,
+   planned against the graph they read, into the state.
 
    Queries outside the fragment (variable-length expands, ORDER BY,
    WITH pipelines, ...) degrade to full re-execution on the pinned
@@ -136,15 +139,11 @@ let bag_of_table tbl =
 
 (* (new - old) as events *)
 let bag_diff ~old_bag ~new_bag =
-  Vlmap.fold (fun row m acc -> (row, m) :: acc) new_bag []
-  |> List.map (fun (row, m) ->
-         (row, m - Option.value (Vlmap.find_opt row old_bag) ~default:0))
-  |> List.append
-       (Vlmap.fold
-          (fun row m acc ->
-            if Vlmap.mem row new_bag then acc else (row, -m) :: acc)
-          old_bag [])
-  |> List.filter (fun (_, d) -> d <> 0)
+  Vlmap.bindings
+    (Vlmap.union
+       (fun _ n o -> match n + o with 0 -> None | d -> Some d)
+       new_bag
+       (Vlmap.map (fun m -> -m) old_bag))
 
 (* --- the compiled fragment --------------------------------------------- *)
 
@@ -414,36 +413,26 @@ let compile (q : Ast.query) : plan =
 
 let columns_of plan = Array.to_list (Array.map fst plan.p_items)
 
-(* --- tuple keys ----------------------------------------------------------- *)
-
-let tag_node n = Ids.node_to_int n lsl 1
-let tag_rel r = (Ids.rel_to_int r lsl 1) lor 1
-
+(* An assignment's key: its entity ids, a node's tagged even and a
+   relationship's odd. *)
 let key_of plan bnd =
   Array.map
     (fun name ->
       match Record.find bnd name with
-      | Some (Value.Node n) -> tag_node n
-      | Some (Value.Rel r) -> tag_rel r
+      | Some (Value.Node n) -> Ids.node_to_int n lsl 1
+      | Some (Value.Rel r) -> (Ids.rel_to_int r lsl 1) lor 1
       | _ -> failwith "ivm: a pattern position bound no entity")
     plan.p_names
 
 (* --- maintained state --------------------------------------------------- *)
 
-type tup = {
-  u_mult : int;
-  u_gkey : Value.t list;  (* Key-item values, in p_items order *)
-  u_args : Value.t array;  (* per Agg_item argument value (Null = skipped) *)
-}
-
+(* What a view shows, and nothing more: an aggregating view keeps its
+   groups' counts and value multisets and their output rows; any other
+   view's state is its output bag ([v_out]). *)
 type group = { mutable g_count : int; g_accs : int Vmap.t ref array }
 
 type istate = {
   plan : plan;
-  tuples : (int array, tup) Hashtbl.t;
-  (* tagged entity -> keys of tuples binding it; elided for one-element
-     patterns, where the key is the entity *)
-  ent_idx : (int, int array list ref) Hashtbl.t;
   mutable groups : group Vlmap.t;
   mutable gout : Value.t list Vlmap.t;  (* group key -> current output row *)
 }
@@ -471,179 +460,106 @@ let fresh_group plan =
   { g_count = 0; g_accs = Array.map (fun _ -> ref Vmap.empty) plan.p_specs }
 
 let new_istate plan =
-  let st =
-    {
-      plan;
-      tuples = Hashtbl.create 256;
-      ent_idx = Hashtbl.create 256;
-      groups = Vlmap.empty;
-      gout = Vlmap.empty;
-    }
-  in
+  let st = { plan; groups = Vlmap.empty; gout = Vlmap.empty } in
   (* a global aggregate (no grouping keys) emits one row even over an
      empty input: the group exists from the start *)
   if plan.p_grouping && not plan.p_has_keys then
     st.groups <- Vlmap.add [] (fresh_group plan) st.groups;
   st
 
-let multi_element st = Array.length st.plan.p_names > 1
+(* [m + d] as a stored multiplicity: zero drops the entry; below zero
+   the maintained state is not what the graph implies. *)
+let bump m d =
+  match m + d with
+  | 0 -> None
+  | n when n < 0 -> failwith "ivm: negative multiplicity in a group"
+  | n -> Some n
 
-let index_add st key =
-  if multi_element st then
-    Array.iter
-      (fun e ->
-        match Hashtbl.find_opt st.ent_idx e with
-        | Some l -> if not (List.memq key !l) then l := key :: !l
-        | None -> Hashtbl.replace st.ent_idx e (ref [ key ]))
-      key
-
-let index_remove st key =
-  if multi_element st then
-    Array.iter
-      (fun e ->
-        match Hashtbl.find_opt st.ent_idx e with
-        | Some l ->
-          l := List.filter (fun k -> not (k == key)) !l;
-          if !l = [] then Hashtbl.remove st.ent_idx e
-        | None -> ())
-      key
-
-let keys_containing st e =
-  if multi_element st then
-    match Hashtbl.find_opt st.ent_idx e with Some l -> !l | None -> []
-  else
-    let key = [| e |] in
-    if Hashtbl.mem st.tuples key then [ key ] else []
-
-(* Group bookkeeping.  [dirty] collects the group keys whose output row
-   must be re-finalized at the end of the batch. *)
-let group_touch st dirty tup sign =
-  let gkey = tup.u_gkey in
-  let gr =
-    match Vlmap.find_opt gkey st.groups with
-    | Some gr -> gr
-    | None ->
-      let gr = fresh_group st.plan in
-      st.groups <- Vlmap.add gkey gr st.groups;
-      gr
+(* Contributes [count] copies of the assignment [bnd] (negative: takes
+   them away), its items read in [g]: to its group's count and value
+   multisets when the view aggregates, else as a row event.  [dirty]
+   collects the group keys whose output row must be re-finalized at the
+   end of the batch. *)
+let contribute cfg g st dirty events bnd count =
+  let plan = st.plan in
+  let eval e = Eval.eval_expr cfg g bnd e in
+  let gkey =
+    Array.fold_left
+      (fun acc (_, item) ->
+        match item with Key e -> eval e :: acc | Agg_item _ -> acc)
+      [] plan.p_items
+    |> List.rev
   in
-  let d = sign * tup.u_mult in
-  gr.g_count <- gr.g_count + d;
-  Array.iteri
-    (fun i acc ->
-      match st.plan.p_specs.(i) with
-      | `Count_star -> ()
-      | `Agg _ | `Percentile _ ->
-        let v = tup.u_args.(i) in
-        if not (Value.is_null v) then
-          acc :=
-            Vmap.update v
-              (fun o ->
-                match Option.value o ~default:0 + d with
-                | 0 -> None
-                | m -> Some m)
-              !acc)
-    gr.g_accs;
-  if gr.g_count = 0 && st.plan.p_has_keys then
-    st.groups <- Vlmap.remove gkey st.groups;
-  dirty := Vlmap.add gkey () !dirty
-
-let remove_tuple st dirty events key =
-  match Hashtbl.find_opt st.tuples key with
-  | None -> ()
-  | Some tup ->
-    Hashtbl.remove st.tuples key;
-    index_remove st key;
-    if st.plan.p_grouping then group_touch st dirty tup (-1)
-    else events := (tup.u_gkey, -tup.u_mult) :: !events
-
-let add_tuple cfg g st dirty events key mult bnd =
-  let n_args = Array.length st.plan.p_specs in
-  let args = Array.make n_args Value.Null in
-  let gkey = ref [] in
-  let agg_i = ref 0 in
-  Array.iter
-    (fun (_, item) ->
-      match item with
-      | Key e -> gkey := Eval.eval_expr cfg g bnd e :: !gkey
-      | Agg_item spec ->
-        (match spec with
-        | `Count_star -> ()
-        | `Agg (_, _, arg) -> args.(!agg_i) <- Eval.eval_expr cfg g bnd arg
-        | `Percentile _ -> ());
-        incr agg_i)
-    st.plan.p_items;
-  let tup = { u_mult = mult; u_gkey = List.rev !gkey; u_args = args } in
-  Hashtbl.replace st.tuples key tup;
-  index_add st key;
-  if st.plan.p_grouping then group_touch st dirty tup 1
-  else events := (tup.u_gkey, tup.u_mult) :: !events
+  if not plan.p_grouping then events := (gkey, count) :: !events
+  else begin
+    let gr =
+      match Vlmap.find_opt gkey st.groups with
+      | Some gr -> gr
+      | None ->
+        let gr = fresh_group plan in
+        st.groups <- Vlmap.add gkey gr st.groups;
+        gr
+    in
+    gr.g_count <- Option.value (bump gr.g_count count) ~default:0;
+    Array.iteri
+      (fun i spec ->
+        match spec with
+        | `Agg (_, _, arg) ->
+          let v = eval arg in
+          if not (Value.is_null v) then
+            gr.g_accs.(i) :=
+              Vmap.update v
+                (fun o -> bump (Option.value o ~default:0) count)
+                !(gr.g_accs.(i))
+        | `Count_star | `Percentile _ -> ())
+      plan.p_specs;
+    if gr.g_count = 0 && plan.p_has_keys then
+      st.groups <- Vlmap.remove gkey st.groups;
+    dirty := Vlmap.add gkey () !dirty
+  end
 
 (* Re-finalizes every dirty group with the engine's own [Agg.finalize],
    expanding each maintained value multiset in canonical ascending
    order, and emits the row transitions. *)
 let finalize_groups st dirty events =
+  let row gkey gr =
+    let row, _, _ =
+      Array.fold_left
+        (fun (row, keys, i) (_, item) ->
+          match (item, keys) with
+          | Key _, v :: keys -> (v :: row, keys, i)
+          | Key _, [] -> assert false
+          | Agg_item spec, _ ->
+            let values =
+              List.concat_map
+                (fun (v, m) -> List.init m (fun _ -> v))
+                (Vmap.bindings !(gr.g_accs.(i)))
+            in
+            let v =
+              Agg.finalize ~percentile:None ~row_count:gr.g_count values spec
+            in
+            (v :: row, keys, i + 1))
+        ([], gkey, 0) st.plan.p_items
+    in
+    List.rev row
+  in
   Vlmap.iter
     (fun gkey () ->
       let old_row = Vlmap.find_opt gkey st.gout in
-      let new_row =
-        match Vlmap.find_opt gkey st.groups with
-        | None -> None
-        | Some gr ->
-          let keys = ref gkey in
-          let agg_i = ref 0 in
-          let row =
-            Array.fold_left
-              (fun acc (_, item) ->
-                match item with
-                | Key _ -> (
-                  match !keys with
-                  | v :: rest ->
-                    keys := rest;
-                    v :: acc
-                  | [] -> assert false)
-                | Agg_item spec ->
-                  let values =
-                    Vmap.fold
-                      (fun v m acc ->
-                        let rec rep n acc =
-                          if n = 0 then acc else rep (n - 1) (v :: acc)
-                        in
-                        rep m acc)
-                      !(gr.g_accs.(!agg_i))
-                      []
-                  in
-                  incr agg_i;
-                  let v =
-                    Agg.finalize ~percentile:None ~row_count:gr.g_count
-                      (List.rev values) spec
-                  in
-                  v :: acc)
-              [] st.plan.p_items
-          in
-          Some (List.rev row)
-      in
+      let new_row = Option.map (row gkey) (Vlmap.find_opt gkey st.groups) in
       match (old_row, new_row) with
-      | None, None -> ()
       | Some o, Some n when Vlist.compare o n = 0 -> ()
-      | o, n ->
-        (match o with
-        | Some row ->
-          events := (row, -1) :: !events;
-          st.gout <- Vlmap.remove gkey st.gout
-        | None -> ());
-        (match n with
-        | Some row ->
-          events := (row, 1) :: !events;
-          st.gout <- Vlmap.add gkey row st.gout
-        | None -> ()))
+      | _ ->
+        Option.iter (fun r -> events := (r, -1) :: !events) old_row;
+        Option.iter (fun r -> events := (r, 1) :: !events) new_row;
+        st.gout <- Vlmap.update gkey (fun _ -> new_row) st.gout)
     dirty
 
-(* Runs [prog] over the Argument rows [args] and adds every assignment
-   it finds to the candidate table, keyed, with the number of rows this
+(* Runs [prog] over the Argument rows [args] in [g] and adds every
+   assignment it finds to [found], keyed, with the number of rows this
    run produced for it: the engine's own multiplicity.  A key an earlier
    run already found keeps that run's count. *)
-let collect_candidates cfg g plan prog args cand =
+let collect_candidates cfg g plan prog args found =
   let run = Hashtbl.create 64 in
   Seq.iter
     (fun bnd ->
@@ -654,19 +570,11 @@ let collect_candidates cfg g plan prog args cand =
       Hashtbl.replace run key (m + 1, bnd))
     (Exec.rows cfg g prog args);
   Hashtbl.iter
-    (fun key v -> if not (Hashtbl.mem cand key) then Hashtbl.replace cand key v)
+    (fun key v -> if not (Hashtbl.mem found key) then Hashtbl.replace found key v)
     run
 
-(* Applies a candidate table: every candidate key not already present
-   becomes a tuple. *)
-let admit_candidates cfg g st dirty events cand =
-  Hashtbl.iter
-    (fun key (mult, bnd) ->
-      if not (Hashtbl.mem st.tuples key) then
-        add_tuple cfg g st dirty events key mult bnd)
-    cand
-
-(* The full build: the match planned against the graph it runs on. *)
+(* The full build: the match planned against the graph it runs on, its
+   rows streamed straight into the state. *)
 let init_istate cfg g plan =
   let st = new_istate plan in
   let dirty = ref Vlmap.empty in
@@ -674,9 +582,9 @@ let init_istate cfg g plan =
   let { Build.prog; _ } =
     Build.compile_clauses ~stats:(Stats.collect g) ~visible:[] plan.p_match None
   in
-  let cand = Hashtbl.create 1024 in
-  collect_candidates cfg g plan prog (Seq.return Record.empty) cand;
-  admit_candidates cfg g st dirty events cand;
+  Seq.iter
+    (fun bnd -> contribute cfg g st dirty events bnd 1)
+    (Exec.rows cfg g prog (Seq.return Record.empty));
   if plan.p_grouping then finalize_groups st !dirty events;
   (st, !events)
 
@@ -704,37 +612,40 @@ let seed_rows plan g pos ~nodes ~rels =
           anchors)
       rels
 
-(* The incremental step.  Retract every tuple binding a touched entity,
-   then run each position's seeded program once over the added and
-   changed entities that can occupy it, and admit what it finds. *)
-let apply_delta cfg new_g st (d : Graph.delta) =
-  let plan = st.plan in
-  let dirty = ref Vlmap.empty in
-  let events = ref [] in
-  let retract tag =
-    List.iter (fun key -> remove_tuple st dirty events key) (keys_containing st tag)
-  in
-  List.iter (fun n -> retract (tag_node n)) d.Graph.d_nodes_removed;
-  List.iter (fun n -> retract (tag_node n)) d.Graph.d_nodes_changed;
-  List.iter (fun r -> retract (tag_rel r)) d.Graph.d_rels_removed;
-  List.iter (fun r -> retract (tag_rel r)) d.Graph.d_rels_changed;
+(* Contributes every assignment of [g] that binds one of [nodes] or
+   [rels], [sign] times its multiplicity: each position's seeded program
+   runs once over the entities that can occupy it. *)
+let contribute_touched cfg g st dirty events ~sign ~nodes ~rels =
   (* distinct: a repeated Argument row would count its assignments twice *)
-  let nodes =
-    List.sort_uniq Ids.compare_node
-      (d.Graph.d_nodes_added @ d.Graph.d_nodes_changed)
-  and rels =
-    List.sort_uniq Ids.compare_rel
-      (d.Graph.d_rels_added @ d.Graph.d_rels_changed)
-  in
-  let cand = Hashtbl.create 64 in
+  let nodes = List.sort_uniq Ids.compare_node nodes
+  and rels = List.sort_uniq Ids.compare_rel rels in
+  let found = Hashtbl.create 64 in
   Array.iteri
     (fun pos prog ->
-      match seed_rows plan new_g pos ~nodes ~rels with
+      match seed_rows st.plan g pos ~nodes ~rels with
       | [] -> ()
-      | args -> collect_candidates cfg new_g plan prog (List.to_seq args) cand)
-    plan.p_seeds;
-  admit_candidates cfg new_g st dirty events cand;
-  if plan.p_grouping then finalize_groups st !dirty events;
+      | args -> collect_candidates cfg g st.plan prog (List.to_seq args) found)
+    st.plan.p_seeds;
+  Hashtbl.iter
+    (fun _ (m, bnd) -> contribute cfg g st dirty events bnd (sign * m))
+    found
+
+(* The incremental step: Q(new_g) - Q(old_g), read off the assignments
+   that bind a touched entity.  Every other assignment reads the same in
+   both versions, since the fragment's expressions read only the bound
+   entities.  The assignments of the removed and changed entities are
+   taken away as [old_g] reads them, then those of the added and changed
+   entities are contributed as [new_g] reads them. *)
+let apply_delta cfg ~old_g ~new_g st (d : Graph.delta) =
+  let dirty = ref Vlmap.empty in
+  let events = ref [] in
+  contribute_touched cfg old_g st dirty events ~sign:(-1)
+    ~nodes:(d.Graph.d_nodes_removed @ d.Graph.d_nodes_changed)
+    ~rels:(d.Graph.d_rels_removed @ d.Graph.d_rels_changed);
+  contribute_touched cfg new_g st dirty events ~sign:1
+    ~nodes:(d.Graph.d_nodes_added @ d.Graph.d_nodes_changed)
+    ~rels:(d.Graph.d_rels_added @ d.Graph.d_rels_changed);
+  if st.plan.p_grouping then finalize_groups st !dirty events;
   !events
 
 (* --- the manager -------------------------------------------------------- *)
@@ -771,14 +682,16 @@ type t = {
   mutable last_seq : int;
   mutable busy : bool;  (* a refresh cycle is in flight *)
   mutable stopping : bool;
-  mutable thread : Thread.t option;
+  mutable timed : int;  (* waiters with a deadline: the ticker runs *)
+  mutable threads : Thread.t list;  (* the refresh loop and the ticker *)
   mutable source : Store.t option;  (* to detach the publish hook *)
   cfg : Config.t;
   mode : Engine.mode;
-  (* Slow subscribers are disconnected rather than buffered without
-     bound: a queue past this depth closes the subscription. *)
-  max_queue : int;
 }
+
+(* Slow subscribers are disconnected rather than buffered without bound:
+   a queue past this depth closes the subscription. *)
+let max_queue = 1024
 
 type view_info = {
   vi_name : string;
@@ -833,6 +746,16 @@ type refresh_result = {
   r_error : string option;
 }
 
+let refresh_result ?table ?error ~incremental out (added, removed) =
+  {
+    r_out = out;
+    r_table = table;
+    r_added = added;
+    r_removed = removed;
+    r_incremental = incremental;
+    r_error = error;
+  }
+
 let visible_deltas view net =
   let added = ref [] and removed = ref [] in
   let distinct = distinct view in
@@ -857,31 +780,19 @@ let degrade view reason =
   if distinct view then view.v_out <- Vlmap.map (fun _ -> 1) view.v_out;
   view.v_state <- Fallback reason
 
+(* The view's output replaced wholesale by [out]. *)
+let replace_out ?table view out =
+  refresh_result ?table ~incremental:false out
+    (visible_deltas view (bag_diff ~old_bag:view.v_out ~new_bag:out))
+
 let reexecute t g view =
   match Engine.query ~config:t.cfg ~mode:t.mode g view.v_query with
   | Ok outcome ->
     let tbl = outcome.Engine.table in
-    let out = bag_of_table tbl in
-    let added, removed =
-      visible_deltas view (bag_diff ~old_bag:view.v_out ~new_bag:out)
-    in
-    {
-      r_out = out;
-      r_table = Some tbl;
-      r_added = added;
-      r_removed = removed;
-      r_incremental = false;
-      r_error = None;
-    }
+    replace_out ~table:tbl view (bag_of_table tbl)
   | Error e ->
-    {
-      r_out = view.v_out;
-      r_table = None;
-      r_added = [];
-      r_removed = [];
-      r_incremental = false;
-      r_error = Some (Engine.error_message e);
-    }
+    refresh_result ~error:(Engine.error_message e) ~incremental:false
+      view.v_out ([], [])
 
 let full_rebuild t g view =
   match view.v_state with
@@ -889,17 +800,7 @@ let full_rebuild t g view =
     match init_istate t.cfg g st.plan with
     | fresh_st, events ->
       view.v_state <- Incremental fresh_st;
-      let out = bag_of_events events in
-      let net = bag_diff ~old_bag:view.v_out ~new_bag:out in
-      let added, removed = visible_deltas view net in
-      {
-        r_out = out;
-        r_table = None;
-        r_added = added;
-        r_removed = removed;
-        r_incremental = false;
-        r_error = None;
-      }
+      replace_out view (bag_of_events events)
     | exception e ->
       (* the incremental machinery failed wholesale *)
       degrade view (Printexc.to_string e);
@@ -915,31 +816,16 @@ let compute_refresh t ~old_g ~new_g view =
     | Some d -> (
       Registry.add m_delta_entities (Graph.delta_size d);
       if Graph.delta_is_empty d then
-        {
-          r_out = view.v_out;
-          r_table = view.v_table;
-          r_added = [];
-          r_removed = [];
-          r_incremental = true;
-          r_error = None;
-        }
+        refresh_result ?table:view.v_table ~incremental:true view.v_out
+          ([], [])
       else
-        match apply_delta t.cfg new_g st d with
+        (* a negative count in a group raises: rebuild from [new_g] *)
+        match apply_delta t.cfg ~old_g ~new_g st d with
         | events ->
-          let net =
-            Vlmap.fold
-              (fun row d acc -> (row, d) :: acc)
-              (bag_of_events events) []
-          in
-          let added, removed = visible_deltas view net in
-          {
-            r_out = apply_events view.v_out net;
-            r_table = None;
-            r_added = added;
-            r_removed = removed;
-            r_incremental = true;
-            r_error = None;
-          }
+          let net = Vlmap.bindings (bag_of_events events) in
+          refresh_result ~incremental:true
+            (apply_events view.v_out net)
+            (visible_deltas view net)
         | exception _ -> full_rebuild t new_g view))
 
 (* Publishes a computed refresh under the manager mutex: swaps the
@@ -978,7 +864,7 @@ let publish_refresh t view seq ~trace r =
     List.iter
       (fun s ->
         if (not s.s_closed) && String.equal s.s_view view.v_name then
-          if Queue.length s.s_frames >= t.max_queue then s.s_closed <- true
+          if Queue.length s.s_frames >= max_queue then s.s_closed <- true
           else begin
             Queue.add frame s.s_frames;
             Registry.incr m_pushes
@@ -1004,14 +890,7 @@ let refresh_one t ~old_g ~new_g ~seq ?(trace = 0) view =
     | exception e ->
       let msg = Printexc.to_string e in
       degrade view msg;
-      {
-        r_out = view.v_out;
-        r_table = None;
-        r_added = [];
-        r_removed = [];
-        r_incremental = false;
-        r_error = Some msg;
-      }
+      refresh_result ~error:msg ~incremental:false view.v_out ([], [])
   in
   let dur_us = (Cypher_obs.Clock.now_ns () - t0) / 1000 in
   Registry.observe_us m_refresh_us dur_us;
@@ -1059,9 +938,37 @@ let refresh_loop t =
   done;
   Mutex.unlock t.mm
 
+(* Waiting.  Every change a waiter can wait for broadcasts [t.cv];
+   [Condition] has no timed wait, so while some waiter has a deadline
+   the ticker broadcasts every 2 ms for it to look at the clock. *)
+let ticker t =
+  Mutex.lock t.mm;
+  while not t.stopping do
+    if t.timed = 0 then Condition.wait t.cv t.mm
+    else begin
+      Mutex.unlock t.mm;
+      Thread.delay 0.002;
+      Mutex.lock t.mm;
+      Condition.broadcast t.cv
+    end
+  done;
+  Mutex.unlock t.mm
+
+(* Under [t.mm]: waits until [ready ()], the [deadline] (a
+   [Unix.gettimeofday] time) or shutdown. *)
+let wait_until t deadline ready =
+  if not (ready ()) && Unix.gettimeofday () < deadline then begin
+    t.timed <- t.timed + 1;
+    if t.timed = 1 then Condition.broadcast t.cv;
+    while not (ready () || t.stopping || Unix.gettimeofday () >= deadline) do
+      Condition.wait t.cv t.mm
+    done;
+    t.timed <- t.timed - 1
+  end
+
 (* --- lifecycle ---------------------------------------------------------- *)
 
-let create ?(mode = Engine.Planned) ?(max_queue = 1024) graph seq =
+let create ?(mode = Engine.Planned) graph seq =
   let t =
     {
       mm = Mutex.create ();
@@ -1075,14 +982,14 @@ let create ?(mode = Engine.Planned) ?(max_queue = 1024) graph seq =
       last_seq = seq;
       busy = false;
       stopping = false;
-      thread = None;
+      timed = 0;
+      threads = [];
       source = None;
       cfg = Config.default;
       mode;
-      max_queue;
     }
   in
-  t.thread <- Some (Thread.create refresh_loop t);
+  t.threads <- [ Thread.create refresh_loop t; Thread.create ticker t ];
   t
 
 let notify ?(trace = 0) t graph seq =
@@ -1093,9 +1000,9 @@ let notify ?(trace = 0) t graph seq =
   end;
   Mutex.unlock t.mm
 
-let attach ?mode ?max_queue store =
+let attach ?mode store =
   let g, seq = Store.committed_with_seq store in
-  let t = create ?mode ?max_queue g seq in
+  let t = create ?mode g seq in
   t.source <- Some store;
   Store.set_on_publish store (fun g seq trace -> notify ~trace t g seq);
   (* catch up with anything published between the two calls above *)
@@ -1119,8 +1026,8 @@ let shutdown t =
   List.iter (fun s -> s.s_closed <- true) t.subs;
   Condition.broadcast t.cv;
   Mutex.unlock t.mm;
-  (match t.thread with Some th -> Thread.join th | None -> ());
-  t.thread <- None
+  List.iter Thread.join t.threads;
+  t.threads <- []
 
 (* --- registration ------------------------------------------------------- *)
 
@@ -1326,39 +1233,26 @@ type read_error =
 
 let read ?(min_seq = 0) ?(wait_ms = 0) t name =
   let deadline = Unix.gettimeofday () +. (float_of_int wait_ms /. 1000.) in
-  let rec go () =
-    Mutex.lock t.mm;
-    match Hashtbl.find_opt t.views name with
-    | None ->
-      Mutex.unlock t.mm;
-      Error Unknown_view
-    | Some v ->
-      if v.v_seq >= min_seq then begin
-        let res =
-          match v.v_error with
-          | Some e -> Error (Failed e)
-          | None -> (
-            (* table construction must not escape with [t.mm] held — a
-               raise here would deadlock every manager entry point *)
-            match build_table v with
-            | tbl -> Ok (tbl, v.v_seq)
-            | exception e -> Error (Failed (Printexc.to_string e)))
-        in
-        Mutex.unlock t.mm;
-        res
-      end
-      else begin
-        let seq = v.v_seq in
-        Mutex.unlock t.mm;
-        if Unix.gettimeofday () >= deadline || t.stopping then
-          Error (Stale seq)
-        else begin
-          Thread.delay 0.002;
-          go ()
-        end
-      end
+  Mutex.lock t.mm;
+  let find () = Hashtbl.find_opt t.views name in
+  wait_until t deadline (fun () ->
+      match find () with Some v -> v.v_seq >= min_seq | None -> true);
+  let res =
+    match find () with
+    | None -> Error Unknown_view
+    | Some v when v.v_seq < min_seq -> Error (Stale v.v_seq)
+    | Some v -> (
+      match v.v_error with
+      | Some e -> Error (Failed e)
+      | None -> (
+        (* table construction must not escape with [t.mm] held — a raise
+           here would deadlock every manager entry point *)
+        match build_table v with
+        | tbl -> Ok (tbl, v.v_seq)
+        | exception e -> Error (Failed (Printexc.to_string e))))
   in
-  go ()
+  Mutex.unlock t.mm;
+  res
 
 (* --- subscriptions ------------------------------------------------------ *)
 
@@ -1458,27 +1352,16 @@ let unsubscribe t sub =
    stopping, or the subscriber fell too far behind). *)
 let next_frame t sub ~timeout_s =
   let deadline = Unix.gettimeofday () +. timeout_s in
-  let rec go () =
-    Mutex.lock t.mm;
-    if not (Queue.is_empty sub.s_frames) then begin
-      let f = Queue.pop sub.s_frames in
-      Mutex.unlock t.mm;
-      `Frame f
-    end
-    else if sub.s_closed || t.stopping then begin
-      Mutex.unlock t.mm;
-      `Closed
-    end
-    else begin
-      Mutex.unlock t.mm;
-      if Unix.gettimeofday () >= deadline then `Timeout
-      else begin
-        Thread.delay 0.002;
-        go ()
-      end
-    end
+  Mutex.lock t.mm;
+  let over () = sub.s_closed || t.stopping in
+  wait_until t deadline (fun () -> over () || not (Queue.is_empty sub.s_frames));
+  let res =
+    if not (Queue.is_empty sub.s_frames) then `Frame (Queue.pop sub.s_frames)
+    else if over () then `Closed
+    else `Timeout
   in
-  go ()
+  Mutex.unlock t.mm;
+  res
 
 let subscription_view sub = sub.s_view
 

@@ -4,10 +4,13 @@
 
     A view inside the maintained fragment (one non-optional MATCH of one
     rigid path, an optional WHERE, a RETURN of scalar items and
-    count/sum/avg/min/max aggregates) is refreshed from each commit's
-    graph delta through planned seed programs; any other view, or one
-    whose incremental state fails, is re-executed on the committed
-    graph.  Either way a view never serves a wrong answer. *)
+    count/sum/avg/min/max aggregates) keeps only its result (for an
+    aggregate, its groups' counts and value multisets) and is refreshed
+    from each commit's graph delta: planned seed programs read the
+    assignments that bind a touched entity in the previous and in the
+    new published version, and the difference is applied.  Any other
+    view, or one whose incremental state fails, is re-executed on the
+    committed graph.  Either way a view never serves a wrong answer. *)
 
 module Graph = Cypher_graph.Graph
 module Value = Cypher_values.Value
@@ -21,14 +24,13 @@ type t
 (** A view manager: the registered views, their subscribers and the
     refresh thread that brings them to each published graph. *)
 
-val create : ?mode:Engine.mode -> ?max_queue:int -> Graph.t -> int -> t
+val create : ?mode:Engine.mode -> Graph.t -> int -> t
 (** [create graph seq]: a manager whose views start from [graph] at
     commit sequence number [seq].  [mode] selects the engine for
     re-executed views (default [Planned]); a subscriber whose queue of
-    unread frames reaches [max_queue] (default 1024) is disconnected. *)
+    unread frames reaches 1024 is disconnected. *)
 
-val attach :
-  ?mode:Engine.mode -> ?max_queue:int -> Cypher_storage.Store.t -> t
+val attach : ?mode:Engine.mode -> Cypher_storage.Store.t -> t
 (** A manager fed by the store's publish hook: every published commit
     refreshes the views. *)
 

@@ -544,7 +544,10 @@ let rec handle_request t conn payload =
     | View_read { name; min_seq; wait_ms } -> (
       (* the freshness wait is this verb's job, like Repl_fetch *)
       timeout := 0.;
-      match Ivm.read ~min_seq ~wait_ms t.views name with
+      match
+        Trace.with_span "view_read" (fun () ->
+            Ivm.read ~min_seq ~wait_ms t.views name)
+      with
       | Ok (table, seq) -> table_response ~seq table
       | Error Ivm.Unknown_view ->
         engine_error (Runtime_error ("no view named " ^ name))

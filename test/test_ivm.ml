@@ -471,6 +471,78 @@ let subscribe_existing_view () =
   Alcotest.(check int) "named view survives" 1 (Ivm.view_count mgr);
   Ivm.shutdown mgr
 
+(* A view keeps what it shows, not one entry per match: a grouped count
+   over 8000 people holds five groups, whatever the number of people. *)
+let state_does_not_grow_with_matches () =
+  let sess = Session.create Graph.empty in
+  ignore (run_ok sess "UNWIND range(1, 8000) AS i CREATE (:Person {city: i % 5})");
+  let g = Session.graph sess in
+  let query = "MATCH (p:Person) RETURN p.city AS city, count(*) AS c" in
+  (* what the engine builds and keeps on a first run over [g] is not the
+     view's *)
+  ignore (fresh_table g query);
+  let mgr = Ivm.create g 0 in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live_words () in
+  materialize_ok mgr "cities" query;
+  let grown = (live_words () - before) * (Sys.word_size / 8) in
+  Alcotest.(check int) "five groups" 5 (Table.row_count (read_ok mgr "cities"));
+  Ivm.shutdown (Sys.opaque_identity mgr);
+  ignore (Sys.opaque_identity g);
+  if grown >= 65536 then
+    Alcotest.failf "materializing grew the live heap by %d bytes" grown
+
+(* Reads and frame pulls wait on the manager's condition variable: a
+   read waiting for a seq returns as soon as that seq is published, and
+   the deadlines of [read] and [next_frame] are kept. *)
+let waits_and_deadlines () =
+  let sess, mgr, _ = wired_session ~seed:[ "CREATE (:Person {city: 1})" ] () in
+  let query = "MATCH (p:Person) RETURN p.city AS city, count(*) AS c" in
+  materialize_ok mgr "cities" query;
+  let seq0 = Ivm.last_refreshed_seq mgr in
+  let got = ref None in
+  let reader =
+    Thread.create
+      (fun () ->
+        got := Some (Ivm.read ~min_seq:(seq0 + 1) ~wait_ms:30_000 mgr "cities"))
+      ()
+  in
+  ignore (run_ok sess "CREATE (:Person {city: 2})");
+  Thread.join reader;
+  (match !got with
+  | Some (Ok (tbl, seq)) ->
+    Alcotest.(check int) "the published seq" (seq0 + 1) seq;
+    Alcotest.(check int) "both cities" 2 (Table.row_count tbl)
+  | Some (Error (Ivm.Stale s)) -> Alcotest.failf "read stale at %d" s
+  | Some (Error _) | None -> Alcotest.fail "read failed");
+  let elapsed f =
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    (r, Unix.gettimeofday () -. t0)
+  in
+  (match elapsed (fun () -> Ivm.read ~min_seq:(seq0 + 100) ~wait_ms:50 mgr "cities") with
+  | Error (Ivm.Stale s), dt ->
+    Alcotest.(check int) "stale at the view's seq" (seq0 + 1) s;
+    Alcotest.(check bool) "waited out wait_ms" true (dt >= 0.05)
+  | _ -> Alcotest.fail "expected Stale");
+  let sub =
+    match Ivm.subscribe mgr ~query with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "subscribe: %s" (Engine.error_message e)
+  in
+  (match Ivm.next_frame mgr sub ~timeout_s:1. with
+  | `Frame f -> Alcotest.(check bool) "init frame" true f.Ivm.f_init
+  | _ -> Alcotest.fail "expected the init frame");
+  (match elapsed (fun () -> Ivm.next_frame mgr sub ~timeout_s:0.05) with
+  | `Timeout, dt ->
+    Alcotest.(check bool) "waited out timeout_s" true (dt >= 0.05)
+  | _ -> Alcotest.fail "expected Timeout");
+  Ivm.unsubscribe mgr sub;
+  Ivm.shutdown mgr
+
 (* --- over the wire ------------------------------------------------------ *)
 
 module Store = Cypher_storage.Store
@@ -781,6 +853,10 @@ let suite =
       subscribe_delivery_order;
     Alcotest.test_case "subscribe attaches to existing view" `Quick
       subscribe_existing_view;
+    Alcotest.test_case "state does not grow with matches" `Quick
+      state_does_not_grow_with_matches;
+    Alcotest.test_case "waits end on publish or deadline" `Quick
+      waits_and_deadlines;
     Alcotest.test_case "view verbs over the wire" `Slow views_over_the_wire;
     Alcotest.test_case "multi-client subscription delivery order" `Slow
       multi_client_subscribe_order;
